@@ -38,6 +38,7 @@ from .riccati import (
     fixed_point,
     g_step,
     gamma_step,
+    lyapunov,
 )
 from .estimation import (
     FilterState,

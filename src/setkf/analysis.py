@@ -84,7 +84,7 @@ def rate_weighted_noise(R, W_drop, gamma):
     return sym(np.linalg.inv(sym(mix)))
 
 
-def olset_bounds(model, Y, tol=1e-10, max_iter=100_000):
+def olset_bounds(model, Y):
     """Open-loop rate plus the fixed-point covariance bounds.
 
     Requires a stable plant.  Returns the ordered triple
@@ -94,23 +94,23 @@ def olset_bounds(model, Y, tol=1e-10, max_iter=100_000):
     st = steady_state(model)
     gamma = open_loop_rate(st, Y)
     W_drop = drop_noise(model.R, Y)
-    X0 = fixed_point(RiccatiMap(model, model.R), tol=tol, max_iter=max_iter)
-    X_upper = fixed_point(RiccatiMap(model, W_drop), tol=tol, max_iter=max_iter)
+    X0 = fixed_point(RiccatiMap(model, model.R))
+    X_upper = fixed_point(RiccatiMap(model, W_drop))
     R1 = rate_weighted_noise(model.R, W_drop, gamma)
-    X_lower = fixed_point(RiccatiMap(model, R1), tol=tol, max_iter=max_iter)
+    X_lower = fixed_point(RiccatiMap(model, R1))
     return OpenLoopAnalysis(gamma=gamma, X0=X0, X_upper=X_upper, X_lower=X_lower, R1=R1)
 
 
-def closed_loop_rate_bounds(model, Z, tol=1e-10, max_iter=100_000):
+def closed_loop_rate_bounds(model, Z):
     """Closed-loop rate bounds and covariance bounds; no stability needed."""
     Z = require_spd(Z, "Z")
     W_drop = drop_noise(model.R, Z)
-    X0 = fixed_point(RiccatiMap(model, model.R), tol=tol, max_iter=max_iter)
-    X_upper = fixed_point(RiccatiMap(model, W_drop), tol=tol, max_iter=max_iter)
+    X0 = fixed_point(RiccatiMap(model, model.R))
+    X_upper = fixed_point(RiccatiMap(model, W_drop))
     gamma_low = conditional_rate(model, X0, Z)
     gamma_upper = conditional_rate(model, X_upper, Z)
     R3 = rate_weighted_noise(model.R, W_drop, gamma_upper)
-    X_lower = fixed_point(RiccatiMap(model, R3), tol=tol, max_iter=max_iter)
+    X_lower = fixed_point(RiccatiMap(model, R3))
     return ClosedLoopAnalysis(
         gamma_low=gamma_low,
         gamma_upper=gamma_upper,

@@ -17,9 +17,9 @@ comparison (:func:`feasibility_check`) and a matrix-inequality certificate
     M2(S)    = [ S   I      ]
                [ I   Delta0 ]
 
-and searches for a certificate S = X^-1 with X on the segment between the
-worst-case fixed point and Delta0.  No general-purpose semidefinite solver
-is used in-repo; :func:`export_lmi` emits the blocks in a plain-text sparse
+and checks one certificate S = X^-1 built from the worst-case fixed point
+and a Lyapunov direction at it.  No general-purpose semidefinite solver is
+used in-repo; :func:`export_lmi` emits the blocks in a plain-text sparse
 format for external SDP tooling.
 
 The search over all SPD Y is restricted to a ray Y = theta * B for a fixed
@@ -35,12 +35,10 @@ import numpy as np
 from .errors import Infeasible, NotPositiveDefinite, UnstableSystem
 from .matrices import require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
-from .riccati import RiccatiMap, fixed_point
+from .riccati import RiccatiMap, fixed_point, lyapunov
 from .analysis import drop_noise, open_loop_rate, conditional_rate
 
 RAY_REL_TOL = 1e-8
-_LMI_T_GRID = (0.5, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45,
-               0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,38 +120,22 @@ def _is_pd(M):
         return False
 
 
-def _damped_direction(model, X_upper, W_eff, max_iter=100_000):
-    """Positive direction D with F D F' = D - I for the closed-loop matrix F
-    of the Riccati map at its fixed point.  Perturbing the fixed point along
-    D keeps the map strictly contractive, which yields a certificate."""
-    A, C = model.A, model.C
-    M = sym(C @ X_upper @ C.T + W_eff)
-    K = np.linalg.solve(M, C @ X_upper @ A.T).T
-    F = A - K @ C
-    D = np.eye(model.n)
-    for _ in range(max_iter):
-        nxt = sym(F @ D @ F.T + np.eye(model.n))
-        if spectral_norm(nxt - D) <= 1e-12 * spectral_norm(nxt):
-            return nxt
-        D = nxt
-    return D
-
-
 def _posterior_image(model, X, W_eff):
     M = sym(model.C @ X @ model.C.T + W_eff)
     return sym(X - X @ model.C.T @ np.linalg.solve(M, model.C @ X))
 
 
-def lmi_feasible(model, Y, Delta0, t_grid=_LMI_T_GRID):
+def lmi_feasible(model, Y, Delta0):
     """Feasibility via the block-matrix certificate.
 
-    Candidates S = X^-1 are parameterized through the worst-case fixed
-    point: first the segment X = X_upper + t (Delta0 - X_upper), then a
-    fallback line search along the contraction-damped direction at the
-    fixed point (whose posterior image certifies whenever the bound is
-    strictly feasible).  Every candidate fails the Schur pair when the
-    fixed point violates the bound, so the result agrees with
-    :func:`feasibility_check`.
+    With F the closed-loop matrix of the Riccati map at the worst-case fixed
+    point X_upper, the direction D solving F D F' = D - I keeps the map
+    strictly contractive when the fixed point is perturbed along it.  Let
+    eps* be the largest step with X_upper + eps* D <= Delta0; the one
+    candidate is S = X^-1 with X the posterior image of X_upper + eps*/2 D,
+    checked on the Schur pair (M1, M2).  When Delta0 - X_upper is not
+    positive definite no step exists and the answer is False, so the result
+    agrees with :func:`feasibility_check`.
     """
     if model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
@@ -161,35 +143,18 @@ def lmi_feasible(model, Y, Delta0, t_grid=_LMI_T_GRID):
     Delta0 = require_spd(Delta0, "Delta0")
     W_eff = drop_noise(model.R, Y)
     X_upper = _worst_case_fp(model, W_eff)
-    gap = Delta0 - X_upper
-
-    def certifies(X):
-        if smallest_eigenvalue(X) <= 0.0:
-            return False
-        S = sym(np.linalg.inv(X))
-        M1, M2 = assemble_lmi_blocks(model, Y, S, Delta0)
-        return _is_pd(M1) and _is_pd(M2)
-
-    for t in t_grid:
-        if certifies(sym(X_upper + t * gap)):
-            return True
-    # fallback: damped-direction candidates, constructible only when the
-    # gap admits a positive step
     try:
-        L = np.linalg.cholesky(sym(gap))
+        L = np.linalg.cholesky(sym(Delta0 - X_upper))
     except np.linalg.LinAlgError:
         return False
-    D = _damped_direction(model, X_upper, W_eff)
+    A, C = model.A, model.C
+    K = np.linalg.solve(sym(C @ X_upper @ C.T + W_eff), C @ X_upper @ A.T).T
+    D = lyapunov(A - K @ C, np.eye(model.n))
     Linv = np.linalg.inv(L)
-    lam_max = float(np.linalg.eigvalsh(sym(Linv @ D @ Linv.T))[-1])
-    if lam_max <= 0.0 or not np.isfinite(lam_max):
-        return False
-    eps_star = 1.0 / lam_max
-    for frac in (0.5, 0.9, 0.25, 0.05, 0.99):
-        X = sym(X_upper + (frac * eps_star) * D)
-        if certifies(X) or certifies(_posterior_image(model, X, W_eff)):
-            return True
-    return False
+    eps_star = 1.0 / float(np.linalg.eigvalsh(sym(Linv @ D @ Linv.T))[-1])
+    X = _posterior_image(model, sym(X_upper + (0.5 * eps_star) * D), W_eff)
+    M1, M2 = assemble_lmi_blocks(model, Y, sym(np.linalg.inv(X)), Delta0)
+    return _is_pd(M1) and _is_pd(M2)
 
 
 def _ray_boundary(feasible, theta_max_cap=1e15):
@@ -241,7 +206,7 @@ def _check_floor(model, Delta0):
         )
 
 
-def design_search(problem, rel_tol=RAY_REL_TOL):
+def design_search(problem):
     """Minimal-objective Y on the ray Y = theta * basis for the open loop.
 
     Bisects theta to the feasibility boundary (the constraint is active
@@ -268,7 +233,7 @@ def design_search(problem, rel_tol=RAY_REL_TOL):
     )
 
 
-def design_search_closed_loop(problem, rel_tol=RAY_REL_TOL):
+def design_search_closed_loop(problem):
     """Closed-loop analogue: bisects against fix(g_{R+Z^-1}) and reports the
     upper rate bound as the achieved rate.  Works for unstable plants, in
     which case the stationary objective and gap bound are unavailable."""

@@ -25,7 +25,8 @@ from .estimation import (
 )
 from .matrices import sym
 from .model import model_from_dict, steady_state, validate_model
-from .analysis import closed_loop_rate_bounds, open_loop_rate
+from .riccati import RiccatiMap, fixed_point
+from .analysis import conditional_rate, drop_noise, open_loop_rate
 
 FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
 
@@ -431,7 +432,9 @@ def calibrate_closed_loop(model, target_rate, basis=None):
     B = np.eye(model.m) if basis is None else np.asarray(basis, dtype=float)
 
     def upper_rate(theta):
-        return closed_loop_rate_bounds(model, theta * B).gamma_upper
+        Z = theta * B
+        X_upper = fixed_point(RiccatiMap(model, drop_noise(model.R, Z)))
+        return conditional_rate(model, X_upper, Z)
 
     return _bisect_rate(upper_rate, target_rate)
 

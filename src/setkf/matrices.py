@@ -43,6 +43,8 @@ def require_spd(X, name, floor=0.0):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise NotPositiveDefinite(name, "not a square matrix")
+    if not np.all(np.isfinite(X)):
+        raise NotPositiveDefinite(name, "non-finite entries")
     if not is_spd(X, floor=floor):
         raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
     return sym(X)

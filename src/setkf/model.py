@@ -18,21 +18,20 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    ModelValidationError,
     NoConvergence,
     NotDetectable,
     NotStabilizable,
     UnstableSystem,
 )
 from .matrices import require_spd, spectral_norm, sym
+from .riccati import LYAPUNOV_MAX_DOUBLINGS, lyapunov
 
 PD_FLOOR = 1e-10
 RANK_TOL = 1e-8
 # eigenvalues within this distance of the unit circle count as non-stable
 # modes for the PBH tests (loose enough to catch defective unit eigenvalues)
 UNIT_CIRCLE_TOL = 1e-4
-
-LYAPUNOV_TOL = 1e-12
-LYAPUNOV_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +111,19 @@ def _pbh_stabilizable(A, B):
 def validate_model(A, C, Q, R, Sigma0):
     """Validate a raw matrix bundle and return a SystemModel.
 
-    Raises DimensionMismatch, NotPositiveDefinite, NotDetectable or
-    NotStabilizable on rejection.  Scalars are promoted to 1x1 matrices and
-    1-D arrays for C to a single row.
+    Raises ModelValidationError (non-finite A or C), DimensionMismatch,
+    NotPositiveDefinite, NotDetectable or NotStabilizable on rejection.
+    Scalars are promoted to 1x1 matrices and 1-D arrays for C to a single
+    row.
     """
     A = _as_2d(A, "A")
     C = _as_2d(C, "C")
     Q = _as_2d(Q, "Q")
     R = _as_2d(R, "R")
     Sigma0 = _as_2d(Sigma0, "Sigma0")
+    for name, M in (("A", A), ("C", C)):
+        if not np.all(np.isfinite(M)):
+            raise ModelValidationError(f"{name} has non-finite entries")
 
     n = A.shape[0]
     if A.shape != (n, n):
@@ -147,29 +150,20 @@ def validate_model(A, C, Q, R, Sigma0):
     return SystemModel(A=A, C=C, Q=Q, R=R, Sigma0=Sigma0, n=n, m=m)
 
 
-def steady_state(model, tol=LYAPUNOV_TOL, max_iter=LYAPUNOV_MAX_ITER):
+def steady_state(model):
     """Stationary state/measurement covariances of a stable plant.
 
-    Solves Sigma = A Sigma A' + Q by fixed-point iteration from Sigma = Q,
-    stopping when the relative spectral-norm change drops below ``tol``.
-    Raises UnstableSystem when rho(A) >= 1.
+    Solves Sigma = A Sigma A' + Q with :func:`setkf.riccati.lyapunov` and
+    checks the residual.  Raises UnstableSystem when rho(A) >= 1.
     """
     rho = model.rho_A
     if rho >= 1.0:
         raise UnstableSystem(f"steady state requires rho(A) < 1, got {rho:.6g}")
     A, Q = model.A, model.Q
-    Sigma = Q.copy()
-    for _ in range(max_iter):
-        nxt = sym(A @ Sigma @ A.T + Q)
-        delta = spectral_norm(nxt - Sigma)
-        Sigma = nxt
-        if delta <= tol * spectral_norm(Sigma):
-            break
-    else:
-        raise NoConvergence(max_iter, "Lyapunov fixed-point iteration")
+    Sigma = lyapunov(A, Q)
     residual = spectral_norm(Sigma - A @ Sigma @ A.T - Q)
     if residual > 1e-10 * spectral_norm(Sigma):
-        raise NoConvergence(max_iter, "Lyapunov residual check")
+        raise NoConvergence(LYAPUNOV_MAX_DOUBLINGS, "Lyapunov residual check")
     Pi = sym(model.C @ Sigma @ model.C.T + model.R)
     return SteadyState(Sigma=Sigma, Pi=Pi, rho_A=rho)
 

@@ -27,6 +27,8 @@ from .matrices import is_spd, require_spd, spectral_norm, sym
 
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_ITER = 100_000
+LYAPUNOV_TOL = 1e-12
+LYAPUNOV_MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +93,29 @@ def fixed_point(rmap, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_ITER, start=
         if delta <= tol * spectral_norm(X):
             return X
     raise NoConvergence(max_iter, "Riccati fixed-point iteration")
+
+
+def lyapunov(F, Q):
+    """Solution of X = F X F' + Q for a stable F, by Smith doubling.
+
+    After k doublings X holds the first 2^k terms of sum_i F^i Q (F^i)', and
+    F has been squared k times.  Stops when the last increment falls below
+    LYAPUNOV_TOL relative to X.  Raises NoConvergence when the sum stops
+    being finite or LYAPUNOV_MAX_DOUBLINGS is reached, both of which mean
+    rho(F) >= 1 up to rounding.
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    X = sym(np.atleast_2d(np.asarray(Q, dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(LYAPUNOV_MAX_DOUBLINGS):
+            step = sym(F @ X @ F.T)
+            X = X + step
+            if not np.all(np.isfinite(X)):
+                raise NoConvergence(k + 1, "Lyapunov doubling (diverged)")
+            if spectral_norm(step) <= LYAPUNOV_TOL * spectral_norm(X):
+                return X
+            F = F @ F
+    raise NoConvergence(LYAPUNOV_MAX_DOUBLINGS, "Lyapunov doubling")
 
 
 @dataclass(frozen=True, eq=False)

@@ -172,6 +172,20 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["analyze", "--config", str(unstable)]) == 2
 
 
+@pytest.mark.parametrize(
+    "model_update, Y",
+    [({"A": "nan"}, [[1.0]]), ({}, [[float("inf")]])],
+    ids=["A-nan", "Y-Infinity"],
+)
+def test_non_finite_config_exit_code(tmp_path, capsys, model_update, Y):
+    cfg = {"model": {**SCALAR.to_dict(), **model_update}, "trigger": {"variant": "open_loop", "Y": Y}}
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_module_entry_point(scenario_config):
     proc = subprocess.run(
         [sys.executable, "-m", "setkf", "simulate", "--config", str(scenario_config)],

@@ -64,6 +64,29 @@ class TestLmiFeasible:
             D = float(rng.uniform(0.3, 2.0)) * X_upper + 0.1 * random_spd(rng, m.n)
             assert lmi_feasible(m, Y, D) == feasibility_check(m, Y, D)
 
+    def test_agreement_near_boundary(self):
+        # Delta0 - X_upper has smallest eigenvalue +-delta ||X_upper|| with
+        # delta in [1e-7, 1e-2], on plants with rho(A) up to 0.999
+        rng = np.random.default_rng(16)
+        outcomes = []
+        while len(outcomes) < 200:
+            m = random_stable_model(rng, rho_max=0.999)
+            Y = random_spd(rng, m.m, scale=float(rng.uniform(0.05, 2.0)))
+            X_upper = fixed_point(RiccatiMap(m, drop_noise(m.R, Y)))
+            G = random_spd(rng, m.n)
+            H = (G - np.linalg.eigvalsh(G)[0] * np.eye(m.n)) / np.linalg.norm(G, 2)
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            delta = 10.0 ** rng.uniform(-7.0, -2.0)
+            D = X_upper + delta * np.linalg.norm(X_upper, 2) * (H + sign * np.eye(m.n))
+            D = 0.5 * (D + D.T)
+            if np.linalg.eigvalsh(D)[0] <= 0.0:
+                continue
+            expect = feasibility_check(m, Y, D)
+            assert expect == (sign > 0)
+            assert lmi_feasible(m, Y, D) == expect
+            outcomes.append(expect)
+        assert 50 <= sum(outcomes) <= 150
+
     def test_monotone_feasibility_along_weight(self):
         rng = np.random.default_rng(14)
         for _ in range(30):

@@ -5,6 +5,7 @@ import pytest
 
 from setkf import (
     DimensionMismatch,
+    ModelValidationError,
     NotDetectable,
     NotPositiveDefinite,
     UnstableSystem,
@@ -13,7 +14,7 @@ from setkf import (
     steady_state,
     validate_model,
 )
-from util import random_spd, random_stable_model
+from util import lyapunov_iteration, random_spd, random_stable_model
 
 
 def test_valid_scalar_model():
@@ -95,6 +96,41 @@ def test_lyapunov_residual_random_systems():
         assert res <= 1e-8 * np.linalg.norm(st.Sigma, 2)
         assert np.abs(st.Sigma - st.Sigma.T).max() <= 1e-12
         assert np.abs(st.Pi - st.Pi.T).max() <= 1e-12
+
+
+def test_steady_state_matches_plain_iteration():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        m = random_stable_model(rng, rho_max=0.999)
+        ref = lyapunov_iteration(m.A, m.Q)
+        assert ref is not None
+        st = steady_state(m)
+        assert np.linalg.norm(st.Sigma - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
+
+
+def test_steady_state_near_unit_root():
+    # plain iteration needs tens of millions of steps here
+    a = 1.0 - 1e-6
+    st = steady_state(validate_model(a, 1.0, 1.0, 1.0, 1.0))
+    assert st.Sigma[0, 0] == pytest.approx(1.0 / (1.0 - a * a), rel=1e-9)
+
+
+@pytest.mark.parametrize("which", ["A", "C"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_dynamics_rejected(which, value):
+    mats = {"A": 0.8, "C": 1.0, "Q": 1.0, "R": 1.0, "Sigma0": 1.0}
+    mats[which] = value
+    with pytest.raises(ModelValidationError):
+        validate_model(**mats)
+
+
+@pytest.mark.parametrize("which", ["Q", "R", "Sigma0"])
+def test_non_finite_covariance_rejected(which):
+    mats = {"A": 0.8, "C": 1.0, "Q": 1.0, "R": 1.0, "Sigma0": 1.0}
+    mats[which] = np.inf
+    with pytest.raises(NotPositiveDefinite) as exc:
+        validate_model(**mats)
+    assert exc.value.which == which
 
 
 def test_empirical_measurement_covariance_matches_pi():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,13 @@ from setkf import (
     fixed_point,
     g_step,
     gamma_step,
+    lyapunov,
     validate_model,
 )
 from util import (
     dare_fixed_point,
     loewner_leq,
+    lyapunov_iteration,
     random_spd,
     random_stable_model,
     scalar_g_fixed_point,
@@ -124,6 +128,29 @@ def test_fixed_point_no_convergence_signal():
     rm = RiccatiMap(SCALAR, [[1.0]])
     with pytest.raises(NoConvergence):
         fixed_point(rm, tol=1e-10, max_iter=2)
+
+
+def test_lyapunov_matches_plain_iteration():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        m = random_stable_model(rng, rho_max=0.99)
+        Q = random_spd(rng, m.n)
+        X = lyapunov(m.A, Q)
+        ref = lyapunov_iteration(m.A, Q)
+        assert np.linalg.norm(X - ref, 2) <= 1e-9 * np.linalg.norm(ref, 2)
+        assert np.abs(X - X.T).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "F",
+    [[[1.0]], [[-1.0]], [[1.1]], [[1.0 + 1e-7]], [[1.0, 1.0], [0.0, 1.0]],
+     [[0.0, -1.0], [1.0, 0.0]], [[3.0, 0.0], [0.0, 0.5]]],
+)
+def test_lyapunov_non_stable_raises_without_warning(F):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            lyapunov(F, np.eye(len(F)))
 
 
 def test_monotonicity_in_state():

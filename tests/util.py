@@ -69,3 +69,23 @@ def dare_fixed_point(A, C, Q, W):
     U = vecs[:, stable]
     X = np.real(np.linalg.solve(U[:n].T, U[n:].T).T)
     return 0.5 * (X + X.T)
+
+
+def lyapunov_iteration(F, Q, tol=1e-12, max_iter=100_000):
+    """Plain fixed-point iteration X <- F X F' + Q from X = Q.
+
+    The reference for ``setkf.riccati.lyapunov``: one term of the series per
+    step, stopping when the relative spectral-norm change drops below
+    ``tol``.  Returns None when that does not happen within ``max_iter``
+    steps.
+    """
+    F, Q = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (F, Q))
+    X = Q.copy()
+    for _ in range(max_iter):
+        nxt = F @ X @ F.T + Q
+        nxt = 0.5 * (nxt + nxt.T)
+        delta = np.linalg.norm(nxt - X, 2)
+        X = nxt
+        if delta <= tol * np.linalg.norm(X, 2):
+            return X
+    return None
