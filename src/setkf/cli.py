@@ -9,8 +9,6 @@ import contextlib
 import json
 import sys
 
-import numpy as np
-
 from .analysis import closed_loop_report, open_loop_report
 from .design import DesignProblem, design_search, design_search_closed_loop, export_lmi
 from .errors import (
@@ -21,6 +19,7 @@ from .errors import (
     NumericalError,
     UnstableSystem,
 )
+from .estimation import TriggerPolicy
 from .harness import (
     compare_schedulers,
     load_scenario,
@@ -34,6 +33,7 @@ from .harness import (
     write_report_csv,
     write_trajectory_csv,
 )
+from .matrices import as_matrix
 from .model import model_from_dict
 
 
@@ -96,13 +96,11 @@ def _cmd_monte_carlo(args):
 def _cmd_analyze(args):
     data = _read_json(args.config)
     model = _model_from_config(data)
-    trigger = data.get("trigger") if isinstance(data, dict) else None
-    if not isinstance(trigger, dict) or "variant" not in trigger:
-        raise ConfigError("analyze needs a config with an open_loop or closed_loop trigger")
-    if trigger["variant"] == "open_loop":
-        rows = open_loop_report(model, np.asarray(trigger["Y"], dtype=float))
-    elif trigger["variant"] == "closed_loop":
-        rows = closed_loop_report(model, np.asarray(trigger["Z"], dtype=float))
+    trigger = TriggerPolicy.from_dict(data.get("trigger") if isinstance(data, dict) else None)
+    if trigger.variant == "open_loop":
+        rows = open_loop_report(model, trigger.Y)
+    elif trigger.variant == "closed_loop":
+        rows = closed_loop_report(model, trigger.Z)
     else:
         raise ConfigError("analyze supports open_loop and closed_loop triggers only")
     with _open_output(args.output) as fh:
@@ -114,7 +112,7 @@ def _cmd_design(args):
     data = _read_json(args.config)
     model = _model_from_config(data)
     try:
-        delta0 = np.asarray(data["delta0"], dtype=float)
+        delta0 = as_matrix(data["delta0"], "delta0")
     except (KeyError, TypeError) as exc:
         raise ConfigError("design config needs a 'delta0' matrix") from exc
     if args.mode == "export-lmi":
@@ -125,7 +123,7 @@ def _cmd_design(args):
     problem = DesignProblem(
         model=model,
         Delta0=delta0,
-        basis=None if basis is None else np.asarray(basis, dtype=float),
+        basis=None if basis is None else as_matrix(basis, "basis"),
     )
     closed = bool(data.get("closed_loop", False))
     result = design_search_closed_loop(problem) if closed else design_search(problem)

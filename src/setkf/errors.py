@@ -43,9 +43,9 @@ class SingularInnovation(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    def __init__(self, max_iter, what="fixed-point iteration"):
+    def __init__(self, max_iter, what="doubling"):
         self.max_iter = max_iter
-        super().__init__(f"{what} did not converge within {max_iter} iterations")
+        super().__init__(f"{what} did not converge within {max_iter} doublings")
 
 
 class MissingMeasurement(SetkfError):

@@ -29,7 +29,7 @@ from .errors import (
     MissingMeasurement,
     SingularInnovation,
 )
-from .matrices import require_spd, sym
+from .matrices import as_matrix, require_spd, sym
 
 TRIGGER_VARIANTS = (
     "open_loop",
@@ -73,9 +73,13 @@ class TriggerPolicy:
                 raise ConfigError("random trigger needs probability p in [0, 1]")
             object.__setattr__(self, "p", float(self.p))
         else:
-            if self.delta is None or float(self.delta) <= 0.0:
-                raise ConfigError("deterministic threshold needs delta > 0")
-            object.__setattr__(self, "delta", float(self.delta))
+            try:
+                delta = float(self.delta)
+            except (TypeError, ValueError):
+                delta = math.nan
+            if not (math.isfinite(delta) and delta > 0.0):
+                raise ConfigError("deterministic threshold needs a finite delta > 0")
+            object.__setattr__(self, "delta", delta)
 
     @classmethod
     def open_loop(cls, Y):
@@ -119,9 +123,9 @@ class TriggerPolicy:
         variant = data["variant"]
         try:
             if variant == "open_loop":
-                return cls.open_loop(np.asarray(data["Y"], dtype=float))
+                return cls.open_loop(as_matrix(data["Y"], "Y"))
             if variant == "closed_loop":
-                return cls.closed_loop(np.asarray(data["Z"], dtype=float))
+                return cls.closed_loop(as_matrix(data["Z"], "Z"))
             if variant == "periodic":
                 return cls.periodic(data["period"], data.get("phase", 0))
             if variant == "random":

@@ -2,12 +2,24 @@
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite
 
 
 def sym(X):
     """Explicit symmetrization (X + X') / 2, suppresses asymmetric drift."""
     return 0.5 * (X + X.T)
+
+
+def as_matrix(x, name):
+    """``x`` as a float array of at least two dimensions.
+
+    Raises ConfigError when an entry is not a number or the rows are ragged,
+    so a malformed configuration value fails as configuration.
+    """
+    try:
+        return np.atleast_2d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a numeric matrix ({exc})") from exc
 
 
 def spectral_norm(X):

@@ -24,7 +24,7 @@ from .errors import (
     NotStabilizable,
     UnstableSystem,
 )
-from .matrices import require_spd, spectral_norm, sym
+from .matrices import as_matrix, require_spd, spectral_norm, sym
 from .riccati import LYAPUNOV_MAX_DOUBLINGS, lyapunov
 
 PD_FLOOR = 1e-10
@@ -75,7 +75,7 @@ class SteadyState:
 
 
 def _as_2d(x, name):
-    M = np.atleast_2d(np.asarray(x, dtype=float))
+    M = as_matrix(x, name)
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be at most 2-dimensional")
     return M
@@ -111,8 +111,9 @@ def _pbh_stabilizable(A, B):
 def validate_model(A, C, Q, R, Sigma0):
     """Validate a raw matrix bundle and return a SystemModel.
 
-    Raises ModelValidationError (non-finite A or C), DimensionMismatch,
-    NotPositiveDefinite, NotDetectable or NotStabilizable on rejection.
+    Raises ConfigError (a non-numeric entry), ModelValidationError
+    (non-finite A or C), DimensionMismatch, NotPositiveDefinite,
+    NotDetectable or NotStabilizable on rejection.
     Scalars are promoted to 1x1 matrices and 1-D arrays for C to a single
     row.
     """

@@ -8,6 +8,9 @@ For a plant (A, C, Q) and effective measurement-noise covariance W > 0:
 The two maps are dual: [Gamma_W(X^-1)]^-1 = g_W(X).  Both are monotone in
 the Loewner order and, for detectable/stabilizable plants, iterate to a
 unique positive-definite fixed point from any positive-definite start.
+:func:`fixed_point` reaches it by structured doubling, k doublings covering
+2^k iterates of g_W, and :func:`lyapunov` solves X = F X F' + Q by Smith
+doubling; both stop after at most 64 doublings.
 
 Also provides the block-Gaussian covariance identity used to absorb a
 quadratic measurement weight into a joint covariance: for a joint SPD
@@ -26,9 +29,9 @@ from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation
 from .matrices import is_spd, require_spd, spectral_norm, sym
 
 FIXED_POINT_TOL = 1e-10
-FIXED_POINT_MAX_ITER = 100_000
 LYAPUNOV_TOL = 1e-12
 LYAPUNOV_MAX_DOUBLINGS = 64
+FIXED_POINT_MAX_ITER = LYAPUNOV_MAX_DOUBLINGS
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,24 +78,50 @@ def gamma_step(S, rmap):
 
 
 def fixed_point(rmap, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_ITER, start=None):
-    """Unique positive-definite solution of X = g_W(X).
+    """Unique positive-definite solution of X = g_W(X), by structured doubling.
 
-    Iterates g_W from ``start`` (default Q) until the relative spectral-norm
-    change falls below ``tol``.  Raises NoConvergence after ``max_iter``
-    steps, which signals ill-conditioning rather than non-existence.
+    With G = C' W^-1 C the map reads g_W(X) = A X (I + G X)^-1 A' + Q, and
+    the iterates from 0 are the H_k of the doubling recursion (Chu, Fan, Lin
+    & Wang 2004) started at A_0 = A', G_0 = G, H_0 = Q:
+
+        T = I + G H,   H += A' H T^-1 A,   G += A T^-1 G A',   A <- A T^-1 A
+
+    so k doublings cover 2^k Riccati iterates.  A ``start`` S shifts the
+    unknown to X = S + Delta, whose iterates follow the same kind of map with
+    A - K(S) C, W + C S C' and first iterate g_W(S) - S.  Stops when the
+    last increment of H falls below ``tol`` relative to X.  Raises
+    NoConvergence when H stops being finite or after ``max_iter``
+    doublings, which signals ill-conditioning rather than non-existence.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    X = rmap.model.Q.copy() if start is None else sym(np.asarray(start, dtype=float))
-    for _ in range(max_iter):
-        nxt = g_step(X, rmap)
-        if not np.all(np.isfinite(nxt)):
-            raise NoConvergence(max_iter, "Riccati iteration (diverged)")
-        delta = spectral_norm(nxt - X)
-        X = nxt
-        if delta <= tol * spectral_norm(X):
-            return X
-    raise NoConvergence(max_iter, "Riccati fixed-point iteration")
+    A, C, Q, W = rmap.model.A, rmap.model.C, rmap.model.Q, rmap.W
+    if start is None:
+        S = np.zeros_like(Q)
+        H = Q.copy()
+    else:
+        S = sym(np.atleast_2d(np.asarray(start, dtype=float)))
+        W = sym(C @ S @ C.T + W)
+        A = A - np.linalg.solve(W, C @ S @ A.T).T @ C
+        H = g_step(S, rmap) - S
+    G = sym(C.T @ np.linalg.solve(W, C))
+    A = A.T
+    eye = np.eye(A.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            try:
+                TA, TG = np.hsplit(np.linalg.solve(eye + G @ H, np.hstack([A, G])), 2)
+            except np.linalg.LinAlgError:
+                raise NoConvergence(k + 1, "Riccati doubling (singular step)") from None
+            step = sym(A.T @ H @ TA)
+            H = H + step
+            if not np.all(np.isfinite(H)):
+                raise NoConvergence(k + 1, "Riccati doubling (diverged)")
+            if spectral_norm(step) <= tol * spectral_norm(S + H):
+                return sym(S + H)
+            G = sym(G + A @ TG @ A.T)
+            A = A @ TA
+    raise NoConvergence(max_iter, "Riccati doubling")
 
 
 def lyapunov(F, Q):

@@ -6,6 +6,7 @@ import pytest
 
 from setkf import validate_model
 from setkf.cli import main
+from util import scalar_g_fixed_point
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 
@@ -184,6 +185,45 @@ def test_non_finite_config_exit_code(tmp_path, capsys, model_update, Y):
     assert main(["analyze", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, update",
+    [
+        ("analyze", {"model": {**SCALAR.to_dict(), "A": "abc"}}),
+        ("analyze", {"trigger": {"variant": "open_loop", "Y": "x"}}),
+        ("design", {"delta0": "x"}),
+        ("analyze", {"trigger": {"variant": "open_loop"}}),
+    ],
+    ids=["A-abc", "Y-x", "delta0-x", "Y-missing"],
+)
+def test_malformed_matrix_config_exit_code(tmp_path, capsys, command, update):
+    cfg = {
+        "model": SCALAR.to_dict(),
+        "trigger": {"variant": "open_loop", "Y": [[1.0]]},
+        "delta0": [[1.5]],
+        **update,
+    }
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
+def test_design_near_unit_root(tmp_path, closed_loop):
+    a = 0.999999
+    model = validate_model(a, 1.0, 1.0, 1.0, 1.0)
+    cfg = {"model": model.to_dict(), "delta0": [[3.0]], "closed_loop": closed_loop}
+    path = tmp_path / "near_unit.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "near_unit.csv"
+    assert main(["design", "--config", str(path), "--output", str(out)]) == 0
+    rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+    theta = float(rows["theta"])
+    # the boundary weight puts fix(g_{R + 1/theta}) at delta0
+    assert scalar_g_fixed_point(a, 1.0, 1.0, 1.0 + 1.0 / theta) == pytest.approx(3.0, rel=1e-6)
 
 
 def test_module_entry_point(scenario_config):

@@ -31,6 +31,12 @@ class TestTriggerPolicy:
         with pytest.raises(ConfigError):
             TriggerPolicy.deterministic_threshold(0.0)
 
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan"), float("-inf"), "x"])
+    def test_threshold_must_be_finite_number(self, delta):
+        # an infinite or NaN threshold would silently never transmit
+        with pytest.raises(ConfigError):
+            TriggerPolicy.deterministic_threshold(delta)
+
     def test_round_trip_dicts(self):
         policies = [
             TriggerPolicy.open_loop([[2.0]]),

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from setkf import (
     BlockCovariance,
+    ModelValidationError,
     NoConvergence,
     NotPositiveDefinite,
     RiccatiMap,
@@ -13,14 +15,17 @@ from setkf import (
     g_step,
     gamma_step,
     lyapunov,
+    singer_scenario,
     validate_model,
 )
+from setkf.analysis import drop_noise
 from util import (
     dare_fixed_point,
     loewner_leq,
     lyapunov_iteration,
     random_spd,
     random_stable_model,
+    riccati_iteration,
     scalar_g_fixed_point,
 )
 
@@ -128,6 +133,76 @@ def test_fixed_point_no_convergence_signal():
     rm = RiccatiMap(SCALAR, [[1.0]])
     with pytest.raises(NoConvergence):
         fixed_point(rm, tol=1e-10, max_iter=2)
+
+
+def test_fixed_point_matches_plain_iteration():
+    rng = np.random.default_rng(22)
+    for _ in range(30):
+        m = random_stable_model(rng, rho_max=0.99)
+        rm = RiccatiMap(m, random_spd(rng, m.m))
+        X = fixed_point(rm)
+        ref = riccati_iteration(rm, tol=1e-13)
+        assert np.linalg.norm(X - ref, 2) <= 1e-8 * np.linalg.norm(ref, 2)
+        assert np.abs(X - X.T).max() == 0.0
+
+
+def _near_unit_model(rng):
+    # spectral radius 1 - eps with eps in [1e-6, 1e-2]; invertible A for the
+    # eigenvector oracle
+    while True:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        A = rng.normal(size=(n, n))
+        A *= (1.0 - 10.0 ** rng.uniform(-6.0, -2.0)) / max(abs(np.linalg.eigvals(A)))
+        if np.linalg.cond(A) > 1e6:
+            continue
+        try:
+            return validate_model(
+                A, rng.normal(size=(m, n)), random_spd(rng, n), random_spd(rng, m), np.eye(n)
+            )
+        except ModelValidationError:
+            continue
+
+
+def test_fixed_point_near_unit_root():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        m = _near_unit_model(rng)
+        rm = RiccatiMap(m, m.R)
+        X = fixed_point(rm)
+        scale = np.linalg.norm(X, 2)
+        assert np.linalg.norm(g_step(X, rm) - X, 2) <= 1e-12 * scale
+        # the eigenvector oracle's own residual reaches ~1e-11 here
+        X_oracle = dare_fixed_point(m.A, m.C, m.Q, m.R)
+        assert np.linalg.norm(X - X_oracle, 2) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("z_scale", [None, 0.52], ids=["W=R", "W=R+Z^-1"])
+def test_fixed_point_singer_unit_root(z_scale):
+    # rho(A) = 1: the plain iteration converges only through the filter gain
+    m = singer_scenario(1.0, 0.01, 5.0, z_scale=0.52).model
+    W = m.R if z_scale is None else drop_noise(m.R, z_scale * np.eye(3))
+    X = fixed_point(RiccatiMap(m, W))
+    X_oracle = dare_fixed_point(m.A, m.C, m.Q, W)
+    assert np.linalg.norm(X - X_oracle, 2) <= 1e-10 * np.linalg.norm(X_oracle, 2)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [[[2.0]], [[1.0]], [[1.0, 1.0], [0.0, 1.0]]],
+    ids=["unstable", "unit", "jordan"],
+)
+@pytest.mark.parametrize("shifted", [False, True], ids=["from-0", "from-2I"])
+def test_fixed_point_undetectable_raises_without_warning(A, shifted):
+    # no measurement channel on a non-stable A: validate_model rejects the
+    # plant, so it is built around the validation
+    A = np.array(A)
+    n = A.shape[0]
+    m = dataclasses.replace(SCALAR, A=A, C=np.zeros((1, n)), Q=np.eye(n), Sigma0=np.eye(n), n=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            fixed_point(RiccatiMap(m, [[1.0]]), start=2.0 * np.eye(n) if shifted else None)
 
 
 def test_lyapunov_matches_plain_iteration():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from setkf import ModelValidationError, validate_model
+from setkf import ModelValidationError, g_step, validate_model
 
 
 def random_spd(rng, n, scale=1.0, ridge=0.2):
@@ -84,6 +84,26 @@ def lyapunov_iteration(F, Q, tol=1e-12, max_iter=100_000):
     for _ in range(max_iter):
         nxt = F @ X @ F.T + Q
         nxt = 0.5 * (nxt + nxt.T)
+        delta = np.linalg.norm(nxt - X, 2)
+        X = nxt
+        if delta <= tol * np.linalg.norm(X, 2):
+            return X
+    return None
+
+
+def riccati_iteration(rmap, tol=1e-10, max_iter=100_000):
+    """Plain fixed-point iteration X <- g_W(X) from X = Q.
+
+    The reference for ``setkf.riccati.fixed_point``: one Riccati step per
+    iteration, stopping when the relative spectral-norm change drops below
+    ``tol``.  Returns None when that does not happen within ``max_iter``
+    steps or the iterates stop being finite.
+    """
+    X = rmap.model.Q.copy()
+    for _ in range(max_iter):
+        nxt = g_step(X, rmap)
+        if not np.all(np.isfinite(nxt)):
+            return None
         delta = np.linalg.norm(nxt - X, 2)
         X = nxt
         if delta <= tol * np.linalg.norm(X, 2):
