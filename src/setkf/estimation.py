@@ -29,7 +29,7 @@ from .errors import (
     MissingMeasurement,
     SingularInnovation,
 )
-from .matrices import as_matrix, require_spd, sym
+from .matrices import as_matrix, as_number, require_spd, sym
 
 TRIGGER_VARIANTS = (
     "open_loop",
@@ -64,20 +64,19 @@ class TriggerPolicy:
         elif self.variant == "closed_loop":
             object.__setattr__(self, "Z", require_spd(self.Z, "Z"))
         elif self.variant == "periodic":
-            if self.period is None or int(self.period) < 1:
+            period = as_number(self.period, "period", integer=True)
+            if period < 1:
                 raise ConfigError("periodic trigger needs period >= 1")
-            object.__setattr__(self, "period", int(self.period))
-            object.__setattr__(self, "phase", int(self.phase))
+            object.__setattr__(self, "period", period)
+            object.__setattr__(self, "phase", as_number(self.phase, "phase", integer=True))
         elif self.variant == "random":
-            if self.p is None or not 0.0 <= float(self.p) <= 1.0:
+            p = as_number(self.p, "p")
+            if not 0.0 <= p <= 1.0:
                 raise ConfigError("random trigger needs probability p in [0, 1]")
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", p)
         else:
-            try:
-                delta = float(self.delta)
-            except (TypeError, ValueError):
-                delta = math.nan
-            if not (math.isfinite(delta) and delta > 0.0):
+            delta = as_number(self.delta, "delta")
+            if not delta > 0.0:
                 raise ConfigError("deterministic threshold needs a finite delta > 0")
             object.__setattr__(self, "delta", delta)
 

@@ -1,29 +1,24 @@
 """Seeded trajectory simulation, Monte Carlo aggregation, and comparisons.
 
-Randomness contract: every trajectory draws from one generator seeded by
-``[seed, run_index]`` (a counter-based split of the master seed), so runs
+Randomness contract (v1): every trajectory draws from one generator seeded
+by ``[seed, run_index]`` (a counter-based split of the master seed), so runs
 are independent, order-insensitive and exactly reproducible.  The draw
 order within a trajectory is documented in :func:`simulate`.
+
+One kernel simulates a block of runs side by side, with the filter state
+stacked over runs and only the loop over time steps in Python:
+:func:`simulate` is the kernel with one run and :func:`monte_carlo` the
+kernel over all runs.
 """
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationFailed, ConfigError
-from .estimation import (
-    TriggerPolicy,
-    clset_measurement_update,
-    initial_state,
-    offline_drop_update,
-    olset_measurement_update,
-    standard_kf_update,
-    time_update,
-    trigger_decide,
-)
-from .matrices import sym
+from .errors import CalibrationFailed, ConfigError, SingularInnovation
+from .estimation import TriggerPolicy
+from .matrices import as_matrix, as_number, sym
 from .model import model_from_dict, steady_state, validate_model
 from .riccati import RiccatiMap, fixed_point
 from .analysis import conditional_rate, drop_noise, open_loop_rate
@@ -62,6 +57,8 @@ class Scenario:
             )
         if self.filter == "standard" and self.trigger.period != 1:
             raise ConfigError("the standard filter requires a period-1 trigger")
+        for name in ("horizon", "runs", "seed", "burn_in", "pre_roll"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name, integer=True))
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.runs < 1:
@@ -70,10 +67,14 @@ class Scenario:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < horizon")
         if self.pre_roll < 0:
             raise ConfigError("pre_roll must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.x0_mean is not None:
-            x0 = np.asarray(self.x0_mean, dtype=float).reshape(-1)
+            x0 = as_matrix(self.x0_mean, "x0_mean").reshape(-1)
             if x0.shape[0] != self.model.n:
                 raise ConfigError("x0_mean has the wrong length")
+            if not np.all(np.isfinite(x0)):
+                raise ConfigError("x0_mean has non-finite entries")
             object.__setattr__(self, "x0_mean", x0)
 
     def to_dict(self):
@@ -107,7 +108,7 @@ def scenario_from_dict(data):
     else:
         raise ConfigError("scenario config missing key 'trigger'")
     try:
-        horizon = int(data["horizon"])
+        horizon = as_number(data["horizon"], "horizon", integer=True)
     except KeyError as exc:
         raise ConfigError("scenario config missing key 'horizon'") from exc
     return Scenario(
@@ -115,10 +116,10 @@ def scenario_from_dict(data):
         trigger=trigger,
         filter=filt,
         horizon=horizon,
-        runs=int(data.get("runs", 1)),
-        seed=int(data.get("seed", 0)),
-        burn_in=int(data.get("burn_in", min(200, max(0, horizon - 1)))),
-        pre_roll=int(data.get("pre_roll", 0)),
+        runs=data.get("runs", 1),
+        seed=data.get("seed", 0),
+        burn_in=data.get("burn_in", min(200, max(0, horizon - 1))),
+        pre_roll=data.get("pre_roll", 0),
         x0_mean=data.get("x0_mean"),
     )
 
@@ -159,101 +160,199 @@ def _rng_for_run(seed, run_index):
     return np.random.default_rng([int(seed), int(run_index)])
 
 
-def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
-    """Simulate one trajectory; deterministic given (seed, run_index).
+@dataclass(frozen=True, eq=False)
+class _RunBlock:
+    """A block of runs: per-run logs (runs, T), each run's prior covariance
+    at the last step (runs, n, n), and the per-step sums over the runs of
+    the prior covariance and the error outer product (T, n, n)."""
 
-    Draw order: x0 first, then ``pre_roll`` process-noise draws, then per
-    step k the triple (w, v, zeta) with the w draw skipped at k = 0.  The
-    zeta draw happens every step even for policies that ignore it, so
-    trajectories with different policies share identical plant paths.
+    gamma: np.ndarray
+    P_trace: np.ndarray
+    sq_err: np.ndarray
+    P11: np.ndarray
+    sq_err11: np.ndarray
+    P_last: np.ndarray
+    P_sum: np.ndarray | None
+    E_sum: np.ndarray | None
 
-    ``force_gamma`` (a 0/1 sequence, testing hook) overrides the trigger
-    decisions without changing the draw order.  The estimator-side update
-    never receives the measurement when gamma = 0.
+
+def _transmit(pol, y, y_pred, zeta, k):
+    """Trigger decisions of a stack of runs: y, y_pred (runs, m, 1), zeta (runs,)."""
+    variant = pol.variant
+    if variant == "periodic":
+        return np.full(zeta.shape, (k - pol.phase) % pol.period == 0)
+    if variant == "random":
+        return zeta > 1.0 - pol.p
+    z = y if variant == "open_loop" else y - y_pred
+    if variant == "deterministic_threshold":
+        return np.abs(z).max(axis=(1, 2)) > pol.delta
+    W = pol.Y if variant == "open_loop" else pol.Z
+    return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
+
+
+def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
+    """Simulate the runs ``run_indices`` of a scenario side by side.
+
+    The filter state is a stack over runs, P (runs, n, n) and xhat
+    (runs, n, 1); only the loop over time steps runs in Python.  Vectors are
+    column stacks, so every product is one small matrix product per run and
+    a run's values do not depend on the other runs of the block.
+
+    One measurement update serves every filter kind: the gain uses R after
+    an arrival and the drop noise W_drop after a drop (R + Y^-1 for olset,
+    R + Z^-1 for clset); the offline baseline has no update on a drop
+    (K = 0), and the standard filter updates every step.  The posterior mean is
+    xhat + K (gamma y - C xhat) for olset and xhat + gamma K (y - C xhat)
+    otherwise.
+
+    Each run draws from its own generator in the order of the randomness
+    contract (see :func:`simulate`).  With ``sums`` the prior covariances and
+    error outer products are summed over the runs per step; no
+    (runs, T, n, n) array is kept.
     """
-    model = scenario.model
-    pol = scenario.trigger
-    T = scenario.horizon
-    n, m = model.n, model.m
-    A, C = model.A, model.C
-    rng = _rng_for_run(scenario.seed, run_index)
-    Lq = np.linalg.cholesky(model.Q)
-    Lr = np.linalg.cholesky(model.R)
+    model, pol = scenario.model, scenario.trigger
+    T, n, m = scenario.horizon, model.n, model.m
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    # contiguous transposes: matmul multiplies a stack by them faster than
+    # by transposed views, with the same result
+    A_T, C_T = A.T.copy(), C.T.copy()
+    Lq = np.linalg.cholesky(Q)
+    Lr = np.linalg.cholesky(R)
     L0 = np.linalg.cholesky(model.Sigma0)
+    rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
+    N = len(rngs)
 
     if force_gamma is not None:
         force_gamma = np.asarray(force_gamma).ravel()
         if force_gamma.shape[0] < T:
             raise ConfigError("force_gamma must cover the horizon")
 
-    x = L0 @ rng.standard_normal(n)
+    if scenario.filter == "olset":
+        W_drop = R + np.linalg.inv(pol.Y)
+    elif scenario.filter == "clset":
+        W_drop = R + np.linalg.inv(pol.Z)
+    else:
+        W_drop = None
+    update_always = scenario.filter == "standard"
+
+    # x0, the pre-roll process noise and v at k = 0 are consecutive normal
+    # draws, so one call per run yields all of them
+    head = n * (1 + scenario.pre_roll)
+    first = np.array([g.standard_normal(head + m) for g in rngs])[:, :, None]
+    x = L0 @ first[:, :n]
     if scenario.x0_mean is not None:
-        x = x + scenario.x0_mean
-    for _ in range(scenario.pre_roll):
-        x = A @ x + Lq @ rng.standard_normal(n)
+        x = x + scenario.x0_mean[:, None]
+    for j in range(n, head, n):
+        x = A @ x + Lq @ first[:, j : j + n]
+    v = first[:, head:]
 
-    state = initial_state(model, scenario.x0_mean)
-    Y_inv = np.linalg.inv(pol.Y) if pol.variant == "open_loop" else None
-    Z_inv = np.linalg.inv(pol.Z) if pol.variant == "closed_loop" else None
+    if scenario.x0_mean is None:
+        xh = np.zeros((N, n, 1))
+    else:
+        xh = np.tile(scenario.x0_mean[:, None], (N, 1, 1))
+    P = np.tile(model.Sigma0, (N, 1, 1))
 
-    gamma_log = np.zeros(T, dtype=np.int8)
-    P_trace = np.zeros(T)
-    sq_err = np.zeros(T)
-    P11 = np.zeros(T)
-    sq_err11 = np.zeros(T)
-    P_full = np.zeros((T, n, n)) if record_full else None
-    err_outer = np.zeros((T, n, n)) if record_full else None
+    # per-step logs (runs, T, n): the prior error and the diagonal of P
+    gamma_log = np.zeros((N, T), dtype=np.int8)
+    err_log = np.zeros((N, T, n))
+    diag_log = np.zeros((N, T, n))
+    P_sum = np.zeros((T, n, n)) if sums else None
+    E_sum = np.zeros((T, n, n)) if sums else None
 
     for k in range(T):
         if k > 0:
-            x = A @ x + Lq @ rng.standard_normal(n)
-        y = C @ x + Lr @ rng.standard_normal(m)
-        zeta = rng.random()
-        y_pred = C @ state.x_prior
+            wv = np.array([g.standard_normal(n + m) for g in rngs])[:, :, None]
+            x = A @ x + Lq @ wv[:, :n]
+            v = wv[:, n:]
+        zeta = np.array([g.random() for g in rngs])
+        y = C @ x + Lr @ v
+        y_pred = C @ xh
         if force_gamma is not None:
-            gamma = int(force_gamma[k])
+            gamma = np.full(N, bool(force_gamma[k]))
         else:
-            gamma = trigger_decide(pol, y, y_pred, zeta, k)
+            gamma = _transmit(pol, y, y_pred, zeta, k)
 
-        e = x - state.x_prior
-        gamma_log[k] = gamma
-        P_trace[k] = state.P_prior.trace()
-        sq_err[k] = e @ e
-        P11[k] = state.P_prior[0, 0]
-        sq_err11[k] = e[0] * e[0]
-        if record_full:
-            P_full[k] = state.P_prior
-            err_outer[k] = e[:, None] * e[None, :]
+        e = x - xh
+        gamma_log[:, k] = gamma
+        err_log[:, k] = e[:, :, 0]
+        diag_log[:, k] = P.diagonal(axis1=1, axis2=2)
+        P_last = P
+        if sums:
+            # accumulate adds the runs one after another in run order, where
+            # sum would switch to pairwise order when n = 1
+            P_sum[k] = np.add.accumulate(P, axis=0)[-1]
+            E_sum[k] = np.add.accumulate(e * e.transpose(0, 2, 1), axis=0)[-1]
 
-        if scenario.filter == "olset":
-            state = olset_measurement_update(
-                state, gamma, y if gamma else None, model, pol.Y, Y_inv=Y_inv
-            )
-        elif scenario.filter == "clset":
-            z = (y - y_pred) if gamma else None
-            state = clset_measurement_update(state, gamma, z, model, pol.Z, Z_inv=Z_inv)
-        elif scenario.filter == "standard":
-            state = standard_kf_update(state, y, model)
+        g = np.ones((N, 1, 1)) if update_always else gamma[:, None, None].astype(float)
+        CP = C @ P
+        if W_drop is None:
+            M = CP @ C_T + R
         else:
-            if gamma:
-                state = standard_kf_update(state, y, model)
-            else:
-                state = offline_drop_update(state)
-        state = time_update(state, model)
+            M = CP @ C_T + np.where(gamma[:, None, None], R, W_drop)
+        if m == 1:
+            # M >= R > 0: P stays positive semi-definite here
+            K = CP.transpose(0, 2, 1) / M
+        else:
+            try:
+                K = np.linalg.solve(sym(M), CP).transpose(0, 2, 1)
+            except np.linalg.LinAlgError as exc:
+                raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
+        if W_drop is None:
+            K = K * g
+        u = g * y - y_pred if scenario.filter == "olset" else g * (y - y_pred)
+        xh = xh + K @ u
+        P = sym(P - K @ CP)
 
-    tail = slice(scenario.burn_in, T)
-    return TrajectoryRecord(
+        xh = A @ xh
+        P = sym(A @ P @ A_T + Q)
+
+    err0 = err_log[:, :, 0]
+    return _RunBlock(
         gamma=gamma_log,
+        P_trace=diag_log.sum(axis=2),
+        sq_err=(err_log[:, :, None, :] @ err_log[:, :, :, None])[:, :, 0, 0],
+        P11=diag_log[:, :, 0],
+        sq_err11=err0 * err0,
+        P_last=P_last,
+        P_sum=P_sum,
+        E_sum=E_sum,
+    )
+
+
+def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
+    """Simulate one trajectory; deterministic given (seed, run_index).
+
+    Randomness contract (v1): the generator is seeded by [seed, run_index].
+    Draw order: x0 first, then ``pre_roll`` process-noise draws, then per
+    step k the triple (w, v, zeta) with the w draw skipped at k = 0.  The
+    zeta draw happens every step even for policies that ignore it, so
+    trajectories with different policies share identical plant paths.
+    Normal draws concatenate across calls, so the same stream is drawn in
+    blocks: ``standard_normal(n * (1 + pre_roll) + m)`` and ``random()`` at
+    k = 0, then ``standard_normal(n + m)`` and ``random()`` at each k >= 1.
+
+    ``force_gamma`` (a 0/1 sequence, testing hook) overrides the trigger
+    decisions without changing the draw order.  The estimator-side update
+    never receives the measurement when gamma = 0.
+    """
+    if as_number(run_index, "run_index", integer=True) < 0:
+        raise ConfigError("run_index must be >= 0")
+    block = _simulate_runs(scenario, [run_index], force_gamma, sums=record_full)
+    P_trace = block.P_trace[0]
+    tail = slice(scenario.burn_in, scenario.horizon)
+    return TrajectoryRecord(
+        gamma=block.gamma[0],
         P_trace=P_trace,
-        sq_err=sq_err,
-        P11=P11,
-        sq_err11=sq_err11,
-        empirical_rate=float(gamma_log.mean()),
+        sq_err=block.sq_err[0],
+        P11=block.P11[0],
+        sq_err11=block.sq_err11[0],
+        empirical_rate=float(block.gamma[0].mean()),
         mean_P_trace=float(P_trace[tail].mean()),
         P_trace_max=float(P_trace.max()),
         burn_in=scenario.burn_in,
-        P_prior_full=P_full,
-        err_outer=err_outer,
+        # with one run the sums over runs are the run's own matrices
+        P_prior_full=block.P_sum,
+        err_outer=block.E_sum,
     )
 
 
@@ -280,18 +379,17 @@ class MonteCarloStats:
     runs: int
 
 
-def _maximal_runs(gamma, value):
-    lengths = []
-    count = 0
-    for g in gamma:
-        if g == value:
-            count += 1
-        elif count:
-            lengths.append(count)
-            count = 0
-    if count:
-        lengths.append(count)
-    return lengths
+def _run_length_histogram(gamma, value):
+    """Counts of the maximal runs of ``value``, by length, over the rows of a
+    (runs, T) 0/1 array: {length: count}, sorted by length."""
+    hit = np.atleast_2d(np.asarray(gamma) == value).astype(np.int8)
+    edge = np.zeros((hit.shape[0], 1), dtype=np.int8)
+    step = np.diff(np.concatenate([edge, hit, edge], axis=1), axis=1)
+    # a run starts where the row steps up and ends where it steps down; in
+    # row-major order the two lists pair up run by run
+    lengths = np.flatnonzero(step == -1) - np.flatnonzero(step == 1)
+    values, counts = np.unique(lengths, return_counts=True)
+    return {int(l): int(c) for l, c in zip(values, counts)}
 
 
 def _stderr(values):
@@ -302,36 +400,22 @@ def _stderr(values):
 
 
 def monte_carlo(scenario):
-    """Run ``scenario.runs`` independent trajectories and aggregate them."""
-    T, n = scenario.horizon, scenario.model.n
-    gamma_sum = np.zeros(T)
-    P_sum = np.zeros((T, n, n))
-    E_sum = np.zeros((T, n, n))
-    rates = np.zeros(scenario.runs)
-    steady = np.zeros(scenario.runs)
-    terminal = np.zeros((scenario.runs, n, n))
-    p_trace_max = 0.0
-    drop_hist = Counter()
-    arrival_hist = Counter()
-    for r in range(scenario.runs):
-        rec = simulate(scenario, r, record_full=True)
-        gamma_sum += rec.gamma
-        P_sum += rec.P_prior_full
-        E_sum += rec.err_outer
-        rates[r] = rec.empirical_rate
-        steady[r] = rec.mean_P_trace
-        terminal[r] = rec.P_prior_full[-1]
-        p_trace_max = max(p_trace_max, rec.P_trace_max)
-        drop_hist.update(_maximal_runs(rec.gamma, 0))
-        arrival_hist.update(_maximal_runs(rec.gamma, 1))
+    """Run ``scenario.runs`` independent trajectories and aggregate them.
+
+    All runs are simulated side by side; run r has the values of
+    ``simulate(scenario, r)``.
+    """
     N = scenario.runs
-    P_mean = P_sum / N
-    E_mean = E_sum / N
+    block = _simulate_runs(scenario, range(N))
+    P_mean = block.P_sum / N
+    E_mean = block.E_sum / N
     P_trace_mean = np.trace(P_mean, axis1=1, axis2=2)
     mse_mean = np.trace(E_mean, axis1=1, axis2=2)
+    rates = block.gamma.mean(axis=1)
+    steady = block.P_trace[:, scenario.burn_in :].mean(axis=1)
     return MonteCarloStats(
-        steps=np.arange(T),
-        rate_mean=gamma_sum / N,
+        steps=np.arange(scenario.horizon),
+        rate_mean=block.gamma.sum(axis=0) / N,
         P_mean=P_mean,
         err_outer_mean=E_mean,
         P_trace_mean=P_trace_mean,
@@ -339,13 +423,13 @@ def monte_carlo(scenario):
         consistency_ratio=mse_mean / P_trace_mean,
         rate_overall=float(rates.mean()),
         rate_stderr=float(_stderr(rates)),
-        terminal_P_mean=sym(terminal.mean(axis=0)),
-        terminal_P_stderr=np.asarray(_stderr(terminal)),
+        terminal_P_mean=sym(block.P_last.mean(axis=0)),
+        terminal_P_stderr=np.asarray(_stderr(block.P_last)),
         steady_trace_mean=float(steady.mean()),
         steady_trace_stderr=float(_stderr(steady)),
-        P_trace_max=p_trace_max,
-        drop_run_hist=dict(sorted(drop_hist.items())),
-        arrival_run_hist=dict(sorted(arrival_hist.items())),
+        P_trace_max=float(block.P_trace.max()),
+        drop_run_hist=_run_length_histogram(block.gamma, 0),
+        arrival_run_hist=_run_length_histogram(block.gamma, 1),
         runs=N,
     )
 

@@ -1,13 +1,19 @@
 """Dense symmetric-matrix helpers shared across the package."""
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite
 
 
 def sym(X):
-    """Explicit symmetrization (X + X') / 2, suppresses asymmetric drift."""
-    return 0.5 * (X + X.T)
+    """Explicit symmetrization (X + X') / 2, suppresses asymmetric drift.
+
+    Acts on the last two axes, so a stack of matrices is symmetrized matrix
+    by matrix.
+    """
+    return 0.5 * (X + X.swapaxes(-1, -2))
 
 
 def as_matrix(x, name):
@@ -20,6 +26,30 @@ def as_matrix(x, name):
         return np.atleast_2d(np.asarray(x, dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a numeric matrix ({exc})") from exc
+
+
+def as_number(x, name, integer=False):
+    """``x`` as a finite float, or as an int when ``integer``.
+
+    Raises ConfigError when ``x`` is not a number (a bool is not one), is not
+    finite, or, with ``integer``, has a fractional part, so a malformed
+    configuration value fails as configuration.
+    """
+    if isinstance(x, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a number, got {x!r}")
+    if integer and isinstance(x, (int, np.integer)):
+        return int(x)
+    try:
+        value = float(x)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {x!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {x!r}")
+    if integer:
+        if not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {x!r}")
+        return int(value)
+    return value
 
 
 def spectral_norm(X):

@@ -170,6 +170,8 @@ def steady_state(model):
 
 
 def model_from_dict(data):
+    if not isinstance(data, dict):
+        raise ConfigError("model config must be a JSON object")
     try:
         return validate_model(
             data["A"], data["C"], data["Q"], data["R"], data["Sigma0"]
@@ -185,8 +187,6 @@ def load_model(path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read model config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("model config must be a JSON object")
     return model_from_dict(data)
 
 

@@ -211,6 +211,41 @@ def test_malformed_matrix_config_exit_code(tmp_path, capsys, command, update):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, update, args",
+    [
+        ("simulate", {"horizon": "ten"}, []),
+        ("simulate", {"seed": -1}, []),
+        ("simulate", {"x0_mean": ["a"]}, []),
+        ("simulate", {"x0_mean": [float("nan")]}, []),
+        ("simulate", {"filter": "offline-baseline", "trigger": {"variant": "periodic", "period": "x"}}, []),
+        ("simulate", {"filter": "offline-baseline", "trigger": {"variant": "random", "p": "x"}}, []),
+        ("simulate", {"model": [1, 2]}, []),
+        ("monte-carlo", {"runs": 2.5}, []),
+        ("simulate", {}, ["--run-index", "-1"]),
+        ("analyze", None, []),
+    ],
+    ids=[
+        "horizon-ten", "seed-negative", "x0_mean-a", "x0_mean-nan", "period-x", "p-x", "model-list",
+        "runs-fraction", "run-index-negative", "analyze-list",
+    ],
+)
+def test_malformed_scenario_scalar_exit_code(tmp_path, capsys, command, update, args):
+    base = {
+        "model": SCALAR.to_dict(),
+        "trigger": {"variant": "open_loop", "Y": [[1.0]]},
+        "filter": "olset",
+        "horizon": 20,
+        "burn_in": 5,
+    }
+    cfg = [1, 2] if update is None else {**base, **update}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
 def test_design_near_unit_root(tmp_path, closed_loop):
     a = 0.999999

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,10 +27,13 @@ from setkf import (
     validate_model,
 )
 from setkf.harness import (
+    _simulate_runs,
+    _run_length_histogram,
     write_comparison_csv,
     write_monte_carlo_csv,
     write_trajectory_csv,
 )
+from util import maximal_runs, random_spd, simulate_reference
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 
@@ -368,3 +372,143 @@ class TestCsvOutput:
         assert lines[0] == "scheduler,param,empirical_rate,steady_trace"
         assert len(lines) == 5
         assert lines[1].startswith("clset,")
+
+
+def oracle_model(n, m, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / max(abs(np.linalg.eigvals(A)))
+    return validate_model(
+        A, rng.normal(size=(m, n)), random_spd(rng, n), random_spd(rng, m), random_spd(rng, n)
+    )
+
+
+def oracle_pairings(m):
+    return [
+        ("standard", TriggerPolicy.periodic(1)),
+        ("olset", TriggerPolicy.open_loop(0.7 * np.eye(m))),
+        ("clset", TriggerPolicy.closed_loop(0.7 * np.eye(m))),
+        ("offline-baseline", TriggerPolicy.periodic(3, phase=1)),
+        ("offline-baseline", TriggerPolicy.random_offline(0.4)),
+        ("offline-baseline", TriggerPolicy.deterministic_threshold(1.0)),
+    ]
+
+
+PAIRING_IDS = ["standard", "olset", "clset", "periodic", "random", "threshold"]
+
+
+def assert_records_agree(rec, ref):
+    """gamma identical; each log agrees to 1e-12 relative to its largest entry."""
+    np.testing.assert_array_equal(rec.gamma, ref.gamma)
+    for name in ("P_trace", "sq_err", "P11", "sq_err11", "P_prior_full", "err_outer"):
+        got, want = getattr(rec, name), getattr(ref, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.shape == want.shape, name
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
+    assert rec.empirical_rate == ref.empirical_rate
+    assert rec.mean_P_trace == pytest.approx(ref.mean_P_trace, rel=1e-12)
+
+
+class TestKernelOracle:
+    """The run-batched kernel against the per-step single-run reference."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 3)])
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    def test_simulate_matches_reference(self, n, m, pairing):
+        model = oracle_model(n, m, seed=10 * n + m)
+        filt, trig = oracle_pairings(m)[pairing]
+        for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
+            scn = Scenario(
+                model=model, trigger=trig, filter=filt, horizon=80, seed=5, burn_in=10, **extra
+            )
+            for record_full in (False, True):
+                assert_records_agree(
+                    simulate(scn, 3, record_full=record_full),
+                    simulate_reference(scn, 3, record_full=record_full),
+                )
+
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    def test_forced_gamma_matches_reference(self, pairing):
+        model = oracle_model(2, 1, seed=21)
+        filt, trig = oracle_pairings(1)[pairing]
+        forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
+        scn = Scenario(model=model, trigger=trig, filter=filt, horizon=60, seed=6, burn_in=5)
+        assert_records_agree(
+            simulate(scn, 2, force_gamma=forced, record_full=True),
+            simulate_reference(scn, 2, force_gamma=forced, record_full=True),
+        )
+
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    def test_batched_runs_equal_single_runs(self, pairing):
+        model = oracle_model(3, 3, seed=33)
+        filt, trig = oracle_pairings(3)[pairing]
+        scn = Scenario(
+            model=model, trigger=trig, filter=filt, horizon=50, runs=6, seed=7, burn_in=10
+        )
+        # any block of runs, in any order, gives each run its own values
+        order = [4, 0, 5, 2]
+        block = _simulate_runs(scn, order)
+        for row, r in enumerate(order):
+            rec = simulate(scn, r)
+            np.testing.assert_array_equal(block.gamma[row], rec.gamma)
+            np.testing.assert_array_equal(block.P_trace[row], rec.P_trace)
+            np.testing.assert_array_equal(block.sq_err[row], rec.sq_err)
+
+        stats = monte_carlo(scn)
+        recs = [simulate(scn, r, record_full=True) for r in range(scn.runs)]
+        np.testing.assert_allclose(
+            stats.P_mean, sum(rec.P_prior_full for rec in recs) / scn.runs, rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            stats.err_outer_mean, sum(rec.err_outer for rec in recs) / scn.runs, rtol=1e-12
+        )
+        np.testing.assert_array_equal(
+            stats.rate_mean, np.mean([rec.gamma for rec in recs], axis=0)
+        )
+        assert stats.steady_trace_mean == pytest.approx(
+            np.mean([rec.mean_P_trace for rec in recs]), rel=1e-12
+        )
+        np.testing.assert_allclose(
+            stats.terminal_P_mean,
+            np.mean([rec.P_prior_full[-1] for rec in recs], axis=0),
+            rtol=1e-12,
+        )
+        assert stats.P_trace_max == max(rec.P_trace_max for rec in recs)
+        drops, arrivals = Counter(), Counter()
+        for rec in recs:
+            drops.update(maximal_runs(rec.gamma, 0))
+            arrivals.update(maximal_runs(rec.gamma, 1))
+        assert stats.drop_run_hist == dict(sorted(drops.items()))
+        assert stats.arrival_run_hist == dict(sorted(arrivals.items()))
+
+
+class TestRunLengthHistogram:
+    """Vectorised run-length counting against the per-entry loop."""
+
+    @staticmethod
+    def reference(gamma, value):
+        counts = Counter()
+        for row in np.atleast_2d(gamma):
+            counts.update(maximal_runs(row, value))
+        return dict(sorted(counts.items()))
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(60)
+        for runs, T, p in [(1, 200, 0.5), (7, 50, 0.2), (30, 13, 0.8), (4, 1, 0.5)]:
+            gamma = (rng.random((runs, T)) < p).astype(np.int8)
+            for value in (0, 1):
+                assert _run_length_histogram(gamma, value) == self.reference(gamma, value)
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [np.zeros((3, 9)), np.ones((3, 9)), np.zeros((1, 1)), np.ones((1, 1)), np.ones((5, 1))],
+        ids=["zeros", "ones", "single-zero", "single-one", "column"],
+    )
+    def test_edge_cases(self, gamma):
+        gamma = gamma.astype(np.int8)
+        for value in (0, 1):
+            got = _run_length_histogram(gamma, value)
+            assert got == self.reference(gamma, value)
+            assert all(type(k) is int and type(v) is int for k, v in got.items())

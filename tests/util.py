@@ -2,7 +2,20 @@
 
 import numpy as np
 
-from setkf import ModelValidationError, g_step, validate_model
+from setkf import (
+    ConfigError,
+    ModelValidationError,
+    TrajectoryRecord,
+    clset_measurement_update,
+    g_step,
+    initial_state,
+    offline_drop_update,
+    olset_measurement_update,
+    standard_kf_update,
+    time_update,
+    trigger_decide,
+    validate_model,
+)
 
 
 def random_spd(rng, n, scale=1.0, ridge=0.2):
@@ -109,3 +122,116 @@ def riccati_iteration(rmap, tol=1e-10, max_iter=100_000):
         if delta <= tol * np.linalg.norm(X, 2):
             return X
     return None
+
+
+def maximal_runs(gamma, value):
+    """Lengths of the maximal runs of ``value`` in a 0/1 sequence, in order.
+
+    The reference for ``setkf.harness._run_length_histogram``: one Python
+    step per entry.
+    """
+    lengths = []
+    count = 0
+    for g in gamma:
+        if g == value:
+            count += 1
+        elif count:
+            lengths.append(count)
+            count = 0
+    if count:
+        lengths.append(count)
+    return lengths
+
+
+def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=False):
+    """One trajectory, one run and one step at a time.
+
+    The reference for the run-batched kernel behind ``setkf.simulate`` and
+    ``setkf.monte_carlo``: it calls the single-step API (``trigger_decide``,
+    the four measurement updates and ``time_update``) on a ``FilterState``
+    per step, with the draws of randomness contract v1 made one at a time.
+    """
+    model = scenario.model
+    pol = scenario.trigger
+    T = scenario.horizon
+    n, m = model.n, model.m
+    A, C = model.A, model.C
+    rng = np.random.default_rng([int(scenario.seed), int(run_index)])
+    Lq = np.linalg.cholesky(model.Q)
+    Lr = np.linalg.cholesky(model.R)
+    L0 = np.linalg.cholesky(model.Sigma0)
+
+    if force_gamma is not None:
+        force_gamma = np.asarray(force_gamma).ravel()
+        if force_gamma.shape[0] < T:
+            raise ConfigError("force_gamma must cover the horizon")
+
+    x = L0 @ rng.standard_normal(n)
+    if scenario.x0_mean is not None:
+        x = x + scenario.x0_mean
+    for _ in range(scenario.pre_roll):
+        x = A @ x + Lq @ rng.standard_normal(n)
+
+    state = initial_state(model, scenario.x0_mean)
+    Y_inv = np.linalg.inv(pol.Y) if pol.variant == "open_loop" else None
+    Z_inv = np.linalg.inv(pol.Z) if pol.variant == "closed_loop" else None
+
+    gamma_log = np.zeros(T, dtype=np.int8)
+    P_trace = np.zeros(T)
+    sq_err = np.zeros(T)
+    P11 = np.zeros(T)
+    sq_err11 = np.zeros(T)
+    P_full = np.zeros((T, n, n)) if record_full else None
+    err_outer = np.zeros((T, n, n)) if record_full else None
+
+    for k in range(T):
+        if k > 0:
+            x = A @ x + Lq @ rng.standard_normal(n)
+        y = C @ x + Lr @ rng.standard_normal(m)
+        zeta = rng.random()
+        y_pred = C @ state.x_prior
+        if force_gamma is not None:
+            gamma = int(force_gamma[k])
+        else:
+            gamma = trigger_decide(pol, y, y_pred, zeta, k)
+
+        e = x - state.x_prior
+        gamma_log[k] = gamma
+        P_trace[k] = state.P_prior.trace()
+        sq_err[k] = e @ e
+        P11[k] = state.P_prior[0, 0]
+        sq_err11[k] = e[0] * e[0]
+        if record_full:
+            P_full[k] = state.P_prior
+            err_outer[k] = e[:, None] * e[None, :]
+
+        if scenario.filter == "olset":
+            state = olset_measurement_update(
+                state, gamma, y if gamma else None, model, pol.Y, Y_inv=Y_inv
+            )
+        elif scenario.filter == "clset":
+            z = (y - y_pred) if gamma else None
+            state = clset_measurement_update(state, gamma, z, model, pol.Z, Z_inv=Z_inv)
+        elif scenario.filter == "standard":
+            state = standard_kf_update(state, y, model)
+        else:
+            if gamma:
+                state = standard_kf_update(state, y, model)
+            else:
+                state = offline_drop_update(state)
+        state = time_update(state, model)
+
+    tail = slice(scenario.burn_in, T)
+    return TrajectoryRecord(
+        gamma=gamma_log,
+        P_trace=P_trace,
+        sq_err=sq_err,
+        P11=P11,
+        sq_err11=sq_err11,
+        empirical_rate=float(gamma_log.mean()),
+        mean_P_trace=float(P_trace[tail].mean()),
+        P_trace_max=float(P_trace.max()),
+        burn_in=scenario.burn_in,
+        P_prior_full=P_full,
+        err_outer=err_outer,
+    )
