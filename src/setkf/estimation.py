@@ -16,9 +16,12 @@ closed-loop posterior mean is the prior itself.
 
 Offline baselines (periodic, random, deterministic threshold) perform a
 pure-prediction update on drops.
+
+The trigger rule and the measurement update are written once, over a stack
+of runs (:func:`transmit`, :func:`measurement_update`); the single-step
+functions on a :class:`FilterState` pass them a stack of one run.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,43 +166,66 @@ def initial_state(model, x0_mean=None):
     )
 
 
-def trigger_decide(policy, y, y_pred, zeta, k):
-    """Per-step transmission decision.  Returns 1 to send, 0 to stay idle.
+def transmit(policy, y, y_pred, zeta, k):
+    """Transmission decisions, True to send, of a stack of runs: y and
+    y_pred = C xhat_prior are (runs, m, 1), zeta is (runs,)."""
+    variant = policy.variant
+    if variant == "periodic":
+        return np.full(zeta.shape, (k - policy.phase) % policy.period == 0)
+    if variant == "random":
+        return zeta > 1.0 - policy.p
+    z = y if variant == "open_loop" else y - y_pred
+    if variant == "deterministic_threshold":
+        return np.abs(z).max(axis=(1, 2)) > policy.delta
+    W = policy.Y if variant == "open_loop" else policy.Z
+    return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
 
-    ``y_pred`` is the predicted measurement C xhat_prior; it is only
-    consulted by the closed-loop and deterministic-threshold variants.
+
+def measurement_update(model, P, x, y, y_pred, gamma, W_drop=None, open_loop=False):
+    """The measurement update of a stack of runs; a stack of one is one step.
+
+    P (runs, n, n), x (runs, n, 1) are the prior, y and y_pred = C x
+    (runs, m, 1), and gamma (runs,) is True on an arrival.  The gain uses R
+    on an arrival and W_drop on a drop (R + Y^-1 olset, R + Z^-1 clset); with
+    no W_drop a drop keeps the prior (K = 0, the offline baseline).  The mean
+    is x + K (gamma y - y_pred) if ``open_loop``, else x + gamma K (y - y_pred).
+    Returns x, P, K (runs, n, m) and the innovation covariance M (runs, m, m);
+    SingularInnovation is raised for a singular M with m > 1 only.
     """
+    C = model.C
+    CP = C @ P
+    # a contiguous C' multiplies a stack faster than the transposed view,
+    # with the same result
+    CPC = CP @ C.T.copy()
+    if W_drop is None:
+        M = CPC + model.R
+    else:
+        M = CPC + np.where(gamma[:, None, None], model.R, W_drop)
+    if model.m == 1:
+        # M >= R > 0 for a positive semi-definite prior
+        K = CP.transpose(0, 2, 1) / M
+    else:
+        try:
+            K = np.linalg.solve(sym(M), CP).transpose(0, 2, 1)
+        except np.linalg.LinAlgError as exc:
+            raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
+    g = gamma[:, None, None].astype(float)
+    if W_drop is None:
+        K = K * g
+    u = g * y - y_pred if open_loop else g * (y - y_pred)
+    return x + K @ u, sym(P - K @ CP), K, M
+
+
+def _stack(v):
+    """A vector as a stack of one column, (1, len, 1); None stays None."""
+    return None if v is None else np.asarray(v, dtype=float).reshape(1, -1, 1)
+
+
+def trigger_decide(policy, y, y_pred, zeta, k):
+    """Per-step decision, 1 to send and 0 to stay idle: :func:`transmit` on one run."""
     if not 0.0 <= zeta <= 1.0:
         raise InconsistentArgs(f"zeta must lie in [0, 1], got {zeta}")
-    variant = policy.variant
-    if variant == "open_loop":
-        y = np.asarray(y, dtype=float).ravel()
-        phi = math.exp(-0.5 * float(y @ policy.Y @ y))
-        return int(zeta > phi)
-    if variant == "closed_loop":
-        z = np.asarray(y, dtype=float).ravel() - np.asarray(y_pred, dtype=float).ravel()
-        phi = math.exp(-0.5 * float(z @ policy.Z @ z))
-        return int(zeta > phi)
-    if variant == "periodic":
-        return int((k - policy.phase) % policy.period == 0)
-    if variant == "random":
-        return int(zeta > 1.0 - policy.p)
-    z = np.asarray(y, dtype=float).ravel() - np.asarray(y_pred, dtype=float).ravel()
-    return int(float(np.abs(z).max()) > policy.delta)
-
-
-def _gain(P_prior, C, noise):
-    CP = C @ P_prior
-    M = CP @ C.T + noise
-    if M.shape[0] == 1:
-        denom = M[0, 0]
-        if denom <= 0.0 or not np.isfinite(denom):
-            raise SingularInnovation("innovation covariance is singular")
-        return CP.T / denom
-    try:
-        return np.linalg.solve(sym(M), CP).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
+    return int(transmit(policy, _stack(y), _stack(y_pred), np.array([zeta]), k)[0])
 
 
 def _check_measurement(gamma, value, what):
@@ -211,6 +237,20 @@ def _check_measurement(gamma, value, what):
         raise InconsistentArgs(f"gamma=0: the estimator must not receive {what}")
 
 
+def _update_one(state, model, gamma, y, y_pred, W_drop=None, open_loop=False):
+    """:func:`measurement_update` on one run; a drop passes y = None."""
+    y = np.zeros((1, model.m, 1)) if y is None else _stack(y)
+    # a scalar M of 0 is reported below as SingularInnovation, not as a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, P, K, M = measurement_update(
+            model, state.P_prior[None], _stack(state.x_prior), y, _stack(y_pred),
+            np.array([gamma == 1]), W_drop, open_loop,
+        )
+    if model.m == 1 and not (M[0, 0, 0] > 0.0 and np.isfinite(M[0, 0, 0])):
+        raise SingularInnovation("innovation covariance is singular")
+    return FilterState(state.x_prior, state.P_prior, x[0, :, 0], P[0], K[0], state.k)
+
+
 def olset_measurement_update(state, gamma, y, model, Y, Y_inv=None):
     """Open-loop event-triggered measurement update.
 
@@ -219,18 +259,8 @@ def olset_measurement_update(state, gamma, y, model, Y, Y_inv=None):
     prior (I - K C) xhat_prior.  ``Y_inv`` may carry a precomputed inverse.
     """
     _check_measurement(gamma, y, "y")
-    C = model.C
-    if gamma == 1:
-        noise = model.R
-    else:
-        noise = model.R + (np.linalg.inv(Y) if Y_inv is None else Y_inv)
-    K = _gain(state.P_prior, C, noise)
-    P = sym(state.P_prior - K @ (C @ state.P_prior))
-    if gamma == 1:
-        x = state.x_prior + K @ (np.asarray(y, dtype=float).ravel() - C @ state.x_prior)
-    else:
-        x = state.x_prior - K @ (C @ state.x_prior)
-    return FilterState(state.x_prior, state.P_prior, x, P, K, state.k)
+    W_drop = model.R + (np.linalg.inv(Y) if Y_inv is None else Y_inv)
+    return _update_one(state, model, gamma, y, model.C @ state.x_prior, W_drop, open_loop=True)
 
 
 def clset_measurement_update(state, gamma, z, model, Z, Z_inv=None):
@@ -241,29 +271,16 @@ def clset_measurement_update(state, gamma, z, model, Z, Z_inv=None):
     the covariance still contracts through the inflated-noise gain.
     """
     _check_measurement(gamma, z, "z")
-    C = model.C
-    if gamma == 1:
-        noise = model.R
-    else:
-        noise = model.R + (np.linalg.inv(Z) if Z_inv is None else Z_inv)
-    K = _gain(state.P_prior, C, noise)
-    P = sym(state.P_prior - K @ (C @ state.P_prior))
-    if gamma == 1:
-        x = state.x_prior + K @ np.asarray(z, dtype=float).ravel()
-    else:
-        x = state.x_prior
-    return FilterState(state.x_prior, state.P_prior, x, P, K, state.k)
+    W_drop = model.R + (np.linalg.inv(Z) if Z_inv is None else Z_inv)
+    # only y - y_pred is read, so z goes in as the measurement of a zero prediction
+    return _update_one(state, model, gamma, z, np.zeros(model.m), W_drop)
 
 
 def standard_kf_update(state, y, model):
     """Textbook Kalman measurement update; the gamma=1 oracle."""
     if y is None:
         raise MissingMeasurement("standard update needs a measurement")
-    C = model.C
-    K = _gain(state.P_prior, C, model.R)
-    P = sym(state.P_prior - K @ (C @ state.P_prior))
-    x = state.x_prior + K @ (np.asarray(y, dtype=float).ravel() - C @ state.x_prior)
-    return FilterState(state.x_prior, state.P_prior, x, P, K, state.k)
+    return _update_one(state, model, 1, y, model.C @ state.x_prior)
 
 
 def offline_drop_update(state):

@@ -8,7 +8,9 @@ order within a trajectory is documented in :func:`simulate`.
 One kernel simulates a block of runs side by side, with the filter state
 stacked over runs and only the loop over time steps in Python:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.
+kernel over all runs.  The kernel's trigger rule and measurement update are
+:func:`estimation.transmit` and :func:`estimation.measurement_update`, the
+same pair that the single-step API of :mod:`estimation` calls.
 """
 
 import json
@@ -16,14 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationFailed, ConfigError, SingularInnovation
-from .estimation import TriggerPolicy
+from .errors import CalibrationFailed, ConfigError
+from .estimation import TriggerPolicy, measurement_update, transmit
 from .matrices import as_matrix, as_number, sym
 from .model import model_from_dict, steady_state, validate_model
 from .riccati import RiccatiMap, fixed_point
 from .analysis import conditional_rate, drop_noise, open_loop_rate
 
 FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
+
+# Most per-step log entries, runs * horizon * n, a scenario may ask for: the
+# kernel's logs take about 16 n + 25 bytes per run and step, at most 0.8 GB.
+MAX_LOG_ENTRIES = 2 * 10**7
 
 _VALID_PAIRING = {
     "standard": ("periodic",),
@@ -69,6 +75,8 @@ class Scenario:
             raise ConfigError("pre_roll must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.runs * self.horizon * self.model.n > MAX_LOG_ENTRIES:
+            raise ConfigError(f"runs * horizon * n must not exceed {MAX_LOG_ENTRIES}")
         if self.x0_mean is not None:
             x0 = as_matrix(self.x0_mean, "x0_mean").reshape(-1)
             if x0.shape[0] != self.model.n:
@@ -176,20 +184,6 @@ class _RunBlock:
     E_sum: np.ndarray | None
 
 
-def _transmit(pol, y, y_pred, zeta, k):
-    """Trigger decisions of a stack of runs: y, y_pred (runs, m, 1), zeta (runs,)."""
-    variant = pol.variant
-    if variant == "periodic":
-        return np.full(zeta.shape, (k - pol.phase) % pol.period == 0)
-    if variant == "random":
-        return zeta > 1.0 - pol.p
-    z = y if variant == "open_loop" else y - y_pred
-    if variant == "deterministic_threshold":
-        return np.abs(z).max(axis=(1, 2)) > pol.delta
-    W = pol.Y if variant == "open_loop" else pol.Z
-    return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
-
-
 def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     """Simulate the runs ``run_indices`` of a scenario side by side.
 
@@ -198,12 +192,10 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     column stacks, so every product is one small matrix product per run and
     a run's values do not depend on the other runs of the block.
 
-    One measurement update serves every filter kind: the gain uses R after
-    an arrival and the drop noise W_drop after a drop (R + Y^-1 for olset,
-    R + Z^-1 for clset); the offline baseline has no update on a drop
-    (K = 0), and the standard filter updates every step.  The posterior mean is
-    xhat + K (gamma y - C xhat) for olset and xhat + gamma K (y - C xhat)
-    otherwise.
+    Each step calls the trigger rule and the measurement update that the
+    single-step API also uses, :func:`estimation.transmit` and
+    :func:`estimation.measurement_update`, on the whole stack; this kernel
+    adds only the draws, the time update, the logs and the sums.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
@@ -213,9 +205,9 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     model, pol = scenario.model, scenario.trigger
     T, n, m = scenario.horizon, model.n, model.m
     A, C, Q, R = model.A, model.C, model.Q, model.R
-    # contiguous transposes: matmul multiplies a stack by them faster than
-    # by transposed views, with the same result
-    A_T, C_T = A.T.copy(), C.T.copy()
+    # a contiguous A': matmul multiplies a stack by it faster than by the
+    # transposed view, with the same result
+    A_T = A.T.copy()
     Lq = np.linalg.cholesky(Q)
     Lr = np.linalg.cholesky(R)
     L0 = np.linalg.cholesky(model.Sigma0)
@@ -227,13 +219,11 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
         if force_gamma.shape[0] < T:
             raise ConfigError("force_gamma must cover the horizon")
 
-    if scenario.filter == "olset":
-        W_drop = R + np.linalg.inv(pol.Y)
-    elif scenario.filter == "clset":
-        W_drop = R + np.linalg.inv(pol.Z)
-    else:
-        W_drop = None
-    update_always = scenario.filter == "standard"
+    W = {"olset": pol.Y, "clset": pol.Z}.get(scenario.filter)
+    W_drop = None if W is None else R + np.linalg.inv(W)
+    open_loop = scenario.filter == "olset"
+    # the standard filter updates on every step, whatever gamma is logged
+    always = np.ones(N, dtype=bool) if scenario.filter == "standard" else None
 
     # x0, the pre-roll process noise and v at k = 0 are consecutive normal
     # draws, so one call per run yields all of them
@@ -270,7 +260,7 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
         if force_gamma is not None:
             gamma = np.full(N, bool(force_gamma[k]))
         else:
-            gamma = _transmit(pol, y, y_pred, zeta, k)
+            gamma = transmit(pol, y, y_pred, zeta, k)
 
         e = x - xh
         gamma_log[:, k] = gamma
@@ -283,26 +273,9 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
             P_sum[k] = np.add.accumulate(P, axis=0)[-1]
             E_sum[k] = np.add.accumulate(e * e.transpose(0, 2, 1), axis=0)[-1]
 
-        g = np.ones((N, 1, 1)) if update_always else gamma[:, None, None].astype(float)
-        CP = C @ P
-        if W_drop is None:
-            M = CP @ C_T + R
-        else:
-            M = CP @ C_T + np.where(gamma[:, None, None], R, W_drop)
-        if m == 1:
-            # M >= R > 0: P stays positive semi-definite here
-            K = CP.transpose(0, 2, 1) / M
-        else:
-            try:
-                K = np.linalg.solve(sym(M), CP).transpose(0, 2, 1)
-            except np.linalg.LinAlgError as exc:
-                raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
-        if W_drop is None:
-            K = K * g
-        u = g * y - y_pred if scenario.filter == "olset" else g * (y - y_pred)
-        xh = xh + K @ u
-        P = sym(P - K @ CP)
-
+        xh, P, _, _ = measurement_update(
+            model, P, xh, y, y_pred, gamma if always is None else always, W_drop, open_loop
+        )
         xh = A @ xh
         P = sym(A @ P @ A_T + Q)
 

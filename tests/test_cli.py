@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from setkf import validate_model
+from setkf import ConfigError, Scenario, TriggerPolicy, validate_model
 from setkf.cli import main
+from setkf.harness import MAX_LOG_ENTRIES
 from util import scalar_g_fixed_point
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
@@ -244,6 +246,47 @@ def test_malformed_scenario_scalar_exit_code(tmp_path, capsys, command, update, 
     assert main([command, "--config", str(path), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, update",
+    [
+        ("simulate", {"horizon": 1e308}),
+        ("simulate", {"horizon": 1e12}),
+        ("monte-carlo", {"runs": 1e308}),
+    ],
+    ids=["horizon-1e308", "horizon-1e12", "runs-1e308"],
+)
+def test_huge_count_exit_code(tmp_path, capsys, command, update):
+    # rejected by the count limit before any generator or log is allocated
+    cfg = {
+        "model": SCALAR.to_dict(),
+        "trigger": {"variant": "open_loop", "Y": [[1.0]]},
+        "filter": "olset",
+        "horizon": 20,
+        "burn_in": 5,
+        **update,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(MAX_LOG_ENTRIES) in err
+
+
+def test_count_limit_boundary():
+    trigger = TriggerPolicy.open_loop(np.eye(2))
+    two_state = validate_model(0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    at_limit = Scenario(
+        model=two_state, trigger=trigger, filter="olset", horizon=MAX_LOG_ENTRIES // 4, runs=2
+    )
+    assert at_limit.runs * at_limit.horizon * two_state.n == MAX_LOG_ENTRIES
+    with pytest.raises(ConfigError):
+        Scenario(
+            model=two_state, trigger=trigger, filter="olset",
+            horizon=MAX_LOG_ENTRIES // 4 + 1, runs=2,
+        )
 
 
 @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])

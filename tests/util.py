@@ -1,21 +1,25 @@
 """Shared helpers for randomized property tests."""
 
+import math
+
 import numpy as np
 
 from setkf import (
     ConfigError,
+    FilterState,
+    InconsistentArgs,
+    MissingMeasurement,
     ModelValidationError,
+    SingularInnovation,
     TrajectoryRecord,
-    clset_measurement_update,
     g_step,
     initial_state,
     offline_drop_update,
-    olset_measurement_update,
-    standard_kf_update,
     time_update,
-    trigger_decide,
     validate_model,
 )
+from setkf.estimation import _check_measurement
+from setkf.matrices import sym
 
 
 def random_spd(rng, n, scale=1.0, ridge=0.2):
@@ -143,13 +147,114 @@ def maximal_runs(gamma, value):
     return lengths
 
 
+# The trigger rule and the measurement updates written out for one run and
+# one step, independently of the run-batched pair in setkf.estimation: the
+# oracle of ``simulate_reference`` and of the tests of
+# ``setkf.estimation.transmit`` and ``setkf.estimation.measurement_update``.
+
+
+def _trigger_decide(policy, y, y_pred, zeta, k):
+    """Per-step transmission decision.  Returns 1 to send, 0 to stay idle.
+
+    ``y_pred`` is the predicted measurement C xhat_prior; it is only
+    consulted by the closed-loop and deterministic-threshold variants.
+    """
+    if not 0.0 <= zeta <= 1.0:
+        raise InconsistentArgs(f"zeta must lie in [0, 1], got {zeta}")
+    variant = policy.variant
+    if variant == "open_loop":
+        y = np.asarray(y, dtype=float).ravel()
+        phi = math.exp(-0.5 * float(y @ policy.Y @ y))
+        return int(zeta > phi)
+    if variant == "closed_loop":
+        z = np.asarray(y, dtype=float).ravel() - np.asarray(y_pred, dtype=float).ravel()
+        phi = math.exp(-0.5 * float(z @ policy.Z @ z))
+        return int(zeta > phi)
+    if variant == "periodic":
+        return int((k - policy.phase) % policy.period == 0)
+    if variant == "random":
+        return int(zeta > 1.0 - policy.p)
+    z = np.asarray(y, dtype=float).ravel() - np.asarray(y_pred, dtype=float).ravel()
+    return int(float(np.abs(z).max()) > policy.delta)
+
+
+def _gain(P_prior, C, noise):
+    CP = C @ P_prior
+    M = CP @ C.T + noise
+    if M.shape[0] == 1:
+        denom = M[0, 0]
+        if denom <= 0.0 or not np.isfinite(denom):
+            raise SingularInnovation("innovation covariance is singular")
+        return CP.T / denom
+    try:
+        return np.linalg.solve(sym(M), CP).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
+
+
+def _olset_measurement_update(state, gamma, y, model, Y, Y_inv=None):
+    """Open-loop event-triggered measurement update.
+
+    With gamma=1 this is the standard Kalman update.  With gamma=0 the gain
+    uses the inflated noise R + Y^-1 and the posterior mean is the scaled
+    prior (I - K C) xhat_prior.  ``Y_inv`` may carry a precomputed inverse.
+    """
+    _check_measurement(gamma, y, "y")
+    C = model.C
+    if gamma == 1:
+        noise = model.R
+    else:
+        noise = model.R + (np.linalg.inv(Y) if Y_inv is None else Y_inv)
+    K = _gain(state.P_prior, C, noise)
+    P = sym(state.P_prior - K @ (C @ state.P_prior))
+    if gamma == 1:
+        x = state.x_prior + K @ (np.asarray(y, dtype=float).ravel() - C @ state.x_prior)
+    else:
+        x = state.x_prior - K @ (C @ state.x_prior)
+    return FilterState(state.x_prior, state.P_prior, x, P, K, state.k)
+
+
+def _clset_measurement_update(state, gamma, z, model, Z, Z_inv=None):
+    """Closed-loop event-triggered measurement update.
+
+    With gamma=1 the innovation z = y - C xhat_prior is applied through the
+    standard gain; with gamma=0 the posterior mean equals the prior while
+    the covariance still contracts through the inflated-noise gain.
+    """
+    _check_measurement(gamma, z, "z")
+    C = model.C
+    if gamma == 1:
+        noise = model.R
+    else:
+        noise = model.R + (np.linalg.inv(Z) if Z_inv is None else Z_inv)
+    K = _gain(state.P_prior, C, noise)
+    P = sym(state.P_prior - K @ (C @ state.P_prior))
+    if gamma == 1:
+        x = state.x_prior + K @ np.asarray(z, dtype=float).ravel()
+    else:
+        x = state.x_prior
+    return FilterState(state.x_prior, state.P_prior, x, P, K, state.k)
+
+
+def _standard_kf_update(state, y, model):
+    """Textbook Kalman measurement update; the gamma=1 oracle."""
+    if y is None:
+        raise MissingMeasurement("standard update needs a measurement")
+    C = model.C
+    K = _gain(state.P_prior, C, model.R)
+    P = sym(state.P_prior - K @ (C @ state.P_prior))
+    x = state.x_prior + K @ (np.asarray(y, dtype=float).ravel() - C @ state.x_prior)
+    return FilterState(state.x_prior, state.P_prior, x, P, K, state.k)
+
+
 def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=False):
     """One trajectory, one run and one step at a time.
 
     The reference for the run-batched kernel behind ``setkf.simulate`` and
-    ``setkf.monte_carlo``: it calls the single-step API (``trigger_decide``,
-    the four measurement updates and ``time_update``) on a ``FilterState``
-    per step, with the draws of randomness contract v1 made one at a time.
+    ``setkf.monte_carlo``: it calls the single-step oracle functions above
+    (``_trigger_decide`` and the three measurement updates) together with
+    ``offline_drop_update`` and ``time_update`` on a ``FilterState`` per
+    step, with the draws of randomness contract v1 made one at a time.
     """
     model = scenario.model
     pol = scenario.trigger
@@ -193,7 +298,7 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
         if force_gamma is not None:
             gamma = int(force_gamma[k])
         else:
-            gamma = trigger_decide(pol, y, y_pred, zeta, k)
+            gamma = _trigger_decide(pol, y, y_pred, zeta, k)
 
         e = x - state.x_prior
         gamma_log[k] = gamma
@@ -206,17 +311,17 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
             err_outer[k] = e[:, None] * e[None, :]
 
         if scenario.filter == "olset":
-            state = olset_measurement_update(
+            state = _olset_measurement_update(
                 state, gamma, y if gamma else None, model, pol.Y, Y_inv=Y_inv
             )
         elif scenario.filter == "clset":
             z = (y - y_pred) if gamma else None
-            state = clset_measurement_update(state, gamma, z, model, pol.Z, Z_inv=Z_inv)
+            state = _clset_measurement_update(state, gamma, z, model, pol.Z, Z_inv=Z_inv)
         elif scenario.filter == "standard":
-            state = standard_kf_update(state, y, model)
+            state = _standard_kf_update(state, y, model)
         else:
             if gamma:
-                state = standard_kf_update(state, y, model)
+                state = _standard_kf_update(state, y, model)
             else:
                 state = offline_drop_update(state)
         state = time_update(state, model)
