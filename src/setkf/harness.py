@@ -5,12 +5,15 @@ by ``[seed, run_index]`` (a counter-based split of the master seed), so runs
 are independent, order-insensitive and exactly reproducible.  The draw
 order within a trajectory is documented in :func:`simulate`.
 
-One kernel simulates a block of runs side by side, with the filter state
-stacked over runs and only the loop over time steps in Python:
+One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.  The kernel's trigger rule and measurement update are
-:func:`estimation.transmit` and :func:`estimation.measurement_update`, the
-same pair that the single-step API of :mod:`estimation` calls.
+kernel over all runs.  It has two paths.  The step loop stacks the filter
+state over runs and loops over time steps in Python; it serves every
+scenario.  When no transmission decision can depend on the estimate, the
+scan runs the filter as a scan over time in O(log T) batched calls; it
+serves the scenarios with few runs.  Both paths use the trigger rule and
+the measurement update of the single-step API of :mod:`estimation`,
+:func:`estimation.transmit` and :func:`estimation.measurement_update`.
 """
 
 import json
@@ -30,6 +33,20 @@ FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
 # Most per-step log entries, runs * horizon * n, a scenario may ask for: the
 # kernel's logs take about 16 n + 25 bytes per run and step, at most 0.8 GB.
 MAX_LOG_ENTRIES = 2 * 10**7
+
+# Most runs a scenario may ask for: each run's generator takes about 1.1 KB,
+# so at most 0.55 GB, within the budget of the logs.
+MAX_RUNS = 5 * 10**5
+
+# Widest scenario, runs * n^2, that a feedback-free trigger simulates as a
+# scan over time; wider ones step through time.  Near this width the two
+# paths take equally long (measured for n = 1 to 6 and m <= n); below it the
+# scan is faster, 7-11x for one run of 10^5 steps.
+SCAN_MAX_WIDTH = 128
+
+# The scan works on blocks of SCAN_BLOCK_ENTRIES // (runs * n^2) steps, so
+# that a block's arrays take some 16 MB at most.
+SCAN_BLOCK_ENTRIES = 2**16
 
 _VALID_PAIRING = {
     "standard": ("periodic",),
@@ -77,6 +94,8 @@ class Scenario:
             raise ConfigError("seed must be >= 0")
         if self.runs * self.horizon * self.model.n > MAX_LOG_ENTRIES:
             raise ConfigError(f"runs * horizon * n must not exceed {MAX_LOG_ENTRIES}")
+        if self.runs > MAX_RUNS:
+            raise ConfigError(f"runs must not exceed {MAX_RUNS}")
         if self.x0_mean is not None:
             x0 = as_matrix(self.x0_mean, "x0_mean").reshape(-1)
             if x0.shape[0] != self.model.n:
@@ -187,69 +206,118 @@ class _RunBlock:
 def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     """Simulate the runs ``run_indices`` of a scenario side by side.
 
-    The filter state is a stack over runs, P (runs, n, n) and xhat
-    (runs, n, 1); only the loop over time steps runs in Python.  Vectors are
-    column stacks, so every product is one small matrix product per run and
-    a run's values do not depend on the other runs of the block.
-
-    Each step calls the trigger rule and the measurement update that the
-    single-step API also uses, :func:`estimation.transmit` and
-    :func:`estimation.measurement_update`, on the whole stack; this kernel
-    adds only the draws, the time update, the logs and the sums.
+    When no transmission decision can depend on the estimate (an open-loop,
+    periodic or random trigger, or a forced gamma) and runs * n^2 is at
+    most ``SCAN_MAX_WIDTH``, the filter runs as a scan over time
+    (:func:`_scan_runs`); otherwise it steps all runs together through time
+    (:func:`_step_runs`).  The choice reads the scenario only, never the
+    block, so a run has the same values in any block.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
     error outer products are summed over the runs per step; no
     (runs, T, n, n) array is kept.
     """
+    feedback_free = force_gamma is not None or scenario.trigger.variant in (
+        "open_loop", "periodic", "random"
+    )
+    if feedback_free and _width(scenario) <= SCAN_MAX_WIDTH:
+        return _scan_runs(scenario, run_indices, force_gamma, sums)
+    return _step_runs(scenario, run_indices, force_gamma, sums)
+
+
+def _width(scenario):
+    """runs * n^2, the number of covariance entries per step of a scenario."""
+    return scenario.runs * scenario.model.n**2
+
+
+class _Runs:
+    """What both paths of :func:`_simulate_runs` start from and write to: the
+    constants, each run's generator, the state at step 0 and the logs."""
+
+    def __init__(self, scenario, run_indices, force_gamma, sums):
+        model = scenario.model
+        n, m = model.n, model.m
+        self.T = scenario.horizon
+        if force_gamma is not None:
+            force_gamma = np.asarray(force_gamma).ravel()
+            if force_gamma.shape[0] < self.T:
+                raise ConfigError("force_gamma must cover the horizon")
+        self.force_gamma = force_gamma
+        self.Lq = np.linalg.cholesky(model.Q)
+        self.Lr = np.linalg.cholesky(model.R)
+        self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
+        N = len(self.rngs)
+
+        W = {"olset": scenario.trigger.Y, "clset": scenario.trigger.Z}.get(scenario.filter)
+        self.W_drop = None if W is None else model.R + np.linalg.inv(W)
+        self.open_loop = scenario.filter == "olset"
+        # the standard filter updates on every step, whatever gamma is logged
+        self.always = scenario.filter == "standard"
+
+        # x0, the pre-roll process noise and v at k = 0 are consecutive normal
+        # draws, so one call per run yields all of them
+        head = n * (1 + scenario.pre_roll)
+        first = np.array([g.standard_normal(head + m) for g in self.rngs])[:, :, None]
+        x = np.linalg.cholesky(model.Sigma0) @ first[:, :n]
+        if scenario.x0_mean is not None:
+            x = x + scenario.x0_mean[:, None]
+        for j in range(n, head, n):
+            x = model.A @ x + self.Lq @ first[:, j : j + n]
+        self.x, self.v = x, first[:, head:]
+
+        if scenario.x0_mean is None:
+            self.xh = np.zeros((N, n, 1))
+        else:
+            self.xh = np.tile(scenario.x0_mean[:, None], (N, 1, 1))
+        self.P = np.tile(model.Sigma0, (N, 1, 1))
+
+        # per-step logs (runs, T, n): the prior error and the diagonal of P
+        self.gamma_log = np.zeros((N, self.T), dtype=np.int8)
+        self.err_log = np.zeros((N, self.T, n))
+        self.diag_log = np.zeros((N, self.T, n))
+        self.P_sum = np.zeros((self.T, n, n)) if sums else None
+        self.E_sum = np.zeros((self.T, n, n)) if sums else None
+
+    def result(self, P_last):
+        e = self.err_log
+        err0 = e[:, :, 0]
+        return _RunBlock(
+            gamma=self.gamma_log,
+            P_trace=self.diag_log.sum(axis=2),
+            sq_err=(e[:, :, None, :] @ e[:, :, :, None])[:, :, 0, 0],
+            P11=self.diag_log[:, :, 0],
+            sq_err11=err0 * err0,
+            P_last=P_last,
+            P_sum=self.P_sum,
+            E_sum=self.E_sum,
+        )
+
+
+def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
+    """The step loop of :func:`_simulate_runs`, for any scenario.
+
+    The filter state is a stack over runs, P (runs, n, n) and xhat
+    (runs, n, 1); only the loop over time steps runs in Python.  Vectors are
+    column stacks, so every product is one small matrix product per run and
+    a run's values do not depend on the other runs of the block.
+
+    Each step calls :func:`estimation.transmit` and
+    :func:`estimation.measurement_update` on the whole stack and adds the
+    draws, the time update, the logs and the sums.
+    """
     model, pol = scenario.model, scenario.trigger
-    T, n, m = scenario.horizon, model.n, model.m
-    A, C, Q, R = model.A, model.C, model.Q, model.R
+    n, m = model.n, model.m
+    A, C, Q = model.A, model.C, model.Q
     # a contiguous A': matmul multiplies a stack by it faster than by the
     # transposed view, with the same result
     A_T = A.T.copy()
-    Lq = np.linalg.cholesky(Q)
-    Lr = np.linalg.cholesky(R)
-    L0 = np.linalg.cholesky(model.Sigma0)
-    rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
+    s = _Runs(scenario, run_indices, force_gamma, sums)
+    rngs, Lq, Lr, x, v, xh, P = s.rngs, s.Lq, s.Lr, s.x, s.v, s.xh, s.P
     N = len(rngs)
+    update = np.ones(N, dtype=bool) if s.always else None
 
-    if force_gamma is not None:
-        force_gamma = np.asarray(force_gamma).ravel()
-        if force_gamma.shape[0] < T:
-            raise ConfigError("force_gamma must cover the horizon")
-
-    W = {"olset": pol.Y, "clset": pol.Z}.get(scenario.filter)
-    W_drop = None if W is None else R + np.linalg.inv(W)
-    open_loop = scenario.filter == "olset"
-    # the standard filter updates on every step, whatever gamma is logged
-    always = np.ones(N, dtype=bool) if scenario.filter == "standard" else None
-
-    # x0, the pre-roll process noise and v at k = 0 are consecutive normal
-    # draws, so one call per run yields all of them
-    head = n * (1 + scenario.pre_roll)
-    first = np.array([g.standard_normal(head + m) for g in rngs])[:, :, None]
-    x = L0 @ first[:, :n]
-    if scenario.x0_mean is not None:
-        x = x + scenario.x0_mean[:, None]
-    for j in range(n, head, n):
-        x = A @ x + Lq @ first[:, j : j + n]
-    v = first[:, head:]
-
-    if scenario.x0_mean is None:
-        xh = np.zeros((N, n, 1))
-    else:
-        xh = np.tile(scenario.x0_mean[:, None], (N, 1, 1))
-    P = np.tile(model.Sigma0, (N, 1, 1))
-
-    # per-step logs (runs, T, n): the prior error and the diagonal of P
-    gamma_log = np.zeros((N, T), dtype=np.int8)
-    err_log = np.zeros((N, T, n))
-    diag_log = np.zeros((N, T, n))
-    P_sum = np.zeros((T, n, n)) if sums else None
-    E_sum = np.zeros((T, n, n)) if sums else None
-
-    for k in range(T):
+    for k in range(s.T):
         if k > 0:
             wv = np.array([g.standard_normal(n + m) for g in rngs])[:, :, None]
             x = A @ x + Lq @ wv[:, :n]
@@ -257,39 +325,190 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
         zeta = np.array([g.random() for g in rngs])
         y = C @ x + Lr @ v
         y_pred = C @ xh
-        if force_gamma is not None:
-            gamma = np.full(N, bool(force_gamma[k]))
+        if s.force_gamma is not None:
+            gamma = np.full(N, bool(s.force_gamma[k]))
         else:
             gamma = transmit(pol, y, y_pred, zeta, k)
 
         e = x - xh
-        gamma_log[:, k] = gamma
-        err_log[:, k] = e[:, :, 0]
-        diag_log[:, k] = P.diagonal(axis1=1, axis2=2)
+        s.gamma_log[:, k] = gamma
+        s.err_log[:, k] = e[:, :, 0]
+        s.diag_log[:, k] = P.diagonal(axis1=1, axis2=2)
         P_last = P
         if sums:
             # accumulate adds the runs one after another in run order, where
             # sum would switch to pairwise order when n = 1
-            P_sum[k] = np.add.accumulate(P, axis=0)[-1]
-            E_sum[k] = np.add.accumulate(e * e.transpose(0, 2, 1), axis=0)[-1]
+            s.P_sum[k] = np.add.accumulate(P, axis=0)[-1]
+            s.E_sum[k] = np.add.accumulate(e * e.transpose(0, 2, 1), axis=0)[-1]
 
         xh, P, _, _ = measurement_update(
-            model, P, xh, y, y_pred, gamma if always is None else always, W_drop, open_loop
+            model, P, xh, y, y_pred, gamma if update is None else update, s.W_drop, s.open_loop
         )
         xh = A @ xh
         P = sym(A @ P @ A_T + Q)
 
-    err0 = err_log[:, :, 0]
-    return _RunBlock(
-        gamma=gamma_log,
-        P_trace=diag_log.sum(axis=2),
-        sq_err=(err_log[:, :, None, :] @ err_log[:, :, :, None])[:, :, 0, 0],
-        P11=diag_log[:, :, 0],
-        sq_err11=err0 * err0,
-        P_last=P_last,
-        P_sum=P_sum,
-        E_sum=E_sum,
+    return s.result(P_last)
+
+
+def _T(M):
+    """The transpose of each matrix of a stack."""
+    return M.swapaxes(-1, -2)
+
+
+def _orbit(v0, maps, compose, apply):
+    """v0 and its images v[k + 1] = maps[k](v[k]) under K maps, (K + 1, ...).
+
+    ``maps`` is a tuple of arrays whose first axis indexes the maps;
+    ``compose`` takes the tuples of a first and a second map and returns
+    the tuple of the second after the first, and ``apply`` maps a stack of
+    values.  The maps are composed in pairs, and the orbit of the pairs,
+    every second value, is found the same way; each value between follows
+    by one application.  That is K compositions and K applications in
+    2 log2(K) batched calls (a work-efficient, Blelloch-type scan).
+    """
+    K = maps[0].shape[0]
+    if K == 0:
+        return v0[None]
+    h = K // 2
+    even = _orbit(
+        v0,
+        compose(tuple(f[0 : 2 * h : 2] for f in maps), tuple(f[1 : 2 * h : 2] for f in maps)),
+        compose,
+        apply,
     )
+    out = np.empty((K + 1,) + v0.shape)
+    out[0::2] = even
+    out[1::2] = apply(tuple(f[0::2] for f in maps), even[: (K + 1) // 2])
+    return out
+
+
+def _solve(M, B):
+    """M^-1 B for a stack of matrices M, each I plus a product of two
+    positive semi-definite matrices and so never singular; a division when
+    M is 1 x 1."""
+    return B / M if M.shape[-1] == 1 else np.linalg.solve(M, B)
+
+
+def _compose_covariance(first, second):
+    """The map P -> A (P^-1 + J)^-1 A' + C of the second (A, C, J) after the
+    first: Sarkka and Garcia-Fernandez's filtering elements (IEEE TAC 66(1),
+    2021) without their mean parts."""
+    A1, C1, J1 = first
+    A2, C2, J2 = second
+    n = A1.shape[-1]
+    X = _solve(np.eye(n) + C1 @ J2, np.concatenate([A1, C1], axis=-1))
+    XA, XC = X[..., :n], X[..., n:]
+    return A2 @ XA, sym(A2 @ XC @ _T(A2) + C2), sym(_T(XA) @ J2 @ A1 + J1)
+
+
+def _apply_covariance(maps, P):
+    A, C, J = maps
+    return sym(A @ _solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
+
+
+def _compose_affine(first, second):
+    """The map x -> F x + b of the second (F, b) after the first."""
+    F1, b1 = first
+    F2, b2 = second
+    return F2 @ F1, F2 @ b1 + b2
+
+
+def _apply_affine(maps, x):
+    F, b = maps
+    return F @ x + b
+
+
+def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
+    """The scan path of :func:`_simulate_runs`, for feedback-free triggers.
+
+    Given gamma, the filter is a linear time-varying Kalman filter.  Per
+    block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it draws each
+    run's stream and steps the plant path, decides every gamma in one
+    :func:`estimation.transmit` call, finds the prior covariances as an
+    :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q, where
+    J = C' W^-1 C is the information of the step's measurement, gets the
+    gains from one :func:`estimation.measurement_update` call, and finds
+    the means as an :func:`_orbit` of the affine maps that the update's mean
+    formula and the time update make.  A block starts from the state the
+    previous one ends in.  The arrays are time-major, (steps, runs, ...).
+    """
+    model, pol = scenario.model, scenario.trigger
+    n, m = model.n, model.m
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    s = _Runs(scenario, run_indices, force_gamma, sums)
+    rngs, Lq, Lr, x, xh, P = s.rngs, s.Lq, s.Lr, s.x, s.xh, s.P
+    N = len(rngs)
+    # the information of an arrival and of a drop; an offline drop has none
+    J_arrival = C.T @ np.linalg.solve(R, C)
+    J_drop = np.zeros((n, n)) if s.W_drop is None else C.T @ np.linalg.solve(s.W_drop, C)
+
+    block = max(1, SCAN_BLOCK_ENTRIES // _width(scenario))
+    for k0 in range(0, s.T, block):
+        L = min(block, s.T - k0)
+        steps = slice(k0, k0 + L)
+        # the draws of step k0 + j in wv[j] and zeta[j]; step 0 draws no w
+        # and took its v with the initial state
+        wv = np.empty((L, N, n + m))
+        zeta = np.empty((L, N))
+        at_start = k0 == 0
+        for r, g in enumerate(rngs):
+            normal, uniform = g.standard_normal, g.random
+            zs = [uniform()] if at_start else []
+            for row in wv[int(at_start) :, r]:
+                normal(out=row)
+                zs.append(uniform())
+            zeta[:, r] = zs
+        if at_start:
+            wv[0, :, n:] = s.v[:, :, 0]
+
+        # the plant path, with the step loop's products in its order, so
+        # that x and y are the step loop's to the bit
+        xs = np.empty((L, N, n, 1))
+        xs[0] = x if at_start else A @ x + Lq @ wv[0, :, :n, None]
+        x = xs[0]
+        for Lw, out in zip(Lq @ wv[1:, :, :n, None], xs[1:]):
+            x = np.add(A @ x, Lw, out=out)
+        y = C @ xs + Lr @ wv[:, :, n:, None]
+
+        if s.force_gamma is not None:
+            gamma = np.broadcast_to((s.force_gamma[steps] != 0)[:, None], (L, N))
+        else:
+            k = np.repeat(np.arange(k0, k0 + L), N)
+            gamma = transmit(pol, y.reshape(L * N, m, 1), None, zeta.reshape(L * N), k)
+            gamma = gamma.reshape(L, N)
+        s.gamma_log[:, steps] = gamma.T
+        update = np.ones((L, N), dtype=bool) if s.always else gamma
+
+        J = np.where(update[:, :, None, None], J_arrival, J_drop)
+        P_all = _orbit(
+            P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
+            _compose_covariance, _apply_covariance,
+        )
+        P_prior, P = P_all[:L], P_all[L]
+
+        # with a zero prior mean and prediction the update returns the part
+        # of the posterior mean that the measurement adds: K gamma y
+        g = update.reshape(L * N)
+        Ky, _, K, _ = measurement_update(
+            model, P_prior.reshape(L * N, n, n), np.zeros((L * N, n, 1)), y.reshape(L * N, m, 1),
+            np.zeros((L * N, m, 1)), g, s.W_drop, s.open_loop,
+        )
+        if not s.open_loop:
+            K = K * g[:, None, None]
+        xh_all = _orbit(
+            xh, ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ Ky).reshape(L, N, n, 1)),
+            _compose_affine, _apply_affine,
+        )
+        xh = xh_all[L]
+
+        e = xs - xh_all[:L]
+        s.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
+        s.diag_log[:, steps] = P_prior.diagonal(axis1=2, axis2=3).transpose(1, 0, 2)
+        if sums:
+            s.P_sum[steps] = np.add.accumulate(P_prior, axis=1)[:, -1]
+            s.E_sum[steps] = np.add.accumulate(e * _T(e), axis=1)[:, -1]
+
+    return s.result(P_prior[-1])
 
 
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):

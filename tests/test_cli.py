@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from setkf import ConfigError, Scenario, TriggerPolicy, validate_model
+from setkf import ConfigError, Scenario, TriggerPolicy, harness, validate_model
 from setkf.cli import main
-from setkf.harness import MAX_LOG_ENTRIES
+from setkf.harness import MAX_LOG_ENTRIES, MAX_RUNS
 from util import scalar_g_fixed_point
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
@@ -287,6 +287,33 @@ def test_count_limit_boundary():
             model=two_state, trigger=trigger, filter="olset",
             horizon=MAX_LOG_ENTRIES // 4 + 1, runs=2,
         )
+
+
+def test_run_count_limit(tmp_path, capsys, monkeypatch):
+    # within MAX_LOG_ENTRIES, but the generators alone would take about 20 GB
+    def no_generator(seed, run_index):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(harness, "_rng_for_run", no_generator)
+    cfg = {
+        "model": SCALAR.to_dict(),
+        "trigger": {"variant": "open_loop", "Y": [[1.0]]},
+        "filter": "olset",
+        "horizon": 1,
+        "runs": 2e7,
+    }
+    path = tmp_path / "many_runs.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["monte-carlo", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(MAX_RUNS) in err
+
+    trigger = TriggerPolicy.open_loop([[1.0]])
+    geometry = dict(model=SCALAR, trigger=trigger, filter="olset", horizon=1, burn_in=0)
+    assert Scenario(runs=MAX_RUNS, **geometry).runs == MAX_RUNS
+    with pytest.raises(ConfigError):
+        Scenario(runs=MAX_RUNS + 1, **geometry)
 
 
 @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])

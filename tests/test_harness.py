@@ -26,8 +26,12 @@ from setkf import (
     steady_state,
     validate_model,
 )
+from setkf import harness
 from setkf.harness import (
+    SCAN_MAX_WIDTH,
+    _scan_runs,
     _simulate_runs,
+    _step_runs,
     _run_length_histogram,
     write_comparison_csv,
     write_monte_carlo_csv,
@@ -482,6 +486,132 @@ class TestKernelOracle:
             arrivals.update(maximal_runs(rec.gamma, 1))
         assert stats.drop_run_hist == dict(sorted(drops.items()))
         assert stats.arrival_run_hist == dict(sorted(arrivals.items()))
+
+
+BLOCK_LOGS = ("P_trace", "sq_err", "P11", "sq_err11", "P_last", "P_sum", "E_sum")
+
+
+def assert_blocks_agree(block, ref):
+    """gamma identical; each log agrees to 1e-12 relative to its largest
+    entry, the bar of ``assert_records_agree``."""
+    np.testing.assert_array_equal(block.gamma, ref.gamma)
+    for name in BLOCK_LOGS:
+        got, want = getattr(block, name), getattr(ref, name)
+        if want is None:
+            assert got is None, name
+            continue
+        assert got.shape == want.shape, name
+        assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
+
+
+def assert_blocks_equal(block, ref):
+    np.testing.assert_array_equal(block.gamma, ref.gamma)
+    for name in BLOCK_LOGS:
+        np.testing.assert_array_equal(getattr(block, name), getattr(ref, name), err_msg=name)
+
+
+def assert_priors_psd(block):
+    """Every prior covariance of a one-run block is symmetric PSD."""
+    P = block.P_sum
+    np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
+    assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.abs(P).max()
+
+
+FEEDBACK_FREE = [0, 1, 3, 4]  # standard, olset, periodic, random
+
+
+class TestScanOracle:
+    """The scan path of the kernel against its step loop."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 3), (6, 2)])
+    @pytest.mark.parametrize("pairing", FEEDBACK_FREE, ids=[PAIRING_IDS[i] for i in FEEDBACK_FREE])
+    def test_scan_matches_step_loop(self, n, m, pairing):
+        model = oracle_model(n, m, seed=10 * n + m)
+        filt, trig = oracle_pairings(m)[pairing]
+        for horizon in (1, 2, 3, 77):
+            for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
+                scn = Scenario(
+                    model=model, trigger=trig, filter=filt, horizon=horizon, runs=2, seed=5,
+                    burn_in=0, **extra,
+                )
+                for sums in (False, True):
+                    assert_blocks_agree(
+                        _scan_runs(scn, [1, 0], sums=sums), _step_runs(scn, [1, 0], sums=sums)
+                    )
+                block = _scan_runs(scn, [1], sums=True)
+                assert_priors_psd(block)
+
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    def test_forced_gamma(self, pairing):
+        # a forced gamma takes the scan for every pairing, clset and the
+        # deterministic threshold included
+        model = oracle_model(2, 1, seed=21)
+        filt, trig = oracle_pairings(1)[pairing]
+        forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
+        scn = Scenario(model=model, trigger=trig, filter=filt, horizon=60, seed=6, burn_in=5)
+        block = _simulate_runs(scn, [2], force_gamma=forced)
+        assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
+        assert_blocks_agree(block, _step_runs(scn, [2], force_gamma=forced))
+        assert_priors_psd(block)
+
+    @pytest.mark.parametrize("pairing", FEEDBACK_FREE, ids=[PAIRING_IDS[i] for i in FEEDBACK_FREE])
+    def test_block_boundaries(self, monkeypatch, pairing):
+        # blocks of 1, 2 and 7 steps restart the scans from the carried state
+        model = oracle_model(3, 3, seed=33)
+        filt, trig = oracle_pairings(3)[pairing]
+        scn = Scenario(
+            model=model, trigger=trig, filter=filt, horizon=50, runs=2, seed=7, burn_in=10,
+            pre_roll=3,
+        )
+        ref = _step_runs(scn, [0, 1])
+        for entries in (18, 36, 126):
+            monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", entries)
+            assert_blocks_agree(_scan_runs(scn, [0, 1]), ref)
+
+    def test_singer_open_loop(self):
+        # rho(A) = 1: the combine step's I + C J stays well conditioned
+        model = singer_scenario(1.0, 0.1, 1.0, z_scale=0.52).model
+        assert max(abs(np.linalg.eigvals(model.A))) == 1.0
+        scn = Scenario(
+            model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), filter="olset",
+            horizon=100, runs=3, seed=4, burn_in=20,
+        )
+        block = _scan_runs(scn, range(3))
+        assert 0.0 < block.gamma.mean() < 1.0
+        assert_blocks_agree(block, _step_runs(scn, range(3)))
+        assert_priors_psd(_scan_runs(scn, [2]))
+
+    @pytest.mark.parametrize(
+        "n, runs, trig, scan",
+        [
+            (1, SCAN_MAX_WIDTH, TriggerPolicy.open_loop([[0.7]]), True),
+            (1, SCAN_MAX_WIDTH + 1, TriggerPolicy.open_loop([[0.7]]), False),
+            (2, SCAN_MAX_WIDTH // 4, TriggerPolicy.random_offline(0.4), True),
+            (2, SCAN_MAX_WIDTH // 4 + 1, TriggerPolicy.random_offline(0.4), False),
+            (1, 1, TriggerPolicy.closed_loop([[0.7]]), False),
+            (1, 1, TriggerPolicy.deterministic_threshold(1.0), False),
+        ],
+        ids=[
+            "olset-at-bound", "olset-above", "random-at-bound", "random-above", "clset", "threshold",
+        ],
+    )
+    def test_routing_bound(self, monkeypatch, n, runs, trig, scan):
+        filt = {"open_loop": "olset", "closed_loop": "clset"}.get(trig.variant, "offline-baseline")
+        scn = Scenario(
+            model=oracle_model(n, 1, seed=n), trigger=trig, filter=filt, horizon=9, runs=runs,
+            seed=8, burn_in=0,
+        )
+        paths = []
+        for name in ("_scan_runs", "_step_runs"):
+            path = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda *a, _path=path, _name=name: paths.append(_name) or _path(*a)
+            )
+        # the route depends on the scenario, not on the block of runs
+        block = _simulate_runs(scn, [runs - 1, 0])
+        single = _simulate_runs(scn, [0])
+        assert paths == ["_scan_runs" if scan else "_step_runs"] * 2
+        np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
 
 
 class TestRunLengthHistogram:
