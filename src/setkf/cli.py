@@ -22,7 +22,6 @@ from .errors import (
 from .estimation import TriggerPolicy
 from .harness import (
     compare_schedulers,
-    load_scenario,
     monte_carlo,
     save_scenario,
     scenario_from_dict,
@@ -62,19 +61,13 @@ def _open_output(path):
 
 
 def _scenario_with_overrides(args):
-    scn = load_scenario(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if getattr(args, "runs", None) is not None:
-        overrides["runs"] = args.runs
-    if overrides:
-        d = scn.to_dict()
-        d.update(overrides)
-        scn = scenario_from_dict(d)
-    return scn
+    # the flags replace config values before anything is derived from them,
+    # so that an unset burn-in follows an overridden horizon
+    data = _read_json(args.config)
+    flags = {"seed": args.seed, "horizon": args.horizon, "runs": getattr(args, "runs", None)}
+    if isinstance(data, dict):
+        data.update((key, value) for key, value in flags.items() if value is not None)
+    return scenario_from_dict(data)
 
 
 def _cmd_simulate(args):
@@ -216,7 +209,7 @@ def build_parser():
     p = sub.add_parser("compare", help="compare calibrated schedulers at one rate")
     _add_common(p)
     p.add_argument("--target-rate", type=float, required=True)
-    p.add_argument("--burn-in", type=int, default=200)
+    p.add_argument("--burn-in", type=int, default=None)
     p.set_defaults(fn=_cmd_compare, needs_config=True)
 
     p = sub.add_parser("singer", help="target-tracking scenario Monte Carlo")

@@ -251,19 +251,19 @@ def _update_one(state, model, gamma, y, y_pred, W_drop=None, open_loop=False):
     return FilterState(state.x_prior, state.P_prior, x[0, :, 0], P[0], K[0], state.k)
 
 
-def olset_measurement_update(state, gamma, y, model, Y, Y_inv=None):
+def olset_measurement_update(state, gamma, y, model, Y):
     """Open-loop event-triggered measurement update.
 
     With gamma=1 this is the standard Kalman update.  With gamma=0 the gain
     uses the inflated noise R + Y^-1 and the posterior mean is the scaled
-    prior (I - K C) xhat_prior.  ``Y_inv`` may carry a precomputed inverse.
+    prior (I - K C) xhat_prior.
     """
     _check_measurement(gamma, y, "y")
-    W_drop = model.R + (np.linalg.inv(Y) if Y_inv is None else Y_inv)
+    W_drop = model.R + np.linalg.inv(Y)
     return _update_one(state, model, gamma, y, model.C @ state.x_prior, W_drop, open_loop=True)
 
 
-def clset_measurement_update(state, gamma, z, model, Z, Z_inv=None):
+def clset_measurement_update(state, gamma, z, model, Z):
     """Closed-loop event-triggered measurement update.
 
     With gamma=1 the innovation z = y - C xhat_prior is applied through the
@@ -271,7 +271,7 @@ def clset_measurement_update(state, gamma, z, model, Z, Z_inv=None):
     the covariance still contracts through the inflated-noise gain.
     """
     _check_measurement(gamma, z, "z")
-    W_drop = model.R + (np.linalg.inv(Z) if Z_inv is None else Z_inv)
+    W_drop = model.R + np.linalg.inv(Z)
     # only y - y_pred is read, so z goes in as the measurement of a zero prediction
     return _update_one(state, model, gamma, z, np.zeros(model.m), W_drop)
 

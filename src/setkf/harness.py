@@ -10,10 +10,11 @@ One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 kernel over all runs.  It has two paths.  The step loop stacks the filter
 state over runs and loops over time steps in Python; it serves every
 scenario.  When no transmission decision can depend on the estimate, the
-scan runs the filter as a scan over time in O(log T) batched calls; it
-serves the scenarios with few runs.  Both paths use the trigger rule and
-the measurement update of the single-step API of :mod:`estimation`,
-:func:`estimation.transmit` and :func:`estimation.measurement_update`.
+scan runs the filter as a scan over time in O(log T) batched calls, which
+compose the covariance maps with :func:`riccati.compose`; it serves the
+scenarios with few runs.  Both paths use the trigger rule and measurement
+update of the single-step API, :func:`estimation.transmit` and
+:func:`estimation.measurement_update`.
 """
 
 import json
@@ -25,6 +26,7 @@ from .errors import CalibrationFailed, ConfigError
 from .estimation import TriggerPolicy, measurement_update, transmit
 from .matrices import as_matrix, as_number, sym
 from .model import model_from_dict, steady_state, validate_model
+from . import riccati
 from .riccati import RiccatiMap, fixed_point
 from .analysis import conditional_rate, drop_noise, open_loop_rate
 
@@ -58,7 +60,10 @@ _VALID_PAIRING = {
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A simulation setup: plant, trigger, filter kind and run geometry."""
+    """A simulation setup: plant, trigger, filter kind and run geometry.
+
+    An unset burn-in is 200 steps, cut to leave the last step of the horizon.
+    """
 
     model: object
     trigger: TriggerPolicy
@@ -66,7 +71,7 @@ class Scenario:
     horizon: int
     runs: int = 1
     seed: int = 0
-    burn_in: int = 200
+    burn_in: int | None = None
     pre_roll: int = 0
     x0_mean: np.ndarray | None = None
 
@@ -81,7 +86,8 @@ class Scenario:
         if self.filter == "standard" and self.trigger.period != 1:
             raise ConfigError("the standard filter requires a period-1 trigger")
         for name in ("horizon", "runs", "seed", "burn_in", "pre_roll"):
-            object.__setattr__(self, name, as_number(getattr(self, name), name, integer=True))
+            value = _burn_in(self.burn_in, self.horizon) if name == "burn_in" else getattr(self, name)
+            object.__setattr__(self, name, as_number(value, name, integer=True))
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.runs < 1:
@@ -120,6 +126,11 @@ class Scenario:
         return d
 
 
+def _burn_in(burn_in, horizon, steps=200):
+    """A set burn-in, or else ``steps`` cut to leave a step of the horizon."""
+    return min(steps, max(0, horizon - 1)) if burn_in is None else burn_in
+
+
 def scenario_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigError("scenario config must be a JSON object")
@@ -145,7 +156,7 @@ def scenario_from_dict(data):
         horizon=horizon,
         runs=data.get("runs", 1),
         seed=data.get("seed", 0),
-        burn_in=data.get("burn_in", min(200, max(0, horizon - 1))),
+        burn_in=data.get("burn_in"),
         pre_roll=data.get("pre_roll", 0),
         x0_mean=data.get("x0_mean"),
     )
@@ -350,11 +361,6 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     return s.result(P_last)
 
 
-def _T(M):
-    """The transpose of each matrix of a stack."""
-    return M.swapaxes(-1, -2)
-
-
 def _orbit(v0, maps, compose, apply):
     """v0 and its images v[k + 1] = maps[k](v[k]) under K maps, (K + 1, ...).
 
@@ -382,30 +388,6 @@ def _orbit(v0, maps, compose, apply):
     return out
 
 
-def _solve(M, B):
-    """M^-1 B for a stack of matrices M, each I plus a product of two
-    positive semi-definite matrices and so never singular; a division when
-    M is 1 x 1."""
-    return B / M if M.shape[-1] == 1 else np.linalg.solve(M, B)
-
-
-def _compose_covariance(first, second):
-    """The map P -> A (P^-1 + J)^-1 A' + C of the second (A, C, J) after the
-    first: Sarkka and Garcia-Fernandez's filtering elements (IEEE TAC 66(1),
-    2021) without their mean parts."""
-    A1, C1, J1 = first
-    A2, C2, J2 = second
-    n = A1.shape[-1]
-    X = _solve(np.eye(n) + C1 @ J2, np.concatenate([A1, C1], axis=-1))
-    XA, XC = X[..., :n], X[..., n:]
-    return A2 @ XA, sym(A2 @ XC @ _T(A2) + C2), sym(_T(XA) @ J2 @ A1 + J1)
-
-
-def _apply_covariance(maps, P):
-    A, C, J = maps
-    return sym(A @ _solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
-
-
 def _compose_affine(first, second):
     """The map x -> F x + b of the second (F, b) after the first."""
     F1, b1 = first
@@ -425,12 +407,12 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it draws each
     run's stream and steps the plant path, decides every gamma in one
     :func:`estimation.transmit` call, finds the prior covariances as an
-    :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q, where
-    J = C' W^-1 C is the information of the step's measurement, gets the
-    gains from one :func:`estimation.measurement_update` call, and finds
-    the means as an :func:`_orbit` of the affine maps that the update's mean
-    formula and the time update make.  A block starts from the state the
-    previous one ends in.  The arrays are time-major, (steps, runs, ...).
+    :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
+    :func:`riccati.compose`, J = C' W^-1 C being the step's information,
+    gets the gains from one :func:`estimation.measurement_update` call, and
+    finds the means as an :func:`_orbit` of the affine maps that the
+    update's mean formula and the time update make.  Each block starts from
+    the previous one's end state; arrays are time-major, (steps, runs, ...).
     """
     model, pol = scenario.model, scenario.trigger
     n, m = model.n, model.m
@@ -482,7 +464,7 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
         J = np.where(update[:, :, None, None], J_arrival, J_drop)
         P_all = _orbit(
             P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
-            _compose_covariance, _apply_covariance,
+            riccati.compose, riccati.apply,
         )
         P_prior, P = P_all[:L], P_all[L]
 
@@ -506,7 +488,7 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
         s.diag_log[:, steps] = P_prior.diagonal(axis1=2, axis2=3).transpose(1, 0, 2)
         if sums:
             s.P_sum[steps] = np.add.accumulate(P_prior, axis=1)[:, -1]
-            s.E_sum[steps] = np.add.accumulate(e * _T(e), axis=1)[:, -1]
+            s.E_sum[steps] = np.add.accumulate(e * e.swapaxes(2, 3), axis=1)[:, -1]
 
     return s.result(P_prior[-1])
 
@@ -735,11 +717,12 @@ class ComparisonRow:
     steady_trace_stderr: float
 
 
-def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=200, period_tol=0.025):
+def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None, period_tol=0.025):
     """Calibrate the four schedulers to one rate and compare steady E[P-].
 
     Rows are ordered clset, olset, periodic, random.  All schedulers share
-    the same master seed, hence identical plant noise per run index.
+    the same master seed, hence identical plant noise per run index.  An
+    unset burn-in is 200 steps, cut to leave the last step of the horizon.
     """
     st = steady_state(model)
     theta_y = calibrate_open_loop(st, target_rate)
@@ -786,7 +769,7 @@ def singer_scenario(
     runs=10_000,
     horizon=100,
     seed=0,
-    burn_in=20,
+    burn_in=None,
 ):
     """Third-order kinematic target-tracking scenario (position, velocity,
     acceleration) with maneuver time constant 1/alpha and acceleration
@@ -795,7 +778,8 @@ def singer_scenario(
     The (1, 3) transition entry is T**2 by default ("paper"); pass
     a13="half" for the T**2/2 variant.  Exactly one of ``z_scale``
     (closed-loop trigger weight scale) or ``delta`` (deterministic
-    threshold for the offline baseline) must be given.
+    threshold for the offline baseline) must be given.  An unset burn-in is
+    20 steps, cut to leave the last step of the horizon.
     """
     if T <= 0 or alpha <= 0 or sigma_m2 <= 0:
         raise ConfigError("T, alpha and sigma_m2 must be positive")
@@ -826,7 +810,7 @@ def singer_scenario(
         horizon=horizon,
         runs=runs,
         seed=seed,
-        burn_in=burn_in,
+        burn_in=_burn_in(burn_in, horizon, 20),
     )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     UnstableSystem,
 )
 from .matrices import as_matrix, require_spd, spectral_norm, sym
-from .riccati import LYAPUNOV_MAX_DOUBLINGS, lyapunov
+from .riccati import MAX_DOUBLINGS, lyapunov
 
 PD_FLOOR = 1e-10
 RANK_TOL = 1e-8
@@ -164,7 +164,7 @@ def steady_state(model):
     Sigma = lyapunov(A, Q)
     residual = spectral_norm(Sigma - A @ Sigma @ A.T - Q)
     if residual > 1e-10 * spectral_norm(Sigma):
-        raise NoConvergence(LYAPUNOV_MAX_DOUBLINGS, "Lyapunov residual check")
+        raise NoConvergence(MAX_DOUBLINGS, "Lyapunov residual check")
     Pi = sym(model.C @ Sigma @ model.C.T + model.R)
     return SteadyState(Sigma=Sigma, Pi=Pi, rho_A=rho)
 

@@ -8,9 +8,11 @@ For a plant (A, C, Q) and effective measurement-noise covariance W > 0:
 The two maps are dual: [Gamma_W(X^-1)]^-1 = g_W(X).  Both are monotone in
 the Loewner order and, for detectable/stabilizable plants, iterate to a
 unique positive-definite fixed point from any positive-definite start.
-:func:`fixed_point` reaches it by structured doubling, k doublings covering
-2^k iterates of g_W, and :func:`lyapunov` solves X = F X F' + Q by Smith
-doubling; both stop after at most 64 doublings.
+Each map P -> A (P^-1 + J)^-1 A' + C is an element (A, C, J), g_W being
+(A, Q, C' W^-1 C), and :func:`compose` is their one composition: the
+harness's time-parallel scan composes an element per step, while
+:func:`fixed_point` and :func:`lyapunov` (whose element is (F, Q, 0)) square
+one element, k doublings covering 2^k iterates, at most 64 times.
 
 Also provides the block-Gaussian covariance identity used to absorb a
 quadratic measurement weight into a joint covariance: for a joint SPD
@@ -30,8 +32,7 @@ from .matrices import is_spd, require_spd, spectral_norm, sym
 
 FIXED_POINT_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
-LYAPUNOV_MAX_DOUBLINGS = 64
-FIXED_POINT_MAX_ITER = LYAPUNOV_MAX_DOUBLINGS
+MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,74 +78,92 @@ def gamma_step(S, rmap):
         raise SingularInnovation(f"information-form step failed: {exc}") from exc
 
 
-def fixed_point(rmap, tol=FIXED_POINT_TOL, max_iter=FIXED_POINT_MAX_ITER, start=None):
+def _T(M):
+    """The transpose of each matrix of a stack."""
+    return M.swapaxes(-1, -2)
+
+
+def _solve(M, B):
+    """M^-1 B for a stack of matrices M, each I plus a product of two
+    positive semi-definite matrices and so never singular; a division when
+    M is 1 x 1."""
+    return B / M if M.shape[-1] == 1 else np.linalg.solve(M, B)
+
+
+def compose(first, second):
+    """The map P -> A (P^-1 + J)^-1 A' + C of the second (A, C, J) after the
+    first: Sarkka and Garcia-Fernandez's filtering elements (IEEE TAC 66(1),
+    2021) without their mean parts."""
+    A1, C1, J1 = first
+    A2, C2, J2 = second
+    n = A1.shape[-1]
+    X = _solve(np.eye(n) + C1 @ J2, np.concatenate([A1, C1], axis=-1))
+    XA, XC = X[..., :n], X[..., n:]
+    return A2 @ XA, sym(A2 @ XC @ _T(A2) + C2), sym(_T(XA) @ J2 @ A1 + J1)
+
+
+def apply(maps, P):
+    """The image of each P of a stack under its map (A, C, J)."""
+    A, C, J = maps
+    return sym(A @ _solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
+
+
+def _doubling(element, tol, max_doublings, label, offset=0.0):
+    """offset + C of the element (A, C, J) squared until C, its image of 0,
+    changes by at most ``tol`` relative to offset + C.  Raises NoConvergence
+    on a singular step, on a C that is not finite, or after ``max_doublings``.
+    """
+    C = element[1]
+    with np.errstate(all="ignore"):
+        for k in range(max_doublings):
+            try:
+                element = compose(element, element)
+            except np.linalg.LinAlgError:
+                raise NoConvergence(k + 1, f"{label} (singular step)") from None
+            step, C = element[1] - C, element[1]
+            if not np.all(np.isfinite(C)):
+                raise NoConvergence(k + 1, f"{label} (diverged)")
+            X = offset + C
+            if spectral_norm(step) <= tol * spectral_norm(X):
+                return sym(X)
+    raise NoConvergence(max_doublings, label)
+
+
+def fixed_point(rmap, tol=FIXED_POINT_TOL, max_iter=MAX_DOUBLINGS, start=None):
     """Unique positive-definite solution of X = g_W(X), by structured doubling.
 
-    With G = C' W^-1 C the map reads g_W(X) = A X (I + G X)^-1 A' + Q, and
-    the iterates from 0 are the H_k of the doubling recursion (Chu, Fan, Lin
-    & Wang 2004) started at A_0 = A', G_0 = G, H_0 = Q:
-
-        T = I + G H,   H += A' H T^-1 A,   G += A T^-1 G A',   A <- A T^-1 A
-
-    so k doublings cover 2^k Riccati iterates.  A ``start`` S shifts the
-    unknown to X = S + Delta, whose iterates follow the same kind of map with
-    A - K(S) C, W + C S C' and first iterate g_W(S) - S.  Stops when the
-    last increment of H falls below ``tol`` relative to X.  Raises
-    NoConvergence when H stops being finite or after ``max_iter``
+    Squares the element (A, Q, C' W^-1 C) of g_W (Chu, Fan, Lin & Wang
+    2004).  A ``start`` S shifts the unknown to X = S + Delta, whose map has
+    the element (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).  Stops when
+    the last increment falls below ``tol`` relative to X.  Raises
+    NoConvergence when the iterate stops being finite or after ``max_iter``
     doublings, which signals ill-conditioning rather than non-existence.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     A, C, Q, W = rmap.model.A, rmap.model.C, rmap.model.Q, rmap.W
-    if start is None:
-        S = np.zeros_like(Q)
-        H = Q.copy()
-    else:
+    S, H = 0.0, Q
+    if start is not None:
         S = sym(np.atleast_2d(np.asarray(start, dtype=float)))
         W = sym(C @ S @ C.T + W)
         A = A - np.linalg.solve(W, C @ S @ A.T).T @ C
         H = g_step(S, rmap) - S
     G = sym(C.T @ np.linalg.solve(W, C))
-    A = A.T
-    eye = np.eye(A.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_iter):
-            try:
-                TA, TG = np.hsplit(np.linalg.solve(eye + G @ H, np.hstack([A, G])), 2)
-            except np.linalg.LinAlgError:
-                raise NoConvergence(k + 1, "Riccati doubling (singular step)") from None
-            step = sym(A.T @ H @ TA)
-            H = H + step
-            if not np.all(np.isfinite(H)):
-                raise NoConvergence(k + 1, "Riccati doubling (diverged)")
-            if spectral_norm(step) <= tol * spectral_norm(S + H):
-                return sym(S + H)
-            G = sym(G + A @ TG @ A.T)
-            A = A @ TA
-    raise NoConvergence(max_iter, "Riccati doubling")
+    return _doubling((A, H, G), tol, max_iter, "Riccati doubling", offset=S)
 
 
 def lyapunov(F, Q):
     """Solution of X = F X F' + Q for a stable F, by Smith doubling.
 
-    After k doublings X holds the first 2^k terms of sum_i F^i Q (F^i)', and
-    F has been squared k times.  Stops when the last increment falls below
+    Squares the element (F, Q, 0), k squarings summing the first 2^k terms
+    of sum_i F^i Q (F^i)'.  Stops when the last increment falls below
     LYAPUNOV_TOL relative to X.  Raises NoConvergence when the sum stops
-    being finite or LYAPUNOV_MAX_DOUBLINGS is reached, both of which mean
+    being finite or after MAX_DOUBLINGS doublings, both of which mean
     rho(F) >= 1 up to rounding.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     X = sym(np.atleast_2d(np.asarray(Q, dtype=float)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(LYAPUNOV_MAX_DOUBLINGS):
-            step = sym(F @ X @ F.T)
-            X = X + step
-            if not np.all(np.isfinite(X)):
-                raise NoConvergence(k + 1, "Lyapunov doubling (diverged)")
-            if spectral_norm(step) <= LYAPUNOV_TOL * spectral_norm(X):
-                return X
-            F = F @ F
-    raise NoConvergence(LYAPUNOV_MAX_DOUBLINGS, "Lyapunov doubling")
+    return _doubling((F, X, np.zeros_like(X)), LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")
 
 
 @dataclass(frozen=True, eq=False)

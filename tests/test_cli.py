@@ -137,6 +137,47 @@ def test_singer_cli(tmp_path):
     assert saved["model"]["A"][0][2] == pytest.approx(1.0)
 
 
+def test_compare_unset_burn_in_fits_the_horizon(tmp_path, capsys):
+    # an unset burn-in (200) is cut to horizon - 1; a set one is kept, and one
+    # that does not fit is still a config error
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": SCALAR.to_dict()}))
+    compare = ["compare", "--config", str(path), "--target-rate", "0.5", "--runs", "3",
+               "--horizon", "150", "--seed", "3", "--output"]
+    unset, cut = tmp_path / "unset.csv", tmp_path / "cut.csv"
+    assert main(compare + [str(unset)]) == 0
+    assert main(compare + [str(cut), "--burn-in", "149"]) == 0
+    assert unset.read_bytes() == cut.read_bytes()
+    assert main(compare + [str(cut), "--burn-in", "150"]) == 2
+    assert "burn_in must satisfy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "monte-carlo"])
+def test_unset_burn_in_follows_an_overridden_horizon(tmp_path, capsys, command):
+    cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "open_loop", "Y": [[1.0]]},
+           "filter": "olset", "horizon": 1000, "runs": 2}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(path), "--horizon", "150", "--output", str(out)]
+    assert main(args) == 0
+    assert len(out.read_text().splitlines()) == 151
+    path.write_text(json.dumps(dict(cfg, burn_in=200)))
+    assert main(args) == 2
+    assert "burn_in must satisfy" in capsys.readouterr().err
+
+
+def test_singer_unset_burn_in_fits_the_horizon(tmp_path):
+    for horizon, burn_in in (("10", 9), ("30", 20)):
+        saved = tmp_path / f"singer_{horizon}.json"
+        rc = main(
+            ["singer", "--z-scale", "0.52", "--runs", "3", "--horizon", horizon,
+             "--output", str(tmp_path / "singer.csv"), "--save-scenario", str(saved)]
+        )
+        assert rc == 0
+        assert json.loads(saved.read_text())["burn_in"] == burn_in
+
+
 def test_config_error_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["simulate", "--config", str(missing)]) == 2

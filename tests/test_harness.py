@@ -72,6 +72,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", runs=0)
 
+    def test_unset_burn_in(self):
+        # 200 steps, cut to leave the last step of a shorter horizon
+        for horizon, burn_in in ((1, 0), (150, 149), (201, 200), (1000, 200)):
+            scn = Scenario(model=SCALAR, trigger=TriggerPolicy.open_loop([[1.0]]), filter="olset",
+                           horizon=horizon)
+            assert scn.burn_in == burn_in
+
     def test_round_trip_file(self, tmp_path):
         scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", seed=9)
         path = tmp_path / "scn.json"

@@ -19,6 +19,7 @@ from setkf import (
     validate_model,
 )
 from setkf.analysis import drop_noise
+from setkf.riccati import apply, compose
 from util import (
     dare_fixed_point,
     loewner_leq,
@@ -226,6 +227,65 @@ def test_lyapunov_non_stable_raises_without_warning(F):
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence):
             lyapunov(F, np.eye(len(F)))
+
+
+def _T(M):
+    return M.swapaxes(-1, -2)
+
+
+def _random_elements(rng, K, n):
+    """K random Riccati-map elements (A, C, J), C > 0 and J >= 0 of rank 1..n."""
+    A = rng.normal(size=(K, n, n))
+    C = np.stack([random_spd(rng, n) for _ in range(K)])
+    B = [rng.normal(size=(int(rng.integers(1, n + 1)), n)) for _ in range(K)]
+    return A, C, np.stack([b.T @ b for b in B])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compose_is_the_second_map_after_the_first(n):
+    # n = 1 takes the division branch
+    rng = np.random.default_rng(40 + n)
+    first, second = _random_elements(rng, 50, n), _random_elements(rng, 50, n)
+    P = np.stack([random_spd(rng, n) for _ in range(50)])
+    lhs = apply(compose(first, second), P)
+    rhs = apply(second, apply(first, P))
+    assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    assert all(np.abs(f - _T(f)).max() == 0.0 for f in compose(first, second)[1:])
+
+
+def test_squared_element_is_two_riccati_steps():
+    rng = np.random.default_rng(45)
+    models = [SCALAR] + [random_stable_model(rng) for _ in range(30)]
+    assert {m.n for m in models} == {1, 2, 3, 4}
+    for m in models:
+        rm = RiccatiMap(m, random_spd(rng, m.m))
+        element = (m.A, m.Q, m.C.T @ np.linalg.solve(rm.W, m.C))
+        _, C2, _ = compose(element, element)
+        ref = g_step(g_step(np.zeros((m.n, m.n)), rm), rm)
+        assert np.abs(C2 - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compose_without_information_is_the_lyapunov_step(n):
+    rng = np.random.default_rng(50 + n)
+    F = rng.normal(size=(20, n, n))
+    Q = np.stack([random_spd(rng, n) for _ in range(20)])
+    A2, C2, J2 = compose((F, Q, np.zeros_like(Q)), (F, Q, np.zeros_like(Q)))
+    np.testing.assert_allclose(A2, F @ F, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(C2, F @ Q @ _T(F) + Q, rtol=1e-14, atol=1e-14 * np.abs(C2).max())
+    assert not J2.any()
+
+
+def test_doubling_failures_name_their_solver():
+    with pytest.raises(NoConvergence, match="Riccati doubling did not converge within 2"):
+        fixed_point(RiccatiMap(SCALAR, [[1.0]]), max_iter=2)
+    unobserved = dataclasses.replace(SCALAR, A=np.array([[2.0]]), C=np.zeros((1, 1)))
+    with pytest.raises(NoConvergence, match=r"Riccati doubling \(diverged\)"):
+        fixed_point(RiccatiMap(unobserved, [[1.0]]))
+    with pytest.raises(NoConvergence, match=r"Lyapunov doubling \(diverged\)"):
+        lyapunov([[1.1]], [[1.0]])
+    with pytest.raises(NoConvergence, match="Lyapunov doubling did not converge within 64"):
+        lyapunov([[1.0]], [[1.0]])
 
 
 def test_monotonicity_in_state():
