@@ -24,19 +24,21 @@ import numpy as np
 
 from .errors import UnstableSystem
 from .matrices import require_spd, sym
-from .model import steady_state
+from .model import SteadyState, steady_state
 from .riccati import RiccatiMap, fixed_point
 
 
 @dataclass(frozen=True, eq=False)
 class OpenLoopAnalysis:
-    """Rate and covariance bounds for the open-loop stochastic trigger."""
+    """Rate and covariance bounds for the open-loop stochastic trigger, with
+    the plant's steady state they were computed from."""
 
     gamma: float
     X0: np.ndarray
     X_upper: np.ndarray
     X_lower: np.ndarray
     R1: np.ndarray
+    steady: SteadyState
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +100,9 @@ def olset_bounds(model, Y):
     X_upper = fixed_point(RiccatiMap(model, W_drop))
     R1 = rate_weighted_noise(model.R, W_drop, gamma)
     X_lower = fixed_point(RiccatiMap(model, R1))
-    return OpenLoopAnalysis(gamma=gamma, X0=X0, X_upper=X_upper, X_lower=X_lower, R1=R1)
+    return OpenLoopAnalysis(
+        gamma=gamma, X0=X0, X_upper=X_upper, X_lower=X_lower, R1=R1, steady=st
+    )
 
 
 def closed_loop_rate_bounds(model, Z):
@@ -183,8 +187,8 @@ def _matrix_rows(name, M):
 
 def open_loop_report(model, Y):
     """Flat (quantity, value) rows for the open-loop analysis."""
-    st = steady_state(model)
     res = olset_bounds(model, Y)
+    st = res.steady
     lower, upper = rate_trace_bounds(st.Pi, np.atleast_2d(np.asarray(Y, dtype=float)))
     rows = [("rho_A", model.rho_A)]
     rows += _matrix_rows("Sigma", st.Sigma)

@@ -7,13 +7,14 @@ order within a trajectory is documented in :func:`simulate`.
 
 One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.  It has two paths.  The step loop stacks the filter
-state over runs and loops over time steps in Python; it serves every
-scenario.  When no transmission decision can depend on the estimate, the
-scan runs the filter as a scan over time in O(log T) batched calls, which
-compose the covariance maps with :func:`riccati.compose`; it serves the
-scenarios with few runs.  Both paths use the trigger rule and measurement
-update of the single-step API, :func:`estimation.transmit` and
+kernel over all runs.  Its two paths share the draws, plant path and logs.
+The step loop stacks the filter state over runs and loops over time steps
+in Python for the filter recursion alone; it serves every scenario.  When
+no transmission decision can depend on the estimate, the scan runs the
+filter as a scan over time in O(log T) batched calls, which compose the
+covariance maps with :func:`riccati.compose`; it serves the scenarios with
+few runs.  Both paths use the trigger rule and measurement update of the
+single-step API, :func:`estimation.transmit` and
 :func:`estimation.measurement_update`.
 """
 
@@ -49,6 +50,10 @@ SCAN_MAX_WIDTH = 128
 # The scan works on blocks of SCAN_BLOCK_ENTRIES // (runs * n^2) steps, so
 # that a block's arrays take some 16 MB at most.
 SCAN_BLOCK_ENTRIES = 2**16
+
+# The step loop works on blocks of STEP_BLOCK_ENTRIES // (runs * e) steps, e =
+# n^2 + 3n + 2m + 1 being its entries per run and step (P, xhat, x, w, v, y, zeta).
+STEP_BLOCK_ENTRIES = 2**21
 
 _VALID_PAIRING = {
     "standard": ("periodic",),
@@ -244,21 +249,23 @@ def _width(scenario):
 
 class _Runs:
     """What both paths of :func:`_simulate_runs` start from and write to: the
-    constants, each run's generator, the state at step 0 and the logs."""
+    constants, each run's generator, the state at step 0, the blocks of
+    draws and plant path, and the logs.  Block arrays are time-major."""
 
     def __init__(self, scenario, run_indices, force_gamma, sums):
         model = scenario.model
         n, m = model.n, model.m
-        self.T = scenario.horizon
+        self.A, self.C, self.T = model.A, model.C, scenario.horizon
+        self.Lq = np.linalg.cholesky(model.Q)
+        self.Lr = np.linalg.cholesky(model.R)
+        self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
+        self.N = N = len(self.rngs)
+        self.forced = None
         if force_gamma is not None:
             force_gamma = np.asarray(force_gamma).ravel()
             if force_gamma.shape[0] < self.T:
                 raise ConfigError("force_gamma must cover the horizon")
-        self.force_gamma = force_gamma
-        self.Lq = np.linalg.cholesky(model.Q)
-        self.Lr = np.linalg.cholesky(model.R)
-        self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
-        N = len(self.rngs)
+            self.forced = np.broadcast_to((force_gamma[: self.T] != 0)[:, None], (self.T, N))
 
         W = {"olset": scenario.trigger.Y, "clset": scenario.trigger.Z}.get(scenario.filter)
         self.W_drop = None if W is None else model.R + np.linalg.inv(W)
@@ -290,7 +297,52 @@ class _Runs:
         self.P_sum = np.zeros((self.T, n, n)) if sums else None
         self.E_sum = np.zeros((self.T, n, n)) if sums else None
 
-    def result(self, P_last):
+    def blocks(self, length):
+        """For each block of ``length`` steps (at least one): its steps, the
+        plant path x (L, runs, n, 1), y (L, runs, m, 1) and zeta (L, runs)."""
+        A, Lq, Lr, N = self.A, self.Lq, self.Lr, self.N
+        n, m, length = A.shape[0], Lr.shape[0], max(1, length)
+        for k0 in range(0, self.T, length):
+            L = min(length, self.T - k0)
+            # the draws of step k0 + j in wv[j] and zeta[j]; step 0 draws no
+            # w and took its v with the initial state
+            wv = np.empty((L, N, n + m))
+            zeta = np.empty((L, N))
+            at_start = k0 == 0
+            for r, g in enumerate(self.rngs):
+                normal, uniform = g.standard_normal, g.random
+                zs = [uniform()] if at_start else []
+                for row in wv[int(at_start) :, r]:
+                    normal(out=row)
+                    zs.append(uniform())
+                zeta[:, r] = zs
+            if at_start:
+                wv[0, :, n:] = self.v[:, :, 0]
+
+            # the same products in the same order in any block, so that x
+            # and y do not depend on the block length
+            xs = np.empty((L, N, n, 1))
+            xs[0] = self.x if at_start else A @ self.x + Lq @ wv[0, :, :n, None]
+            x = xs[0]
+            for Lw, out in zip(Lq @ wv[1:, :, :n, None], xs[1:]):
+                x = np.add(A @ x, Lw, out=out)
+            self.x = x
+            yield slice(k0, k0 + L), xs, self.C @ xs + Lr @ wv[:, :, n:, None], zeta
+
+    def log(self, steps, gamma, x, xh, P):
+        """Write a block's logs and sums from its gamma, x and prior xhat and P."""
+        self.gamma_log[:, steps] = gamma.T
+        e = x - xh
+        self.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
+        self.diag_log[:, steps] = P.diagonal(axis1=2, axis2=3).transpose(1, 0, 2)
+        if self.P_sum is not None:
+            # accumulate adds the runs one after another in run order, where
+            # sum would switch to pairwise order when n = 1
+            self.P_sum[steps] = np.add.accumulate(P, axis=1)[:, -1]
+            self.E_sum[steps] = np.add.accumulate(e * e.swapaxes(2, 3), axis=1)[:, -1]
+        self.P_last = P[-1]
+
+    def result(self):
         e = self.err_log
         err0 = e[:, :, 0]
         return _RunBlock(
@@ -299,7 +351,7 @@ class _Runs:
             sq_err=(e[:, :, None, :] @ e[:, :, :, None])[:, :, 0, 0],
             P11=self.diag_log[:, :, 0],
             sq_err11=err0 * err0,
-            P_last=P_last,
+            P_last=self.P_last,
             P_sum=self.P_sum,
             E_sum=self.E_sum,
         )
@@ -309,13 +361,12 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     """The step loop of :func:`_simulate_runs`, for any scenario.
 
     The filter state is a stack over runs, P (runs, n, n) and xhat
-    (runs, n, 1); only the loop over time steps runs in Python.  Vectors are
-    column stacks, so every product is one small matrix product per run and
-    a run's values do not depend on the other runs of the block.
-
-    Each step calls :func:`estimation.transmit` and
-    :func:`estimation.measurement_update` on the whole stack and adds the
-    draws, the time update, the logs and the sums.
+    (runs, n, 1); only the filter recursion loops over time steps in Python.
+    Vectors are column stacks, so every product is one small matrix product
+    per run and a run's values do not depend on the other runs of the block.
+    Each step keeps the prior xhat and P, calls :func:`estimation.transmit`
+    and :func:`estimation.measurement_update` on the whole stack and does the
+    time update; the draws, plant path and logs are :class:`_Runs`'.
     """
     model, pol = scenario.model, scenario.trigger
     n, m = model.n, model.m
@@ -324,41 +375,25 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     # transposed view, with the same result
     A_T = A.T.copy()
     s = _Runs(scenario, run_indices, force_gamma, sums)
-    rngs, Lq, Lr, x, v, xh, P = s.rngs, s.Lq, s.Lr, s.x, s.v, s.xh, s.P
-    N = len(rngs)
-    update = np.ones(N, dtype=bool) if s.always else None
+    xh, P = s.xh, s.P
 
-    for k in range(s.T):
-        if k > 0:
-            wv = np.array([g.standard_normal(n + m) for g in rngs])[:, :, None]
-            x = A @ x + Lq @ wv[:, :n]
-            v = wv[:, n:]
-        zeta = np.array([g.random() for g in rngs])
-        y = C @ x + Lr @ v
-        y_pred = C @ xh
-        if s.force_gamma is not None:
-            gamma = np.full(N, bool(s.force_gamma[k]))
-        else:
-            gamma = transmit(pol, y, y_pred, zeta, k)
+    for steps, x, y, zeta in s.blocks(STEP_BLOCK_ENTRIES // (s.N * (n * n + 3 * n + 2 * m + 1))):
+        gamma = np.empty(zeta.shape, dtype=bool) if s.forced is None else s.forced[steps]
+        update = np.ones(gamma.shape, dtype=bool) if s.always else gamma
+        xh_prior, P_prior = np.empty(x.shape), np.empty(x.shape[:2] + (n, n))
+        for j, k in enumerate(range(steps.start, steps.stop)):
+            xh_prior[j], P_prior[j] = xh, P
+            y_pred = C @ xh
+            if s.forced is None:
+                gamma[j] = transmit(pol, y[j], y_pred, zeta[j], k)
+            xh, P, _, _ = measurement_update(
+                model, P, xh, y[j], y_pred, update[j], s.W_drop, s.open_loop
+            )
+            xh = A @ xh
+            P = sym(A @ P @ A_T + Q)
+        s.log(steps, gamma, x, xh_prior, P_prior)
 
-        e = x - xh
-        s.gamma_log[:, k] = gamma
-        s.err_log[:, k] = e[:, :, 0]
-        s.diag_log[:, k] = P.diagonal(axis1=1, axis2=2)
-        P_last = P
-        if sums:
-            # accumulate adds the runs one after another in run order, where
-            # sum would switch to pairwise order when n = 1
-            s.P_sum[k] = np.add.accumulate(P, axis=0)[-1]
-            s.E_sum[k] = np.add.accumulate(e * e.transpose(0, 2, 1), axis=0)[-1]
-
-        xh, P, _, _ = measurement_update(
-            model, P, xh, y, y_pred, gamma if update is None else update, s.W_drop, s.open_loop
-        )
-        xh = A @ xh
-        P = sym(A @ P @ A_T + Q)
-
-    return s.result(P_last)
+    return s.result()
 
 
 def _orbit(v0, maps, compose, apply):
@@ -404,61 +439,32 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     """The scan path of :func:`_simulate_runs`, for feedback-free triggers.
 
     Given gamma, the filter is a linear time-varying Kalman filter.  Per
-    block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it draws each
-    run's stream and steps the plant path, decides every gamma in one
+    block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
+    draws and plant path from :class:`_Runs`, decides every gamma in one
     :func:`estimation.transmit` call, finds the prior covariances as an
     :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
     :func:`riccati.compose`, J = C' W^-1 C being the step's information,
     gets the gains from one :func:`estimation.measurement_update` call, and
     finds the means as an :func:`_orbit` of the affine maps that the
     update's mean formula and the time update make.  Each block starts from
-    the previous one's end state; arrays are time-major, (steps, runs, ...).
+    the previous one's end state.
     """
     model, pol = scenario.model, scenario.trigger
     n, m = model.n, model.m
     A, C, Q, R = model.A, model.C, model.Q, model.R
     s = _Runs(scenario, run_indices, force_gamma, sums)
-    rngs, Lq, Lr, x, xh, P = s.rngs, s.Lq, s.Lr, s.x, s.xh, s.P
-    N = len(rngs)
+    xh, P, N = s.xh, s.P, s.N
     # the information of an arrival and of a drop; an offline drop has none
     J_arrival = C.T @ np.linalg.solve(R, C)
     J_drop = np.zeros((n, n)) if s.W_drop is None else C.T @ np.linalg.solve(s.W_drop, C)
 
-    block = max(1, SCAN_BLOCK_ENTRIES // _width(scenario))
-    for k0 in range(0, s.T, block):
-        L = min(block, s.T - k0)
-        steps = slice(k0, k0 + L)
-        # the draws of step k0 + j in wv[j] and zeta[j]; step 0 draws no w
-        # and took its v with the initial state
-        wv = np.empty((L, N, n + m))
-        zeta = np.empty((L, N))
-        at_start = k0 == 0
-        for r, g in enumerate(rngs):
-            normal, uniform = g.standard_normal, g.random
-            zs = [uniform()] if at_start else []
-            for row in wv[int(at_start) :, r]:
-                normal(out=row)
-                zs.append(uniform())
-            zeta[:, r] = zs
-        if at_start:
-            wv[0, :, n:] = s.v[:, :, 0]
-
-        # the plant path, with the step loop's products in its order, so
-        # that x and y are the step loop's to the bit
-        xs = np.empty((L, N, n, 1))
-        xs[0] = x if at_start else A @ x + Lq @ wv[0, :, :n, None]
-        x = xs[0]
-        for Lw, out in zip(Lq @ wv[1:, :, :n, None], xs[1:]):
-            x = np.add(A @ x, Lw, out=out)
-        y = C @ xs + Lr @ wv[:, :, n:, None]
-
-        if s.force_gamma is not None:
-            gamma = np.broadcast_to((s.force_gamma[steps] != 0)[:, None], (L, N))
+    for steps, xs, y, zeta in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
+        L = xs.shape[0]
+        if s.forced is not None:
+            gamma = s.forced[steps]
         else:
-            k = np.repeat(np.arange(k0, k0 + L), N)
-            gamma = transmit(pol, y.reshape(L * N, m, 1), None, zeta.reshape(L * N), k)
-            gamma = gamma.reshape(L, N)
-        s.gamma_log[:, steps] = gamma.T
+            k = np.repeat(np.arange(steps.start, steps.stop), N)
+            gamma = transmit(pol, y.reshape(L * N, m, 1), None, zeta.ravel(), k).reshape(L, N)
         update = np.ones((L, N), dtype=bool) if s.always else gamma
 
         J = np.where(update[:, :, None, None], J_arrival, J_drop)
@@ -482,15 +488,9 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
             _compose_affine, _apply_affine,
         )
         xh = xh_all[L]
+        s.log(steps, gamma, xs, xh_all[:L], P_prior)
 
-        e = xs - xh_all[:L]
-        s.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
-        s.diag_log[:, steps] = P_prior.diagonal(axis1=2, axis2=3).transpose(1, 0, 2)
-        if sums:
-            s.P_sum[steps] = np.add.accumulate(P_prior, axis=1)[:, -1]
-            s.E_sum[steps] = np.add.accumulate(e * e.swapaxes(2, 3), axis=1)[:, -1]
-
-    return s.result(P_prior[-1])
+    return s.result()
 
 
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
@@ -703,7 +703,7 @@ def calibrate_period(target_rate, tol=0.025):
     period = max(1, round(1.0 / target_rate))
     if abs(1.0 / period - target_rate) > tol:
         raise CalibrationFailed(
-            f"no integer period reaches rate {target_rate} within {tol}"
+            f"periodic scheduler: no integer period reaches rate {target_rate} within {tol}"
         )
     return period
 
@@ -724,10 +724,10 @@ def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None, pe
     the same master seed, hence identical plant noise per run index.  An
     unset burn-in is 200 steps, cut to leave the last step of the horizon.
     """
-    st = steady_state(model)
-    theta_y = calibrate_open_loop(st, target_rate)
-    theta_z = calibrate_closed_loop(model, target_rate)
+    # the periodic calibration costs nothing and misses most rates, so it goes first
     period = calibrate_period(target_rate, tol=period_tol)
+    theta_y = calibrate_open_loop(steady_state(model), target_rate)
+    theta_z = calibrate_closed_loop(model, target_rate)
     m = model.m
     setups = [
         ("clset", theta_z, TriggerPolicy.closed_loop(theta_z * np.eye(m)), "clset"),

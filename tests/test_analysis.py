@@ -223,3 +223,16 @@ def test_report_rows_shapes():
     rows = closed_loop_report(SCALAR, [[1.0]])
     names = [n for n, _ in rows]
     assert "gamma_low" in names and "gamma_upper" in names and "R3[0][0]" in names
+
+
+def test_open_loop_report_solves_the_steady_state_once(monkeypatch):
+    from setkf import analysis, open_loop_report
+
+    calls = []
+    monkeypatch.setattr(
+        analysis, "steady_state", lambda model: calls.append(model) or steady_state(model)
+    )
+    rows = dict(open_loop_report(SCALAR, [[1.0]]))
+    assert len(calls) == 1
+    assert rows["Pi[0][0]"] == SCALAR_STEADY.Pi[0, 0]
+    assert rows["Sigma[0][0]"] == SCALAR_STEADY.Sigma[0, 0]

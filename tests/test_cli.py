@@ -152,6 +152,25 @@ def test_compare_unset_burn_in_fits_the_horizon(tmp_path, capsys):
     assert "burn_in must satisfy" in capsys.readouterr().err
 
 
+def test_compare_unreachable_period_fails_first(tmp_path, capsys, monkeypatch):
+    # no integer period reaches rate 0.3, so the table is refused before the
+    # closed- and open-loop calibrations run
+    def never(*args, **kwargs):
+        raise AssertionError("calibrated after the period had failed")
+
+    monkeypatch.setattr(harness, "calibrate_closed_loop", never)
+    monkeypatch.setattr(harness, "calibrate_open_loop", never)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": SCALAR.to_dict()}))
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--config", str(path), "--target-rate", "0.3", "--output", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: periodic scheduler:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "monte-carlo"])
 def test_unset_burn_in_follows_an_overridden_horizon(tmp_path, capsys, command):
     cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "open_loop", "Y": [[1.0]]},

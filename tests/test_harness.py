@@ -621,6 +621,59 @@ class TestScanOracle:
         np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
 
 
+def step_entries(model):
+    """The step loop's entries per run and step, as in ``STEP_BLOCK_ENTRIES``."""
+    return model.n**2 + 3 * model.n + 2 * model.m + 1
+
+
+class TestStepBlocks:
+    """The step loop draws, steps the plant and logs once per block of steps;
+    no block length changes a value."""
+
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    def test_block_length_changes_nothing(self, monkeypatch, pairing):
+        model = oracle_model(3, 3, seed=33)
+        filt, trig = oracle_pairings(3)[pairing]
+        scn = Scenario(
+            model=model, trigger=trig, filter=filt, horizon=50, runs=2, seed=7, burn_in=10,
+            pre_roll=3, x0_mean=np.arange(1.0, 4.0),
+        )
+        forced = (np.random.default_rng(pairing).random(50) < 0.5).astype(int)
+        refs = [_step_runs(scn, [0, 1]), _step_runs(scn, [1, 0], force_gamma=forced, sums=False)]
+        assert 0.0 < refs[0].gamma.mean() <= 1.0
+        for steps in (1, 2, 7):
+            monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
+            assert_blocks_equal(_step_runs(scn, [0, 1]), refs[0])
+            assert_blocks_equal(
+                _step_runs(scn, [1, 0], force_gamma=forced, sums=False), refs[1]
+            )
+
+    def test_wide_clset_equals_single_runs(self):
+        # 3000 singer runs take several blocks, one run the whole horizon
+        scn = singer_scenario(1.0, 0.01, 5.0, z_scale=0.52, runs=3000, horizon=60, seed=9)
+        assert 1 < harness.STEP_BLOCK_ENTRIES // (scn.runs * step_entries(scn.model)) < 30
+        block = _simulate_runs(scn, range(scn.runs))
+        assert 0.0 < block.gamma.mean() < 1.0
+        for r in (0, 1, 1499, 2998, 2999):
+            rec = simulate(scn, r)
+            for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
+                np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
+
+    @pytest.mark.parametrize("pairing", [2, 5], ids=["clset", "threshold"])
+    def test_every_row_equals_its_single_run(self, monkeypatch, pairing):
+        model = oracle_model(2, 1, seed=21)
+        filt, trig = oracle_pairings(1)[pairing]
+        scn = Scenario(model=model, trigger=trig, filter=filt, horizon=40, runs=9, seed=3)
+        # blocks of 3 steps for all nine runs, of 27 for one
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 3 * 9 * step_entries(model))
+        block = _simulate_runs(scn, range(scn.runs))
+        for r in range(scn.runs):
+            rec = simulate(scn, r, record_full=True)
+            np.testing.assert_array_equal(block.gamma[r], rec.gamma)
+            np.testing.assert_array_equal(block.P_trace[r], rec.P_trace)
+            np.testing.assert_array_equal(block.sq_err[r], rec.sq_err)
+
+
 class TestRunLengthHistogram:
     """Vectorised run-length counting against the per-entry loop."""
 
