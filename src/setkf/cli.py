@@ -118,7 +118,9 @@ def _cmd_design(args):
         Delta0=delta0,
         basis=None if basis is None else as_matrix(basis, "basis"),
     )
-    closed = bool(data.get("closed_loop", False))
+    closed = data.get("closed_loop", False)
+    if not isinstance(closed, bool):
+        raise ConfigError(f"closed_loop must be true or false, got {closed!r}")
     result = design_search_closed_loop(problem) if closed else design_search(problem)
     rows = [("theta", result.theta), ("gamma_achieved", result.gamma_achieved)]
     if result.objective is not None:
@@ -230,9 +232,16 @@ def build_parser():
     return parser
 
 
+# built on the first call of main and reused: building it is most of a short
+# command's fixed cost, and parse_args keeps no state between calls
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "needs_config", False) and not args.config:
             raise ConfigError(f"{args.command} requires --config")

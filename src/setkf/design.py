@@ -101,14 +101,19 @@ def assemble_lmi_blocks(model, Y, S, Delta0):
     n, m = model.n, model.m
     Qi = sym(np.linalg.inv(Q))
     Ri = sym(np.linalg.inv(R))
-    M1 = np.block(
-        [
-            [Qi - S + C.T @ Ri @ C, Qi @ A, C.T @ Ri],
-            [A.T @ Qi, A.T @ Qi @ A + S, np.zeros((n, m))],
-            [Ri @ C, np.zeros((m, n)), Y + Ri],
-        ]
-    )
-    M2 = np.block([[S, np.eye(n)], [np.eye(n), Delta0]])
+    x, s, y = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
+    M1 = np.zeros((2 * n + m, 2 * n + m))
+    M1[x, x] = Qi - S + C.T @ Ri @ C
+    M1[x, s] = Qi @ A
+    M1[x, y] = C.T @ Ri
+    M1[s, x] = A.T @ Qi
+    M1[s, s] = A.T @ Qi @ A + S
+    M1[y, x] = Ri @ C
+    M1[y, y] = Y + Ri
+    M2 = np.zeros((2 * n, 2 * n))
+    M2[x, x] = S
+    M2[x, s] = M2[s, x] = np.eye(n)
+    M2[s, s] = Delta0
     return sym(M1), sym(M2)
 
 

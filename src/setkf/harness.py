@@ -724,6 +724,7 @@ def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None, pe
     the same master seed, hence identical plant noise per run index.  An
     unset burn-in is 200 steps, cut to leave the last step of the horizon.
     """
+    target_rate = as_number(target_rate, "target_rate")
     # the periodic calibration costs nothing and misses most rates, so it goes first
     period = calibrate_period(target_rate, tol=period_tol)
     theta_y = calibrate_open_loop(steady_state(model), target_rate)
@@ -781,6 +782,9 @@ def singer_scenario(
     threshold for the offline baseline) must be given.  An unset burn-in is
     20 steps, cut to leave the last step of the horizon.
     """
+    T = as_number(T, "T")
+    alpha = as_number(alpha, "alpha")
+    sigma_m2 = as_number(sigma_m2, "sigma_m2")
     if T <= 0 or alpha <= 0 or sigma_m2 <= 0:
         raise ConfigError("T, alpha and sigma_m2 must be positive")
     if (z_scale is None) == (delta is None):
@@ -798,10 +802,10 @@ def singer_scenario(
     )
     model = validate_model(A, np.eye(3), Q, np.eye(3), np.eye(3))
     if z_scale is not None:
-        trigger = TriggerPolicy.closed_loop(float(z_scale) * np.eye(3))
+        trigger = TriggerPolicy.closed_loop(as_number(z_scale, "z_scale") * np.eye(3))
         filt = "clset"
     else:
-        trigger = TriggerPolicy.deterministic_threshold(float(delta))
+        trigger = TriggerPolicy.deterministic_threshold(as_number(delta, "delta"))
         filt = "offline-baseline"
     return Scenario(
         model=model,

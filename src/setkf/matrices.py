@@ -53,7 +53,9 @@ def as_number(x, name, integer=False):
 
 
 def spectral_norm(X):
-    return float(np.linalg.norm(np.atleast_2d(X), 2))
+    """Largest singular value: the value of ``np.linalg.norm(X, 2)``, without
+    its axis handling."""
+    return float(np.linalg.svd(np.atleast_2d(X), compute_uv=False)[0])
 
 
 def smallest_eigenvalue(X):
@@ -71,8 +73,9 @@ def is_spd(X, floor=0.0):
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         return False
     scale = max(1.0, float(np.abs(X).max()))
-    if float(np.abs(X - X.T).max()) > 1e-8 * scale:
-        return False
+    with np.errstate(over="ignore"):  # an overflowing X - X' is asymmetric
+        if float(np.abs(X - X.T).max()) > 1e-8 * scale:
+            return False
     try:
         np.linalg.cholesky(sym(X) - floor * np.eye(X.shape[0]))
     except np.linalg.LinAlgError:
@@ -87,6 +90,10 @@ def require_spd(X, name, floor=0.0):
         raise NotPositiveDefinite(name, "not a square matrix")
     if not np.all(np.isfinite(X)):
         raise NotPositiveDefinite(name, "non-finite entries")
+    with np.errstate(over="ignore"):
+        S = sym(X)
+    if not np.all(np.isfinite(S)):
+        raise NotPositiveDefinite(name, "entries too large to symmetrize")
     if not is_spd(X, floor=floor):
         raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
-    return sym(X)
+    return S

@@ -10,6 +10,7 @@ uncorrelated.  Validation enforces Q, R, Sigma0 > 0 plus detectability of
 (A, C) and stabilizability of (A, Q) via PBH rank tests.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -46,9 +47,9 @@ class SystemModel:
     n: int
     m: int
 
-    @property
+    @functools.cached_property
     def rho_A(self):
-        """Spectral radius of the transition matrix."""
+        """Spectral radius of the transition matrix, computed once per model."""
         return float(np.abs(np.linalg.eigvals(self.A)).max())
 
     def to_dict(self):
@@ -82,10 +83,11 @@ def _as_2d(x, name):
 
 
 def _rank(M):
+    # np.linalg.matrix_rank's count, from the one SVD that also gives the norm
     if M.size == 0:
         return 0
-    tol = RANK_TOL * max(1.0, float(np.linalg.norm(M, 2)))
-    return int(np.linalg.matrix_rank(M, tol=tol))
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * max(1.0, float(s[0]))))
 
 
 def _pbh_detectable(A, C):

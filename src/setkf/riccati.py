@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation
-from .matrices import is_spd, require_spd, spectral_norm, sym
+from .matrices import is_spd, require_spd, sym
 
 FIXED_POINT_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
@@ -124,7 +124,9 @@ def _doubling(element, tol, max_doublings, label, offset=0.0):
             if not np.all(np.isfinite(C)):
                 raise NoConvergence(k + 1, f"{label} (diverged)")
             X = offset + C
-            if spectral_norm(step) <= tol * spectral_norm(X):
+            # both spectral norms from one SVD call on the stacked pair
+            step_norm, x_norm = np.linalg.svd(np.stack([step, X]), compute_uv=False)[:, 0]
+            if step_norm <= tol * x_norm:
                 return sym(X)
     raise NoConvergence(max_doublings, label)
 

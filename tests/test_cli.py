@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from setkf import ConfigError, Scenario, TriggerPolicy, harness, validate_model
+from setkf import ConfigError, Scenario, TriggerPolicy, cli, harness, validate_model
 from setkf.cli import main
 from setkf.harness import MAX_LOG_ENTRIES, MAX_RUNS
 from util import scalar_g_fixed_point
@@ -235,10 +235,16 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["analyze", "--config", str(unstable)]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "model_update, Y",
-    [({"A": "nan"}, [[1.0]]), ({}, [[float("inf")]])],
-    ids=["A-nan", "Y-Infinity"],
+    [
+        ({"A": "nan"}, [[1.0]]),
+        ({}, [[float("inf")]]),
+        ({}, [[1e308]]),
+        ({}, [[1.0, 1e308], [-1e308, 1.0]]),
+    ],
+    ids=["A-nan", "Y-Infinity", "Y-1e308", "Y-antisymmetric-1e308"],
 )
 def test_non_finite_config_exit_code(tmp_path, capsys, model_update, Y):
     cfg = {"model": {**SCALAR.to_dict(), **model_update}, "trigger": {"variant": "open_loop", "Y": Y}}
@@ -247,6 +253,72 @@ def test_non_finite_config_exit_code(tmp_path, capsys, model_update, Y):
     assert main(["analyze", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--target-rate", "nan"],
+        ["compare", "--target-rate", "inf"],
+        ["singer", "--z-scale", "inf", "--runs", "2", "--horizon", "10"],
+        ["singer", "--delta", "nan", "--runs", "2", "--horizon", "10"],
+        ["singer", "--z-scale", "1", "--T", "nan", "--runs", "2", "--horizon", "10"],
+    ],
+    ids=["target-rate-nan", "target-rate-inf", "z-scale-inf", "delta-nan", "T-nan"],
+)
+def test_non_finite_flag_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": SCALAR.to_dict()}))
+    config = ["--config", str(path)] if argv[0] == "compare" else []
+    assert main([*argv, *config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("closed_loop", ["no", "true", 1, 0, None], ids=repr)
+def test_design_closed_loop_must_be_a_boolean(tmp_path, capsys, closed_loop):
+    cfg = {"model": SCALAR.to_dict(), "delta0": [[1.5]], "closed_loop": closed_loop}
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["design", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "closed_loop" in err and err.count("\n") == 1
+
+
+def test_reused_parser_matches_fresh_parsers(scenario_config, tmp_path, capsys, monkeypatch):
+    # main keeps one parser per process: no flag or default may carry over
+    # from one call to the next
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"model": SCALAR.to_dict()}))
+    cfg = str(scenario_config)
+    compare = ["compare", "--config", str(model), "--target-rate", "0.5", "--horizon", "80", "--runs", "2"]
+    calls = [
+        ["simulate", "--config", cfg, "--run-index", "3"],
+        ["simulate", "--config", cfg],
+        [*compare, "--burn-in", "5"],
+        compare,
+        ["monte-carlo", "--config", cfg, "--runs", "3", "--seed", "5"],
+        ["monte-carlo", "--config", cfg],
+        ["singer", "--z-scale", "0.52", "--runs", "3", "--horizon", "20", "--a13", "half"],
+        ["singer", "--delta", "1.6", "--runs", "3", "--horizon", "20"],
+    ]
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    reused = [run(argv) for argv in calls]
+    parser = cli._parser
+    assert parser is not None
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+        assert cli._parser is not parser
+    assert reused == fresh
+    # each pair differs in one flag, and the flag shows in the output
+    assert all(reused[i] != reused[i + 1] for i in range(0, len(calls), 2))
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from setkf import (
 )
 from setkf.analysis import drop_noise
 from setkf.riccati import RiccatiMap, fixed_point
-from util import loewner_leq, random_spd, random_stable_model
+from util import assemble_lmi_blocks_reference, loewner_leq, random_spd, random_stable_model
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 
@@ -116,6 +116,20 @@ class TestBlockAssembly:
         assert np.abs(M2 - M2.T).max() == 0.0
         assert M1.shape == (2 * m.n + m.m,) * 2
         assert M2.shape == (2 * m.n,) * 2
+
+    def test_matches_the_block_construction(self):
+        # random SPD arguments, and the zero and unit-basis arguments of export_lmi
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            m = random_stable_model(rng, n_max=5, m_max=4)
+            S, Y, D = random_spd(rng, m.n), random_spd(rng, m.m), random_spd(rng, m.n)
+            E = np.zeros((m.n, m.n))
+            E[0, -1] = E[-1, 0] = 1.0
+            for args in ((Y, S, D), (np.zeros((m.m, m.m)), np.zeros((m.n, m.n)), D), (Y, E, D)):
+                got = assemble_lmi_blocks(m, *args)
+                want = assemble_lmi_blocks_reference(m, *args)
+                for G, W in zip(got, want):
+                    assert G.dtype == W.dtype and np.array_equal(G, W)
 
 
 class TestDesignSearch:

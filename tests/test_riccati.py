@@ -18,10 +18,13 @@ from setkf import (
     singer_scenario,
     validate_model,
 )
+from setkf import riccati
 from setkf.analysis import drop_noise
+from setkf.matrices import spectral_norm
 from setkf.riccati import apply, compose
 from util import (
     dare_fixed_point,
+    doubling_reference,
     loewner_leq,
     lyapunov_iteration,
     random_spd,
@@ -227,6 +230,80 @@ def test_lyapunov_non_stable_raises_without_warning(F):
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence):
             lyapunov(F, np.eye(len(F)))
+
+
+def _oracle_plant(rng, rho):
+    """A random detectable plant with n <= 5, m <= 3 and rho(A) = rho."""
+    while True:
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 4))
+        A = rng.normal(size=(n, n))
+        A *= rho / max(abs(np.linalg.eigvals(A)))
+        try:
+            return validate_model(
+                A, rng.normal(size=(m, n)), random_spd(rng, n), random_spd(rng, m), np.eye(n)
+            )
+        except ModelValidationError:
+            continue
+
+
+def test_doubling_matches_the_two_norm_stop_test(monkeypatch):
+    # one SVD of the stacked pair stops where two norm calls stopped: the
+    # same bits, the same compositions and the same failures on 420 plants,
+    # stable, with rho(A) >= 0.999, and unstable
+    compositions = []
+
+    def counted(first, second):
+        compositions.append(None)
+        return compose(first, second)
+
+    def solve(doubling, fn, *args, **kwargs):
+        monkeypatch.setattr(riccati, "_doubling", doubling)
+        compositions.clear()
+        try:
+            result = fn(*args, **kwargs)
+        except NoConvergence as exc:
+            result = str(exc)
+        return result, len(compositions)
+
+    monkeypatch.setattr(riccati, "compose", counted)
+    doubling = riccati._doubling
+    rng = np.random.default_rng(31)
+    rhos = [
+        *rng.uniform(0.05, 0.99, size=140),
+        *(1.0 - 10.0 ** rng.uniform(-7.0, -3.0, size=140)),
+        *rng.uniform(1.0001, 1.5, size=140),
+    ]
+    solves = 0
+    for i, rho in enumerate(rhos):
+        m = _oracle_plant(rng, rho)
+        rm = RiccatiMap(m, random_spd(rng, m.m))
+        start = random_spd(rng, m.n) if i % 3 == 0 else None
+        for fn, args, kwargs in (
+            (riccati.fixed_point, (rm,), {"start": start}),
+            (riccati.lyapunov, (m.A, m.Q), {}),
+        ):
+            got, got_count = solve(doubling, fn, *args, **kwargs)
+            want, want_count = solve(doubling_reference, fn, *args, **kwargs)
+            assert got_count == want_count > 0
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                solves += 1
+    assert solves > 560
+
+
+def test_spectral_norm_is_numpys_2_norm():
+    rng = np.random.default_rng(32)
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for scale in (1e-300, 1.0, 1e5, 1e300):
+                X = scale * rng.normal(size=(rows, cols))
+                assert spectral_norm(X) == float(np.linalg.norm(X, 2))
+                assert spectral_norm(X.T) == float(np.linalg.norm(X.T, 2))
+            assert spectral_norm(np.zeros((rows, cols))) == 0.0
+    assert spectral_norm(2.5) == float(np.linalg.norm([[2.5]], 2)) == 2.5
 
 
 def _T(M):

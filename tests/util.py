@@ -10,6 +10,7 @@ from setkf import (
     InconsistentArgs,
     MissingMeasurement,
     ModelValidationError,
+    NoConvergence,
     SingularInnovation,
     TrajectoryRecord,
     g_step,
@@ -18,6 +19,7 @@ from setkf import (
     time_update,
     validate_model,
 )
+from setkf import riccati
 from setkf.estimation import _check_measurement
 from setkf.matrices import sym
 
@@ -126,6 +128,43 @@ def riccati_iteration(rmap, tol=1e-10, max_iter=100_000):
         if delta <= tol * np.linalg.norm(X, 2):
             return X
     return None
+
+
+def doubling_reference(element, tol, max_doublings, label, offset=0.0):
+    """``setkf.riccati._doubling`` with its former stop test: two separate
+    ``np.linalg.norm(., 2)`` calls.  Composes through ``riccati.compose`` as
+    looked up at call time, so a test can count the compositions."""
+    C = element[1]
+    with np.errstate(all="ignore"):
+        for k in range(max_doublings):
+            try:
+                element = riccati.compose(element, element)
+            except np.linalg.LinAlgError:
+                raise NoConvergence(k + 1, f"{label} (singular step)") from None
+            step, C = element[1] - C, element[1]
+            if not np.all(np.isfinite(C)):
+                raise NoConvergence(k + 1, f"{label} (diverged)")
+            X = offset + C
+            if float(np.linalg.norm(step, 2)) <= tol * float(np.linalg.norm(X, 2)):
+                return sym(X)
+    raise NoConvergence(max_doublings, label)
+
+
+def assemble_lmi_blocks_reference(model, Y, S, Delta0):
+    """``setkf.design.assemble_lmi_blocks`` written with ``np.block``."""
+    A, C, Q, R = model.A, model.C, model.Q, model.R
+    n, m = model.n, model.m
+    Qi = sym(np.linalg.inv(Q))
+    Ri = sym(np.linalg.inv(R))
+    M1 = np.block(
+        [
+            [Qi - S + C.T @ Ri @ C, Qi @ A, C.T @ Ri],
+            [A.T @ Qi, A.T @ Qi @ A + S, np.zeros((n, m))],
+            [Ri @ C, np.zeros((m, n)), Y + Ri],
+        ]
+    )
+    M2 = np.block([[S, np.eye(n)], [np.eye(n), Delta0]])
+    return sym(M1), sym(M2)
 
 
 def maximal_runs(gamma, value):
