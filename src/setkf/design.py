@@ -25,9 +25,13 @@ format for external SDP tooling.
 The search over all SPD Y is restricted to a ray Y = theta * B for a fixed
 SPD basis B (default identity).  Feasibility is monotone along the ray, so
 bisection finds the boundary; the objective tr(Pi Y) is increasing in theta,
-so the boundary point is the ray optimum.
+so the boundary point is the ray optimum.  :func:`ray_search` is the one
+search along the ray, shared with the rate calibrations in ``harness``.  Both
+designs keep the feasible end of its bracket, to relative width RAY_REL_TOL;
+the calibrations keep the midpoint, to relative width 1e-12.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,10 @@ from .riccati import RiccatiMap, fixed_point, lyapunov
 from .analysis import drop_noise, open_loop_rate, conditional_rate
 
 RAY_REL_TOL = 1e-8
+# the ray theta * B is searched on [RAY_FLOOR, RAY_CAP]
+RAY_FLOOR = 1e-12
+RAY_CAP = 1e15
+RAY_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +88,10 @@ def _strictness(Delta0):
     return 1e-9 * (1.0 + spectral_norm(Delta0))
 
 
-def _worst_case_fp(model, W_eff):
-    return fixed_point(RiccatiMap(model, W_eff))
+def _below_bound(model, Y, Delta0, margin):
+    """lambda_min(Delta0 - fix(g_{R+Y^-1})) > margin, for a validated Delta0."""
+    X_upper = fixed_point(RiccatiMap(model, drop_noise(model.R, Y)))
+    return smallest_eigenvalue(Delta0 - X_upper) > margin
 
 
 def feasibility_check(model, Y, Delta0):
@@ -90,8 +100,7 @@ def feasibility_check(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y")
     Delta0 = require_spd(Delta0, "Delta0")
-    X_upper = _worst_case_fp(model, drop_noise(model.R, Y))
-    return smallest_eigenvalue(Delta0 - X_upper) > _strictness(Delta0)
+    return _below_bound(model, Y, Delta0, _strictness(Delta0))
 
 
 def assemble_lmi_blocks(model, Y, S, Delta0):
@@ -147,7 +156,7 @@ def lmi_feasible(model, Y, Delta0):
     Y = require_spd(Y, "Y")
     Delta0 = require_spd(Delta0, "Delta0")
     W_eff = drop_noise(model.R, Y)
-    X_upper = _worst_case_fp(model, W_eff)
+    X_upper = fixed_point(RiccatiMap(model, W_eff))
     try:
         L = np.linalg.cholesky(sym(Delta0 - X_upper))
     except np.linalg.LinAlgError:
@@ -162,32 +171,42 @@ def lmi_feasible(model, Y, Delta0):
     return _is_pd(M1) and _is_pd(M2)
 
 
-def _ray_boundary(feasible, theta_max_cap=1e15):
-    """Bisect the monotone feasibility boundary along the ray.
+def ray_search(pred, rel_tol, lo=None):
+    """Bracket and bisect the point where a monotone test flips on the ray.
 
-    ``feasible(theta)`` must be False below and True above the boundary.
-    Returns the feasible-side boundary estimate to RAY_REL_TOL.
+    ``pred(theta)`` must be False below its boundary and True above it; it
+    is called only on theta in [RAY_FLOOR, RAY_CAP].  The floor is tested
+    first.  The upper end then starts at 1 and doubles while ``pred`` fails.
+    The lower end starts at ``lo``, by default one halving below the upper
+    end; when ``pred(1)`` holds it halves while ``pred`` still holds, taking
+    the upper end along, and stops at the floor.  Bisection then halves the
+    bracket until ``hi - lo <= rel_tol * hi``, at most RAY_MAX_BISECTIONS
+    times.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when
+    ``pred`` holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
+    Each caller keeps its own end of the bracket.
     """
-    theta_min = 1e-12
-    if feasible(theta_min):
-        return theta_min
+    if pred(RAY_FLOOR):
+        return 0.0, RAY_FLOOR
     hi = 1.0
-    while not feasible(hi):
+    while not pred(hi):
         hi *= 2.0
-        if hi > theta_max_cap:
-            raise Infeasible("no feasible trigger weight found on the ray")
-    lo = hi / 2.0
-    while lo > theta_min and feasible(lo):
-        hi = lo
-        lo /= 2.0
-    lo = max(lo, theta_min)
-    while (hi - lo) > RAY_REL_TOL * hi:
+        if hi > RAY_CAP:
+            return hi / 2.0, math.inf
+    if lo is None:
+        lo = hi / 2.0
+    if hi == 1.0:  # after a doubling pred failed at hi / 2, so at every lo <= hi / 2
+        while lo > RAY_FLOOR and pred(lo):
+            hi, lo = lo, lo / 2.0
+    lo = max(lo, RAY_FLOOR)
+    for _ in range(RAY_MAX_BISECTIONS):
+        if hi - lo <= rel_tol * hi:
+            break
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def optimality_gap_bound(Pi, Y):
@@ -211,61 +230,53 @@ def _check_floor(model, Delta0):
         )
 
 
+def _ray_design(problem, rate):
+    """Floor check, ray search to the feasible end, and the result.
+
+    ``rate(st, Y)`` is the reported rate; ``st`` is the stationary
+    statistics, None for an unstable plant.
+    """
+    model, Delta0 = problem.model, problem.Delta0
+    _check_floor(model, Delta0)
+    B = np.eye(model.m) if problem.basis is None else problem.basis
+    margin = _strictness(Delta0)
+    _, theta = ray_search(lambda t: _below_bound(model, t * B, Delta0, margin), RAY_REL_TOL)
+    if theta == math.inf:
+        raise Infeasible("no feasible trigger weight found on the ray")
+    Y = sym(theta * B)
+    if model.rho_A < 1.0:
+        st = steady_state(model)
+        objective = float(np.trace(st.Pi @ Y))
+        kappa = optimality_gap_bound(st.Pi, Y)
+    else:
+        st = objective = kappa = None
+    return DesignResult(
+        Y=Y, theta=theta, objective=objective, gamma_achieved=rate(st, Y), kappa_bound=kappa
+    )
+
+
 def design_search(problem):
     """Minimal-objective Y on the ray Y = theta * basis for the open loop.
 
-    Bisects theta to the feasibility boundary (the constraint is active
-    there unless Delta0 is slack even for theta -> 0).  Requires a stable
-    plant for the rate objective.
+    Searches theta to the feasibility boundary (the constraint is active
+    there unless Delta0 is slack even at the ray's floor).  Requires a
+    stable plant for the rate objective.
     """
-    model = problem.model
-    if model.rho_A >= 1.0:
+    if problem.model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
-    _check_floor(model, problem.Delta0)
-    B = np.eye(model.m) if problem.basis is None else problem.basis
-    st = steady_state(model)
-
-    def feas(theta):
-        return feasibility_check(model, theta * B, problem.Delta0)
-
-    theta = _ray_boundary(feas)
-    Y = sym(theta * B)
-    gamma = open_loop_rate(st, Y)
-    objective = float(np.trace(st.Pi @ Y))
-    kappa = optimality_gap_bound(st.Pi, Y)
-    return DesignResult(
-        Y=Y, theta=theta, objective=objective, gamma_achieved=gamma, kappa_bound=kappa
-    )
+    return _ray_design(problem, open_loop_rate)
 
 
 def design_search_closed_loop(problem):
-    """Closed-loop analogue: bisects against fix(g_{R+Z^-1}) and reports the
-    upper rate bound as the achieved rate.  Works for unstable plants, in
+    """Closed-loop analogue: the same search, reporting the upper rate bound
+    at fix(g_{R+Z^-1}) as the achieved rate.  Works for unstable plants, in
     which case the stationary objective and gap bound are unavailable."""
     model = problem.model
-    _check_floor(model, problem.Delta0)
-    B = np.eye(model.m) if problem.basis is None else problem.basis
-    margin = _strictness(problem.Delta0)
 
-    def feas(theta):
-        Z = theta * B
-        X_upper = _worst_case_fp(model, drop_noise(model.R, Z))
-        return smallest_eigenvalue(problem.Delta0 - X_upper) > margin
+    def upper_rate(st, Z):
+        return conditional_rate(model, fixed_point(RiccatiMap(model, drop_noise(model.R, Z))), Z)
 
-    theta = _ray_boundary(feas)
-    Z = sym(theta * B)
-    X_upper = _worst_case_fp(model, drop_noise(model.R, Z))
-    gamma = conditional_rate(model, X_upper, Z)
-    if model.rho_A < 1.0:
-        st = steady_state(model)
-        objective = float(np.trace(st.Pi @ Z))
-        kappa = optimality_gap_bound(st.Pi, Z)
-    else:
-        objective = None
-        kappa = None
-    return DesignResult(
-        Y=Z, theta=theta, objective=objective, gamma_achieved=gamma, kappa_bound=kappa
-    )
+    return _ray_design(problem, upper_rate)
 
 
 def delta0_for_lambda_max_bound(c, n):
@@ -303,58 +314,31 @@ def export_lmi(model, Delta0, fh):
     Delta0 = require_spd(Delta0, "Delta0")
     st = steady_state(model)  # objective needs the stationary Pi
     n, m = model.n, model.m
-    zero_S = np.zeros((n, n))
-    zero_Y = np.zeros((m, m))
-
-    def svar_index(i, j):
-        # 1-based, upper triangle of S in row-major order
-        return 1 + i * n - (i * (i - 1)) // 2 + (j - i)
-
-    n_svars = n * (n + 1) // 2
-    n_yvars = m * (m + 1) // 2
+    s_pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    y_pairs = [(i, j) for i in range(m) for j in range(i, m)]
 
     lines = [
         "setkf-lmi v1",
         f"n {n} m {m}",
-        f"svars {n_svars} yvars {n_yvars}",
+        f"svars {len(s_pairs)} yvars {len(y_pairs)}",
         f"block 1 size {2 * n + m}",
         f"block 2 size {2 * n}",
     ]
     # objective tr(Pi Y) over upper-triangle Y vars
-    v = n_svars
-    for i in range(m):
-        for j in range(i, m):
-            v += 1
-            coef = float(st.Pi[i, i]) if i == j else 2.0 * float(st.Pi[i, j])
-            lines.append(f"OBJ {v} {coef!r}")
-
-    def emit(block, var, M):
+    for v, (i, j) in enumerate(y_pairs, start=len(s_pairs) + 1):
+        coef = float(st.Pi[i, i]) if i == j else 2.0 * float(st.Pi[i, j])
+        lines.append(f"OBJ {v} {coef!r}")
+    # constant terms
+    M1c, M2c = assemble_lmi_blocks(model, np.zeros((m, m)), np.zeros((n, n)), Delta0)
+    for block, M in ((1, M1c), (2, M2c)):
         for r in range(M.shape[0]):
             for c in range(r, M.shape[1]):
                 val = float(M[r, c])
                 if val != 0.0:
-                    lines.append(f"F {block} {var} {r} {c} {val!r}")
-
-    # constant terms
-    M1c, M2c = assemble_lmi_blocks(model, zero_Y, zero_S, Delta0)
-    emit(1, 0, M1c)
-    emit(2, 0, M2c)
-    # S basis coefficients
-    var = 0
-    for i in range(n):
-        for j in range(i, n):
-            var += 1
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0
-            M1s, M2s = assemble_lmi_blocks(model, zero_Y, E, Delta0)
-            emit(1, var, M1s - M1c)
-            emit(2, var, M2s - M2c)
-    # Y basis coefficients
-    for i in range(m):
-        for j in range(i, m):
-            var += 1
-            E = np.zeros((m, m))
-            E[i, j] = E[j, i] = 1.0
-            M1y, _ = assemble_lmi_blocks(model, E, zero_S, Delta0)
-            emit(1, var, M1y - M1c)
+                    lines.append(f"F {block} 0 {r} {c} {val!r}")
+    # S_ij enters -S and +S in block 1 and S in block 2; Y_ij enters Y + R^-1
+    for v, (i, j) in enumerate(s_pairs, start=1):
+        lines += [f"F 1 {v} {i} {j} -1.0", f"F 1 {v} {n + i} {n + j} 1.0", f"F 2 {v} {i} {j} 1.0"]
+    for v, (i, j) in enumerate(y_pairs, start=len(s_pairs) + 1):
+        lines.append(f"F 1 {v} {2 * n + i} {2 * n + j} 1.0")
     fh.write("\n".join(lines) + "\n")

@@ -16,9 +16,16 @@ covariance maps with :func:`riccati.compose`; it serves the scenarios with
 few runs.  Both paths use the trigger rule and measurement update of the
 single-step API, :func:`estimation.transmit` and
 :func:`estimation.measurement_update`.
+
+The rate calibrations share :func:`design.ray_search` with the trigger
+design: they keep the midpoint of its bracket, to relative width 1e-12, with
+its lower end starting at the ray's floor, where the design keeps the
+feasible end.  A target whose weight is not a positive finite number on the
+ray raises :class:`CalibrationFailed`.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,7 @@ from .model import model_from_dict, steady_state, validate_model
 from . import riccati
 from .riccati import RiccatiMap, fixed_point
 from .analysis import conditional_rate, drop_noise, open_loop_rate
+from .design import RAY_CAP, RAY_FLOOR, ray_search
 
 FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
 
@@ -645,32 +653,26 @@ def run_length_stats(record, l):
     )
 
 
-def _bisect_rate(fn, target, lo=1e-12, hi_start=1.0, cap=1e15, rel_tol=1e-12):
-    """Find theta with fn(theta) = target for an increasing rate function."""
-    hi = hi_start
-    while fn(hi) < target:
-        hi *= 2.0
-        if hi > cap:
-            raise CalibrationFailed(f"target rate {target} unreachable")
-    while fn(lo) > target:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise CalibrationFailed(f"target rate {target} unreachable")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= rel_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+def _weight(theta, target_rate):
+    if not 0.0 < theta < math.inf:
+        raise CalibrationFailed(
+            f"target rate {target_rate} unreachable: no trigger weight theta in"
+            f" [{RAY_FLOOR:g}, {RAY_CAP:g}] gives it"
+        )
+    return theta
+
+
+def _ray_weight(rate, target_rate):
+    """Midpoint of the ray search's bracket around rate(theta) = target."""
+    lo, hi = ray_search(lambda t: rate(t) >= target_rate, 1e-12, lo=RAY_FLOOR)
+    # lo is 0 when the rate at the ray's floor already reaches the target
+    return _weight(0.5 * (lo + hi) if lo > 0.0 else 0.0, target_rate)
 
 
 def calibrate_open_loop(steady_stats, target_rate, basis=None):
     """Trigger weight theta * basis whose open-loop rate equals the target.
 
-    Closed form for scalar measurements, bisection otherwise.
+    Closed form for scalar measurements, ray search otherwise.
     """
     if not 0.0 < target_rate < 1.0:
         raise CalibrationFailed("target rate must lie in (0, 1)")
@@ -678,8 +680,8 @@ def calibrate_open_loop(steady_stats, target_rate, basis=None):
     B = np.eye(m) if basis is None else np.asarray(basis, dtype=float)
     if m == 1:
         pi_b = float(steady_stats.Pi[0, 0] * B[0, 0])
-        return ((1.0 / (1.0 - target_rate)) ** 2 - 1.0) / pi_b
-    return _bisect_rate(lambda t: open_loop_rate(steady_stats, t * B), target_rate)
+        return _weight(((1.0 / (1.0 - target_rate)) ** 2 - 1.0) / pi_b, target_rate)
+    return _ray_weight(lambda t: open_loop_rate(steady_stats, t * B), target_rate)
 
 
 def calibrate_closed_loop(model, target_rate, basis=None):
@@ -694,12 +696,14 @@ def calibrate_closed_loop(model, target_rate, basis=None):
         X_upper = fixed_point(RiccatiMap(model, drop_noise(model.R, Z)))
         return conditional_rate(model, X_upper, Z)
 
-    return _bisect_rate(upper_rate, target_rate)
+    return _ray_weight(upper_rate, target_rate)
 
 
 def calibrate_period(target_rate, tol=0.025):
     if not 0.0 < target_rate < 1.0:
         raise CalibrationFailed("target rate must lie in (0, 1)")
+    if 1.0 / target_rate == math.inf:
+        raise CalibrationFailed(f"target rate {target_rate} too small to reach")
     period = max(1, round(1.0 / target_rate))
     if abs(1.0 / period - target_rate) > tol:
         raise CalibrationFailed(

@@ -171,6 +171,21 @@ def test_compare_unreachable_period_fails_first(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["1e-300", "1e-17", "1e-310"])
+def test_compare_tiny_target_rate_names_the_rate(tmp_path, capsys, rate):
+    # 1 - rate rounds to 1, so the scalar open-loop weight comes out 0; and
+    # 1 / 1e-310 overflows, so no integer period can be formed
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": SCALAR.to_dict()}))
+    out = tmp_path / "cmp.csv"
+    rc = main(["compare", "--config", str(path), "--target-rate", rate, "--output", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical failure: ") and rate in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "monte-carlo"])
 def test_unset_burn_in_follows_an_overridden_horizon(tmp_path, capsys, command):
     cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "open_loop", "Y": [[1.0]]},

@@ -279,6 +279,36 @@ class TestLmiExport:
         tr = sum(obj[4 + i] * y for i, y in enumerate(y_vals))
         assert tr == pytest.approx(float(np.trace(st.Pi @ Y)), abs=1e-12)
 
+    def test_variable_coefficients_are_exact_units(self):
+        # S_ij: -1 at block-1 (i, j), +1 at block-1 (n+i, n+j), +1 at block-2
+        # (i, j); Y_ij: +1 at block-1 (2n+i, 2n+j); nothing else per variable
+        rng = np.random.default_rng(26)
+        models = [random_stable_model(rng, n_max=4, m_max=3, rho_max=0.9) for _ in range(40)]
+        # a plant whose Q has eigenvalues near 1e-6, so Q^-1 is large
+        U = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        Q = U @ np.diag([1e-6, 2e-6, 1.0]) @ U.T
+        models.append(
+            validate_model(0.5 * np.eye(3), rng.normal(size=(2, 3)), Q, np.eye(2), np.eye(3))
+        )
+        for model in models:
+            n, m = model.n, model.m
+            buf = io.StringIO()
+            export_lmi(model, 10.0 * np.eye(n), buf)
+            _, _, entries = self._parse(buf.getvalue())
+            expected = []
+            var = 0
+            for i in range(n):
+                for j in range(i, n):
+                    var += 1
+                    expected += [
+                        (1, var, i, j, -1.0), (1, var, n + i, n + j, 1.0), (2, var, i, j, 1.0)
+                    ]
+            for i in range(m):
+                for j in range(i, m):
+                    var += 1
+                    expected.append((1, var, 2 * n + i, 2 * n + j, 1.0))
+            assert [e for e in entries if e[1] >= 1] == expected
+
     def test_unstable_plant_rejected(self):
         m = validate_model(1.1, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(UnstableSystem):

@@ -19,9 +19,13 @@ from setkf import (
     time_update,
     validate_model,
 )
-from setkf import riccati
+from setkf import design, harness, riccati
+from setkf.analysis import conditional_rate, drop_noise, open_loop_rate
+from setkf.design import RAY_REL_TOL, DesignResult, optimality_gap_bound
+from setkf.errors import CalibrationFailed, Infeasible, UnstableSystem
 from setkf.estimation import _check_measurement
-from setkf.matrices import sym
+from setkf.matrices import smallest_eigenvalue, sym
+from setkf.model import steady_state
 
 
 def random_spd(rng, n, scale=1.0, ridge=0.2):
@@ -165,6 +169,130 @@ def assemble_lmi_blocks_reference(model, Y, S, Delta0):
     )
     M2 = np.block([[S, np.eye(n)], [np.eye(n), Delta0]])
     return sym(M1), sym(M2)
+
+
+# The two ray bisections that ``setkf.design.ray_search`` replaced, kept
+# verbatim as its oracle, with the searches and calibrations built on them.
+# Every fixed point goes through ``design.fixed_point`` or
+# ``harness.fixed_point`` and every open-loop rate through
+# ``harness.open_loop_rate``, so a test can count them by patching.
+
+
+def _ray_boundary(feasible, theta_max_cap=1e15):
+    """Bisect the monotone feasibility boundary along the ray.
+
+    ``feasible(theta)`` must be False below and True above the boundary.
+    Returns the feasible-side boundary estimate to RAY_REL_TOL.
+    """
+    theta_min = 1e-12
+    if feasible(theta_min):
+        return theta_min
+    hi = 1.0
+    while not feasible(hi):
+        hi *= 2.0
+        if hi > theta_max_cap:
+            raise Infeasible("no feasible trigger weight found on the ray")
+    lo = hi / 2.0
+    while lo > theta_min and feasible(lo):
+        hi = lo
+        lo /= 2.0
+    lo = max(lo, theta_min)
+    while (hi - lo) > RAY_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bisect_rate(fn, target, lo=1e-12, hi_start=1.0, cap=1e15, rel_tol=1e-12):
+    """Find theta with fn(theta) = target for an increasing rate function."""
+    hi = hi_start
+    while fn(hi) < target:
+        hi *= 2.0
+        if hi > cap:
+            raise CalibrationFailed(f"target rate {target} unreachable")
+    while fn(lo) > target:
+        lo /= 2.0
+        if lo < 1e-300:
+            raise CalibrationFailed(f"target rate {target} unreachable")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) <= rel_tol * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _reference_design(problem, theta, rate):
+    model = problem.model
+    B = np.eye(model.m) if problem.basis is None else problem.basis
+    Y = sym(theta * B)
+    if model.rho_A < 1.0:
+        st = steady_state(model)
+        objective, kappa = float(np.trace(st.Pi @ Y)), optimality_gap_bound(st.Pi, Y)
+    else:
+        objective = kappa = None
+    return DesignResult(
+        Y=Y, theta=theta, objective=objective, gamma_achieved=rate(Y), kappa_bound=kappa
+    )
+
+
+def design_search_reference(problem):
+    """The open-loop design search on ``_ray_boundary``."""
+    model, Delta0 = problem.model, problem.Delta0
+    if model.rho_A >= 1.0:
+        raise UnstableSystem("open-loop design requires a stable system")
+    design._check_floor(model, Delta0)
+    B = np.eye(model.m) if problem.basis is None else problem.basis
+    theta = _ray_boundary(lambda t: design.feasibility_check(model, t * B, Delta0))
+    return _reference_design(problem, theta, lambda Y: open_loop_rate(steady_state(model), Y))
+
+
+def _worst_case_reference(model, Y):
+    return design.fixed_point(riccati.RiccatiMap(model, drop_noise(model.R, Y)))
+
+
+def design_search_closed_loop_reference(problem):
+    """The closed-loop design search on ``_ray_boundary``."""
+    model, Delta0 = problem.model, problem.Delta0
+    design._check_floor(model, Delta0)
+    B = np.eye(model.m) if problem.basis is None else problem.basis
+    margin = design._strictness(Delta0)
+
+    def feas(theta):
+        return smallest_eigenvalue(Delta0 - _worst_case_reference(model, theta * B)) > margin
+
+    theta = _ray_boundary(feas)
+    return _reference_design(
+        problem, theta, lambda Z: conditional_rate(model, _worst_case_reference(model, Z), Z)
+    )
+
+
+def calibrate_open_loop_reference(steady_stats, target_rate, basis=None):
+    """The open-loop calibration on ``_bisect_rate``."""
+    m = steady_stats.Pi.shape[0]
+    B = np.eye(m) if basis is None else np.asarray(basis, dtype=float)
+    if m == 1:
+        pi_b = float(steady_stats.Pi[0, 0] * B[0, 0])
+        return ((1.0 / (1.0 - target_rate)) ** 2 - 1.0) / pi_b
+    return _bisect_rate(lambda t: harness.open_loop_rate(steady_stats, t * B), target_rate)
+
+
+def calibrate_closed_loop_reference(model, target_rate, basis=None):
+    """The closed-loop calibration on ``_bisect_rate``."""
+    B = np.eye(model.m) if basis is None else np.asarray(basis, dtype=float)
+
+    def upper_rate(theta):
+        Z = theta * B
+        X_upper = harness.fixed_point(riccati.RiccatiMap(model, drop_noise(model.R, Z)))
+        return conditional_rate(model, X_upper, Z)
+
+    return _bisect_rate(upper_rate, target_rate)
 
 
 def maximal_runs(gamma, value):
