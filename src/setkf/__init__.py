@@ -36,6 +36,7 @@ from .riccati import (
     RiccatiMap,
     block_gaussian_update,
     fixed_point,
+    fixed_points,
     g_step,
     gamma_step,
     lyapunov,

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableSystem
+from .errors import UnstableSystem, value_of
 from .matrices import require_spd, sym
 from .model import SteadyState, steady_state
-from .riccati import RiccatiMap, fixed_point
+from .riccati import fixed_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,31 +53,64 @@ class ClosedLoopAnalysis:
     R3: np.ndarray
 
 
-def _det_rate(M):
-    # 1 - det(I + M)^(-1/2) via slogdet for robustness at large weights
-    sign, logdet = np.linalg.slogdet(np.eye(M.shape[0]) + M)
-    if sign <= 0:
+def _det_rates(M):
+    # 1 - det(I + M)^(-1/2) for each M of a stack, via slogdet for robustness
+    # at large weights
+    sign, logdet = np.linalg.slogdet(np.eye(M.shape[-1]) + M)
+    if np.any(sign <= 0):
         raise UnstableSystem("det(I + Pi Y) must be positive")
-    return 1.0 - float(np.exp(-0.5 * logdet))
+    return 1.0 - np.exp(-0.5 * logdet)
+
+
+def _fixed_points(model, *W):
+    # fix(g_W) for each W, solved as one stack; raises the first failure
+    X, errors = fixed_points(model, np.stack(W))
+    for error in errors:
+        value_of(error)
+    return X
 
 
 def drop_noise(R, M):
     """Effective measurement noise on a drop: R + M^-1."""
-    return sym(R + np.linalg.inv(require_spd(M, "trigger weight")))
+    return ray_drop_noise(R, np.ones(1), require_spd(M, "trigger weight"))[0]
+
+
+def ray_drop_noise(R, thetas, B):
+    """drop_noise(R, theta * B) for each theta of a stack, B checked once by
+    the caller instead of each theta * B."""
+    return sym(R + np.linalg.inv(sym(thetas[:, None, None] * B)))
+
+
+def open_loop_rates(steady, Y):
+    """The open-loop rate for each checked weight of a stack."""
+    if steady.rho_A >= 1.0:
+        raise UnstableSystem("open-loop rate requires a stable system")
+    return _det_rates(steady.Pi @ Y)
 
 
 def open_loop_rate(steady, Y):
     """Long-run open-loop transmission rate 1 - det(I + Pi Y)^(-1/2)."""
-    if steady.rho_A >= 1.0:
-        raise UnstableSystem("open-loop rate requires a stable system")
-    Y = require_spd(Y, "Y")
-    return _det_rate(steady.Pi @ Y)
+    return float(open_loop_rates(steady, require_spd(Y, "Y")[None])[0])
+
+
+def conditional_rates(model, X, Z):
+    """Transmission probability of the closed-loop trigger at each prior
+    covariance X of a stack, with weight Z (one, or one per X)."""
+    return _det_rates(sym(model.C @ X @ model.C.T + model.R) @ Z)
 
 
 def conditional_rate(model, X, Z):
     """Transmission probability of the closed-loop trigger at prior covariance X."""
-    M = sym(model.C @ X @ model.C.T + model.R)
-    return _det_rate(M @ Z)
+    return float(conditional_rates(model, X[None], Z)[0])
+
+
+def upper_rates(model, thetas, B):
+    """The closed-loop upper rate bound, the rate at fix(g_{R+Z^-1}), with
+    Z = theta B for each theta of a stack and B checked by the caller: the
+    rate, or the error of the fixed point."""
+    X, errors = fixed_points(model, ray_drop_noise(model.R, thetas, B))
+    rates = conditional_rates(model, X, thetas[:, None, None] * B)
+    return [error or rate for rate, error in zip(rates, errors)]
 
 
 def rate_weighted_noise(R, W_drop, gamma):
@@ -96,10 +129,8 @@ def olset_bounds(model, Y):
     st = steady_state(model)
     gamma = open_loop_rate(st, Y)
     W_drop = drop_noise(model.R, Y)
-    X0 = fixed_point(RiccatiMap(model, model.R))
-    X_upper = fixed_point(RiccatiMap(model, W_drop))
     R1 = rate_weighted_noise(model.R, W_drop, gamma)
-    X_lower = fixed_point(RiccatiMap(model, R1))
+    X0, X_upper, X_lower = _fixed_points(model, model.R, W_drop, R1)
     return OpenLoopAnalysis(
         gamma=gamma, X0=X0, X_upper=X_upper, X_lower=X_lower, R1=R1, steady=st
     )
@@ -109,17 +140,15 @@ def closed_loop_rate_bounds(model, Z):
     """Closed-loop rate bounds and covariance bounds; no stability needed."""
     Z = require_spd(Z, "Z")
     W_drop = drop_noise(model.R, Z)
-    X0 = fixed_point(RiccatiMap(model, model.R))
-    X_upper = fixed_point(RiccatiMap(model, W_drop))
-    gamma_low = conditional_rate(model, X0, Z)
-    gamma_upper = conditional_rate(model, X_upper, Z)
+    X = _fixed_points(model, model.R, W_drop)
+    gamma_low, gamma_upper = conditional_rates(model, X, Z).tolist()
     R3 = rate_weighted_noise(model.R, W_drop, gamma_upper)
-    X_lower = fixed_point(RiccatiMap(model, R3))
+    (X_lower,) = _fixed_points(model, R3)
     return ClosedLoopAnalysis(
         gamma_low=gamma_low,
         gamma_upper=gamma_upper,
-        X0=X0,
-        X_upper=X_upper,
+        X0=X[0],
+        X_upper=X[1],
         X_lower=X_lower,
         R3=R3,
     )

@@ -26,9 +26,10 @@ The search over all SPD Y is restricted to a ray Y = theta * B for a fixed
 SPD basis B (default identity).  Feasibility is monotone along the ray, so
 bisection finds the boundary; the objective tr(Pi Y) is increasing in theta,
 so the boundary point is the ray optimum.  :func:`ray_search` is the one
-search along the ray, shared with the rate calibrations in ``harness``.  Both
-designs keep the feasible end of its bracket, to relative width RAY_REL_TOL;
-the calibrations keep the midpoint, to relative width 1e-12.
+search along the ray, shared with the rate calibrations in ``harness``; it
+asks its test about a stack of points at a time.  Both designs keep the
+feasible end of its bracket, to relative width RAY_REL_TOL; the calibrations
+keep the midpoint, to relative width 1e-12.
 """
 
 import math
@@ -36,17 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NotPositiveDefinite, UnstableSystem
+from .errors import Infeasible, NotPositiveDefinite, UnstableSystem, value_of
 from .matrices import require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
-from .riccati import RiccatiMap, fixed_point, lyapunov
-from .analysis import drop_noise, open_loop_rate, conditional_rate
+from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
+from .analysis import open_loop_rate, ray_drop_noise, upper_rates
 
 RAY_REL_TOL = 1e-8
 # the ray theta * B is searched on [RAY_FLOOR, RAY_CAP]
 RAY_FLOOR = 1e-12
 RAY_CAP = 1e15
 RAY_MAX_BISECTIONS = 200
+# a round of the ray search tests 2^RAY_TREE_DEPTH - 1 points in one stack
+RAY_TREE_DEPTH = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +91,12 @@ def _strictness(Delta0):
     return 1e-9 * (1.0 + spectral_norm(Delta0))
 
 
-def _below_bound(model, Y, Delta0, margin):
-    """lambda_min(Delta0 - fix(g_{R+Y^-1})) > margin, for a validated Delta0."""
-    X_upper = fixed_point(RiccatiMap(model, drop_noise(model.R, Y)))
-    return smallest_eigenvalue(Delta0 - X_upper) > margin
+def _below_bound(model, thetas, B, Delta0, margin):
+    """For each theta of a stack, lambda_min(Delta0 - fix(g_{R+(theta B)^-1}))
+    > margin, or the error of its fixed point; B and Delta0 are checked."""
+    X, errors = fixed_points(model, ray_drop_noise(model.R, thetas, B))
+    below = np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] > margin
+    return [error or bool(b) for b, error in zip(below, errors)]
 
 
 def feasibility_check(model, Y, Delta0):
@@ -100,7 +105,7 @@ def feasibility_check(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y")
     Delta0 = require_spd(Delta0, "Delta0")
-    return _below_bound(model, Y, Delta0, _strictness(Delta0))
+    return value_of(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0])
 
 
 def assemble_lmi_blocks(model, Y, S, Delta0):
@@ -155,7 +160,7 @@ def lmi_feasible(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y")
     Delta0 = require_spd(Delta0, "Delta0")
-    W_eff = drop_noise(model.R, Y)
+    (W_eff,) = ray_drop_noise(model.R, np.ones(1), Y)
     X_upper = fixed_point(RiccatiMap(model, W_eff))
     try:
         L = np.linalg.cholesky(sym(Delta0 - X_upper))
@@ -174,35 +179,58 @@ def lmi_feasible(model, Y, Delta0):
 def ray_search(pred, rel_tol, lo=None):
     """Bracket and bisect the point where a monotone test flips on the ray.
 
-    ``pred(theta)`` must be False below its boundary and True above it; it
-    is called only on theta in [RAY_FLOOR, RAY_CAP].  The floor is tested
-    first.  The upper end then starts at 1 and doubles while ``pred`` fails.
-    The lower end starts at ``lo``, by default one halving below the upper
-    end; when ``pred(1)`` holds it halves while ``pred`` still holds, taking
-    the upper end along, and stops at the floor.  Bisection then halves the
-    bracket until ``hi - lo <= rel_tol * hi``, at most RAY_MAX_BISECTIONS
-    times.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when
-    ``pred`` holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
+    ``pred(thetas)`` gets a stack of theta in [RAY_FLOOR, RAY_CAP] and gives
+    for each False below its boundary, True above it, or the exception the
+    test raised there.  The floor is tested first.  The upper end then starts
+    at 1 and doubles while the test fails.  The lower end starts at ``lo``,
+    by default one halving below the upper end; when the test holds at 1 it
+    halves while the test still holds, taking the upper end along, and stops
+    at the floor.  Bisection then halves the bracket until
+    ``hi - lo <= rel_tol * hi``, at most RAY_MAX_BISECTIONS times.  A point
+    not yet tested starts a round, one call of ``pred`` on 2^RAY_TREE_DEPTH
+    - 1 points: it and the next doublings or halvings, or the next
+    RAY_TREE_DEPTH levels of the bisection tree.  The search walks the
+    outcomes as if tested one at a time and raises one only at a point it
+    reaches.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when the
+    test holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
     Each caller keeps its own end of the bracket.
     """
-    if pred(RAY_FLOOR):
+    known = {}
+
+    def holds(theta, points):
+        if theta not in known:
+            thetas = points()[: 2**RAY_TREE_DEPTH - 1]
+            known.update(zip(thetas, pred(np.array(thetas))))
+        return bool(value_of(known[theta]))
+
+    def chain(t, factor):
+        points = (t * factor**i for i in range(2**RAY_TREE_DEPTH))
+        return [s for s in points if RAY_FLOOR < s <= RAY_CAP]
+
+    def tree(lo, hi, depth):
+        if depth == 0 or hi - lo <= rel_tol * hi:
+            return []
+        mid = 0.5 * (lo + hi)
+        return [mid, *tree(lo, mid, depth - 1), *tree(mid, hi, depth - 1)]
+
+    if holds(RAY_FLOOR, lambda: [RAY_FLOOR, *chain(1.0, 2.0)]):
         return 0.0, RAY_FLOOR
     hi = 1.0
-    while not pred(hi):
+    while not holds(hi, lambda: chain(hi, 2.0)):
         hi *= 2.0
         if hi > RAY_CAP:
             return hi / 2.0, math.inf
     if lo is None:
         lo = hi / 2.0
     if hi == 1.0:  # after a doubling pred failed at hi / 2, so at every lo <= hi / 2
-        while lo > RAY_FLOOR and pred(lo):
+        while lo > RAY_FLOOR and holds(lo, lambda: chain(lo, 0.5)):
             hi, lo = lo, lo / 2.0
     lo = max(lo, RAY_FLOOR)
     for _ in range(RAY_MAX_BISECTIONS):
         if hi - lo <= rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if pred(mid):
+        if holds(mid, lambda: tree(lo, hi, RAY_TREE_DEPTH)):
             hi = mid
         else:
             lo = mid
@@ -240,7 +268,7 @@ def _ray_design(problem, rate):
     _check_floor(model, Delta0)
     B = np.eye(model.m) if problem.basis is None else problem.basis
     margin = _strictness(Delta0)
-    _, theta = ray_search(lambda t: _below_bound(model, t * B, Delta0, margin), RAY_REL_TOL)
+    _, theta = ray_search(lambda t: _below_bound(model, t, B, Delta0, margin), RAY_REL_TOL)
     if theta == math.inf:
         raise Infeasible("no feasible trigger weight found on the ray")
     Y = sym(theta * B)
@@ -272,11 +300,7 @@ def design_search_closed_loop(problem):
     at fix(g_{R+Z^-1}) as the achieved rate.  Works for unstable plants, in
     which case the stationary objective and gap bound are unavailable."""
     model = problem.model
-
-    def upper_rate(st, Z):
-        return conditional_rate(model, fixed_point(RiccatiMap(model, drop_noise(model.R, Z))), Z)
-
-    return _ray_design(problem, upper_rate)
+    return _ray_design(problem, lambda st, Z: value_of(upper_rates(model, np.ones(1), Z)[0]))
 
 
 def delta0_for_lambda_max_bound(c, n):

@@ -32,11 +32,10 @@ import numpy as np
 
 from .errors import CalibrationFailed, ConfigError
 from .estimation import TriggerPolicy, measurement_update, transmit
-from .matrices import as_matrix, as_number, sym
+from .matrices import as_matrix, as_number, require_spd, sym
 from .model import model_from_dict, steady_state, validate_model
 from . import riccati
-from .riccati import RiccatiMap, fixed_point
-from .analysis import conditional_rate, drop_noise, open_loop_rate
+from .analysis import open_loop_rates, upper_rates
 from .design import RAY_CAP, RAY_FLOOR, ray_search
 
 FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
@@ -654,7 +653,7 @@ def run_length_stats(record, l):
 
 
 def _weight(theta, target_rate):
-    if not 0.0 < theta < math.inf:
+    if not RAY_FLOOR <= theta <= RAY_CAP:
         raise CalibrationFailed(
             f"target rate {target_rate} unreachable: no trigger weight theta in"
             f" [{RAY_FLOOR:g}, {RAY_CAP:g}] gives it"
@@ -662,11 +661,16 @@ def _weight(theta, target_rate):
     return theta
 
 
-def _ray_weight(rate, target_rate):
-    """Midpoint of the ray search's bracket around rate(theta) = target."""
-    lo, hi = ray_search(lambda t: rate(t) >= target_rate, 1e-12, lo=RAY_FLOOR)
-    # lo is 0 when the rate at the ray's floor already reaches the target
-    return _weight(0.5 * (lo + hi) if lo > 0.0 else 0.0, target_rate)
+def _ray_weight(rates, target_rate):
+    """Midpoint of the ray search's bracket around rate(theta) = target;
+    ``rates(thetas)`` gives each theta's rate or error."""
+    lo, hi = ray_search(
+        lambda t: [r if isinstance(r, Exception) else r >= target_rate for r in rates(t)],
+        1e-12,
+        lo=RAY_FLOOR,
+    )
+    # below the floor when the rate at the floor already reaches the target
+    return _weight(0.5 * (lo + hi), target_rate)
 
 
 def calibrate_open_loop(steady_stats, target_rate, basis=None):
@@ -678,10 +682,13 @@ def calibrate_open_loop(steady_stats, target_rate, basis=None):
         raise CalibrationFailed("target rate must lie in (0, 1)")
     m = steady_stats.Pi.shape[0]
     B = np.eye(m) if basis is None else np.asarray(basis, dtype=float)
+    require_spd(B, "basis")  # once, instead of each theta * B
     if m == 1:
         pi_b = float(steady_stats.Pi[0, 0] * B[0, 0])
         return _weight(((1.0 / (1.0 - target_rate)) ** 2 - 1.0) / pi_b, target_rate)
-    return _ray_weight(lambda t: open_loop_rate(steady_stats, t * B), target_rate)
+    return _ray_weight(
+        lambda t: open_loop_rates(steady_stats, sym(t[:, None, None] * B)), target_rate
+    )
 
 
 def calibrate_closed_loop(model, target_rate, basis=None):
@@ -690,13 +697,8 @@ def calibrate_closed_loop(model, target_rate, basis=None):
     if not 0.0 < target_rate < 1.0:
         raise CalibrationFailed("target rate must lie in (0, 1)")
     B = np.eye(model.m) if basis is None else np.asarray(basis, dtype=float)
-
-    def upper_rate(theta):
-        Z = theta * B
-        X_upper = fixed_point(RiccatiMap(model, drop_noise(model.R, Z)))
-        return conditional_rate(model, X_upper, Z)
-
-    return _ray_weight(upper_rate, target_rate)
+    require_spd(B, "basis")  # once, instead of each theta * B
+    return _ray_weight(lambda t: upper_rates(model, t, B), target_rate)
 
 
 def calibrate_period(target_rate, tol=0.025):

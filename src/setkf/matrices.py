@@ -97,3 +97,22 @@ def require_spd(X, name, floor=0.0):
     if not is_spd(X, floor=floor):
         raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
     return S
+
+
+def spd_failures(X, name):
+    """For each matrix of a stack of symmetric matrices, None or the error of
+    ``require_spd``: one finiteness test and one Cholesky factorization of
+    the stack, and a check of each matrix only when one of them fails."""
+    try:
+        if np.isfinite(X).all() and np.linalg.cholesky(X) is not None:
+            return [None] * len(X)
+    except np.linalg.LinAlgError:
+        pass
+    errors = []
+    for M in X:
+        try:
+            require_spd(M, name)
+            errors.append(None)
+        except NotPositiveDefinite as exc:
+            errors.append(exc)
+    return errors

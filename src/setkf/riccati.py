@@ -11,8 +11,9 @@ unique positive-definite fixed point from any positive-definite start.
 Each map P -> A (P^-1 + J)^-1 A' + C is an element (A, C, J), g_W being
 (A, Q, C' W^-1 C), and :func:`compose` is their one composition: the
 harness's time-parallel scan composes an element per step, while
-:func:`fixed_point` and :func:`lyapunov` (whose element is (F, Q, 0)) square
-one element, k doublings covering 2^k iterates, at most 64 times.
+:func:`fixed_points` and :func:`lyapunov` (whose element is (F, Q, 0))
+square a stack of elements, k doublings covering 2^k iterates, at most 64
+times, each element until its own stop.
 
 Also provides the block-Gaussian covariance identity used to absorb a
 quadratic measurement weight into a joint covariance: for a joint SPD
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation
-from .matrices import is_spd, require_spd, sym
+from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation, value_of
+from .matrices import is_spd, require_spd, spd_failures, sym
 
 FIXED_POINT_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
@@ -109,49 +110,100 @@ def apply(maps, P):
 
 
 def _doubling(element, tol, max_doublings, label, offset=0.0):
-    """offset + C of the element (A, C, J) squared until C, its image of 0,
-    changes by at most ``tol`` relative to offset + C.  Raises NoConvergence
-    on a singular step, on a C that is not finite, or after ``max_doublings``.
+    """offset + C of each element (A, C, J) of a stack, squared until its C,
+    its image of 0, changes by at most ``tol`` relative to offset + C.
+
+    An element leaves the stack at its own stop doubling, so its value is
+    that of a stack of one to the bit.  Returns the values and, per element,
+    None or the NoConvergence of a singular step, of a C that is not finite,
+    or of ``max_doublings`` doublings (its value is then 0).
     """
-    C = element[1]
+    A, C, J = element
+    out, errors, live = np.zeros(C.shape), [None] * len(C), np.arange(len(C))
+
+    def leave(leaving, error):  # True when no element is left
+        nonlocal A, C, J, live
+        for i in live[leaving]:
+            errors[i] = error
+        A, C, J, live = A[~leaving], C[~leaving], J[~leaving], live[~leaving]
+        return not len(live)
+
     with np.errstate(all="ignore"):
         for k in range(max_doublings):
             try:
-                element = compose(element, element)
-            except np.linalg.LinAlgError:
-                raise NoConvergence(k + 1, f"{label} (singular step)") from None
-            step, C = element[1] - C, element[1]
-            if not np.all(np.isfinite(C)):
-                raise NoConvergence(k + 1, f"{label} (diverged)")
+                squared = compose((A, C, J), (A, C, J))
+            except np.linalg.LinAlgError:  # a zero pivot, as solve meets it
+                singular = np.linalg.slogdet(np.eye(C.shape[-1]) + C @ J)[0] == 0
+                if leave(singular, NoConvergence(k + 1, f"{label} (singular step)")):
+                    return out, errors
+                squared = compose((A, C, J), (A, C, J))
+            step, (A, C, J) = squared[1] - C, squared
+            if not np.isfinite(C).all():
+                finite = np.isfinite(C).all(axis=(1, 2))
+                step = step[finite]
+                if leave(~finite, NoConvergence(k + 1, f"{label} (diverged)")):
+                    return out, errors
             X = offset + C
-            # both spectral norms from one SVD call on the stacked pair
-            step_norm, x_norm = np.linalg.svd(np.stack([step, X]), compute_uv=False)[:, 0]
-            if step_norm <= tol * x_norm:
-                return sym(X)
-    raise NoConvergence(max_doublings, label)
+            # both spectral norms of each element from one SVD call
+            norms = np.linalg.svd(np.stack([step, X]), compute_uv=False)[..., 0].tolist()
+            done = [step_norm <= tol * x_norm for step_norm, x_norm in zip(*norms)]
+            if any(done):
+                if all(done) and len(live) == len(out):
+                    return sym(X), errors
+                done = np.array(done)
+                out[live[done]] = sym(X[done])
+                if leave(done, None):
+                    return out, errors
+    leave(np.ones(len(live), dtype=bool), NoConvergence(max_doublings, label))
+    return out, errors
+
+
+def fixed_points(model, W, tol=FIXED_POINT_TOL, max_iter=MAX_DOUBLINGS, start=None):
+    """Unique positive-definite solution of X = g_W(X) for each W of a stack
+    of symmetric matrices, by structured doubling.
+
+    Squares the elements (A, Q, C' W^-1 C) of g_W (Chu, Fan, Lin & Wang
+    2004) as one stack, each until its last increment falls below ``tol``
+    relative to its X.  A ``start`` S shifts the unknown to X = S + Delta,
+    whose map has the element (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).
+    The stack of W is checked once.  Returns the stack of X and, per W, None
+    or its error: NotPositiveDefinite for the W, or NoConvergence when the
+    iterate stops being finite or after ``max_iter`` doublings, which signals
+    ill-conditioning rather than non-existence.
+    """
+    errors = spd_failures(W, "W")
+    ok = np.array([error is None for error in errors])
+    if ok.all():
+        return _fixed_points(model, W, tol, max_iter, start)
+    X, solved = np.zeros((len(W), model.n, model.n)), []
+    if ok.any():  # solve the others alone
+        X[ok], solved = _fixed_points(model, W[ok], tol, max_iter, start)
+    solved = iter(solved)
+    return X, [error or next(solved) for error in errors]
+
+
+def _fixed_points(model, W, tol, max_iter, start):
+    # fixed_points for a stack of W already checked
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    C, A, S, H = model.C, model.A[None], 0.0, model.Q[None]
+    if len(W) > 1:  # compose squares stacks of equal height
+        A, H = A.repeat(len(W), 0), H.repeat(len(W), 0)
+    if start is not None:
+        S = sym(np.atleast_2d(np.asarray(start, dtype=float)))
+        T, W = A @ S @ C.T, sym(C @ S @ C.T + W)
+        H = sym(A @ S @ _T(A) + H - T @ np.linalg.solve(W, _T(T))) - S  # g_W(S) - S
+        A = A - _T(np.linalg.solve(W, C @ S @ _T(A))) @ C
+    G = sym(C.T @ np.linalg.solve(W, C[None]))
+    return _doubling((A, H, G), tol, max_iter, "Riccati doubling", offset=S)
 
 
 def fixed_point(rmap, tol=FIXED_POINT_TOL, max_iter=MAX_DOUBLINGS, start=None):
-    """Unique positive-definite solution of X = g_W(X), by structured doubling.
-
-    Squares the element (A, Q, C' W^-1 C) of g_W (Chu, Fan, Lin & Wang
-    2004).  A ``start`` S shifts the unknown to X = S + Delta, whose map has
-    the element (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).  Stops when
-    the last increment falls below ``tol`` relative to X.  Raises
-    NoConvergence when the iterate stops being finite or after ``max_iter``
-    doublings, which signals ill-conditioning rather than non-existence.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    A, C, Q, W = rmap.model.A, rmap.model.C, rmap.model.Q, rmap.W
-    S, H = 0.0, Q
-    if start is not None:
-        S = sym(np.atleast_2d(np.asarray(start, dtype=float)))
-        W = sym(C @ S @ C.T + W)
-        A = A - np.linalg.solve(W, C @ S @ A.T).T @ C
-        H = g_step(S, rmap) - S
-    G = sym(C.T @ np.linalg.solve(W, C))
-    return _doubling((A, H, G), tol, max_iter, "Riccati doubling", offset=S)
+    """Unique positive-definite solution of X = g_W(X) for the checked W of
+    ``rmap``: :func:`fixed_points` on a stack of one, stopped at the same
+    doubling and to the same bits as in any stack, raising its error."""
+    X, errors = _fixed_points(rmap.model, rmap.W[None], tol, max_iter, start)
+    return value_of(errors[0] or X[0])
 
 
 def lyapunov(F, Q):
@@ -163,9 +215,11 @@ def lyapunov(F, Q):
     being finite or after MAX_DOUBLINGS doublings, both of which mean
     rho(F) >= 1 up to rounding.
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    X = sym(np.atleast_2d(np.asarray(Q, dtype=float)))
-    return _doubling((F, X, np.zeros_like(X)), LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")
+    F = np.atleast_2d(np.asarray(F, dtype=float))[None]
+    Q = sym(np.atleast_2d(np.asarray(Q, dtype=float)))[None]
+    element = (F, Q, np.zeros_like(Q))
+    X, errors = _doubling(element, LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")
+    return value_of(errors[0] or X[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from setkf import ConfigError, Scenario, TriggerPolicy, cli, harness, validate_model
+from setkf import (
+    CalibrationFailed,
+    ConfigError,
+    Scenario,
+    TriggerPolicy,
+    cli,
+    harness,
+    validate_model,
+)
+from setkf.model import steady_state
 from setkf.cli import main
 from setkf.harness import MAX_LOG_ENTRIES, MAX_RUNS
 from util import scalar_g_fixed_point
@@ -184,6 +193,31 @@ def test_compare_tiny_target_rate_names_the_rate(tmp_path, capsys, rate):
     assert len(err) == 1
     assert err[0].startswith("numerical failure: ") and rate in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1e-13", "1e-12"])
+def test_compare_weight_below_the_ray_floor(tmp_path, capsys, rate):
+    # the scalar plant's open-loop weight has a closed form below 1e-12 here;
+    # both calibrations refuse it with one message, the line compare prints
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"model": SCALAR.to_dict()}))
+    rc = main(["compare", "--config", str(path), "--target-rate", rate, "--runs", "2"])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    messages = set()
+    for calibrate, arg in (
+        (harness.calibrate_open_loop, steady_state(SCALAR)),
+        (harness.calibrate_closed_loop, SCALAR),
+    ):
+        with pytest.raises(CalibrationFailed) as exc:
+            calibrate(arg, float(rate))
+        messages.add(f"numerical failure: {exc.value}")
+    assert messages == {
+        f"numerical failure: target rate {rate} unreachable: no trigger weight theta in"
+        " [1e-12, 1e+15] gives it"
+    }
+    assert err.splitlines() == list(messages)
 
 
 @pytest.mark.parametrize("command", ["simulate", "monte-carlo"])

@@ -1,25 +1,34 @@
-"""The one ray search against the two bisections it replaced.
+"""The stacked ray search against the sequential one and the bisections it
+replaced.
 
-``util._ray_boundary`` and ``util._bisect_rate`` are the former design and
-calibration routines, verbatim.  The shared search must give every design
-and calibration weight to the bit, with no more fixed-point solves, and one
-fewer for a design whose boundary lies above theta = 1 (the former search
-probed theta = hi / 2 again after finding it infeasible).
+``util.ray_search_reference`` is the search testing one point at a time,
+verbatim; ``util._ray_boundary`` and ``util._bisect_rate`` are the design
+and calibration routines before it, verbatim.  The stacked search must give
+every bracket, design and calibration weight to the bit, test every point
+the sequential search tests, and raise only where the sequential search
+raises.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from setkf import CalibrationFailed, ModelValidationError, design, harness, validate_model
+import util
+from setkf import CalibrationFailed, ModelValidationError, NoConvergence, analysis, design
+from setkf import harness, validate_model
 from setkf.design import (
     RAY_CAP,
     RAY_FLOOR,
     RAY_REL_TOL,
+    RAY_TREE_DEPTH,
     DesignProblem,
     design_search,
     design_search_closed_loop,
     ray_search,
 )
+from setkf.analysis import ray_drop_noise
+from setkf.errors import value_of
 from setkf.harness import calibrate_closed_loop, calibrate_open_loop
 from setkf.model import steady_state
 from setkf.riccati import RiccatiMap
@@ -31,9 +40,11 @@ from util import (
     design_search_closed_loop_reference,
     design_search_reference,
     random_spd,
+    ray_search_reference,
 )
 
 CALIBRATION_TOL = 1e-12
+WIDTH = 2**RAY_TREE_DEPTH - 1
 
 
 def _counted(pred):
@@ -44,6 +55,23 @@ def _counted(pred):
         return pred(theta)
 
     return counted, calls
+
+
+def _rounds_bound(sequential_calls):
+    # a round covers RAY_TREE_DEPTH bisections or up to WIDTH doublings or
+    # halvings; each change of phase may start one more round
+    return math.ceil(sequential_calls / RAY_TREE_DEPTH) + 2
+
+
+def _check_rounds(rounds, visited):
+    """Each round is a stack of at most WIDTH points on the ray, none asked
+    twice, and every point the sequential search tests is among them."""
+    points = [float(t) for thetas in rounds for t in thetas]
+    assert all(0 < len(thetas) <= WIDTH for thetas in rounds)
+    assert all(RAY_FLOOR <= t <= RAY_CAP for t in points)
+    assert len(set(points)) == len(points)
+    assert set(visited) <= set(points)
+    assert len(rounds) <= _rounds_bound(len(visited))
 
 
 class TestThresholdOracle:
@@ -58,24 +86,27 @@ class TestThresholdOracle:
 
     def test_design_end_matches_ray_boundary(self):
         for b in self.BOUNDARIES:
-            new, new_calls = _counted(lambda t, b=b: t >= b)
+            new, rounds = _counted(lambda t, b=b: t >= b)
+            seq, seq_calls = _counted(lambda t, b=b: t >= b)
             old, old_calls = _counted(lambda t, b=b: t >= b)
             lo, hi = ray_search(new, RAY_REL_TOL)
+            assert (lo, hi) == ray_search_reference(seq, RAY_REL_TOL), b
+            _check_rounds(rounds, seq_calls)
             try:
                 expected = _ray_boundary(old)
             except design.Infeasible:
                 assert hi == np.inf
-                assert len(new_calls) == len(old_calls)
+                assert len(seq_calls) == len(old_calls)
                 continue
             assert hi == expected, b
             assert lo < b <= hi or hi == RAY_FLOOR
-            assert len(new_calls) == len(old_calls) - (expected > 1.0)
-            assert all(RAY_FLOOR <= t <= RAY_CAP for t in new_calls)
+            assert len(seq_calls) == len(old_calls) - (expected > 1.0)
 
     def test_calibration_midpoint_matches_bisect_rate(self):
         # above the floor, where both searches bracket the same boundary
         for b in self.BOUNDARIES[self.BOUNDARIES > RAY_FLOOR]:
-            new, new_calls = _counted(lambda t, b=b: t >= b)
+            new, rounds = _counted(lambda t, b=b: t >= b)
+            seq, seq_calls = _counted(lambda t, b=b: t >= b)
             old_calls = []
 
             def rate(t, b=b):
@@ -83,18 +114,125 @@ class TestThresholdOracle:
                 return t
 
             lo, hi = ray_search(new, CALIBRATION_TOL, lo=RAY_FLOOR)
+            assert (lo, hi) == ray_search_reference(seq, CALIBRATION_TOL, lo=RAY_FLOOR), b
+            _check_rounds(rounds, seq_calls)
             try:
                 expected = _bisect_rate(rate, b)
             except CalibrationFailed:
                 assert hi == np.inf
                 continue
             assert 0.5 * (lo + hi) == expected, b
-            assert len(new_calls) == len(old_calls)
+            assert len(seq_calls) == len(old_calls)
 
     def test_floor_and_cap(self):
-        assert ray_search(lambda t: True, RAY_REL_TOL) == (0.0, RAY_FLOOR)
-        assert ray_search(lambda t: True, CALIBRATION_TOL, lo=RAY_FLOOR) == (0.0, RAY_FLOOR)
-        assert ray_search(lambda t: False, RAY_REL_TOL)[1] == np.inf
+        def always(t):
+            return np.ones(len(t), dtype=bool)
+
+        def never(t):
+            return np.zeros(len(t), dtype=bool)
+
+        assert ray_search(always, RAY_REL_TOL) == (0.0, RAY_FLOOR)
+        assert ray_search(always, CALIBRATION_TOL, lo=RAY_FLOOR) == (0.0, RAY_FLOOR)
+        assert ray_search(never, RAY_REL_TOL)[1] == np.inf
+
+
+class Failure(Exception):
+    pass
+
+
+class TestFailures:
+    """A test that fails at one point, as the stacked search sees it (an
+    outcome) and as the sequential one does (a raise)."""
+
+    BOUNDARIES = [3.0, 0.3, 1e-9, 5e11, 0.75, 1.7e4]
+
+    @staticmethod
+    def _failing(b, bad):
+        def stacked(thetas):
+            return [Failure(f"failed at {float(t)!r}") if t == bad else t >= b for t in thetas]
+
+        def single(t):
+            return value_of(stacked(np.array([t]))[0])
+
+        return stacked, single
+
+    def _points(self, b, rel_tol, lo):
+        stacked, rounds = _counted(lambda t: t >= b)
+        ray_search(stacked, rel_tol, lo=lo)
+        seq, visited = _counted(lambda t: t >= b)
+        ray_search_reference(seq, rel_tol, lo=lo)
+        points = [float(t) for thetas in rounds for t in thetas]
+        return points, visited
+
+    @pytest.mark.parametrize("rel_tol, lo", [(RAY_REL_TOL, None), (CALIBRATION_TOL, RAY_FLOOR)])
+    def test_failure_where_the_search_never_goes_does_not_raise(self, rel_tol, lo):
+        unvisited = 0
+        for b in self.BOUNDARIES:
+            points, visited = self._points(b, rel_tol, lo)
+            expected = ray_search_reference(lambda t, b=b: t >= b, rel_tol, lo=lo)
+            for bad in set(points) - set(visited):
+                stacked, _ = self._failing(b, bad)
+                assert ray_search(stacked, rel_tol, lo=lo) == expected
+                unvisited += 1
+        assert unvisited >= 50
+
+    @pytest.mark.parametrize("rel_tol, lo", [(RAY_REL_TOL, None), (CALIBRATION_TOL, RAY_FLOOR)])
+    def test_failure_where_the_search_goes_raises_the_same_error(self, rel_tol, lo):
+        for b in self.BOUNDARIES:
+            _, visited = self._points(b, rel_tol, lo)
+            for bad in visited:
+                stacked, single = self._failing(b, bad)
+                with pytest.raises(Failure) as seq_error:
+                    ray_search_reference(single, rel_tol, lo=lo)
+                with pytest.raises(Failure) as new_error:
+                    ray_search(stacked, rel_tol, lo=lo)
+                assert str(new_error.value) == str(seq_error.value) == f"failed at {bad!r}"
+
+    def test_fixed_point_failures_in_a_design_search(self, monkeypatch):
+        # a fixed point of a round that fails to converge: the design ends as
+        # without the failure where the search never goes, and raises it
+        # where it goes
+        model = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
+        problem = DesignProblem(model, [[1.5]])
+        expected = design_search(problem)
+        margin = design._strictness(problem.Delta0)
+        visited = []
+
+        def single(theta):
+            visited.append(theta)
+            outcomes = design._below_bound(
+                model, np.array([theta]), np.eye(1), problem.Delta0, margin
+            )
+            return value_of(outcomes[0])
+
+        ray_search_reference(single, RAY_REL_TOL)
+        rounds = []
+        fixed_points = design.fixed_points
+
+        def recording(model, W):
+            rounds.append(W)
+            return fixed_points(model, W)
+
+        monkeypatch.setattr(design, "fixed_points", recording)
+        design_search(problem)
+        visited_W = [ray_drop_noise(model.R, np.array([t]), np.eye(1))[0] for t in visited]
+        every_W = np.concatenate(rounds)
+        unvisited = [W for W in every_W if not any(np.array_equal(W, V) for V in visited_W)]
+        assert len(unvisited) >= 20 and len(every_W) == len(unvisited) + len(visited)
+        for bad, should_raise in [(W, False) for W in unvisited] + [(W, True) for W in visited_W]:
+
+            def failing(model, W, bad=bad):
+                X, errors = fixed_points(model, W)
+                failed = [np.array_equal(w, bad) for w in W]
+                return X, [NoConvergence(64, "Riccati doubling") if f else e
+                           for f, e in zip(failed, errors)]
+
+            monkeypatch.setattr(design, "fixed_points", failing)
+            if should_raise:
+                with pytest.raises(NoConvergence, match="Riccati doubling did not converge"):
+                    design_search(problem)
+            else:
+                assert _same_design(design_search(problem), expected)
 
 
 def _plant(rng, rho_lo, rho_hi, n_max=3, m_min=1, m_max=3):
@@ -134,7 +272,7 @@ def _cases():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts fixed-point solves and open-loop rate evaluations."""
+    """Counts stacked fixed-point solves and open-loop rate stacks."""
     count = {"solves": 0}
 
     def counting(fn):
@@ -144,9 +282,9 @@ def solves(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(design, "fixed_point", counting(design.fixed_point))
-    monkeypatch.setattr(harness, "fixed_point", counting(harness.fixed_point))
-    monkeypatch.setattr(harness, "open_loop_rate", counting(harness.open_loop_rate))
+    monkeypatch.setattr(design, "fixed_points", counting(design.fixed_points))
+    monkeypatch.setattr(analysis, "fixed_points", counting(analysis.fixed_points))
+    monkeypatch.setattr(harness, "open_loop_rates", counting(harness.open_loop_rates))
 
     def run(fn, *args):
         before = count["solves"]
@@ -165,7 +303,33 @@ def _same_design(new, old):
     )
 
 
-def test_searches_and_calibrations_match_the_former_bisections(solves):
+@pytest.fixture
+def reference_solves(monkeypatch):
+    """Counts the oracle routines' single solves, feasibility checks and
+    open-loop rates: their tests of one point, plus the floor check and the
+    reported rate."""
+    count = {"solves": 0}
+
+    for module, name in (
+        (design, "fixed_point"),
+        (design, "feasibility_check"),
+        (util, "open_loop_rate"),
+    ):
+
+        def wrapped(*args, _fn=getattr(module, name), **kwargs):
+            count["solves"] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def run(fn, *args):
+        before = count["solves"]
+        return fn(*args), count["solves"] - before
+
+    return run
+
+
+def test_searches_and_calibrations_match_the_former_bisections(solves, reference_solves):
     seen = {"above": 0, "below": 0, "floor": 0, "calibrations": 0}
     for model, Delta0, basis, rate in _cases():
         problem = DesignProblem(model, Delta0, basis)
@@ -174,9 +338,9 @@ def test_searches_and_calibrations_match_the_former_bisections(solves):
             searches.append((design_search, design_search_reference))
         for search, reference in searches:
             new, new_solves = solves(search, problem)
-            old, old_solves = solves(reference, problem)
+            old, old_solves = reference_solves(reference, problem)
             assert _same_design(new, old), (search.__name__, new.theta, old.theta)
-            assert new_solves == old_solves - (old.theta > 1.0)
+            assert new_solves <= _rounds_bound(old_solves)
             where = "floor" if old.theta == RAY_FLOOR else "below" if old.theta <= 1.0 else "above"
             seen[where] += 1
         if model.rho_A >= 1.0:
@@ -187,17 +351,66 @@ def test_searches_and_calibrations_match_the_former_bisections(solves):
             (calibrate_closed_loop, calibrate_closed_loop_reference, model),
         ):
             new, new_solves = solves(calibrate, arg, rate, basis)
-            old, old_solves = solves(reference, arg, rate, basis)
+            old, old_solves = reference_solves(reference, arg, rate, basis)
             assert new == old, (calibrate.__name__, new, old)
-            assert new_solves == old_solves
+            assert new_solves <= _rounds_bound(old_solves)
             seen["calibrations"] += 1
     assert min(seen.values()) >= 10, seen
 
 
-@pytest.mark.parametrize("rate", [1e-300, 1e-17])
+def test_stacked_rounds_walk_as_the_sequential_search(monkeypatch):
+    # every search of the 200 cases, designs and calibrations alike, also
+    # runs the sequential search on its own test, one point per call
+    walks = {"design": 0, "calibration": 0}
+
+    def checked(pred, rel_tol, lo=None):
+        rounds = []
+
+        def recording(thetas):
+            rounds.append(thetas)
+            return pred(thetas)
+
+        visited = []
+
+        def single(theta):
+            visited.append(theta)
+            return bool(value_of(pred(np.array([theta]))[0]))
+
+        bracket = ray_search(recording, rel_tol, lo=lo)
+        assert bracket == ray_search_reference(single, rel_tol, lo=lo)
+        _check_rounds(rounds, visited)
+        walks["design" if lo is None else "calibration"] += 1
+        return bracket
+
+    monkeypatch.setattr(design, "ray_search", checked)
+    monkeypatch.setattr(harness, "ray_search", checked)
+    for model, Delta0, basis, rate in _cases():
+        problem = DesignProblem(model, Delta0, basis)
+        design_search_closed_loop(problem)
+        if model.rho_A < 1.0:
+            design_search(problem)
+            calibrate_closed_loop(model, rate, basis)
+            if model.m > 1:
+                calibrate_open_loop(steady_state(model), rate, basis)
+    assert walks["design"] >= 300 and walks["calibration"] >= 150, walks
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-17, 1e-13, 1e-12])
 def test_tiny_target_rates_name_the_rate(rate):
+    # both calibrations refuse a weight below the ray's floor with one message
     model = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
+    messages = []
     calibrations = ((calibrate_open_loop, steady_state(model)), (calibrate_closed_loop, model))
     for calibrate, arg in calibrations:
-        with pytest.raises(CalibrationFailed, match=f"target rate {rate}"):
+        with pytest.raises(CalibrationFailed, match=f"target rate {rate}") as exc:
             calibrate(arg, rate)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("rate", [2e-12, 1e-11])
+def test_smallest_reachable_rates_keep_their_weights(rate):
+    model = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
+    st = steady_state(model)
+    assert calibrate_open_loop(st, rate) == calibrate_open_loop_reference(st, rate) >= RAY_FLOOR
+    assert calibrate_closed_loop(model, rate) == calibrate_closed_loop_reference(model, rate)

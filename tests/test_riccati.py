@@ -20,11 +20,12 @@ from setkf import (
 )
 from setkf import riccati
 from setkf.analysis import drop_noise
-from setkf.matrices import spectral_norm
+from setkf.matrices import spectral_norm, sym
 from setkf.riccati import apply, compose
 from util import (
     dare_fixed_point,
     doubling_reference,
+    doubling_single,
     loewner_leq,
     lyapunov_iteration,
     random_spd,
@@ -247,6 +248,20 @@ def _oracle_plant(rng, rho):
             continue
 
 
+def _stack_of_one(single):
+    """A doubling of one element as ``riccati._doubling`` of a stack of one:
+    the value and the error, each in a list."""
+
+    def doubling(element, tol, max_doublings, label, offset=0.0):
+        try:
+            X = single(tuple(part[0] for part in element), tol, max_doublings, label, offset)
+        except NoConvergence as exc:
+            return np.zeros_like(element[1]), [exc]
+        return X[None], [None]
+
+    return doubling
+
+
 def test_doubling_matches_the_two_norm_stop_test(monkeypatch):
     # one SVD of the stacked pair stops where two norm calls stopped: the
     # same bits, the same compositions and the same failures on 420 plants,
@@ -284,7 +299,7 @@ def test_doubling_matches_the_two_norm_stop_test(monkeypatch):
             (riccati.lyapunov, (m.A, m.Q), {}),
         ):
             got, got_count = solve(doubling, fn, *args, **kwargs)
-            want, want_count = solve(doubling_reference, fn, *args, **kwargs)
+            want, want_count = solve(_stack_of_one(doubling_reference), fn, *args, **kwargs)
             assert got_count == want_count > 0
             if isinstance(want, str):
                 assert got == want
@@ -292,6 +307,118 @@ def test_doubling_matches_the_two_norm_stop_test(monkeypatch):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 solves += 1
     assert solves > 560
+
+
+def _doubling_elements(rng, count, n):
+    """Riccati and Lyapunov elements of random plants of order n: stable,
+    with rho(A) >= 0.999, unstable, and unobserved unstable ones, which
+    diverge."""
+    elements = []
+    for i in range(count):
+        rho = (
+            rng.uniform(0.05, 0.99), 1.0 - 10.0 ** rng.uniform(-7, -3), rng.uniform(1.0001, 1.5)
+        )[i % 3]
+        A = rng.normal(size=(n, n))
+        A *= rho / max(abs(np.linalg.eigvals(A)))
+        C = rng.normal(size=(int(rng.integers(1, n + 1)), n)) * (i % 7 != 6)
+        W = random_spd(rng, C.shape[0])
+        J = C.T @ np.linalg.solve(W, C) if i % 5 else np.zeros((n, n))
+        elements.append((A, random_spd(rng, n), sym(J)))
+    return elements
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_doubling_matches_single_doubling(n):
+    # each element of a stack of 1 to 8 equals its doubling alone to the bit,
+    # with its own error, whatever the other elements of its stack do
+    rng = np.random.default_rng(60 + n)
+    elements = _doubling_elements(rng, 160, n)
+    failures = solved = 0
+    for tol, max_doublings in ((1e-10, 64), (1e-12, 64), (1e-10, 5)):
+        start = 0
+        while start < len(elements):
+            size = int(rng.integers(1, 9))
+            chunk = elements[start : start + size]
+            start += size
+            offset = 0.0 if size % 2 else random_spd(rng, n)
+            stack = tuple(np.stack(part) for part in zip(*chunk))
+            X, errors = riccati._doubling(stack, tol, max_doublings, "label", offset)
+            assert X.shape == stack[1].shape and len(errors) == len(chunk)
+            for element, value, error in zip(chunk, X, errors):
+                try:
+                    want = doubling_single(element, tol, max_doublings, "label", offset)
+                except NoConvergence as exc:
+                    assert str(error) == str(exc) and not value.any()
+                    failures += 1
+                else:
+                    assert error is None and np.array_equal(value, want)
+                    solved += 1
+    assert failures >= 100 and solved >= 200, (failures, solved)
+
+
+def test_stack_with_one_failing_element():
+    # the second element needs more than four doublings, the third diverges
+    fast = (np.array([[0.1]]), np.array([[1.0]]), np.array([[1.0]]))
+    slow = (np.array([[0.9999]]), np.array([[1.0]]), np.array([[0.0]]))
+    unstable = (np.array([[2.0]]), np.array([[1.0]]), np.array([[0.0]]))
+    stack = tuple(np.stack(part) for part in zip(fast, slow, unstable, fast))
+    X, errors = riccati._doubling(stack, 1e-10, 4, "label")
+    assert errors[0] is None and errors[3] is None
+    assert str(errors[1]) == "label did not converge within 4 doublings"
+    assert isinstance(errors[2], NoConvergence)
+    want = doubling_single(fast, 1e-10, 4, "label")
+    assert np.array_equal(X[0], want) and np.array_equal(X[3], want)
+    assert not X[1].any() and not X[2].any()
+    with pytest.raises(NoConvergence, match=str(errors[2])):
+        doubling_single(unstable, 1e-10, 4, "label")
+    X, errors = riccati._doubling(stack, 1e-10, 64, "label")
+    assert errors[:2] == [None, None] and errors[3] is None
+    assert np.array_equal(X[1], doubling_single(slow, 1e-10, 64, "label"))
+
+
+def test_stack_with_one_singular_step():
+    # I + C J = 0 for the second element: its step is singular, and the
+    # others square on
+    good = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.eye(2), 0.5 * np.eye(2))
+    singular = (0.5 * np.eye(2), np.eye(2), -np.eye(2))
+    stack = tuple(np.stack(part) for part in zip(good, singular, good))
+    X, errors = riccati._doubling(stack, 1e-10, 64, "label")
+    with pytest.raises(NoConvergence) as exc:
+        doubling_single(singular, 1e-10, 64, "label")
+    assert str(errors[1]) == str(exc.value)
+    assert str(exc.value) == "label (singular step) did not converge within 1 doublings"
+    want = doubling_single(good, 1e-10, 64, "label")
+    assert errors[0] is None and errors[2] is None
+    assert np.array_equal(X[0], want) and np.array_equal(X[2], want) and not X[1].any()
+
+
+def test_fixed_points_match_single_solves():
+    # the stacked solve with a bad W among good ones: every good W solves as
+    # alone, and the bad one has the error RiccatiMap raises for it
+    rng = np.random.default_rng(66)
+    for _ in range(40):
+        m = random_stable_model(rng, n_max=4, m_max=3)
+        W = [random_spd(rng, m.m) for _ in range(int(rng.integers(1, 6)))]
+        start = random_spd(rng, m.n) if rng.random() < 0.3 else None
+        bad = int(rng.integers(0, len(W) + 1))
+        if bad < len(W):
+            W[bad] = -W[bad]
+        X, errors = riccati.fixed_points(m, np.stack(W), start=start)
+        for i, (w, x, error) in enumerate(zip(W, X, errors)):
+            if i == bad:
+                with pytest.raises(NotPositiveDefinite) as exc:
+                    RiccatiMap(m, w)
+                assert str(error) == str(exc.value)
+            else:
+                assert error is None
+                assert np.array_equal(x, fixed_point(RiccatiMap(m, w), start=start))
+    # no W to solve
+    X, errors = riccati.fixed_points(SCALAR, np.array([[[-1.0]], [[np.nan]]]))
+    assert X.shape == (2, 1, 1) and not X.any()
+    assert [str(e) for e in errors] == [
+        "matrix 'W' is not symmetric positive-definite (smallest eigenvalue <= 0 or asymmetric)",
+        "matrix 'W' is not symmetric positive-definite (non-finite entries)",
+    ]
 
 
 def test_spectral_norm_is_numpys_2_norm():

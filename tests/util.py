@@ -19,12 +19,20 @@ from setkf import (
     time_update,
     validate_model,
 )
-from setkf import design, harness, riccati
+from setkf import design, riccati
 from setkf.analysis import conditional_rate, drop_noise, open_loop_rate
-from setkf.design import RAY_REL_TOL, DesignResult, optimality_gap_bound
+from setkf.design import (
+    RAY_CAP,
+    RAY_FLOOR,
+    RAY_MAX_BISECTIONS,
+    RAY_REL_TOL,
+    DesignResult,
+    optimality_gap_bound,
+)
 from setkf.errors import CalibrationFailed, Infeasible, UnstableSystem
 from setkf.estimation import _check_measurement
 from setkf.matrices import smallest_eigenvalue, sym
+from setkf.riccati import compose
 from setkf.model import steady_state
 
 
@@ -154,6 +162,72 @@ def doubling_reference(element, tol, max_doublings, label, offset=0.0):
     raise NoConvergence(max_doublings, label)
 
 
+# ``setkf.riccati._doubling`` on one element and ``setkf.design.ray_search``
+# testing one point at a time, as they were before both took stacks; kept
+# verbatim as the oracles of the stacked forms.
+
+
+def doubling_single(element, tol, max_doublings, label, offset=0.0):
+    """offset + C of the element (A, C, J) squared until C, its image of 0,
+    changes by at most ``tol`` relative to offset + C.  Raises NoConvergence
+    on a singular step, on a C that is not finite, or after ``max_doublings``.
+    """
+    C = element[1]
+    with np.errstate(all="ignore"):
+        for k in range(max_doublings):
+            try:
+                element = compose(element, element)
+            except np.linalg.LinAlgError:
+                raise NoConvergence(k + 1, f"{label} (singular step)") from None
+            step, C = element[1] - C, element[1]
+            if not np.all(np.isfinite(C)):
+                raise NoConvergence(k + 1, f"{label} (diverged)")
+            X = offset + C
+            # both spectral norms from one SVD call on the stacked pair
+            step_norm, x_norm = np.linalg.svd(np.stack([step, X]), compute_uv=False)[:, 0]
+            if step_norm <= tol * x_norm:
+                return sym(X)
+    raise NoConvergence(max_doublings, label)
+
+
+def ray_search_reference(pred, rel_tol, lo=None):
+    """Bracket and bisect the point where a monotone test flips on the ray.
+
+    ``pred(theta)`` must be False below its boundary and True above it; it
+    is called only on theta in [RAY_FLOOR, RAY_CAP].  The floor is tested
+    first.  The upper end then starts at 1 and doubles while ``pred`` fails.
+    The lower end starts at ``lo``, by default one halving below the upper
+    end; when ``pred(1)`` holds it halves while ``pred`` still holds, taking
+    the upper end along, and stops at the floor.  Bisection then halves the
+    bracket until ``hi - lo <= rel_tol * hi``, at most RAY_MAX_BISECTIONS
+    times.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when
+    ``pred`` holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
+    Each caller keeps its own end of the bracket.
+    """
+    if pred(RAY_FLOOR):
+        return 0.0, RAY_FLOOR
+    hi = 1.0
+    while not pred(hi):
+        hi *= 2.0
+        if hi > RAY_CAP:
+            return hi / 2.0, math.inf
+    if lo is None:
+        lo = hi / 2.0
+    if hi == 1.0:  # after a doubling pred failed at hi / 2, so at every lo <= hi / 2
+        while lo > RAY_FLOOR and pred(lo):
+            hi, lo = lo, lo / 2.0
+    lo = max(lo, RAY_FLOOR)
+    for _ in range(RAY_MAX_BISECTIONS):
+        if hi - lo <= rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def assemble_lmi_blocks_reference(model, Y, S, Delta0):
     """``setkf.design.assemble_lmi_blocks`` written with ``np.block``."""
     A, C, Q, R = model.A, model.C, model.Q, model.R
@@ -173,9 +247,8 @@ def assemble_lmi_blocks_reference(model, Y, S, Delta0):
 
 # The two ray bisections that ``setkf.design.ray_search`` replaced, kept
 # verbatim as its oracle, with the searches and calibrations built on them.
-# Every fixed point goes through ``design.fixed_point`` or
-# ``harness.fixed_point`` and every open-loop rate through
-# ``harness.open_loop_rate``, so a test can count them by patching.
+# Every fixed point goes through ``design.fixed_point`` and every open-loop
+# rate through ``analysis.open_loop_rate``, one point at a time.
 
 
 def _ray_boundary(feasible, theta_max_cap=1e15):
@@ -280,7 +353,7 @@ def calibrate_open_loop_reference(steady_stats, target_rate, basis=None):
     if m == 1:
         pi_b = float(steady_stats.Pi[0, 0] * B[0, 0])
         return ((1.0 / (1.0 - target_rate)) ** 2 - 1.0) / pi_b
-    return _bisect_rate(lambda t: harness.open_loop_rate(steady_stats, t * B), target_rate)
+    return _bisect_rate(lambda t: open_loop_rate(steady_stats, t * B), target_rate)
 
 
 def calibrate_closed_loop_reference(model, target_rate, basis=None):
@@ -289,7 +362,7 @@ def calibrate_closed_loop_reference(model, target_rate, basis=None):
 
     def upper_rate(theta):
         Z = theta * B
-        X_upper = harness.fixed_point(riccati.RiccatiMap(model, drop_noise(model.R, Z)))
+        X_upper = design.fixed_point(riccati.RiccatiMap(model, drop_noise(model.R, Z)))
         return conditional_rate(model, X_upper, Z)
 
     return _bisect_rate(upper_rate, target_rate)
