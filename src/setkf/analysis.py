@@ -127,8 +127,9 @@ def olset_bounds(model, Y):
     """
     Y = require_spd(Y, "Y")
     st = steady_state(model)
-    gamma = open_loop_rate(st, Y)
-    W_drop = drop_noise(model.R, Y)
+    # Y is checked once, here, so the stack forms take it as it is
+    gamma = float(open_loop_rates(st, Y[None])[0])
+    W_drop = ray_drop_noise(model.R, np.ones(1), Y)[0]
     R1 = rate_weighted_noise(model.R, W_drop, gamma)
     X0, X_upper, X_lower = _fixed_points(model, model.R, W_drop, R1)
     return OpenLoopAnalysis(
@@ -139,7 +140,7 @@ def olset_bounds(model, Y):
 def closed_loop_rate_bounds(model, Z):
     """Closed-loop rate bounds and covariance bounds; no stability needed."""
     Z = require_spd(Z, "Z")
-    W_drop = drop_noise(model.R, Z)
+    W_drop = ray_drop_noise(model.R, np.ones(1), Z)[0]
     X = _fixed_points(model, model.R, W_drop)
     gamma_low, gamma_upper = conditional_rates(model, X, Z).tolist()
     R3 = rate_weighted_noise(model.R, W_drop, gamma_upper)

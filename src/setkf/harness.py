@@ -1,13 +1,17 @@
 """Seeded trajectory simulation, Monte Carlo aggregation, and comparisons.
 
-Randomness contract (v1): every trajectory draws from one generator seeded
+Randomness contract (v2): every trajectory draws from one generator seeded
 by ``[seed, run_index]`` (a counter-based split of the master seed), so runs
-are independent, order-insensitive and exactly reproducible.  The draw
-order within a trajectory is documented in :func:`simulate`.
+are independent, order-insensitive and exactly reproducible.  A run draws
+its horizon's uniforms in one call and its normals in one call at setup and
+one per block of steps; the draw order is documented in :func:`simulate`.
 
 One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.  Its two paths share the draws, plant path and logs.
+kernel over all runs.  Its two paths share the draws, plant path and logs,
+and both carry the prior error x - xhat rather than the estimate, so the
+error keeps its digits on plants whose state grows; the plant path itself
+is stepped only for the open-loop trigger, the one rule that reads y.
 The step loop stacks the filter state over runs and loops over time steps
 in Python for the filter recursion alone; it serves every scenario.  When
 no transmission decision can depend on the estimate, the scan runs the
@@ -41,7 +45,8 @@ from .design import RAY_CAP, RAY_FLOOR, ray_search
 FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
 
 # Most per-step log entries, runs * horizon * n, a scenario may ask for: the
-# kernel's logs take about 16 n + 25 bytes per run and step, at most 0.8 GB.
+# kernel's logs take about 16 n + 25 bytes per run and step and the (runs, T)
+# uniforms 8 more, at most 1 GB.
 MAX_LOG_ENTRIES = 2 * 10**7
 
 # Most runs a scenario may ask for: each run's generator takes about 1.1 KB,
@@ -59,7 +64,8 @@ SCAN_MAX_WIDTH = 128
 SCAN_BLOCK_ENTRIES = 2**16
 
 # The step loop works on blocks of STEP_BLOCK_ENTRIES // (runs * e) steps, e =
-# n^2 + 3n + 2m + 1 being its entries per run and step (P, xhat, x, w, v, y, zeta).
+# n^2 + 3n + 2m + 1 being its entries per run and step (P, e, w, v, L_q w, L_r v
+# and gamma); only the open-loop trigger holds the plant's x and y, n + m more.
 STEP_BLOCK_ENTRIES = 2**21
 
 _VALID_PAIRING = {
@@ -256,12 +262,13 @@ def _width(scenario):
 
 class _Runs:
     """What both paths of :func:`_simulate_runs` start from and write to: the
-    constants, each run's generator, the state at step 0, the blocks of
-    draws and plant path, and the logs.  Block arrays are time-major."""
+    constants, each run's generator and uniforms, the prior error at step 0,
+    the blocks of draws (with the plant path where the trigger reads y),
+    and the logs.  Block arrays are time-major."""
 
     def __init__(self, scenario, run_indices, force_gamma, sums):
         model = scenario.model
-        n, m = model.n, model.m
+        n = model.n
         self.A, self.C, self.T = model.A, model.C, scenario.horizon
         self.Lq = np.linalg.cholesky(model.Q)
         self.Lr = np.linalg.cholesky(model.R)
@@ -276,25 +283,28 @@ class _Runs:
 
         W = {"olset": scenario.trigger.Y, "clset": scenario.trigger.Z}.get(scenario.filter)
         self.W_drop = None if W is None else model.R + np.linalg.inv(W)
+        # the olset filter is the only one paired with the open-loop trigger
         self.open_loop = scenario.filter == "olset"
         # the standard filter updates on every step, whatever gamma is logged
         self.always = scenario.filter == "standard"
 
-        # x0, the pre-roll process noise and v at k = 0 are consecutive normal
-        # draws, so one call per run yields all of them
-        head = n * (1 + scenario.pre_roll)
-        first = np.array([g.standard_normal(head + m) for g in self.rngs])[:, :, None]
-        x = np.linalg.cholesky(model.Sigma0) @ first[:, :n]
+        # each run first draws the horizon's uniforms, then x0 and the
+        # pre-roll's process noise, one call each
+        self.zeta = np.empty((N, self.T))
+        head = np.empty((N, n * (1 + scenario.pre_roll)))
+        for g, zeta, normals in zip(self.rngs, self.zeta, head):
+            g.random(out=zeta)
+            g.standard_normal(out=normals)
+        head = head[:, :, None]
+        x = np.linalg.cholesky(model.Sigma0) @ head[:, :n]
         if scenario.x0_mean is not None:
             x = x + scenario.x0_mean[:, None]
-        for j in range(n, head, n):
-            x = model.A @ x + self.Lq @ first[:, j : j + n]
-        self.x, self.v = x, first[:, head:]
-
-        if scenario.x0_mean is None:
-            self.xh = np.zeros((N, n, 1))
-        else:
-            self.xh = np.tile(scenario.x0_mean[:, None], (N, 1, 1))
+        for j in range(n, head.shape[1], n):
+            x = model.A @ x + self.Lq @ head[:, j : j + n]
+        # the filter carries the prior error e = x - xhat, not xhat; the
+        # plant path x is kept only where the trigger reads y
+        self.x = x if self.open_loop else None
+        self.e = x if scenario.x0_mean is None else x - scenario.x0_mean[:, None]
         self.P = np.tile(model.Sigma0, (N, 1, 1))
 
         # per-step logs (runs, T, n): the prior error and the diagonal of P
@@ -305,41 +315,35 @@ class _Runs:
         self.E_sum = np.zeros((self.T, n, n)) if sums else None
 
     def blocks(self, length):
-        """For each block of ``length`` steps (at least one): its steps, the
-        plant path x (L, runs, n, 1), y (L, runs, m, 1) and zeta (L, runs)."""
-        A, Lq, Lr, N = self.A, self.Lq, self.Lr, self.N
+        """For each block of ``length`` steps (at least one): its steps, zeta
+        (L, runs), the noises L_r v (L, runs, m, 1) of each step and L_q w
+        (L, runs, n, 1) that takes it to the next, and, for the open-loop
+        trigger, y (L, runs, m, 1), else None."""
+        A, C, Lq, Lr, N = self.A, self.C, self.Lq, self.Lr, self.N
         n, m, length = A.shape[0], Lr.shape[0], max(1, length)
         for k0 in range(0, self.T, length):
             L = min(length, self.T - k0)
-            # the draws of step k0 + j in wv[j] and zeta[j]; step 0 draws no
-            # w and took its v with the initial state
-            wv = np.empty((L, N, n + m))
-            zeta = np.empty((L, N))
-            at_start = k0 == 0
-            for r, g in enumerate(self.rngs):
-                normal, uniform = g.standard_normal, g.random
-                zs = [uniform()] if at_start else []
-                for row in wv[int(at_start) :, r]:
-                    normal(out=row)
-                    zs.append(uniform())
-                zeta[:, r] = zs
-            if at_start:
-                wv[0, :, n:] = self.v[:, :, 0]
+            # step k draws (v_k, w_k+1), so one call per run draws a block
+            vw = np.empty((N, L, m + n))
+            for g, normals in zip(self.rngs, vw):
+                g.standard_normal(out=normals)
+            vw = vw.transpose(1, 0, 2)[..., None]
+            Lv, Lw = Lr @ vw[:, :, :m], Lq @ vw[:, :, m:]
+            y = None
+            if self.open_loop:
+                # the same products in the same order in any block, so that
+                # x and y do not depend on the block length
+                xs = np.empty((L + 1, N, n, 1))
+                xs[0] = self.x
+                for j in range(L):
+                    np.add(A @ xs[j], Lw[j], out=xs[j + 1])
+                self.x = xs[L]
+                y = C @ xs[:L] + Lv
+            yield slice(k0, k0 + L), self.zeta[:, k0 : k0 + L].T, Lv, Lw, y
 
-            # the same products in the same order in any block, so that x
-            # and y do not depend on the block length
-            xs = np.empty((L, N, n, 1))
-            xs[0] = self.x if at_start else A @ self.x + Lq @ wv[0, :, :n, None]
-            x = xs[0]
-            for Lw, out in zip(Lq @ wv[1:, :, :n, None], xs[1:]):
-                x = np.add(A @ x, Lw, out=out)
-            self.x = x
-            yield slice(k0, k0 + L), xs, self.C @ xs + Lr @ wv[:, :, n:, None], zeta
-
-    def log(self, steps, gamma, x, xh, P):
-        """Write a block's logs and sums from its gamma, x and prior xhat and P."""
+    def log(self, steps, gamma, e, P):
+        """Write a block's logs and sums from its gamma and prior e and P."""
         self.gamma_log[:, steps] = gamma.T
-        e = x - xh
         self.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
         self.diag_log[:, steps] = P.diagonal(axis1=2, axis2=3).transpose(1, 0, 2)
         if self.P_sum is not None:
@@ -367,12 +371,13 @@ class _Runs:
 def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     """The step loop of :func:`_simulate_runs`, for any scenario.
 
-    The filter state is a stack over runs, P (runs, n, n) and xhat
-    (runs, n, 1); only the filter recursion loops over time steps in Python.
-    Vectors are column stacks, so every product is one small matrix product
-    per run and a run's values do not depend on the other runs of the block.
-    Each step keeps the prior xhat and P, calls :func:`estimation.transmit`
-    and :func:`estimation.measurement_update` on the whole stack and does the
+    The filter state is a stack over runs, P (runs, n, n) and the prior
+    error e = x - xhat (runs, n, 1); only the filter recursion loops over
+    time steps in Python.  Vectors are column stacks, so every product is
+    one small matrix product per run and a run's values do not depend on
+    the other runs of the block.  Each step keeps the prior e and P, forms
+    the innovation C e + L_r v, calls :func:`estimation.transmit` and
+    :func:`estimation.measurement_update` on the whole stack and does the
     time update; the draws, plant path and logs are :class:`_Runs`'.
     """
     model, pol = scenario.model, scenario.trigger
@@ -382,23 +387,31 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     # transposed view, with the same result
     A_T = A.T.copy()
     s = _Runs(scenario, run_indices, force_gamma, sums)
-    xh, P = s.xh, s.P
+    e, P = s.e, s.P
 
-    for steps, x, y, zeta in s.blocks(STEP_BLOCK_ENTRIES // (s.N * (n * n + 3 * n + 2 * m + 1))):
+    length = STEP_BLOCK_ENTRIES // (s.N * (n * n + 3 * n + 2 * m + 1))
+    for steps, zeta, Lv, Lw, y in s.blocks(length):
         gamma = np.empty(zeta.shape, dtype=bool) if s.forced is None else s.forced[steps]
         update = np.ones(gamma.shape, dtype=bool) if s.always else gamma
-        xh_prior, P_prior = np.empty(x.shape), np.empty(x.shape[:2] + (n, n))
+        e_prior, P_prior = np.empty(Lw.shape), np.empty(Lw.shape[:2] + (n, n))
         for j, k in enumerate(range(steps.start, steps.stop)):
-            xh_prior[j], P_prior[j] = xh, P
-            y_pred = C @ xh
+            e_prior[j], P_prior[j] = e, P
+            innov = C @ e + Lv[j]
             if s.forced is None:
-                gamma[j] = transmit(pol, y[j], y_pred, zeta[j], k)
-            xh, P, _, _ = measurement_update(
-                model, P, xh, y[j], y_pred, update[j], s.W_drop, s.open_loop
+                # the closed-loop and threshold triggers read y - y_pred,
+                # the innovation, the open-loop trigger y itself
+                gamma[j] = transmit(pol, innov if y is None else y[j], 0.0, zeta[j], k)
+            # with y = 0 and the innovation as y_pred the update's mean
+            # formula takes the prior error to the posterior error
+            e, P, K, _ = measurement_update(
+                model, P, e, 0.0, innov, update[j], s.W_drop, s.open_loop
             )
-            xh = A @ xh
+            if s.open_loop:
+                # an olset drop also pulls the estimate towards 0: + K y
+                e = e + K @ (y[j] * ~update[j][:, None, None])
+            e = A @ e + Lw[j]
             P = sym(A @ P @ A_T + Q)
-        s.log(steps, gamma, x, xh_prior, P_prior)
+        s.log(steps, gamma, e_prior, P_prior)
 
     return s.result()
 
@@ -447,31 +460,33 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
 
     Given gamma, the filter is a linear time-varying Kalman filter.  Per
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
-    draws and plant path from :class:`_Runs`, decides every gamma in one
+    draws (and y) from :class:`_Runs`, decides every gamma in one
     :func:`estimation.transmit` call, finds the prior covariances as an
     :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
     :func:`riccati.compose`, J = C' W^-1 C being the step's information,
     gets the gains from one :func:`estimation.measurement_update` call, and
-    finds the means as an :func:`_orbit` of the affine maps that the
-    update's mean formula and the time update make.  Each block starts from
-    the previous one's end state.
+    finds the prior errors e = x - xhat as an :func:`_orbit` of the affine
+    maps e -> F e + A d + L_q w, F = A (I - K C), that the update's mean
+    formula and the time update make.  Each block starts from the previous
+    one's end state.
     """
     model, pol = scenario.model, scenario.trigger
     n, m = model.n, model.m
     A, C, Q, R = model.A, model.C, model.Q, model.R
     s = _Runs(scenario, run_indices, force_gamma, sums)
-    xh, P, N = s.xh, s.P, s.N
+    e, P, N = s.e, s.P, s.N
     # the information of an arrival and of a drop; an offline drop has none
     J_arrival = C.T @ np.linalg.solve(R, C)
     J_drop = np.zeros((n, n)) if s.W_drop is None else C.T @ np.linalg.solve(s.W_drop, C)
 
-    for steps, xs, y, zeta in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
-        L = xs.shape[0]
+    for steps, zeta, Lv, Lw, y in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
+        L = Lw.shape[0]
         if s.forced is not None:
             gamma = s.forced[steps]
         else:
             k = np.repeat(np.arange(steps.start, steps.stop), N)
-            gamma = transmit(pol, y.reshape(L * N, m, 1), None, zeta.ravel(), k).reshape(L, N)
+            z = None if y is None else y.reshape(L * N, m, 1)
+            gamma = transmit(pol, z, None, zeta.ravel(), k).reshape(L, N)
         update = np.ones((L, N), dtype=bool) if s.always else gamma
 
         J = np.where(update[:, :, None, None], J_arrival, J_drop)
@@ -481,21 +496,25 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
         )
         P_prior, P = P_all[:L], P_all[L]
 
-        # with a zero prior mean and prediction the update returns the part
-        # of the posterior mean that the measurement adds: K gamma y
+        # with a zero prior error and y, and L_r v as y_pred, the update
+        # returns the part d of the posterior error that the noise makes
         g = update.reshape(L * N)
-        Ky, _, K, _ = measurement_update(
-            model, P_prior.reshape(L * N, n, n), np.zeros((L * N, n, 1)), y.reshape(L * N, m, 1),
-            np.zeros((L * N, m, 1)), g, s.W_drop, s.open_loop,
+        d, _, K, _ = measurement_update(
+            model, P_prior.reshape(L * N, n, n), 0.0, 0.0, Lv.reshape(L * N, m, 1), g,
+            s.W_drop, s.open_loop,
         )
-        if not s.open_loop:
+        if s.open_loop:
+            # an olset drop also pulls the estimate towards 0: + K y
+            d = d + K @ (y.reshape(L * N, m, 1) * ~g[:, None, None])
+        else:
             K = K * g[:, None, None]
-        xh_all = _orbit(
-            xh, ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ Ky).reshape(L, N, n, 1)),
+        e_all = _orbit(
+            e,
+            ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
             _compose_affine, _apply_affine,
         )
-        xh = xh_all[L]
-        s.log(steps, gamma, xs, xh_all[:L], P_prior)
+        e = e_all[L]
+        s.log(steps, gamma, e_all[:L], P_prior)
 
     return s.result()
 
@@ -503,14 +522,18 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
     """Simulate one trajectory; deterministic given (seed, run_index).
 
-    Randomness contract (v1): the generator is seeded by [seed, run_index].
-    Draw order: x0 first, then ``pre_roll`` process-noise draws, then per
-    step k the triple (w, v, zeta) with the w draw skipped at k = 0.  The
-    zeta draw happens every step even for policies that ignore it, so
-    trajectories with different policies share identical plant paths.
-    Normal draws concatenate across calls, so the same stream is drawn in
-    blocks: ``standard_normal(n * (1 + pre_roll) + m)`` and ``random()`` at
-    k = 0, then ``standard_normal(n + m)`` and ``random()`` at each k >= 1.
+    Randomness contract (v2): the generator is seeded by [seed, run_index].
+    It first draws the horizon's T uniforms zeta in one call,
+    ``random(out=...)`` on a length-T row, whether or not the policy reads
+    them.  Then it draws the normals in step order: x0 (n), the ``pre_roll``
+    process-noise draws (n each), and per step k the measurement noise v_k
+    (m) and the process noise w_k+1 (n) that takes x_k to x_k+1, so the
+    stream is x0, the pre-roll, v_0, w_1, v_1, ..., v_T-1, w_T (w_T is
+    drawn and not used).  Normal draws concatenate across calls, so they
+    are made in one ``standard_normal(out=...)`` call of
+    n * (1 + pre_roll) values at setup and one of L * (m + n) values per
+    block of L steps, and no value depends on the block length.  Every
+    policy sees the same plant path.
 
     ``force_gamma`` (a 0/1 sequence, testing hook) overrides the trigger
     decisions without changing the draw order.  The estimator-side update

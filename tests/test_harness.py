@@ -588,6 +588,18 @@ class TestScanOracle:
         assert_blocks_agree(block, _step_runs(scn, range(3)))
         assert_priors_psd(_scan_runs(scn, [2]))
 
+    def test_singer_open_loop_long_horizon(self):
+        # the state grows without bound; the carried prior error keeps the
+        # two paths within the bar where x - xhat from absolute values lost
+        # digits (4e-8 of the largest entry)
+        model = singer_scenario(1.0, 0.1, 1.0, z_scale=0.52).model
+        for seed in range(4):
+            scn = Scenario(
+                model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), filter="olset",
+                horizon=10_000, seed=seed, burn_in=20,
+            )
+            assert_blocks_agree(_scan_runs(scn, [0]), _step_runs(scn, [0]))
+
     @pytest.mark.parametrize(
         "n, runs, trig, scan",
         [
@@ -672,6 +684,52 @@ class TestStepBlocks:
             np.testing.assert_array_equal(block.gamma[r], rec.gamma)
             np.testing.assert_array_equal(block.P_trace[r], rec.P_trace)
             np.testing.assert_array_equal(block.sq_err[r], rec.sq_err)
+
+
+class CountingGenerator:
+    """A run's generator that counts its calls by name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return self.rng.random(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls["standard_normal"] += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class TestDraws:
+    """Each run draws its horizon's uniforms in one call and its normals in
+    one call at setup and one per block, on both paths."""
+
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    def test_one_draw_call_per_run_and_block(self, monkeypatch, pairing):
+        model = oracle_model(2, 1, seed=21)
+        filt, trig = oracle_pairings(1)[pairing]
+        scn = Scenario(
+            model=model, trigger=trig, filter=filt, horizon=50, runs=3, seed=7, burn_in=10,
+            pre_roll=2,
+        )
+        # blocks of 7 steps for the two runs, so 8 blocks of the horizon of 50
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 7 * 2 * step_entries(model))
+        monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 7 * harness._width(scn))
+        paths = [_step_runs] + ([_scan_runs] if pairing in FEEDBACK_FREE else [])
+        refs = [path(scn, [2, 0]) for path in paths]
+        gens = []
+        monkeypatch.setattr(
+            harness, "_rng_for_run",
+            lambda seed, r: gens.append(CountingGenerator(np.random.default_rng([seed, r])))
+            or gens[-1],
+        )
+        for path, ref in zip(paths, refs):
+            gens.clear()
+            assert_blocks_equal(path(scn, [2, 0]), ref)
+            assert len(gens) == 2
+            for g in gens:
+                assert g.calls == {"random": 1, "standard_normal": 1 + 8}
 
 
 class TestRunLengthHistogram:

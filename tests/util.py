@@ -494,7 +494,8 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
     ``setkf.monte_carlo``: it calls the single-step oracle functions above
     (``_trigger_decide`` and the three measurement updates) together with
     ``offline_drop_update`` and ``time_update`` on a ``FilterState`` per
-    step, with the draws of randomness contract v1 made one at a time.
+    step, with the draws of randomness contract v2: the horizon's uniforms
+    first, then the normals one at a time in step order.
     """
     model = scenario.model
     pol = scenario.trigger
@@ -511,6 +512,7 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
         if force_gamma.shape[0] < T:
             raise ConfigError("force_gamma must cover the horizon")
 
+    zetas = rng.random(T)
     x = L0 @ rng.standard_normal(n)
     if scenario.x0_mean is not None:
         x = x + scenario.x0_mean
@@ -533,7 +535,7 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
         if k > 0:
             x = A @ x + Lq @ rng.standard_normal(n)
         y = C @ x + Lr @ rng.standard_normal(m)
-        zeta = rng.random()
+        zeta = zetas[k]
         y_pred = C @ state.x_prior
         if force_gamma is not None:
             gamma = int(force_gamma[k])
