@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import contextlib
-import json
 import sys
 
 from .analysis import closed_loop_report, open_loop_report
@@ -32,23 +31,13 @@ from .harness import (
     write_report_csv,
     write_trajectory_csv,
 )
-from .matrices import as_matrix
+from .matrices import config_fields, read_json
 from .model import model_from_dict
-
-
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def _model_from_config(data):
     # accept either a bare model config or any config with a "model" key
-    if isinstance(data, dict) and "model" in data:
-        return model_from_dict(data["model"])
-    return model_from_dict(data)
+    return model_from_dict(config_fields(data, "config", (), ("model",)).get("model", data))
 
 
 @contextlib.contextmanager
@@ -63,7 +52,7 @@ def _open_output(path):
 def _scenario_with_overrides(args):
     # the flags replace config values before anything is derived from them,
     # so that an unset burn-in follows an overridden horizon
-    data = _read_json(args.config)
+    data = read_json(args.config, "config")
     flags = {"seed": args.seed, "horizon": args.horizon, "runs": getattr(args, "runs", None)}
     if isinstance(data, dict):
         data.update((key, value) for key, value in flags.items() if value is not None)
@@ -87,9 +76,10 @@ def _cmd_monte_carlo(args):
 
 
 def _cmd_analyze(args):
-    data = _read_json(args.config)
+    data = read_json(args.config, "config")
     model = _model_from_config(data)
-    trigger = TriggerPolicy.from_dict(data.get("trigger") if isinstance(data, dict) else None)
+    (trigger,) = config_fields(data, "analyze config", ("trigger",)).values()
+    trigger = TriggerPolicy.from_dict(trigger)
     if trigger.variant == "open_loop":
         rows = open_loop_report(model, trigger.Y)
     elif trigger.variant == "closed_loop":
@@ -102,23 +92,15 @@ def _cmd_analyze(args):
 
 
 def _cmd_design(args):
-    data = _read_json(args.config)
+    data = read_json(args.config, "config")
     model = _model_from_config(data)
-    try:
-        delta0 = as_matrix(data["delta0"], "delta0")
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("design config needs a 'delta0' matrix") from exc
+    fields = config_fields(data, "design config", ("delta0",), ("basis", "closed_loop"))
     if args.mode == "export-lmi":
         with _open_output(args.output) as fh:
-            export_lmi(model, delta0, fh)
+            export_lmi(model, fields["delta0"], fh)
         return 0
-    basis = data.get("basis")
-    problem = DesignProblem(
-        model=model,
-        Delta0=delta0,
-        basis=None if basis is None else as_matrix(basis, "basis"),
-    )
-    closed = data.get("closed_loop", False)
+    problem = DesignProblem(model=model, Delta0=fields["delta0"], basis=fields.get("basis"))
+    closed = fields.get("closed_loop", False)
     if not isinstance(closed, bool):
         raise ConfigError(f"closed_loop must be true or false, got {closed!r}")
     result = design_search_closed_loop(problem) if closed else design_search(problem)
@@ -138,8 +120,7 @@ def _cmd_design(args):
 
 
 def _cmd_compare(args):
-    data = _read_json(args.config)
-    model = _model_from_config(data)
+    model = _model_from_config(read_json(args.config, "config"))
     rows = compare_schedulers(
         model,
         target_rate=args.target_rate,

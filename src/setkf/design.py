@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, NotPositiveDefinite, UnstableSystem, value_of
-from .matrices import require_spd, smallest_eigenvalue, spectral_norm, sym
+from .matrices import is_spd, require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
 from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
 from .analysis import open_loop_rate, ray_drop_noise, upper_rates
@@ -131,14 +131,6 @@ def assemble_lmi_blocks(model, Y, S, Delta0):
     return sym(M1), sym(M2)
 
 
-def _is_pd(M):
-    try:
-        np.linalg.cholesky(sym(M))
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
 def _posterior_image(model, X, W_eff):
     M = sym(model.C @ X @ model.C.T + W_eff)
     return sym(X - X @ model.C.T @ np.linalg.solve(M, model.C @ X))
@@ -173,7 +165,7 @@ def lmi_feasible(model, Y, Delta0):
     eps_star = 1.0 / float(np.linalg.eigvalsh(sym(Linv @ D @ Linv.T))[-1])
     X = _posterior_image(model, sym(X_upper + (0.5 * eps_star) * D), W_eff)
     M1, M2 = assemble_lmi_blocks(model, Y, sym(np.linalg.inv(X)), Delta0)
-    return _is_pd(M1) and _is_pd(M2)
+    return is_spd(M1) and is_spd(M2)
 
 
 def ray_search(pred, rel_tol, lo=None):
@@ -335,7 +327,7 @@ def export_lmi(model, Delta0, fh):
     Each block constraint reads  F_const + sum_v var_v * F_v > 0  with only
     upper-triangle entries listed (row <= col, 0-indexed).
     """
-    Delta0 = require_spd(Delta0, "Delta0")
+    Delta0 = DesignProblem(model, Delta0).Delta0  # checked as the search checks it
     st = steady_state(model)  # objective needs the stationary Pi
     n, m = model.n, model.m
     s_pairs = [(i, j) for i in range(n) for j in range(i, n)]

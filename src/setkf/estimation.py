@@ -32,15 +32,22 @@ from .errors import (
     MissingMeasurement,
     SingularInnovation,
 )
-from .matrices import as_matrix, as_number, require_spd, sym
+from .matrices import as_number, config_fields, require_spd, sym
 
-TRIGGER_VARIANTS = (
-    "open_loop",
-    "closed_loop",
-    "periodic",
-    "random",
-    "deterministic_threshold",
-)
+# each variant's required and optional parameters, in the key order of
+# TriggerPolicy.to_dict
+_PARAMETERS = {
+    "open_loop": (("Y",), ()),
+    "closed_loop": (("Z",), ()),
+    "periodic": (("period",), ("phase",)),
+    "random": (("p",), ()),
+    "deterministic_threshold": (("delta",), ()),
+}
+TRIGGER_VARIANTS = tuple(_PARAMETERS)
+
+# the largest period: with 0 <= phase < period, k - phase fits an int64 for
+# every step k the scan passes as an int64 array
+MAX_PERIOD = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +55,8 @@ class TriggerPolicy:
     """Tagged union over the transmission policies.
 
     Use the classmethod constructors; only the fields of the selected
-    variant are populated.
+    variant are populated.  A periodic trigger's phase is kept modulo its
+    period.
     """
 
     variant: str
@@ -62,21 +70,15 @@ class TriggerPolicy:
     def __post_init__(self):
         if self.variant not in TRIGGER_VARIANTS:
             raise ConfigError(f"unknown trigger variant {self.variant!r}")
-        if self.variant == "open_loop":
-            object.__setattr__(self, "Y", require_spd(self.Y, "Y"))
-        elif self.variant == "closed_loop":
-            object.__setattr__(self, "Z", require_spd(self.Z, "Z"))
+        if self.variant in ("open_loop", "closed_loop"):
+            key = "Y" if self.variant == "open_loop" else "Z"
+            object.__setattr__(self, key, require_spd(getattr(self, key), key))
         elif self.variant == "periodic":
-            period = as_number(self.period, "period", integer=True)
-            if period < 1:
-                raise ConfigError("periodic trigger needs period >= 1")
+            period = as_number(self.period, "period", integer=True, lo=1, hi=MAX_PERIOD)
             object.__setattr__(self, "period", period)
-            object.__setattr__(self, "phase", as_number(self.phase, "phase", integer=True))
+            object.__setattr__(self, "phase", as_number(self.phase, "phase", integer=True) % period)
         elif self.variant == "random":
-            p = as_number(self.p, "p")
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError("random trigger needs probability p in [0, 1]")
-            object.__setattr__(self, "p", p)
+            object.__setattr__(self, "p", as_number(self.p, "p", lo=0.0, hi=1.0))
         else:
             delta = as_number(self.delta, "delta")
             if not delta > 0.0:
@@ -104,41 +106,20 @@ class TriggerPolicy:
         return cls(variant="deterministic_threshold", delta=delta)
 
     def to_dict(self):
+        required, optional = _PARAMETERS[self.variant]
         d = {"variant": self.variant}
-        if self.variant == "open_loop":
-            d["Y"] = self.Y.tolist()
-        elif self.variant == "closed_loop":
-            d["Z"] = self.Z.tolist()
-        elif self.variant == "periodic":
-            d["period"] = self.period
-            d["phase"] = self.phase
-        elif self.variant == "random":
-            d["p"] = self.p
-        else:
-            d["delta"] = self.delta
+        for key in (*required, *optional):
+            value = getattr(self, key)
+            d[key] = value.tolist() if isinstance(value, np.ndarray) else value
         return d
 
     @classmethod
     def from_dict(cls, data):
-        if not isinstance(data, dict) or "variant" not in data:
-            raise ConfigError("trigger config must be an object with a 'variant' key")
-        variant = data["variant"]
-        try:
-            if variant == "open_loop":
-                return cls.open_loop(as_matrix(data["Y"], "Y"))
-            if variant == "closed_loop":
-                return cls.closed_loop(as_matrix(data["Z"], "Z"))
-            if variant == "periodic":
-                return cls.periodic(data["period"], data.get("phase", 0))
-            if variant == "random":
-                return cls.random_offline(data["p"])
-            if variant == "deterministic_threshold":
-                return cls.deterministic_threshold(data["delta"])
-        except KeyError as exc:
-            raise ConfigError(
-                f"trigger {variant!r} missing parameter {exc.args[0]!r}"
-            ) from exc
-        raise ConfigError(f"unknown trigger variant {variant!r}")
+        variant = config_fields(data, "trigger config", ("variant",))["variant"]
+        if variant not in TRIGGER_VARIANTS:
+            raise ConfigError(f"unknown trigger variant {variant!r}")
+        fields = config_fields(data, f"trigger {variant!r}", *_PARAMETERS[variant])
+        return cls(variant=variant, **fields)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,15 +28,14 @@ feasible end.  A target whose weight is not a positive finite number on the
 ray raises :class:`CalibrationFailed`.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationFailed, ConfigError
+from .errors import CalibrationFailed, ConfigError, NumericalError
 from .estimation import TriggerPolicy, measurement_update, transmit
-from .matrices import as_matrix, as_number, require_spd, sym
+from .matrices import as_matrix, as_number, config_fields, read_json, require_spd, sym, write_json
 from .model import model_from_dict, steady_state, validate_model
 from . import riccati
 from .analysis import open_loop_rates, upper_rates
@@ -46,7 +45,8 @@ FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
 
 # Most per-step log entries, runs * horizon * n, a scenario may ask for: the
 # kernel's logs take about 16 n + 25 bytes per run and step and the (runs, T)
-# uniforms 8 more, at most 1 GB.
+# uniforms 8 more, at most 1 GB.  The pre-roll's draws, runs * pre_roll * n
+# entries of 8 bytes, count against the same limit.
 MAX_LOG_ENTRIES = 2 * 10**7
 
 # Most runs a scenario may ask for: each run's generator takes about 1.1 KB,
@@ -103,21 +103,13 @@ class Scenario:
             )
         if self.filter == "standard" and self.trigger.period != 1:
             raise ConfigError("the standard filter requires a period-1 trigger")
-        for name in ("horizon", "runs", "seed", "burn_in", "pre_roll"):
+        for name, lo in (("horizon", 1), ("runs", 1), ("seed", 0), ("burn_in", 0), ("pre_roll", 0)):
             value = _burn_in(self.burn_in, self.horizon) if name == "burn_in" else getattr(self, name)
-            object.__setattr__(self, name, as_number(value, name, integer=True))
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if not 0 <= self.burn_in < self.horizon:
+            object.__setattr__(self, name, as_number(value, name, integer=True, lo=lo))
+        if self.burn_in >= self.horizon:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < horizon")
-        if self.pre_roll < 0:
-            raise ConfigError("pre_roll must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.runs * self.horizon * self.model.n > MAX_LOG_ENTRIES:
-            raise ConfigError(f"runs * horizon * n must not exceed {MAX_LOG_ENTRIES}")
+        if self.runs * (self.horizon + self.pre_roll) * self.model.n > MAX_LOG_ENTRIES:
+            raise ConfigError(f"runs * (horizon + pre_roll) * n must not exceed {MAX_LOG_ENTRIES}")
         if self.runs > MAX_RUNS:
             raise ConfigError(f"runs must not exceed {MAX_RUNS}")
         if self.x0_mean is not None:
@@ -150,49 +142,26 @@ def _burn_in(burn_in, horizon, steps=200):
 
 
 def scenario_from_dict(data):
-    if not isinstance(data, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    try:
-        model = model_from_dict(data["model"])
-        filt = data["filter"]
-    except KeyError as exc:
-        raise ConfigError(f"scenario config missing key {exc.args[0]!r}") from exc
-    if "trigger" in data:
-        trigger = TriggerPolicy.from_dict(data["trigger"])
-    elif filt == "standard":
+    what = "scenario config"
+    fields = config_fields(
+        data, what, ("model", "filter", "horizon"),
+        ("runs", "seed", "burn_in", "pre_roll", "x0_mean"),
+    )
+    fields["model"] = model_from_dict(fields["model"])
+    # the standard filter sends every step unless a trigger says otherwise
+    if fields["filter"] == "standard" and "trigger" not in data:
         trigger = TriggerPolicy.periodic(1)
     else:
-        raise ConfigError("scenario config missing key 'trigger'")
-    try:
-        horizon = as_number(data["horizon"], "horizon", integer=True)
-    except KeyError as exc:
-        raise ConfigError("scenario config missing key 'horizon'") from exc
-    return Scenario(
-        model=model,
-        trigger=trigger,
-        filter=filt,
-        horizon=horizon,
-        runs=data.get("runs", 1),
-        seed=data.get("seed", 0),
-        burn_in=data.get("burn_in"),
-        pre_roll=data.get("pre_roll", 0),
-        x0_mean=data.get("x0_mean"),
-    )
+        trigger = TriggerPolicy.from_dict(config_fields(data, what, ("trigger",))["trigger"])
+    return Scenario(trigger=trigger, **fields)
 
 
 def load_scenario(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario config {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, "scenario config"))
 
 
 def save_scenario(scenario, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(scenario.to_dict(), path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,10 +459,13 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
         update = np.ones((L, N), dtype=bool) if s.always else gamma
 
         J = np.where(update[:, :, None, None], J_arrival, J_drop)
-        P_all = _orbit(
-            P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
-            riccati.compose, riccati.apply,
-        )
+        try:
+            P_all = _orbit(
+                P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
+                riccati.compose, riccati.apply,
+            )
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"prior covariance scan failed ({exc})") from exc
         P_prior, P = P_all[:L], P_all[L]
 
         # with a zero prior error and y, and L_r v as y_pred, the update
@@ -539,8 +511,7 @@ def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
     decisions without changing the draw order.  The estimator-side update
     never receives the measurement when gamma = 0.
     """
-    if as_number(run_index, "run_index", integer=True) < 0:
-        raise ConfigError("run_index must be >= 0")
+    as_number(run_index, "run_index", integer=True, lo=0)
     block = _simulate_runs(scenario, [run_index], force_gamma, sums=record_full)
     P_trace = block.P_trace[0]
     tail = slice(scenario.burn_in, scenario.horizon)

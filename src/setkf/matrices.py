@@ -1,5 +1,6 @@
 """Dense symmetric-matrix helpers shared across the package."""
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,39 @@ def sym(X):
     return 0.5 * (X + X.swapaxes(-1, -2))
 
 
+def read_json(path, what):
+    """The JSON value in the file ``path``; a file that cannot be read or
+    parsed raises ConfigError naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(data, path):
+    """Write ``data`` to the file ``path`` as indented JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def config_fields(data, what, required=(), optional=()):
+    """The ``required`` keys of a config object and those of ``optional``
+    that it has, as a dict in that order.
+
+    Raises ConfigError when ``data`` is not a JSON object or lacks a
+    required key.  Only keys are found here: the constructors that take the
+    values convert and range-check them.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{what} missing key {key!r}")
+    return {key: data[key] for key in (*required, *optional) if key in data}
+
+
 def as_matrix(x, name):
     """``x`` as a float array of at least two dimensions.
 
@@ -24,31 +58,35 @@ def as_matrix(x, name):
     """
     try:
         return np.atleast_2d(np.asarray(x, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a numeric matrix ({exc})") from exc
 
 
-def as_number(x, name, integer=False):
-    """``x`` as a finite float, or as an int when ``integer``.
+def as_number(x, name, integer=False, lo=-math.inf, hi=math.inf):
+    """``x`` as a finite float, or as an int when ``integer``, in [lo, hi].
 
     Raises ConfigError when ``x`` is not a number (a bool is not one), is not
-    finite, or, with ``integer``, has a fractional part, so a malformed
-    configuration value fails as configuration.
+    finite, with ``integer`` has a fractional part, or lies outside the
+    inclusive range, so a malformed configuration value fails as
+    configuration.
     """
     if isinstance(x, (bool, np.bool_)):
         raise ConfigError(f"{name} must be a number, got {x!r}")
     if integer and isinstance(x, (int, np.integer)):
-        return int(x)
-    try:
-        value = float(x)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {x!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {x!r}")
-    if integer:
-        if not value.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {x!r}")
-        return int(value)
+        value = int(x)
+    else:
+        try:
+            value = float(x)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name} must be a number, got {x!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {x!r}")
+        if integer:
+            if not value.is_integer():
+                raise ConfigError(f"{name} must be an integer, got {x!r}")
+            value = int(value)
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name} must lie in [{lo}, {hi}], got {x!r}")
     return value
 
 
@@ -84,8 +122,9 @@ def is_spd(X, floor=0.0):
 
 
 def require_spd(X, name, floor=0.0):
-    """Return the symmetrized matrix or raise NotPositiveDefinite."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """Return the symmetrized matrix or raise NotPositiveDefinite (ConfigError
+    when an entry is not a number)."""
+    X = as_matrix(X, name)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise NotPositiveDefinite(name, "not a square matrix")
     if not np.all(np.isfinite(X)):

@@ -11,13 +11,11 @@ uncorrelated.  Validation enforces Q, R, Sigma0 > 0 plus detectability of
 """
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     ModelValidationError,
     NoConvergence,
@@ -25,7 +23,15 @@ from .errors import (
     NotStabilizable,
     UnstableSystem,
 )
-from .matrices import as_matrix, require_spd, spectral_norm, sym
+from .matrices import (
+    as_matrix,
+    config_fields,
+    read_json,
+    require_spd,
+    spectral_norm,
+    sym,
+    write_json,
+)
 from .riccati import MAX_DOUBLINGS, lyapunov
 
 PD_FLOOR = 1e-10
@@ -90,32 +96,29 @@ def _rank(M):
     return int(np.count_nonzero(s > RANK_TOL * max(1.0, float(s[0]))))
 
 
-def _pbh_detectable(A, C):
+def _pbh_check(A, C, Lq):
+    """PBH rank tests at each eigenvalue of A on or outside the unit circle:
+    [A - lam I; C] for detectability of (A, C), then [A - lam I, Lq] for
+    stabilizability of (A, Q = Lq Lq').  A with non-finite eigenvalues is
+    rejected before any rank is taken."""
+    eigenvalues = np.linalg.eigvals(A)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise ModelValidationError("A has non-finite eigenvalues")
     n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - UNIT_CIRCLE_TOL:
-            M = np.vstack([A - lam * np.eye(n), C.astype(complex)])
-            if _rank(M) < n:
-                return False
-    return True
-
-
-def _pbh_stabilizable(A, B):
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        if abs(lam) >= 1.0 - UNIT_CIRCLE_TOL:
-            M = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-            if _rank(M) < n:
-                return False
-    return True
+    shifted = [A - lam * np.eye(n) for lam in eigenvalues if abs(lam) >= 1.0 - UNIT_CIRCLE_TOL]
+    if any(_rank(np.vstack([M, C])) < n for M in shifted):
+        raise NotDetectable("(A, C) fails the PBH detectability test")
+    if any(_rank(np.hstack([M, Lq])) < n for M in shifted):
+        raise NotStabilizable("(A, Q) fails the PBH stabilizability test")
 
 
 def validate_model(A, C, Q, R, Sigma0):
     """Validate a raw matrix bundle and return a SystemModel.
 
     Raises ConfigError (a non-numeric entry), ModelValidationError
-    (non-finite A or C), DimensionMismatch, NotPositiveDefinite,
-    NotDetectable or NotStabilizable on rejection.
+    (non-finite A or C, or A with non-finite eigenvalues),
+    DimensionMismatch, NotPositiveDefinite, NotDetectable or
+    NotStabilizable on rejection.
     Scalars are promoted to 1x1 matrices and 1-D arrays for C to a single
     row.
     """
@@ -145,10 +148,7 @@ def validate_model(A, C, Q, R, Sigma0):
     R = require_spd(R, "R", floor=PD_FLOOR)
     Sigma0 = require_spd(Sigma0, "Sigma0", floor=PD_FLOOR)
 
-    if not _pbh_detectable(A, C):
-        raise NotDetectable("(A, C) fails the PBH detectability test")
-    if not _pbh_stabilizable(A, np.linalg.cholesky(Q)):
-        raise NotStabilizable("(A, Q) fails the PBH stabilizability test")
+    _pbh_check(A, C, np.linalg.cholesky(Q))
 
     return SystemModel(A=A, C=C, Q=Q, R=R, Sigma0=Sigma0, n=n, m=m)
 
@@ -172,27 +172,13 @@ def steady_state(model):
 
 
 def model_from_dict(data):
-    if not isinstance(data, dict):
-        raise ConfigError("model config must be a JSON object")
-    try:
-        return validate_model(
-            data["A"], data["C"], data["Q"], data["R"], data["Sigma0"]
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model config missing key {exc.args[0]!r}") from exc
+    return validate_model(**config_fields(data, "model config", ("A", "C", "Q", "R", "Sigma0")))
 
 
 def load_model(path):
     """Read a model from a JSON file with keys A, C, Q, R, Sigma0."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read model config {path}: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(read_json(path, "model config"))
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(model.to_dict(), path)

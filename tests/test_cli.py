@@ -497,6 +497,80 @@ def test_run_count_limit(tmp_path, capsys, monkeypatch):
         Scenario(runs=MAX_RUNS + 1, **geometry)
 
 
+def test_period_beyond_int64_exit_code(tmp_path, capsys):
+    cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "periodic", "period": 1e30},
+           "filter": "offline-baseline", "horizon": 20, "runs": 2}
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["monte-carlo", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "period" in err and err.count("\n") == 1
+
+
+def test_huge_phase_is_reduced_modulo_period(tmp_path, capsys):
+    outputs = []
+    for phase in (1e30, 10**30 % 3):
+        trigger = {"variant": "periodic", "period": 3, "phase": phase}
+        cfg = {"model": SCALAR.to_dict(), "trigger": trigger, "filter": "offline-baseline",
+               "horizon": 20, "runs": 2}
+        path = tmp_path / "phase.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["monte-carlo", "--config", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+TWO_STATE = {"A": [[0.5, 0.1], [0.0, 0.6]], "C": [[1.0, 0.0]], "Q": np.eye(2).tolist(),
+             "R": [[1.0]], "Sigma0": np.eye(2).tolist()}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["monte-carlo"], ["analyze"], ["design"], ["design", "export-lmi"],
+     ["compare", "--target-rate", "0.5"]],
+    ids=["simulate", "monte-carlo", "analyze", "design", "export-lmi", "compare"],
+)
+def test_huge_finite_plant_exit_code(tmp_path, capsys, argv):
+    # every entry of A is finite, its eigenvalues are not
+    cfg = {"model": {**TWO_STATE, "A": [[1e308, 1e308], [1e308, 1e308]]},
+           "trigger": {"variant": "open_loop", "Y": [[1.0]]}, "filter": "olset", "horizon": 10,
+           "delta0": [[3.0, 0.0], [0.0, 3.0]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "eigenvalues" in err and err.count("\n") == 1
+
+
+def test_config_not_utf8_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"model": "\xff"}')
+    assert main(["analyze", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
+
+def test_export_lmi_delta0_shape_exit_code(tmp_path, capsys):
+    # a 1 x 1 delta0 would otherwise fill the plant's 2 x 2 block by broadcasting
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"model": TWO_STATE, "delta0": [[3.0]]}))
+    assert main(["design", "export-lmi", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Delta0" in err and err.count("\n") == 1
+
+
+def test_scan_singular_prior_exit_code(tmp_path, capsys):
+    # the scan's covariance composition meets a singular matrix on this prior
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps({"model": {**TWO_STATE, "Sigma0": (1e300 * np.eye(2)).tolist()}}))
+    rc = main(["compare", "--config", str(path), "--target-rate", "0.5", "--runs", "2",
+               "--horizon", "20"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
 def test_design_near_unit_root(tmp_path, closed_loop):
     a = 0.999999

@@ -15,6 +15,7 @@ from setkf import (
     trigger_decide,
     validate_model,
 )
+from setkf.estimation import MAX_PERIOD
 from util import random_spd, random_stable_model
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
@@ -48,6 +49,19 @@ class TestTriggerPolicy:
         for pol in policies:
             back = TriggerPolicy.from_dict(pol.to_dict())
             assert back.variant == pol.variant
+            assert back.to_dict() == pol.to_dict()
+        assert list(policies[2].to_dict()) == ["variant", "period", "phase"]
+
+    def test_phase_kept_modulo_period(self):
+        assert TriggerPolicy.periodic(3, phase=10**30).phase == 10**30 % 3
+        assert TriggerPolicy.periodic(3, phase=1e30).phase == int(1e30) % 3
+        assert TriggerPolicy.periodic(5, phase=-2).to_dict()["phase"] == 3
+
+    def test_period_fits_int64(self):
+        assert TriggerPolicy.periodic(MAX_PERIOD).period == MAX_PERIOD
+        for period in (MAX_PERIOD + 1, 1e30):
+            with pytest.raises(ConfigError, match="period"):
+                TriggerPolicy.periodic(period)
 
     def test_open_loop_zero_measurement_never_sends(self):
         pol = TriggerPolicy.open_loop([[1.0]])

@@ -27,6 +27,7 @@ from setkf import (
     validate_model,
 )
 from setkf import harness
+from setkf.estimation import MAX_PERIOD
 from setkf.harness import (
     SCAN_MAX_WIDTH,
     _scan_runs,
@@ -71,6 +72,9 @@ class TestScenarioValidation:
             scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", burn_in=500)
         with pytest.raises(ConfigError):
             scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", runs=0)
+        # the pre-roll's draws count against the log limit
+        with pytest.raises(ConfigError, match="pre_roll"):
+            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", pre_roll=10**8)
 
     def test_unset_burn_in(self):
         # 200 steps, cut to leave the last step of a shorter horizon
@@ -166,6 +170,22 @@ class TestSimulate:
         )
         rec = simulate(scn)
         assert np.isfinite(rec.sq_err).all()
+
+
+class TestPeriodicBounds:
+    @pytest.mark.parametrize(
+        "period, phase",
+        [(3, 10**30), (3, 1e30), (7, -3),
+         (MAX_PERIOD, MAX_PERIOD - 1), (MAX_PERIOD, 5), (MAX_PERIOD, -1)],
+    )
+    def test_decisions_on_both_paths(self, period, phase):
+        # the phase is reduced modulo the period, so the scan's int64 steps
+        # never overflow and both paths follow (k - phase) % period == 0
+        scn = scalar_scenario(TriggerPolicy.periodic(period, phase), "offline-baseline",
+                              horizon=12, runs=2, burn_in=0)
+        expected = [int((k - int(phase)) % period == 0) for k in range(12)]
+        for path in (_scan_runs, _step_runs):
+            assert path(scn, range(2)).gamma.tolist() == [expected, expected]
 
 
 class TestMonteCarlo:

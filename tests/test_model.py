@@ -164,3 +164,10 @@ def test_random_spd_helper_is_spd():
     for n in (1, 2, 3, 4):
         w = np.linalg.eigvalsh(random_spd(rng, n))
         assert w.min() > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_eigenvalues_rejected():
+    # finite entries whose eigenvalues overflow: rejected before any rank test
+    with pytest.raises(ModelValidationError, match="eigenvalues"):
+        validate_model(np.full((2, 2), 1e308), [[1.0, 0.0]], np.eye(2), 1.0, np.eye(2))
