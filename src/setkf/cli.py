@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Subcommands: simulate, monte-carlo, analyze, design, compare, singer.
+Subcommands: simulate, monte-carlo, analyze, design, compare, singer.  Each
+``_cmd_*`` returns a writer and its result, and :func:`main` writes it.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
-import contextlib
+import functools
 import sys
 
-from .analysis import closed_loop_report, open_loop_report
+from .analysis import _matrix_rows, closed_loop_report, open_loop_report
 from .design import DesignProblem, design_search, design_search_closed_loop, export_lmi
 from .errors import (
     CalibrationFailed,
@@ -40,15 +41,6 @@ def _model_from_config(data):
     return model_from_dict(config_fields(data, "config", (), ("model",)).get("model", data))
 
 
-@contextlib.contextmanager
-def _open_output(path):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-
-
 def _scenario_with_overrides(args):
     # the flags replace config values before anything is derived from them,
     # so that an unset burn-in follows an overridden horizon
@@ -60,19 +52,11 @@ def _scenario_with_overrides(args):
 
 
 def _cmd_simulate(args):
-    scn = _scenario_with_overrides(args)
-    rec = simulate(scn, run_index=args.run_index)
-    with _open_output(args.output) as fh:
-        write_trajectory_csv(rec, fh)
-    return 0
+    return write_trajectory_csv, simulate(_scenario_with_overrides(args), run_index=args.run_index)
 
 
 def _cmd_monte_carlo(args):
-    scn = _scenario_with_overrides(args)
-    stats = monte_carlo(scn)
-    with _open_output(args.output) as fh:
-        write_monte_carlo_csv(stats, fh)
-    return 0
+    return write_monte_carlo_csv, monte_carlo(_scenario_with_overrides(args))
 
 
 def _cmd_analyze(args):
@@ -81,14 +65,10 @@ def _cmd_analyze(args):
     (trigger,) = config_fields(data, "analyze config", ("trigger",)).values()
     trigger = TriggerPolicy.from_dict(trigger)
     if trigger.variant == "open_loop":
-        rows = open_loop_report(model, trigger.Y)
-    elif trigger.variant == "closed_loop":
-        rows = closed_loop_report(model, trigger.Z)
-    else:
-        raise ConfigError("analyze supports open_loop and closed_loop triggers only")
-    with _open_output(args.output) as fh:
-        write_report_csv(rows, fh)
-    return 0
+        return write_report_csv, open_loop_report(model, trigger.Y)
+    if trigger.variant == "closed_loop":
+        return write_report_csv, closed_loop_report(model, trigger.Z)
+    raise ConfigError("analyze supports open_loop and closed_loop triggers only")
 
 
 def _cmd_design(args):
@@ -96,9 +76,7 @@ def _cmd_design(args):
     model = _model_from_config(data)
     fields = config_fields(data, "design config", ("delta0",), ("basis", "closed_loop"))
     if args.mode == "export-lmi":
-        with _open_output(args.output) as fh:
-            export_lmi(model, fields["delta0"], fh)
-        return 0
+        return functools.partial(export_lmi, model), fields["delta0"]
     problem = DesignProblem(model=model, Delta0=fields["delta0"], basis=fields.get("basis"))
     closed = fields.get("closed_loop", False)
     if not isinstance(closed, bool):
@@ -109,14 +87,7 @@ def _cmd_design(args):
         rows.append(("objective", result.objective))
     if result.kappa_bound is not None:
         rows.append(("kappa_bound", result.kappa_bound))
-    rows += [
-        (f"Y[{i}][{j}]", float(result.Y[i, j]))
-        for i in range(result.Y.shape[0])
-        for j in range(result.Y.shape[1])
-    ]
-    with _open_output(args.output) as fh:
-        write_report_csv(rows, fh)
-    return 0
+    return write_report_csv, rows + _matrix_rows("Y", result.Y)
 
 
 def _cmd_compare(args):
@@ -129,9 +100,7 @@ def _cmd_compare(args):
         seed=args.seed if args.seed is not None else 0,
         burn_in=args.burn_in,
     )
-    with _open_output(args.output) as fh:
-        write_comparison_csv(rows, fh)
-    return 0
+    return write_comparison_csv, rows
 
 
 def _cmd_singer(args):
@@ -148,67 +117,69 @@ def _cmd_singer(args):
     )
     if args.save_scenario:
         save_scenario(scn, args.save_scenario)
-    stats = monte_carlo(scn)
-    with _open_output(args.output) as fh:
-        write_monte_carlo_csv(stats, fh)
-    return 0
+    return write_monte_carlo_csv, monte_carlo(scn)
 
 
-def _add_common(p, runs=True):
-    p.add_argument("--config", required=False, help="path to a JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    if runs:
-        p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--output", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=["csv"], default="csv")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: one line and exit 2, in-process too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _add_command(sub, name, fn, help, config=True, ints=()):
+    """A subcommand: ``--config`` when it reads one, the integer flags in
+    ``ints`` and ``--output``."""
+    p = sub.add_parser(name, help=help)
+    if config:
+        p.add_argument("--config", help="path to a JSON config file")
+    for flag in ints:
+        p.add_argument(f"--{flag}", type=int)
+    p.add_argument("--output", help="output path (default: stdout)")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="setkf",
         description="Stochastic event-triggered remote state estimation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run one trajectory and write a CSV log")
-    _add_common(p, runs=False)
+    p = _add_command(
+        sub, "simulate", _cmd_simulate, "run one trajectory and write a CSV log",
+        ints=("seed", "horizon"),
+    )
     p.add_argument("--run-index", type=int, default=0)
-    p.set_defaults(fn=_cmd_simulate, needs_config=True)
 
-    p = sub.add_parser("monte-carlo", help="aggregate many trajectories into a CSV")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_monte_carlo, needs_config=True)
+    _add_command(
+        sub, "monte-carlo", _cmd_monte_carlo, "aggregate many trajectories into a CSV",
+        ints=("seed", "horizon", "runs"),
+    )
 
-    p = sub.add_parser("analyze", help="steady-state rate/covariance report")
-    _add_common(p, runs=False)
-    p.set_defaults(fn=_cmd_analyze, needs_config=True)
+    _add_command(sub, "analyze", _cmd_analyze, "steady-state rate/covariance report")
 
-    p = sub.add_parser("design", help="event-parameter design (search or export-lmi)")
+    p = _add_command(sub, "design", _cmd_design, "event-parameter design (search or export-lmi)")
     p.add_argument("mode", nargs="?", choices=["search", "export-lmi"], default="search")
-    _add_common(p, runs=False)
-    p.set_defaults(fn=_cmd_design, needs_config=True)
 
-    p = sub.add_parser("compare", help="compare calibrated schedulers at one rate")
-    _add_common(p)
+    p = _add_command(
+        sub, "compare", _cmd_compare, "compare calibrated schedulers at one rate",
+        ints=("seed", "horizon", "runs", "burn-in"),
+    )
     p.add_argument("--target-rate", type=float, required=True)
-    p.add_argument("--burn-in", type=int, default=None)
-    p.set_defaults(fn=_cmd_compare, needs_config=True)
 
-    p = sub.add_parser("singer", help="target-tracking scenario Monte Carlo")
+    p = _add_command(
+        sub, "singer", _cmd_singer, "target-tracking scenario Monte Carlo",
+        config=False, ints=("seed", "horizon", "runs"),
+    )
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--sigma-m2", dest="sigma_m2", type=float, default=5.0)
     p.add_argument("--z-scale", dest="z_scale", type=float, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--a13", choices=["paper", "half"], default="paper")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--save-scenario", default=None)
-    p.set_defaults(fn=_cmd_singer, needs_config=False)
 
     return parser
 
@@ -222,11 +193,17 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
-        if getattr(args, "needs_config", False) and not args.config:
+        args = _parser.parse_args(argv)
+        if "config" in args and not args.config:
             raise ConfigError(f"{args.command} requires --config")
-        return args.fn(args)
+        write, result = args.fn(args)
+        if args.output is None:
+            write(result, sys.stdout)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                write(result, fh)
+        return 0
     except (ConfigError, ModelValidationError, UnstableSystem) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -68,6 +68,10 @@ SCAN_BLOCK_ENTRIES = 2**16
 # and gamma); only the open-loop trigger holds the plant's x and y, n + m more.
 STEP_BLOCK_ENTRIES = 2**21
 
+# Largest gap |1/period - target rate| at which the periodic scheduler counts
+# as calibrated to the target rate.
+PERIOD_TOL = 0.025
+
 _VALID_PAIRING = {
     "standard": ("periodic",),
     "olset": ("open_loop",),
@@ -695,15 +699,15 @@ def calibrate_closed_loop(model, target_rate, basis=None):
     return _ray_weight(lambda t: upper_rates(model, t, B), target_rate)
 
 
-def calibrate_period(target_rate, tol=0.025):
+def calibrate_period(target_rate):
     if not 0.0 < target_rate < 1.0:
         raise CalibrationFailed("target rate must lie in (0, 1)")
     if 1.0 / target_rate == math.inf:
         raise CalibrationFailed(f"target rate {target_rate} too small to reach")
     period = max(1, round(1.0 / target_rate))
-    if abs(1.0 / period - target_rate) > tol:
+    if abs(1.0 / period - target_rate) > PERIOD_TOL:
         raise CalibrationFailed(
-            f"periodic scheduler: no integer period reaches rate {target_rate} within {tol}"
+            f"periodic scheduler: no integer period reaches rate {target_rate} within {PERIOD_TOL}"
         )
     return period
 
@@ -717,7 +721,7 @@ class ComparisonRow:
     steady_trace_stderr: float
 
 
-def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None, period_tol=0.025):
+def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None):
     """Calibrate the four schedulers to one rate and compare steady E[P-].
 
     Rows are ordered clset, olset, periodic, random.  All schedulers share
@@ -726,7 +730,7 @@ def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None, pe
     """
     target_rate = as_number(target_rate, "target_rate")
     # the periodic calibration costs nothing and misses most rates, so it goes first
-    period = calibrate_period(target_rate, tol=period_tol)
+    period = calibrate_period(target_rate)
     theta_y = calibrate_open_loop(steady_state(model), target_rate)
     theta_z = calibrate_closed_loop(model, target_rate)
     m = model.m

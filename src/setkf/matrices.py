@@ -53,10 +53,15 @@ def config_fields(data, what, required=(), optional=()):
 def as_matrix(x, name):
     """``x`` as a float array of at least two dimensions.
 
-    Raises ConfigError when an entry is not a number or the rows are ragged,
-    so a malformed configuration value fails as configuration.
+    Raises ConfigError when an entry is not a number (a bool is not one) or
+    the rows are ragged, so a malformed configuration value fails as
+    configuration.  Only input that is not already a numeric array is
+    scanned for booleans, so the solvers' own arrays pass at no cost.
     """
     try:
+        if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+            if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+                raise TypeError("booleans are not numbers")
         return np.atleast_2d(np.asarray(x, dtype=float))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a numeric matrix ({exc})") from exc

@@ -158,34 +158,33 @@ def _doubling(element, tol, max_doublings, label, offset=0.0):
     return out, errors
 
 
-def fixed_points(model, W, tol=FIXED_POINT_TOL, max_iter=MAX_DOUBLINGS, start=None):
+def fixed_points(model, W, start=None):
     """Unique positive-definite solution of X = g_W(X) for each W of a stack
     of symmetric matrices, by structured doubling.
 
     Squares the elements (A, Q, C' W^-1 C) of g_W (Chu, Fan, Lin & Wang
-    2004) as one stack, each until its last increment falls below ``tol``
-    relative to its X.  A ``start`` S shifts the unknown to X = S + Delta,
-    whose map has the element (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).
-    The stack of W is checked once.  Returns the stack of X and, per W, None
-    or its error: NotPositiveDefinite for the W, or NoConvergence when the
-    iterate stops being finite or after ``max_iter`` doublings, which signals
+    2004) as one stack, each until its last increment falls below
+    FIXED_POINT_TOL relative to its X.  A ``start`` S shifts the unknown to
+    X = S + Delta, whose map has the element
+    (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).  The stack of W is checked
+    once.  Returns the stack of X and, per W, None or its error:
+    NotPositiveDefinite for the W, or NoConvergence when the iterate stops
+    being finite or after MAX_DOUBLINGS doublings, which signals
     ill-conditioning rather than non-existence.
     """
     errors = spd_failures(W, "W")
     ok = np.array([error is None for error in errors])
     if ok.all():
-        return _fixed_points(model, W, tol, max_iter, start)
+        return _fixed_points(model, W, start)
     X, solved = np.zeros((len(W), model.n, model.n)), []
     if ok.any():  # solve the others alone
-        X[ok], solved = _fixed_points(model, W[ok], tol, max_iter, start)
+        X[ok], solved = _fixed_points(model, W[ok], start)
     solved = iter(solved)
     return X, [error or next(solved) for error in errors]
 
 
-def _fixed_points(model, W, tol, max_iter, start):
+def _fixed_points(model, W, start):
     # fixed_points for a stack of W already checked
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     C, A, S, H = model.C, model.A[None], 0.0, model.Q[None]
     if len(W) > 1:  # compose squares stacks of equal height
         A, H = A.repeat(len(W), 0), H.repeat(len(W), 0)
@@ -195,14 +194,14 @@ def _fixed_points(model, W, tol, max_iter, start):
         H = sym(A @ S @ _T(A) + H - T @ np.linalg.solve(W, _T(T))) - S  # g_W(S) - S
         A = A - _T(np.linalg.solve(W, C @ S @ _T(A))) @ C
     G = sym(C.T @ np.linalg.solve(W, C[None]))
-    return _doubling((A, H, G), tol, max_iter, "Riccati doubling", offset=S)
+    return _doubling((A, H, G), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling", offset=S)
 
 
-def fixed_point(rmap, tol=FIXED_POINT_TOL, max_iter=MAX_DOUBLINGS, start=None):
+def fixed_point(rmap, start=None):
     """Unique positive-definite solution of X = g_W(X) for the checked W of
     ``rmap``: :func:`fixed_points` on a stack of one, stopped at the same
     doubling and to the same bits as in any stack, raising its error."""
-    X, errors = _fixed_points(rmap.model, rmap.W[None], tol, max_iter, start)
+    X, errors = _fixed_points(rmap.model, rmap.W[None], start)
     return value_of(errors[0] or X[0])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from setkf import (
 from setkf.model import steady_state
 from setkf.cli import main
 from setkf.harness import MAX_LOG_ENTRIES, MAX_RUNS
+from setkf.matrices import as_matrix
 from util import scalar_g_fixed_point
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
@@ -377,8 +379,13 @@ def test_reused_parser_matches_fresh_parsers(scenario_config, tmp_path, capsys, 
         ("analyze", {"trigger": {"variant": "open_loop", "Y": "x"}}),
         ("design", {"delta0": "x"}),
         ("analyze", {"trigger": {"variant": "open_loop"}}),
+        # JSON true is not the number 1, in a matrix as in a scalar
+        ("analyze", {"model": {**SCALAR.to_dict(), "R": True}}),
+        ("analyze", {"trigger": {"variant": "open_loop", "Y": [[True]]}}),
+        ("design", {"basis": True}),
+        ("design", {"delta0": [[True]]}),
     ],
-    ids=["A-abc", "Y-x", "delta0-x", "Y-missing"],
+    ids=["A-abc", "Y-x", "delta0-x", "Y-missing", "R-true", "Y-true", "basis-true", "delta0-true"],
 )
 def test_malformed_matrix_config_exit_code(tmp_path, capsys, command, update):
     cfg = {
@@ -392,6 +399,79 @@ def test_malformed_matrix_config_exit_code(tmp_path, capsys, command, update):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, [[True]], [[True, 1.0]], [[1.0], [np.True_]], np.array([[True, False]])],
+    ids=["true", "[[true]]", "mixed-row", "numpy-bool-entry", "bool-array"],
+)
+def test_as_matrix_refuses_booleans(value):
+    with pytest.raises(ConfigError, match="booleans are not numbers"):
+        as_matrix(value, "M")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--horizon", "5"], ["design", "--format", "csv"], ["monte-carlo", "--seed", "x"], []],
+    ids=["analyze-horizon", "design-format", "seed-not-an-int", "no-subcommand"],
+)
+def test_usage_error_exit_code(tmp_path, capsys, argv):
+    # a flag a subcommand does not take, or a malformed one, is a config error
+    # of one line, returned by main rather than raised as SystemExit
+    path = tmp_path / "config.json"
+    cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "open_loop", "Y": [[1.0]]}, "delta0": [[1.5]]}
+    path.write_text(json.dumps(cfg))
+    config = ["--config", str(path)] if argv[:1] in (["analyze"], ["design"]) else []
+    assert main([*argv, *config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["monte-carlo"], ["analyze"], ["design"], ["compare", "--target-rate", "0.5"]],
+    ids=lambda argv: argv[0],
+)
+def test_missing_config_exit_code(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {argv[0]} requires --config\n"
+
+
+# every flag of each subcommand; each is read by its command, so one that is
+# added without a reader shows here
+FLAGS = {
+    "simulate": {"--config", "--seed", "--horizon", "--run-index", "--output"},
+    "monte-carlo": {"--config", "--seed", "--horizon", "--runs", "--output"},
+    "analyze": {"--config", "--output"},
+    "design": {"mode", "--config", "--output"},
+    "compare": {"--config", "--seed", "--horizon", "--runs", "--burn-in", "--target-rate", "--output"},
+    "singer": {
+        "--T", "--alpha", "--sigma-m2", "--z-scale", "--delta", "--a13",
+        "--seed", "--horizon", "--runs", "--output", "--save-scenario",
+    },
+}
+
+
+def test_subcommand_flags():
+    (commands,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        name: {
+            action.option_strings[-1] if action.option_strings else action.dest
+            for action in parser._actions
+            if action.dest != "help"
+        }
+        for name, parser in commands.choices.items()
+    }
+    assert flags == FLAGS
 
 
 @pytest.mark.parametrize(
