@@ -2,11 +2,13 @@
 
 Subcommands: simulate, monte-carlo, analyze, design, compare, singer.  Each
 ``_cmd_*`` returns a writer and its result, and :func:`main` writes it.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 141 a
+reader that closed standard output early (as for a process killed by SIGPIPE).
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from .analysis import _matrix_rows, closed_loop_report, open_loop_report
@@ -41,13 +43,18 @@ def _model_from_config(data):
     return model_from_dict(config_fields(data, "config", (), ("model",)).get("model", data))
 
 
+def _set_ints(args):
+    """The subcommand's integer flags that were set, by name; an unset one
+    keeps the default of the config or of the function it is passed to."""
+    return {name: getattr(args, name) for name in args.ints if getattr(args, name) is not None}
+
+
 def _scenario_with_overrides(args):
     # the flags replace config values before anything is derived from them,
     # so that an unset burn-in follows an overridden horizon
     data = read_json(args.config, "config")
-    flags = {"seed": args.seed, "horizon": args.horizon, "runs": getattr(args, "runs", None)}
     if isinstance(data, dict):
-        data.update((key, value) for key, value in flags.items() if value is not None)
+        data.update(_set_ints(args))
     return scenario_from_dict(data)
 
 
@@ -92,15 +99,7 @@ def _cmd_design(args):
 
 def _cmd_compare(args):
     model = _model_from_config(read_json(args.config, "config"))
-    rows = compare_schedulers(
-        model,
-        target_rate=args.target_rate,
-        horizon=args.horizon if args.horizon is not None else 2000,
-        runs=args.runs if args.runs is not None else 100,
-        seed=args.seed if args.seed is not None else 0,
-        burn_in=args.burn_in,
-    )
-    return write_comparison_csv, rows
+    return write_comparison_csv, compare_schedulers(model, args.target_rate, **_set_ints(args))
 
 
 def _cmd_singer(args):
@@ -111,9 +110,7 @@ def _cmd_singer(args):
         z_scale=args.z_scale,
         delta=args.delta,
         a13=args.a13,
-        runs=args.runs if args.runs is not None else 10_000,
-        horizon=args.horizon if args.horizon is not None else 100,
-        seed=args.seed if args.seed is not None else 0,
+        **_set_ints(args),
     )
     if args.save_scenario:
         save_scenario(scn, args.save_scenario)
@@ -129,14 +126,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_command(sub, name, fn, help, config=True, ints=()):
     """A subcommand: ``--config`` when it reads one, the integer flags in
-    ``ints`` and ``--output``."""
+    ``ints`` (unset by default, see :func:`_set_ints`) and ``--output``."""
     p = sub.add_parser(name, help=help)
     if config:
         p.add_argument("--config", help="path to a JSON config file")
     for flag in ints:
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--output", help="output path (default: stdout)")
-    p.set_defaults(fn=fn)
+    p.set_defaults(fn=fn, ints=[flag.replace("-", "_") for flag in ints])
     return p
 
 
@@ -198,11 +195,20 @@ def main(argv=None):
         if "config" in args and not args.config:
             raise ConfigError(f"{args.command} requires --config")
         write, result = args.fn(args)
-        if args.output is None:
-            write(result, sys.stdout)
-        else:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 write(result, fh)
+            return 0
+        try:
+            write(result, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout: send what is still buffered to devnull,
+            # so that the flush at exit raises nothing, and exit as SIGPIPE would
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
         return 0
     except (ConfigError, ModelValidationError, UnstableSystem) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -41,8 +41,6 @@ from . import riccati
 from .analysis import open_loop_rates, upper_rates
 from .design import RAY_CAP, RAY_FLOOR, ray_search
 
-FILTER_KINDS = ("standard", "olset", "clset", "offline-baseline")
-
 # Most per-step log entries, runs * horizon * n, a scenario may ask for: the
 # kernel's logs take about 16 n + 25 bytes per run and step and the (runs, T)
 # uniforms 8 more, at most 1 GB.  The pre-roll's draws, runs * pre_roll * n
@@ -72,24 +70,20 @@ STEP_BLOCK_ENTRIES = 2**21
 # as calibrated to the target rate.
 PERIOD_TOL = 0.025
 
-_VALID_PAIRING = {
-    "standard": ("periodic",),
-    "olset": ("open_loop",),
-    "clset": ("closed_loop",),
-    "offline-baseline": ("periodic", "random", "deterministic_threshold"),
-}
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A simulation setup: plant, trigger, filter kind and run geometry.
+    """A simulation setup: plant, trigger and run geometry.
 
+    The trigger fixes the remote filter, the MMSE estimator of its schedule:
+    the OLSET filter for the open-loop trigger, the CLSET filter for the
+    closed-loop trigger, and for the periodic, random and threshold triggers
+    a standard Kalman update on an arrival and pure prediction on a drop.
     An unset burn-in is 200 steps, cut to leave the last step of the horizon.
     """
 
     model: object
     trigger: TriggerPolicy
-    filter: str
     horizon: int
     runs: int = 1
     seed: int = 0
@@ -98,15 +92,6 @@ class Scenario:
     x0_mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.filter not in FILTER_KINDS:
-            raise ConfigError(f"unknown filter kind {self.filter!r}")
-        if self.trigger.variant not in _VALID_PAIRING[self.filter]:
-            raise ConfigError(
-                f"filter {self.filter!r} cannot be paired with trigger "
-                f"{self.trigger.variant!r}"
-            )
-        if self.filter == "standard" and self.trigger.period != 1:
-            raise ConfigError("the standard filter requires a period-1 trigger")
         for name, lo in (("horizon", 1), ("runs", 1), ("seed", 0), ("burn_in", 0), ("pre_roll", 0)):
             value = _burn_in(self.burn_in, self.horizon) if name == "burn_in" else getattr(self, name)
             object.__setattr__(self, name, as_number(value, name, integer=True, lo=lo))
@@ -128,7 +113,6 @@ class Scenario:
         d = {
             "model": self.model.to_dict(),
             "trigger": self.trigger.to_dict(),
-            "filter": self.filter,
             "horizon": self.horizon,
             "runs": self.runs,
             "seed": self.seed,
@@ -146,18 +130,13 @@ def _burn_in(burn_in, horizon, steps=200):
 
 
 def scenario_from_dict(data):
-    what = "scenario config"
     fields = config_fields(
-        data, what, ("model", "filter", "horizon"),
+        data, "scenario config", ("model", "trigger", "horizon"),
         ("runs", "seed", "burn_in", "pre_roll", "x0_mean"),
     )
     fields["model"] = model_from_dict(fields["model"])
-    # the standard filter sends every step unless a trigger says otherwise
-    if fields["filter"] == "standard" and "trigger" not in data:
-        trigger = TriggerPolicy.periodic(1)
-    else:
-        trigger = TriggerPolicy.from_dict(config_fields(data, what, ("trigger",))["trigger"])
-    return Scenario(trigger=trigger, **fields)
+    fields["trigger"] = TriggerPolicy.from_dict(fields["trigger"])
+    return Scenario(**fields)
 
 
 def load_scenario(path):
@@ -254,12 +233,12 @@ class _Runs:
                 raise ConfigError("force_gamma must cover the horizon")
             self.forced = np.broadcast_to((force_gamma[: self.T] != 0)[:, None], (self.T, N))
 
-        W = {"olset": scenario.trigger.Y, "clset": scenario.trigger.Z}.get(scenario.filter)
+        # the drop noise of the OLSET and CLSET filters; the other triggers'
+        # filter learns nothing from a drop
+        pol = scenario.trigger
+        W = {"open_loop": pol.Y, "closed_loop": pol.Z}.get(pol.variant)
         self.W_drop = None if W is None else model.R + np.linalg.inv(W)
-        # the olset filter is the only one paired with the open-loop trigger
-        self.open_loop = scenario.filter == "olset"
-        # the standard filter updates on every step, whatever gamma is logged
-        self.always = scenario.filter == "standard"
+        self.open_loop = pol.variant == "open_loop"
 
         # each run first draws the horizon's uniforms, then x0 and the
         # pre-roll's process noise, one call each
@@ -315,10 +294,22 @@ class _Runs:
             yield slice(k0, k0 + L), self.zeta[:, k0 : k0 + L].T, Lv, Lw, y
 
     def log(self, steps, gamma, e, P):
-        """Write a block's logs and sums from its gamma and prior e and P."""
+        """Write a block's logs and sums from its gamma and prior e and P.
+
+        Raises NumericalError, naming the first step, when a diagonal entry
+        of a prior covariance is not positive and finite: the covariance
+        recursion has broken down, and no later value means anything.
+        """
+        diag = P.diagonal(axis1=2, axis2=3)
+        if not (diag.min() > 0.0 and diag.max() < np.inf):
+            broken = ~((diag > 0.0) & (diag < np.inf)).all(axis=(1, 2))
+            raise NumericalError(
+                f"prior covariance at step {steps.start + int(broken.argmax())} has a"
+                " diagonal entry that is not positive and finite"
+            )
         self.gamma_log[:, steps] = gamma.T
         self.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
-        self.diag_log[:, steps] = P.diagonal(axis1=2, axis2=3).transpose(1, 0, 2)
+        self.diag_log[:, steps] = diag.transpose(1, 0, 2)
         if self.P_sum is not None:
             # accumulate adds the runs one after another in run order, where
             # sum would switch to pairwise order when n = 1
@@ -365,7 +356,6 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     length = STEP_BLOCK_ENTRIES // (s.N * (n * n + 3 * n + 2 * m + 1))
     for steps, zeta, Lv, Lw, y in s.blocks(length):
         gamma = np.empty(zeta.shape, dtype=bool) if s.forced is None else s.forced[steps]
-        update = np.ones(gamma.shape, dtype=bool) if s.always else gamma
         e_prior, P_prior = np.empty(Lw.shape), np.empty(Lw.shape[:2] + (n, n))
         for j, k in enumerate(range(steps.start, steps.stop)):
             e_prior[j], P_prior[j] = e, P
@@ -377,11 +367,11 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
             # with y = 0 and the innovation as y_pred the update's mean
             # formula takes the prior error to the posterior error
             e, P, K, _ = measurement_update(
-                model, P, e, 0.0, innov, update[j], s.W_drop, s.open_loop
+                model, P, e, 0.0, innov, gamma[j], s.W_drop, s.open_loop
             )
             if s.open_loop:
                 # an olset drop also pulls the estimate towards 0: + K y
-                e = e + K @ (y[j] * ~update[j][:, None, None])
+                e = e + K @ (y[j] * ~gamma[j][:, None, None])
             e = A @ e + Lw[j]
             P = sym(A @ P @ A_T + Q)
         s.log(steps, gamma, e_prior, P_prior)
@@ -460,21 +450,22 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
             k = np.repeat(np.arange(steps.start, steps.stop), N)
             z = None if y is None else y.reshape(L * N, m, 1)
             gamma = transmit(pol, z, None, zeta.ravel(), k).reshape(L, N)
-        update = np.ones((L, N), dtype=bool) if s.always else gamma
 
-        J = np.where(update[:, :, None, None], J_arrival, J_drop)
+        J = np.where(gamma[:, :, None, None], J_arrival, J_drop)
         try:
-            P_all = _orbit(
-                P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
-                riccati.compose, riccati.apply,
-            )
+            # a covariance that breaks down is reported by the log's check
+            with np.errstate(over="ignore", invalid="ignore"):
+                P_all = _orbit(
+                    P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
+                    riccati.compose, riccati.apply,
+                )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"prior covariance scan failed ({exc})") from exc
         P_prior, P = P_all[:L], P_all[L]
 
         # with a zero prior error and y, and L_r v as y_pred, the update
         # returns the part d of the posterior error that the noise makes
-        g = update.reshape(L * N)
+        g = gamma.reshape(L * N)
         d, _, K, _ = measurement_update(
             model, P_prior.reshape(L * N, n, n), 0.0, 0.0, Lv.reshape(L * N, m, 1), g,
             s.W_drop, s.open_loop,
@@ -721,7 +712,7 @@ class ComparisonRow:
     steady_trace_stderr: float
 
 
-def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None):
+def compare_schedulers(model, target_rate, horizon=2000, runs=100, seed=0, burn_in=None):
     """Calibrate the four schedulers to one rate and compare steady E[P-].
 
     Rows are ordered clset, olset, periodic, random.  All schedulers share
@@ -735,17 +726,16 @@ def compare_schedulers(model, target_rate, horizon, runs, seed, burn_in=None):
     theta_z = calibrate_closed_loop(model, target_rate)
     m = model.m
     setups = [
-        ("clset", theta_z, TriggerPolicy.closed_loop(theta_z * np.eye(m)), "clset"),
-        ("olset", theta_y, TriggerPolicy.open_loop(theta_y * np.eye(m)), "olset"),
-        ("periodic", float(period), TriggerPolicy.periodic(period), "offline-baseline"),
-        ("random", target_rate, TriggerPolicy.random_offline(target_rate), "offline-baseline"),
+        ("clset", theta_z, TriggerPolicy.closed_loop(theta_z * np.eye(m))),
+        ("olset", theta_y, TriggerPolicy.open_loop(theta_y * np.eye(m))),
+        ("periodic", float(period), TriggerPolicy.periodic(period)),
+        ("random", target_rate, TriggerPolicy.random_offline(target_rate)),
     ]
     rows = []
-    for name, param, trig, filt in setups:
+    for name, param, trig in setups:
         scn = Scenario(
             model=model,
             trigger=trig,
-            filter=filt,
             horizon=horizon,
             runs=runs,
             seed=seed,
@@ -807,14 +797,11 @@ def singer_scenario(
     model = validate_model(A, np.eye(3), Q, np.eye(3), np.eye(3))
     if z_scale is not None:
         trigger = TriggerPolicy.closed_loop(as_number(z_scale, "z_scale") * np.eye(3))
-        filt = "clset"
     else:
         trigger = TriggerPolicy.deterministic_threshold(as_number(delta, "delta"))
-        filt = "offline-baseline"
     return Scenario(
         model=model,
         trigger=trigger,
-        filter=filt,
         horizon=horizon,
         runs=runs,
         seed=seed,

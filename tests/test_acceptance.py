@@ -98,7 +98,6 @@ def test_criterion_2_open_loop_rate():
     scn = Scenario(
         model=SCALAR,
         trigger=TriggerPolicy.open_loop([[1.0]]),
-        filter="olset",
         horizon=100_000,
         seed=101,
         burn_in=200,
@@ -123,7 +122,6 @@ def test_criterion_3_closed_loop_rate_bounds():
     scn = Scenario(
         model=SCALAR,
         trigger=TriggerPolicy.closed_loop([[1.0]]),
-        filter="clset",
         horizon=100_000,
         seed=102,
         burn_in=200,
@@ -171,7 +169,6 @@ def test_criterion_5_expected_covariance_bounds():
     scn = Scenario(
         model=SCALAR,
         trigger=TriggerPolicy.open_loop([[1.0]]),
-        filter="olset",
         horizon=500,
         runs=1000,
         seed=105,
@@ -186,7 +183,6 @@ def test_criterion_5_expected_covariance_bounds():
     scn_cl = Scenario(
         model=SCALAR,
         trigger=TriggerPolicy.closed_loop([[1.0]]),
-        filter="clset",
         horizon=500,
         runs=1000,
         seed=106,
@@ -309,13 +305,13 @@ def test_criterion_9_property_suites():
     # always-transmit path equivalence with the standard filter
     ones = np.ones(300, dtype=int)
     common = dict(model=SCALAR, horizon=300, seed=110, burn_in=10)
-    rec_std = simulate(Scenario(trigger=TriggerPolicy.periodic(1), filter="standard", **common))
+    rec_std = simulate(Scenario(trigger=TriggerPolicy.periodic(1), **common))
     rec_ol = simulate(
-        Scenario(trigger=TriggerPolicy.open_loop([[1.0]]), filter="olset", **common),
+        Scenario(trigger=TriggerPolicy.open_loop([[1.0]]), **common),
         force_gamma=ones,
     )
     rec_cl = simulate(
-        Scenario(trigger=TriggerPolicy.closed_loop([[1.0]]), filter="clset", **common),
+        Scenario(trigger=TriggerPolicy.closed_loop([[1.0]]), **common),
         force_gamma=ones,
     )
     checks["gamma=1 equivalence 1e-12"] = bool(
@@ -329,7 +325,6 @@ def test_criterion_9_property_suites():
     scn = Scenario(
         model=SCALAR,
         trigger=TriggerPolicy.open_loop([[1.0]]),
-        filter="olset",
         horizon=100_000,
         seed=111,
         burn_in=200,
@@ -346,7 +341,6 @@ def test_criterion_9_property_suites():
     mc_scn = Scenario(
         model=SCALAR,
         trigger=TriggerPolicy.open_loop([[1.0]]),
-        filter="olset",
         horizon=50,
         runs=5,
         seed=112,

@@ -163,7 +163,6 @@ class TestSamplePathBounds:
         scn = Scenario(
             model=SCALAR,
             trigger=TriggerPolicy.open_loop([[1.0]]),
-            filter="olset",
             horizon=100_000,
             seed=21,
             burn_in=200,
@@ -182,7 +181,6 @@ class TestSamplePathBounds:
         scn = Scenario(
             model=SCALAR,
             trigger=TriggerPolicy.closed_loop([[1.0]]),
-            filter="clset",
             horizon=50_000,
             seed=22,
             burn_in=200,
@@ -202,7 +200,6 @@ class TestSamplePathBounds:
         scn = Scenario(
             model=m,
             trigger=TriggerPolicy.open_loop([[1.0]]),
-            filter="olset",
             horizon=400,
             runs=300,
             seed=23,

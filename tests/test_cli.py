@@ -29,7 +29,6 @@ def scenario_config(tmp_path):
     cfg = {
         "model": SCALAR.to_dict(),
         "trigger": {"variant": "open_loop", "Y": [[1.0]]},
-        "filter": "olset",
         "horizon": 60,
         "runs": 4,
         "seed": 1,
@@ -144,7 +143,8 @@ def test_singer_cli(tmp_path):
     assert rc == 0
     assert len(out.read_text().splitlines()) == 31
     saved = json.loads(scn_out.read_text())
-    assert saved["filter"] == "clset"
+    assert saved["trigger"]["variant"] == "closed_loop"
+    assert "filter" not in saved
     assert saved["model"]["A"][0][2] == pytest.approx(1.0)
 
 
@@ -225,7 +225,7 @@ def test_compare_weight_below_the_ray_floor(tmp_path, capsys, rate):
 @pytest.mark.parametrize("command", ["simulate", "monte-carlo"])
 def test_unset_burn_in_follows_an_overridden_horizon(tmp_path, capsys, command):
     cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "open_loop", "Y": [[1.0]]},
-           "filter": "olset", "horizon": 1000, "runs": 2}
+           "horizon": 1000, "runs": 2}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out.csv"
@@ -262,7 +262,6 @@ def test_config_error_exit_codes(tmp_path):
             {
                 "model": {"A": [[1.0]], "C": [[0.0]], "Q": [[1.0]], "R": [[1.0]], "Sigma0": [[1.0]]},
                 "trigger": {"variant": "open_loop", "Y": [[1.0]]},
-                "filter": "olset",
                 "horizon": 10,
                 "burn_in": 0,
             }
@@ -481,8 +480,8 @@ def test_subcommand_flags():
         ("simulate", {"seed": -1}, []),
         ("simulate", {"x0_mean": ["a"]}, []),
         ("simulate", {"x0_mean": [float("nan")]}, []),
-        ("simulate", {"filter": "offline-baseline", "trigger": {"variant": "periodic", "period": "x"}}, []),
-        ("simulate", {"filter": "offline-baseline", "trigger": {"variant": "random", "p": "x"}}, []),
+        ("simulate", {"trigger": {"variant": "periodic", "period": "x"}}, []),
+        ("simulate", {"trigger": {"variant": "random", "p": "x"}}, []),
         ("simulate", {"model": [1, 2]}, []),
         ("monte-carlo", {"runs": 2.5}, []),
         ("simulate", {}, ["--run-index", "-1"]),
@@ -497,7 +496,6 @@ def test_malformed_scenario_scalar_exit_code(tmp_path, capsys, command, update, 
     base = {
         "model": SCALAR.to_dict(),
         "trigger": {"variant": "open_loop", "Y": [[1.0]]},
-        "filter": "olset",
         "horizon": 20,
         "burn_in": 5,
     }
@@ -523,7 +521,6 @@ def test_huge_count_exit_code(tmp_path, capsys, command, update):
     cfg = {
         "model": SCALAR.to_dict(),
         "trigger": {"variant": "open_loop", "Y": [[1.0]]},
-        "filter": "olset",
         "horizon": 20,
         "burn_in": 5,
         **update,
@@ -540,13 +537,12 @@ def test_count_limit_boundary():
     trigger = TriggerPolicy.open_loop(np.eye(2))
     two_state = validate_model(0.5 * np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
     at_limit = Scenario(
-        model=two_state, trigger=trigger, filter="olset", horizon=MAX_LOG_ENTRIES // 4, runs=2
+        model=two_state, trigger=trigger, horizon=MAX_LOG_ENTRIES // 4, runs=2
     )
     assert at_limit.runs * at_limit.horizon * two_state.n == MAX_LOG_ENTRIES
     with pytest.raises(ConfigError):
         Scenario(
-            model=two_state, trigger=trigger, filter="olset",
-            horizon=MAX_LOG_ENTRIES // 4 + 1, runs=2,
+            model=two_state, trigger=trigger, horizon=MAX_LOG_ENTRIES // 4 + 1, runs=2,
         )
 
 
@@ -559,7 +555,6 @@ def test_run_count_limit(tmp_path, capsys, monkeypatch):
     cfg = {
         "model": SCALAR.to_dict(),
         "trigger": {"variant": "open_loop", "Y": [[1.0]]},
-        "filter": "olset",
         "horizon": 1,
         "runs": 2e7,
     }
@@ -571,7 +566,7 @@ def test_run_count_limit(tmp_path, capsys, monkeypatch):
     assert str(MAX_RUNS) in err
 
     trigger = TriggerPolicy.open_loop([[1.0]])
-    geometry = dict(model=SCALAR, trigger=trigger, filter="olset", horizon=1, burn_in=0)
+    geometry = dict(model=SCALAR, trigger=trigger, horizon=1, burn_in=0)
     assert Scenario(runs=MAX_RUNS, **geometry).runs == MAX_RUNS
     with pytest.raises(ConfigError):
         Scenario(runs=MAX_RUNS + 1, **geometry)
@@ -579,7 +574,7 @@ def test_run_count_limit(tmp_path, capsys, monkeypatch):
 
 def test_period_beyond_int64_exit_code(tmp_path, capsys):
     cfg = {"model": SCALAR.to_dict(), "trigger": {"variant": "periodic", "period": 1e30},
-           "filter": "offline-baseline", "horizon": 20, "runs": 2}
+           "horizon": 20, "runs": 2}
     path = tmp_path / "period.json"
     path.write_text(json.dumps(cfg))
     assert main(["monte-carlo", "--config", str(path)]) == 2
@@ -591,8 +586,7 @@ def test_huge_phase_is_reduced_modulo_period(tmp_path, capsys):
     outputs = []
     for phase in (1e30, 10**30 % 3):
         trigger = {"variant": "periodic", "period": 3, "phase": phase}
-        cfg = {"model": SCALAR.to_dict(), "trigger": trigger, "filter": "offline-baseline",
-               "horizon": 20, "runs": 2}
+        cfg = {"model": SCALAR.to_dict(), "trigger": trigger, "horizon": 20, "runs": 2}
         path = tmp_path / "phase.json"
         path.write_text(json.dumps(cfg))
         assert main(["monte-carlo", "--config", str(path)]) == 0
@@ -614,7 +608,7 @@ TWO_STATE = {"A": [[0.5, 0.1], [0.0, 0.6]], "C": [[1.0, 0.0]], "Q": np.eye(2).to
 def test_huge_finite_plant_exit_code(tmp_path, capsys, argv):
     # every entry of A is finite, its eigenvalues are not
     cfg = {"model": {**TWO_STATE, "A": [[1e308, 1e308], [1e308, 1e308]]},
-           "trigger": {"variant": "open_loop", "Y": [[1.0]]}, "filter": "olset", "horizon": 10,
+           "trigger": {"variant": "open_loop", "Y": [[1.0]]}, "horizon": 10,
            "delta0": [[3.0, 0.0], [0.0, 3.0]]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(cfg))
@@ -664,6 +658,73 @@ def test_design_near_unit_root(tmp_path, closed_loop):
     theta = float(rows["theta"])
     # the boundary weight puts fix(g_{R + 1/theta}) at delta0
     assert scalar_g_fixed_point(a, 1.0, 1.0, 1.0 + 1.0 / theta) == pytest.approx(3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "trigger, filt",
+    [
+        ({"variant": "open_loop", "Y": [[1.0]]}, "olset"),
+        ({"variant": "closed_loop", "Z": [[1.0]]}, "clset"),
+        ({"variant": "periodic", "period": 1}, "standard"),
+        ({"variant": "periodic", "period": 1}, "offline-baseline"),
+        ({"variant": "periodic", "period": 3, "phase": 1}, "offline-baseline"),
+        ({"variant": "random", "p": 0.5}, "offline-baseline"),
+        ({"variant": "deterministic_threshold", "delta": 1.0}, "offline-baseline"),
+    ],
+    ids=["olset", "clset", "standard", "period-1", "periodic", "random", "threshold"],
+)
+def test_filter_key_is_ignored(tmp_path, capsys, trigger, filt):
+    # the trigger fixes the filter, so a config's "filter" key is ignored
+    # like any other key the scenario does not use
+    outputs = []
+    for extra in ({}, {"filter": filt}):
+        cfg = {"model": TWO_STATE, "trigger": trigger, "horizon": 30, "runs": 2, "seed": 4, **extra}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--run-index", "1"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
+
+
+@pytest.mark.parametrize(
+    "command, trigger, scale",
+    [
+        ("monte-carlo", {"variant": "closed_loop", "Z": [[1.0]]}, 1e300),
+        ("monte-carlo", {"variant": "closed_loop", "Z": [[1.0]]}, 1e150),
+        ("simulate", {"variant": "periodic", "period": 3, "phase": 1}, 1e300),
+    ],
+    ids=["clset-1e300", "clset-1e150", "periodic-scan-1e300"],
+)
+def test_broken_prior_covariance_exit_code(tmp_path, capsys, command, trigger, scale):
+    # a huge prior makes the posterior's P - K C P cancel: the step loop's
+    # covariance turns negative at step 2, the scan's not a number
+    cfg = {"model": {**TWO_STATE, "Sigma0": (scale * np.eye(2)).tolist()}, "trigger": trigger,
+           "horizon": 20, "runs": 2, "seed": 1, "burn_in": 5}
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "numerical failure: prior covariance at step 2 has a diagonal entry that is not"
+        " positive and finite\n"
+    )
+
+
+def test_closed_pipe_exit_code(scenario_config):
+    # the reader takes one line and closes the pipe; the writer exits as a
+    # process killed by SIGPIPE would, and writes nothing to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "setkf", "monte-carlo", "--config", str(scenario_config),
+         "--horizon", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"k,rate_mean,")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_module_entry_point(scenario_config):

@@ -6,11 +6,13 @@ exception escapes, that the exit code is 0, 2 (configuration) or 3
 (numerical failure), and that a non-zero exit ends stderr with a
 ``config error:`` or ``numerical failure:`` line.  The one-field cases also
 run with RuntimeWarning raised as an error and must print exactly that one
-line.
+line.  A simulation that exits 0 has logged a positive, finite prior
+covariance trace at every step.
 """
 
 import copy
 import json
+import math
 import warnings
 
 import pytest
@@ -30,7 +32,6 @@ MODEL = {
 SCENARIO = {
     "model": MODEL,
     "trigger": {"variant": "periodic", "period": 3, "phase": 1},
-    "filter": "offline-baseline",
     "horizon": 20,
     "runs": 2,
     "seed": 1,
@@ -47,12 +48,12 @@ CONFIGS = {
     "simulate-periodic": (["simulate"], SCENARIO, ()),
     "simulate-olset": (
         ["simulate"],
-        {**SCENARIO, "trigger": {"variant": "open_loop", "Y": [[1.0]]}, "filter": "olset"},
+        {**SCENARIO, "trigger": {"variant": "open_loop", "Y": [[1.0]]}},
         ("trigger",),
     ),
     "monte-carlo-clset": (
         ["monte-carlo"],
-        {**SCENARIO, "trigger": {"variant": "closed_loop", "Z": [[1.0]]}, "filter": "clset"},
+        {**SCENARIO, "trigger": {"variant": "closed_loop", "Z": [[1.0]]}},
         (),
     ),
     "monte-carlo-random": (
@@ -141,6 +142,13 @@ def _run(argv, config, one_field, tmp_path, capsys):
     return rc, capsys.readouterr().err.splitlines()
 
 
+def _bad_traces(path):
+    """The steps of a simulate or monte-carlo CSV whose P_trace (or
+    P_trace_mean), its third column, is not positive and finite."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [k for k, _, trace, *_ in rows if not 0.0 < float(trace) < math.inf]
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_config_fuzz(tmp_path, capsys, name):
     failures = []
@@ -155,6 +163,10 @@ def test_config_fuzz(tmp_path, capsys, name):
         )
         if not documented or (one_field and len(err) != (rc != 0)):
             failures.append(f"{label}: exit {rc}, stderr {err}")
+        elif rc == 0 and argv[0] in ("simulate", "monte-carlo"):
+            bad = _bad_traces(tmp_path / "out.csv")
+            if bad:
+                failures.append(f"{label}: exit 0, P_trace not positive and finite at steps {bad}")
     assert failures == []
 
 

@@ -278,7 +278,6 @@ class TestCovarianceProperties:
         scn = Scenario(
             model=SCALAR,
             trigger=TriggerPolicy.open_loop([[1.0]]),
-            filter="olset",
             horizon=12,
             runs=10_000,
             seed=123,

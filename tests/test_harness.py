@@ -27,6 +27,7 @@ from setkf import (
     validate_model,
 )
 from setkf import harness
+from setkf.cli import main
 from setkf.estimation import MAX_PERIOD
 from setkf.harness import (
     SCAN_MAX_WIDTH,
@@ -43,48 +44,45 @@ from util import maximal_runs, random_spd, simulate_reference
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 
 
-def scalar_scenario(trigger, filt, horizon=500, runs=1, seed=0, burn_in=100, **kw):
+def scalar_scenario(trigger, horizon=500, runs=1, seed=0, burn_in=100, **kw):
     return Scenario(
-        model=SCALAR, trigger=trigger, filter=filt, horizon=horizon, runs=runs,
+        model=SCALAR, trigger=trigger, horizon=horizon, runs=runs,
         seed=seed, burn_in=burn_in, **kw,
     )
 
 
 class TestScenarioValidation:
     def test_pairing_rules(self):
-        with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "clset")
-        with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.closed_loop([[1.0]]), "olset")
-        with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.periodic(2), "olset")
-        with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.periodic(2), "standard")
-        # valid combinations construct fine
-        scalar_scenario(TriggerPolicy.periodic(1), "standard")
-        scalar_scenario(TriggerPolicy.random_offline(0.5), "offline-baseline")
-        scalar_scenario(TriggerPolicy.deterministic_threshold(1.0), "offline-baseline")
+        # the trigger fixes the filter, so every trigger makes a scenario
+        for trigger in (
+            TriggerPolicy.open_loop([[1.0]]),
+            TriggerPolicy.closed_loop([[1.0]]),
+            TriggerPolicy.periodic(1),
+            TriggerPolicy.periodic(2),
+            TriggerPolicy.random_offline(0.5),
+            TriggerPolicy.deterministic_threshold(1.0),
+        ):
+            assert scalar_scenario(trigger).trigger is trigger
 
     def test_geometry_validation(self):
         with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", horizon=0)
+            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), horizon=0)
         with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", burn_in=500)
+            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), burn_in=500)
         with pytest.raises(ConfigError):
-            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", runs=0)
+            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), runs=0)
         # the pre-roll's draws count against the log limit
         with pytest.raises(ConfigError, match="pre_roll"):
-            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", pre_roll=10**8)
+            scalar_scenario(TriggerPolicy.open_loop([[1.0]]), pre_roll=10**8)
 
     def test_unset_burn_in(self):
         # 200 steps, cut to leave the last step of a shorter horizon
         for horizon, burn_in in ((1, 0), (150, 149), (201, 200), (1000, 200)):
-            scn = Scenario(model=SCALAR, trigger=TriggerPolicy.open_loop([[1.0]]), filter="olset",
-                           horizon=horizon)
+            scn = Scenario(model=SCALAR, trigger=TriggerPolicy.open_loop([[1.0]]), horizon=horizon)
             assert scn.burn_in == burn_in
 
     def test_round_trip_file(self, tmp_path):
-        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", seed=9)
+        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), seed=9)
         path = tmp_path / "scn.json"
         save_scenario(scn, path)
         back = load_scenario(path)
@@ -94,27 +92,25 @@ class TestScenarioValidation:
         rec2 = simulate(back)
         np.testing.assert_array_equal(rec1.P11, rec2.P11)
 
-    def test_standard_filter_default_trigger(self):
-        scn = scenario_from_dict(
-            {
-                "model": SCALAR.to_dict(),
-                "filter": "standard",
-                "horizon": 50,
-                "burn_in": 10,
-            }
-        )
-        assert scn.trigger.variant == "periodic" and scn.trigger.period == 1
+    def test_missing_trigger_exits_2(self, tmp_path, capsys):
+        # the trigger fixes the filter, so a "filter" key names no trigger
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(
+            {"model": SCALAR.to_dict(), "filter": "standard", "horizon": 50, "burn_in": 10}
+        ))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "config error: scenario config missing key 'trigger'\n"
 
     def test_missing_keys(self):
         with pytest.raises(ConfigError):
-            scenario_from_dict({"filter": "olset", "horizon": 10})
+            scenario_from_dict({"horizon": 10})
         with pytest.raises(ConfigError):
             scenario_from_dict({"model": SCALAR.to_dict(), "horizon": 10})
 
 
 class TestSimulate:
     def test_same_seed_identical_records(self):
-        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", seed=3)
+        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), seed=3)
         a = simulate(scn, 4)
         b = simulate(scn, 4)
         np.testing.assert_array_equal(a.gamma, b.gamma)
@@ -123,7 +119,7 @@ class TestSimulate:
         assert not np.array_equal(a.sq_err, c.sq_err)
 
     def test_vanishing_weight_never_transmits(self):
-        scn = scalar_scenario(TriggerPolicy.open_loop([[1e-15]]), "olset", horizon=300, burn_in=50)
+        scn = scalar_scenario(TriggerPolicy.open_loop([[1e-15]]), horizon=300, burn_in=50)
         rec = simulate(scn)
         assert rec.empirical_rate == 0.0
         # covariance follows the never-transmit Riccati iterate
@@ -137,9 +133,9 @@ class TestSimulate:
             P = g_step(P, rm)
 
     def test_forced_all_transmit_matches_standard_filter(self):
-        scn_ol = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", seed=8, horizon=200, burn_in=10)
-        scn_cl = scalar_scenario(TriggerPolicy.closed_loop([[1.0]]), "clset", seed=8, horizon=200, burn_in=10)
-        scn_std = scalar_scenario(TriggerPolicy.periodic(1), "standard", seed=8, horizon=200, burn_in=10)
+        scn_ol = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), seed=8, horizon=200, burn_in=10)
+        scn_cl = scalar_scenario(TriggerPolicy.closed_loop([[1.0]]), seed=8, horizon=200, burn_in=10)
+        scn_std = scalar_scenario(TriggerPolicy.periodic(1), seed=8, horizon=200, burn_in=10)
         ones = np.ones(200, dtype=int)
         rec_ol = simulate(scn_ol, 0, force_gamma=ones)
         rec_cl = simulate(scn_cl, 0, force_gamma=ones)
@@ -149,7 +145,7 @@ class TestSimulate:
         assert np.abs(rec_ol.P11 - rec_std.P11).max() <= 1e-12
 
     def test_covariance_depends_only_on_gamma_sequence(self):
-        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", horizon=150, burn_in=10)
+        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), horizon=150, burn_in=10)
         rng = np.random.default_rng(0)
         forced = (rng.random(150) < 0.5).astype(int)
         a = simulate(scn, 1, force_gamma=forced)
@@ -159,14 +155,14 @@ class TestSimulate:
 
     def test_deterministic_threshold_baseline_runs(self):
         scn = scalar_scenario(
-            TriggerPolicy.deterministic_threshold(1.0), "offline-baseline", horizon=400, burn_in=50
+            TriggerPolicy.deterministic_threshold(1.0), horizon=400, burn_in=50
         )
         rec = simulate(scn)
         assert 0.0 < rec.empirical_rate < 1.0
 
     def test_nonzero_initial_mean(self):
         scn = scalar_scenario(
-            TriggerPolicy.open_loop([[1.0]]), "olset", horizon=50, burn_in=10, x0_mean=[5.0]
+            TriggerPolicy.open_loop([[1.0]]), horizon=50, burn_in=10, x0_mean=[5.0]
         )
         rec = simulate(scn)
         assert np.isfinite(rec.sq_err).all()
@@ -181,7 +177,7 @@ class TestPeriodicBounds:
     def test_decisions_on_both_paths(self, period, phase):
         # the phase is reduced modulo the period, so the scan's int64 steps
         # never overflow and both paths follow (k - phase) % period == 0
-        scn = scalar_scenario(TriggerPolicy.periodic(period, phase), "offline-baseline",
+        scn = scalar_scenario(TriggerPolicy.periodic(period, phase),
                               horizon=12, runs=2, burn_in=0)
         expected = [int((k - int(phase)) % period == 0) for k in range(12)]
         for path in (_scan_runs, _step_runs):
@@ -191,7 +187,7 @@ class TestPeriodicBounds:
 class TestMonteCarlo:
     def test_single_run_single_step_equals_record(self):
         scn = scalar_scenario(
-            TriggerPolicy.open_loop([[1.0]]), "olset", horizon=1, runs=1, burn_in=0
+            TriggerPolicy.open_loop([[1.0]]), horizon=1, runs=1, burn_in=0
         )
         stats = monte_carlo(scn)
         rec = simulate(scn, 0)
@@ -202,7 +198,7 @@ class TestMonteCarlo:
 
     def test_open_loop_rate_convergence(self):
         scn = scalar_scenario(
-            TriggerPolicy.open_loop([[1.0]]), "olset", horizon=2000, runs=50,
+            TriggerPolicy.open_loop([[1.0]]), horizon=2000, runs=50,
             burn_in=200, pre_roll=200, seed=31,
         )
         stats = monte_carlo(scn)
@@ -211,7 +207,7 @@ class TestMonteCarlo:
     def test_closed_loop_rate_within_bounds(self):
         res = closed_loop_rate_bounds(SCALAR, [[1.0]])
         scn = scalar_scenario(
-            TriggerPolicy.closed_loop([[1.0]]), "clset", horizon=2000, runs=50,
+            TriggerPolicy.closed_loop([[1.0]]), horizon=2000, runs=50,
             burn_in=200, seed=32,
         )
         stats = monte_carlo(scn)
@@ -219,7 +215,7 @@ class TestMonteCarlo:
 
     def test_aggregates_are_symmetric_psd(self):
         scn = scalar_scenario(
-            TriggerPolicy.closed_loop([[1.0]]), "clset", horizon=60, runs=40, burn_in=10
+            TriggerPolicy.closed_loop([[1.0]]), horizon=60, runs=40, burn_in=10
         )
         stats = monte_carlo(scn)
         for k in range(60):
@@ -230,7 +226,7 @@ class TestMonteCarlo:
     def test_run_length_histograms(self):
         # periodic with period 3 -> drops come in maximal runs of exactly 2
         scn = scalar_scenario(
-            TriggerPolicy.periodic(3), "offline-baseline", horizon=90, runs=3, burn_in=10
+            TriggerPolicy.periodic(3), horizon=90, runs=3, burn_in=10
         )
         stats = monte_carlo(scn)
         assert set(stats.drop_run_hist) == {2}
@@ -241,7 +237,7 @@ class TestMonteCarlo:
 
 class TestRunLengthStats:
     def _record(self, gamma):
-        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", horizon=len(gamma), burn_in=0)
+        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), horizon=len(gamma), burn_in=0)
         return simulate(scn, 0, force_gamma=np.asarray(gamma))
 
     def test_all_transmit_has_no_drop_windows(self):
@@ -264,7 +260,7 @@ class TestRunLengthStats:
 
     def test_sequential_drop_frequency_matches_formula(self):
         scn = scalar_scenario(
-            TriggerPolicy.open_loop([[1.0]]), "olset", horizon=100_000,
+            TriggerPolicy.open_loop([[1.0]]), horizon=100_000,
             burn_in=200, pre_roll=200, seed=33,
         )
         rec = simulate(scn)
@@ -365,7 +361,7 @@ class TestSingerScenario:
 
     def test_deterministic_baseline_variant(self):
         scn = singer_scenario(1.0, 0.01, 5.0, delta=1.6, runs=1, horizon=30, burn_in=0)
-        assert scn.filter == "offline-baseline"
+        assert scn.trigger.variant == "deterministic_threshold"
         rec = simulate(scn)
         assert np.isfinite(rec.sq_err).all()
 
@@ -373,7 +369,7 @@ class TestSingerScenario:
 class TestCsvOutput:
     def test_monte_carlo_schema_and_byte_identity(self):
         scn = scalar_scenario(
-            TriggerPolicy.closed_loop([[1.0]]), "clset", horizon=40, runs=5, burn_in=10
+            TriggerPolicy.closed_loop([[1.0]]), horizon=40, runs=5, burn_in=10
         )
         bufs = []
         for _ in range(2):
@@ -387,7 +383,7 @@ class TestCsvOutput:
         assert len(bufs[0].splitlines()) == 41
 
     def test_trajectory_schema(self):
-        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), "olset", horizon=5, burn_in=0)
+        scn = scalar_scenario(TriggerPolicy.open_loop([[1.0]]), horizon=5, burn_in=0)
         rec = simulate(scn)
         buf = io.StringIO()
         write_trajectory_csv(rec, buf)
@@ -415,13 +411,15 @@ def oracle_model(n, m, seed):
 
 
 def oracle_pairings(m):
+    """One trigger of each filter: a period-1 trigger (the standard Kalman
+    filter), the open- and closed-loop triggers and the offline baselines."""
     return [
-        ("standard", TriggerPolicy.periodic(1)),
-        ("olset", TriggerPolicy.open_loop(0.7 * np.eye(m))),
-        ("clset", TriggerPolicy.closed_loop(0.7 * np.eye(m))),
-        ("offline-baseline", TriggerPolicy.periodic(3, phase=1)),
-        ("offline-baseline", TriggerPolicy.random_offline(0.4)),
-        ("offline-baseline", TriggerPolicy.deterministic_threshold(1.0)),
+        TriggerPolicy.periodic(1),
+        TriggerPolicy.open_loop(0.7 * np.eye(m)),
+        TriggerPolicy.closed_loop(0.7 * np.eye(m)),
+        TriggerPolicy.periodic(3, phase=1),
+        TriggerPolicy.random_offline(0.4),
+        TriggerPolicy.deterministic_threshold(1.0),
     ]
 
 
@@ -449,10 +447,10 @@ class TestKernelOracle:
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_simulate_matches_reference(self, n, m, pairing):
         model = oracle_model(n, m, seed=10 * n + m)
-        filt, trig = oracle_pairings(m)[pairing]
+        trig = oracle_pairings(m)[pairing]
         for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
             scn = Scenario(
-                model=model, trigger=trig, filter=filt, horizon=80, seed=5, burn_in=10, **extra
+                model=model, trigger=trig, horizon=80, seed=5, burn_in=10, **extra
             )
             for record_full in (False, True):
                 assert_records_agree(
@@ -463,9 +461,9 @@ class TestKernelOracle:
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_forced_gamma_matches_reference(self, pairing):
         model = oracle_model(2, 1, seed=21)
-        filt, trig = oracle_pairings(1)[pairing]
+        trig = oracle_pairings(1)[pairing]
         forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
-        scn = Scenario(model=model, trigger=trig, filter=filt, horizon=60, seed=6, burn_in=5)
+        scn = Scenario(model=model, trigger=trig, horizon=60, seed=6, burn_in=5)
         assert_records_agree(
             simulate(scn, 2, force_gamma=forced, record_full=True),
             simulate_reference(scn, 2, force_gamma=forced, record_full=True),
@@ -474,9 +472,9 @@ class TestKernelOracle:
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_batched_runs_equal_single_runs(self, pairing):
         model = oracle_model(3, 3, seed=33)
-        filt, trig = oracle_pairings(3)[pairing]
+        trig = oracle_pairings(3)[pairing]
         scn = Scenario(
-            model=model, trigger=trig, filter=filt, horizon=50, runs=6, seed=7, burn_in=10
+            model=model, trigger=trig, horizon=50, runs=6, seed=7, burn_in=10
         )
         # any block of runs, in any order, gives each run its own values
         order = [4, 0, 5, 2]
@@ -554,11 +552,11 @@ class TestScanOracle:
     @pytest.mark.parametrize("pairing", FEEDBACK_FREE, ids=[PAIRING_IDS[i] for i in FEEDBACK_FREE])
     def test_scan_matches_step_loop(self, n, m, pairing):
         model = oracle_model(n, m, seed=10 * n + m)
-        filt, trig = oracle_pairings(m)[pairing]
+        trig = oracle_pairings(m)[pairing]
         for horizon in (1, 2, 3, 77):
             for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
                 scn = Scenario(
-                    model=model, trigger=trig, filter=filt, horizon=horizon, runs=2, seed=5,
+                    model=model, trigger=trig, horizon=horizon, runs=2, seed=5,
                     burn_in=0, **extra,
                 )
                 for sums in (False, True):
@@ -573,9 +571,9 @@ class TestScanOracle:
         # a forced gamma takes the scan for every pairing, clset and the
         # deterministic threshold included
         model = oracle_model(2, 1, seed=21)
-        filt, trig = oracle_pairings(1)[pairing]
+        trig = oracle_pairings(1)[pairing]
         forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
-        scn = Scenario(model=model, trigger=trig, filter=filt, horizon=60, seed=6, burn_in=5)
+        scn = Scenario(model=model, trigger=trig, horizon=60, seed=6, burn_in=5)
         block = _simulate_runs(scn, [2], force_gamma=forced)
         assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
         assert_blocks_agree(block, _step_runs(scn, [2], force_gamma=forced))
@@ -585,9 +583,9 @@ class TestScanOracle:
     def test_block_boundaries(self, monkeypatch, pairing):
         # blocks of 1, 2 and 7 steps restart the scans from the carried state
         model = oracle_model(3, 3, seed=33)
-        filt, trig = oracle_pairings(3)[pairing]
+        trig = oracle_pairings(3)[pairing]
         scn = Scenario(
-            model=model, trigger=trig, filter=filt, horizon=50, runs=2, seed=7, burn_in=10,
+            model=model, trigger=trig, horizon=50, runs=2, seed=7, burn_in=10,
             pre_roll=3,
         )
         ref = _step_runs(scn, [0, 1])
@@ -600,8 +598,8 @@ class TestScanOracle:
         model = singer_scenario(1.0, 0.1, 1.0, z_scale=0.52).model
         assert max(abs(np.linalg.eigvals(model.A))) == 1.0
         scn = Scenario(
-            model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), filter="olset",
-            horizon=100, runs=3, seed=4, burn_in=20,
+            model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), horizon=100, runs=3,
+            seed=4, burn_in=20,
         )
         block = _scan_runs(scn, range(3))
         assert 0.0 < block.gamma.mean() < 1.0
@@ -615,8 +613,8 @@ class TestScanOracle:
         model = singer_scenario(1.0, 0.1, 1.0, z_scale=0.52).model
         for seed in range(4):
             scn = Scenario(
-                model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), filter="olset",
-                horizon=10_000, seed=seed, burn_in=20,
+                model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), horizon=10_000,
+                seed=seed, burn_in=20,
             )
             assert_blocks_agree(_scan_runs(scn, [0]), _step_runs(scn, [0]))
 
@@ -635,9 +633,8 @@ class TestScanOracle:
         ],
     )
     def test_routing_bound(self, monkeypatch, n, runs, trig, scan):
-        filt = {"open_loop": "olset", "closed_loop": "clset"}.get(trig.variant, "offline-baseline")
         scn = Scenario(
-            model=oracle_model(n, 1, seed=n), trigger=trig, filter=filt, horizon=9, runs=runs,
+            model=oracle_model(n, 1, seed=n), trigger=trig, horizon=9, runs=runs,
             seed=8, burn_in=0,
         )
         paths = []
@@ -665,9 +662,9 @@ class TestStepBlocks:
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_block_length_changes_nothing(self, monkeypatch, pairing):
         model = oracle_model(3, 3, seed=33)
-        filt, trig = oracle_pairings(3)[pairing]
+        trig = oracle_pairings(3)[pairing]
         scn = Scenario(
-            model=model, trigger=trig, filter=filt, horizon=50, runs=2, seed=7, burn_in=10,
+            model=model, trigger=trig, horizon=50, runs=2, seed=7, burn_in=10,
             pre_roll=3, x0_mean=np.arange(1.0, 4.0),
         )
         forced = (np.random.default_rng(pairing).random(50) < 0.5).astype(int)
@@ -694,8 +691,8 @@ class TestStepBlocks:
     @pytest.mark.parametrize("pairing", [2, 5], ids=["clset", "threshold"])
     def test_every_row_equals_its_single_run(self, monkeypatch, pairing):
         model = oracle_model(2, 1, seed=21)
-        filt, trig = oracle_pairings(1)[pairing]
-        scn = Scenario(model=model, trigger=trig, filter=filt, horizon=40, runs=9, seed=3)
+        trig = oracle_pairings(1)[pairing]
+        scn = Scenario(model=model, trigger=trig, horizon=40, runs=9, seed=3)
         # blocks of 3 steps for all nine runs, of 27 for one
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 3 * 9 * step_entries(model))
         block = _simulate_runs(scn, range(scn.runs))
@@ -728,9 +725,9 @@ class TestDraws:
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_one_draw_call_per_run_and_block(self, monkeypatch, pairing):
         model = oracle_model(2, 1, seed=21)
-        filt, trig = oracle_pairings(1)[pairing]
+        trig = oracle_pairings(1)[pairing]
         scn = Scenario(
-            model=model, trigger=trig, filter=filt, horizon=50, runs=3, seed=7, burn_in=10,
+            model=model, trigger=trig, horizon=50, runs=3, seed=7, burn_in=10,
             pre_roll=2,
         )
         # blocks of 7 steps for the two runs, so 8 blocks of the horizon of 50

@@ -552,15 +552,13 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
             P_full[k] = state.P_prior
             err_outer[k] = e[:, None] * e[None, :]
 
-        if scenario.filter == "olset":
+        if pol.variant == "open_loop":
             state = _olset_measurement_update(
                 state, gamma, y if gamma else None, model, pol.Y, Y_inv=Y_inv
             )
-        elif scenario.filter == "clset":
+        elif pol.variant == "closed_loop":
             z = (y - y_pred) if gamma else None
             state = _clset_measurement_update(state, gamma, z, model, pol.Z, Z_inv=Z_inv)
-        elif scenario.filter == "standard":
-            state = _standard_kf_update(state, y, model)
         else:
             if gamma:
                 state = _standard_kf_update(state, y, model)
