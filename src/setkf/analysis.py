@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableSystem, value_of
+from .errors import UnstableSystem
 from .matrices import require_spd, sym
 from .model import SteadyState, steady_state
 from .riccati import fixed_points
@@ -62,14 +62,6 @@ def _det_rates(M):
     return 1.0 - np.exp(-0.5 * logdet)
 
 
-def _fixed_points(model, *W):
-    # fix(g_W) for each W, solved as one stack; raises the first failure
-    X, errors = fixed_points(model, np.stack(W))
-    for error in errors:
-        value_of(error)
-    return X
-
-
 def drop_noise(R, M):
     """Effective measurement noise on a drop: R + M^-1."""
     return ray_drop_noise(R, np.ones(1), require_spd(M, "trigger weight"))[0]
@@ -106,11 +98,9 @@ def conditional_rate(model, X, Z):
 
 def upper_rates(model, thetas, B):
     """The closed-loop upper rate bound, the rate at fix(g_{R+Z^-1}), with
-    Z = theta B for each theta of a stack and B checked by the caller: the
-    rate, or the error of the fixed point."""
-    X, errors = fixed_points(model, ray_drop_noise(model.R, thetas, B))
-    rates = conditional_rates(model, X, thetas[:, None, None] * B)
-    return [error or rate for rate, error in zip(rates, errors)]
+    Z = theta B for each theta of a stack and B checked by the caller."""
+    X = fixed_points(model, ray_drop_noise(model.R, thetas, B))
+    return conditional_rates(model, X, thetas[:, None, None] * B)
 
 
 def rate_weighted_noise(R, W_drop, gamma):
@@ -131,7 +121,7 @@ def olset_bounds(model, Y):
     gamma = float(open_loop_rates(st, Y[None])[0])
     W_drop = ray_drop_noise(model.R, np.ones(1), Y)[0]
     R1 = rate_weighted_noise(model.R, W_drop, gamma)
-    X0, X_upper, X_lower = _fixed_points(model, model.R, W_drop, R1)
+    X0, X_upper, X_lower = fixed_points(model, np.stack([model.R, W_drop, R1]))
     return OpenLoopAnalysis(
         gamma=gamma, X0=X0, X_upper=X_upper, X_lower=X_lower, R1=R1, steady=st
     )
@@ -141,10 +131,10 @@ def closed_loop_rate_bounds(model, Z):
     """Closed-loop rate bounds and covariance bounds; no stability needed."""
     Z = require_spd(Z, "Z")
     W_drop = ray_drop_noise(model.R, np.ones(1), Z)[0]
-    X = _fixed_points(model, model.R, W_drop)
+    X = fixed_points(model, np.stack([model.R, W_drop]))
     gamma_low, gamma_upper = conditional_rates(model, X, Z).tolist()
     R3 = rate_weighted_noise(model.R, W_drop, gamma_upper)
-    (X_lower,) = _fixed_points(model, R3)
+    (X_lower,) = fixed_points(model, R3[None])
     return ClosedLoopAnalysis(
         gamma_low=gamma_low,
         gamma_upper=gamma_upper,

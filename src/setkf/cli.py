@@ -2,14 +2,18 @@
 
 Subcommands: simulate, monte-carlo, analyze, design, compare, singer.  Each
 ``_cmd_*`` returns a writer and its result, and :func:`main` writes it.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 141 a
-reader that closed standard output early (as for a process killed by SIGPIPE).
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (a
+floating-point overflow, division by zero or invalid operation among them),
+141 a reader that closed standard output early (as for a process killed by
+SIGPIPE).
 """
 
 import argparse
 import functools
 import os
 import sys
+
+import numpy as np
 
 from .analysis import _matrix_rows, closed_loop_report, open_loop_report
 from .design import DesignProblem, design_search, design_search_closed_loop, export_lmi
@@ -194,26 +198,30 @@ def main(argv=None):
         args = _parser.parse_args(argv)
         if "config" in args and not args.config:
             raise ConfigError(f"{args.command} requires --config")
-        write, result = args.fn(args)
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                write(result, fh)
-            return 0
-        try:
-            write(result, sys.stdout)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed stdout: send what is still buffered to devnull,
-            # so that the flush at exit raises nothing, and exit as SIGPIPE would
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return 141
+        # an overflow, a division by zero or an invalid operation is a
+        # numerical failure, in the write too: export-lmi computes as it writes
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            write, result = args.fn(args)
+            if args.output is not None:
+                with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                    write(result, fh)
+                return 0
+            try:
+                write(result, sys.stdout)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader closed stdout: send what is still buffered to
+                # devnull, so that the flush at exit raises nothing, and exit
+                # as SIGPIPE would
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                return 141
         return 0
     except (ConfigError, ModelValidationError, UnstableSystem) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, Infeasible, CalibrationFailed) as exc:
+    except (NumericalError, Infeasible, CalibrationFailed, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NotPositiveDefinite, UnstableSystem, value_of
+from .errors import Infeasible, NotPositiveDefinite, UnstableSystem
 from .matrices import is_spd, require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
 from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
@@ -93,10 +93,9 @@ def _strictness(Delta0):
 
 def _below_bound(model, thetas, B, Delta0, margin):
     """For each theta of a stack, lambda_min(Delta0 - fix(g_{R+(theta B)^-1}))
-    > margin, or the error of its fixed point; B and Delta0 are checked."""
-    X, errors = fixed_points(model, ray_drop_noise(model.R, thetas, B))
-    below = np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] > margin
-    return [error or bool(b) for b, error in zip(below, errors)]
+    > margin; B and Delta0 are checked."""
+    X = fixed_points(model, ray_drop_noise(model.R, thetas, B))
+    return np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] > margin
 
 
 def feasibility_check(model, Y, Delta0):
@@ -105,7 +104,7 @@ def feasibility_check(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y")
     Delta0 = require_spd(Delta0, "Delta0")
-    return value_of(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0])
+    return bool(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0])
 
 
 def assemble_lmi_blocks(model, Y, S, Delta0):
@@ -172,19 +171,19 @@ def ray_search(pred, rel_tol, lo=None):
     """Bracket and bisect the point where a monotone test flips on the ray.
 
     ``pred(thetas)`` gets a stack of theta in [RAY_FLOOR, RAY_CAP] and gives
-    for each False below its boundary, True above it, or the exception the
-    test raised there.  The floor is tested first.  The upper end then starts
-    at 1 and doubles while the test fails.  The lower end starts at ``lo``,
-    by default one halving below the upper end; when the test holds at 1 it
-    halves while the test still holds, taking the upper end along, and stops
-    at the floor.  Bisection then halves the bracket until
-    ``hi - lo <= rel_tol * hi``, at most RAY_MAX_BISECTIONS times.  A point
-    not yet tested starts a round, one call of ``pred`` on 2^RAY_TREE_DEPTH
-    - 1 points: it and the next doublings or halvings, or the next
-    RAY_TREE_DEPTH levels of the bisection tree.  The search walks the
-    outcomes as if tested one at a time and raises one only at a point it
-    reaches.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when the
-    test holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
+    for each False below its boundary and True above it.  The floor is
+    tested first.  The upper end then starts at 1 and doubles while the test
+    fails.  The lower end starts at ``lo``, by default one halving below the
+    upper end; when the test holds at 1 it halves while the test still
+    holds, taking the upper end along, and stops at the floor.  Bisection
+    then halves the bracket until ``hi - lo <= rel_tol * hi``, at most
+    RAY_MAX_BISECTIONS times.  A point not yet tested starts a round, one
+    call of ``pred`` on 2^RAY_TREE_DEPTH - 1 points: it and the next
+    doublings or halvings, or the next RAY_TREE_DEPTH levels of the
+    bisection tree.  The search walks the answers as if tested one at a
+    time; a failure of ``pred`` raises, at any point of a round, reached or
+    not.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when the test
+    holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
     Each caller keeps its own end of the bracket.
     """
     known = {}
@@ -193,7 +192,7 @@ def ray_search(pred, rel_tol, lo=None):
         if theta not in known:
             thetas = points()[: 2**RAY_TREE_DEPTH - 1]
             known.update(zip(thetas, pred(np.array(thetas))))
-        return bool(value_of(known[theta]))
+        return bool(known[theta])
 
     def chain(t, factor):
         points = (t * factor**i for i in range(2**RAY_TREE_DEPTH))
@@ -292,7 +291,7 @@ def design_search_closed_loop(problem):
     at fix(g_{R+Z^-1}) as the achieved rate.  Works for unstable plants, in
     which case the stationary objective and gap bound are unavailable."""
     model = problem.model
-    return _ray_design(problem, lambda st, Z: value_of(upper_rates(model, np.ones(1), Z)[0]))
+    return _ray_design(problem, lambda st, Z: upper_rates(model, np.ones(1), Z)[0])
 
 
 def delta0_for_lambda_max_bound(c, n):

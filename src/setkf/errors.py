@@ -67,10 +67,3 @@ class CalibrationFailed(SetkfError):
 class ConfigError(SetkfError):
     """Malformed configuration file or invalid scenario combination."""
 
-
-def value_of(outcome):
-    """The value of one outcome of a stacked evaluation, raising it when it
-    is the exception raised at that point."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome

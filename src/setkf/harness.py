@@ -248,16 +248,20 @@ class _Runs:
             g.random(out=zeta)
             g.standard_normal(out=normals)
         head = head[:, :, None]
-        x = np.linalg.cholesky(model.Sigma0) @ head[:, :n]
-        if scenario.x0_mean is not None:
-            x = x + scenario.x0_mean[:, None]
+        # the filter carries the prior error e = x - xhat, not xhat: e is
+        # drawn, and the pre-roll predicts, e and x taking the same process
+        # noise while xhat <- A xhat and P <- A P A' + Q; the plant path x is
+        # kept only where the trigger reads y
+        e = np.linalg.cholesky(model.Sigma0) @ head[:, :n]
+        x = e if scenario.x0_mean is None else e + scenario.x0_mean[:, None]
+        P = model.Sigma0
         for j in range(n, head.shape[1], n):
-            x = model.A @ x + self.Lq @ head[:, j : j + n]
-        # the filter carries the prior error e = x - xhat, not xhat; the
-        # plant path x is kept only where the trigger reads y
+            w = self.Lq @ head[:, j : j + n]
+            x, e = model.A @ x + w, model.A @ e + w
+            P = sym(model.A @ P @ model.A.T + model.Q)
         self.x = x if self.open_loop else None
-        self.e = x if scenario.x0_mean is None else x - scenario.x0_mean[:, None]
-        self.P = np.tile(model.Sigma0, (N, 1, 1))
+        self.e = e
+        self.P = np.tile(P, (N, 1, 1))
 
         # per-step logs (runs, T, n): the prior error and the diagonal of P
         self.gamma_log = np.zeros((N, self.T), dtype=np.int8)
@@ -652,12 +656,8 @@ def _weight(theta, target_rate):
 
 def _ray_weight(rates, target_rate):
     """Midpoint of the ray search's bracket around rate(theta) = target;
-    ``rates(thetas)`` gives each theta's rate or error."""
-    lo, hi = ray_search(
-        lambda t: [r if isinstance(r, Exception) else r >= target_rate for r in rates(t)],
-        1e-12,
-        lo=RAY_FLOOR,
-    )
+    ``rates(thetas)`` gives each theta's rate."""
+    lo, hi = ray_search(lambda t: rates(t) >= target_rate, 1e-12, lo=RAY_FLOOR)
     # below the floor when the rate at the floor already reaches the target
     return _weight(0.5 * (lo + hi), target_rate)
 

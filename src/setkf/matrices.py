@@ -143,20 +143,15 @@ def require_spd(X, name, floor=0.0):
     return S
 
 
-def spd_failures(X, name):
-    """For each matrix of a stack of symmetric matrices, None or the error of
-    ``require_spd``: one finiteness test and one Cholesky factorization of
-    the stack, and a check of each matrix only when one of them fails."""
+def require_spd_stack(X, name):
+    """Raise the error of ``require_spd`` for the first matrix of a stack of
+    symmetric matrices that is not positive-definite: one finiteness test
+    and one Cholesky factorization of the stack, and a check of each matrix
+    in order only when that fails."""
     try:
         if np.isfinite(X).all() and np.linalg.cholesky(X) is not None:
-            return [None] * len(X)
+            return
     except np.linalg.LinAlgError:
         pass
-    errors = []
     for M in X:
-        try:
-            require_spd(M, name)
-            errors.append(None)
-        except NotPositiveDefinite as exc:
-            errors.append(exc)
-    return errors
+        require_spd(M, name)

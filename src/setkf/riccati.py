@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation, value_of
-from .matrices import is_spd, require_spd, spd_failures, sym
+from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation
+from .matrices import is_spd, require_spd, require_spd_stack, sym
 
 FIXED_POINT_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
@@ -114,48 +114,33 @@ def _doubling(element, tol, max_doublings, label, offset=0.0):
     its image of 0, changes by at most ``tol`` relative to offset + C.
 
     An element leaves the stack at its own stop doubling, so its value is
-    that of a stack of one to the bit.  Returns the values and, per element,
-    None or the NoConvergence of a singular step, of a C that is not finite,
-    or of ``max_doublings`` doublings (its value is then 0).
+    that of a stack of one to the bit.  Raises NoConvergence on a singular
+    step, on a C that is not finite, or after ``max_doublings`` doublings.
     """
     A, C, J = element
-    out, errors, live = np.zeros(C.shape), [None] * len(C), np.arange(len(C))
-
-    def leave(leaving, error):  # True when no element is left
-        nonlocal A, C, J, live
-        for i in live[leaving]:
-            errors[i] = error
-        A, C, J, live = A[~leaving], C[~leaving], J[~leaving], live[~leaving]
-        return not len(live)
-
+    out, live = np.empty(C.shape), np.arange(len(C))
     with np.errstate(all="ignore"):
         for k in range(max_doublings):
             try:
                 squared = compose((A, C, J), (A, C, J))
             except np.linalg.LinAlgError:  # a zero pivot, as solve meets it
-                singular = np.linalg.slogdet(np.eye(C.shape[-1]) + C @ J)[0] == 0
-                if leave(singular, NoConvergence(k + 1, f"{label} (singular step)")):
-                    return out, errors
-                squared = compose((A, C, J), (A, C, J))
+                raise NoConvergence(k + 1, f"{label} (singular step)") from None
             step, (A, C, J) = squared[1] - C, squared
             if not np.isfinite(C).all():
-                finite = np.isfinite(C).all(axis=(1, 2))
-                step = step[finite]
-                if leave(~finite, NoConvergence(k + 1, f"{label} (diverged)")):
-                    return out, errors
+                raise NoConvergence(k + 1, f"{label} (diverged)")
             X = offset + C
             # both spectral norms of each element from one SVD call
             norms = np.linalg.svd(np.stack([step, X]), compute_uv=False)[..., 0].tolist()
             done = [step_norm <= tol * x_norm for step_norm, x_norm in zip(*norms)]
             if any(done):
                 if all(done) and len(live) == len(out):
-                    return sym(X), errors
+                    return sym(X)
                 done = np.array(done)
                 out[live[done]] = sym(X[done])
-                if leave(done, None):
-                    return out, errors
-    leave(np.ones(len(live), dtype=bool), NoConvergence(max_doublings, label))
-    return out, errors
+                A, C, J, live = A[~done], C[~done], J[~done], live[~done]
+                if not len(live):
+                    return out
+    raise NoConvergence(max_doublings, label)
 
 
 def fixed_points(model, W, start=None):
@@ -167,20 +152,14 @@ def fixed_points(model, W, start=None):
     FIXED_POINT_TOL relative to its X.  A ``start`` S shifts the unknown to
     X = S + Delta, whose map has the element
     (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).  The stack of W is checked
-    once.  Returns the stack of X and, per W, None or its error:
-    NotPositiveDefinite for the W, or NoConvergence when the iterate stops
-    being finite or after MAX_DOUBLINGS doublings, which signals
-    ill-conditioning rather than non-existence.
+    once.  Returns the stack of X, or raises the first failure, as a single
+    solve does: NotPositiveDefinite for the first W that is not, or
+    NoConvergence on a singular step, on an iterate that stops being finite
+    or after MAX_DOUBLINGS doublings, which signals ill-conditioning rather
+    than non-existence.
     """
-    errors = spd_failures(W, "W")
-    ok = np.array([error is None for error in errors])
-    if ok.all():
-        return _fixed_points(model, W, start)
-    X, solved = np.zeros((len(W), model.n, model.n)), []
-    if ok.any():  # solve the others alone
-        X[ok], solved = _fixed_points(model, W[ok], start)
-    solved = iter(solved)
-    return X, [error or next(solved) for error in errors]
+    require_spd_stack(W, "W")
+    return _fixed_points(model, W, start)
 
 
 def _fixed_points(model, W, start):
@@ -200,9 +179,8 @@ def _fixed_points(model, W, start):
 def fixed_point(rmap, start=None):
     """Unique positive-definite solution of X = g_W(X) for the checked W of
     ``rmap``: :func:`fixed_points` on a stack of one, stopped at the same
-    doubling and to the same bits as in any stack, raising its error."""
-    X, errors = _fixed_points(rmap.model, rmap.W[None], start)
-    return value_of(errors[0] or X[0])
+    doubling and to the same bits as in any stack."""
+    return _fixed_points(rmap.model, rmap.W[None], start)[0]
 
 
 def lyapunov(F, Q):
@@ -217,8 +195,7 @@ def lyapunov(F, Q):
     F = np.atleast_2d(np.asarray(F, dtype=float))[None]
     Q = sym(np.atleast_2d(np.asarray(Q, dtype=float)))[None]
     element = (F, Q, np.zeros_like(Q))
-    X, errors = _doubling(element, LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")
-    return value_of(errors[0] or X[0])
+    return _doubling(element, LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -712,6 +712,47 @@ def test_broken_prior_covariance_exit_code(tmp_path, capsys, command, trigger, s
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv, trigger",
+    [
+        (["monte-carlo"], {"variant": "closed_loop", "Z": [[1.0]]}),
+        (["simulate"], {"variant": "closed_loop", "Z": [[1.0]]}),
+        (["analyze"], {"variant": "closed_loop", "Z": [[1.0]]}),
+        (["design"], None),
+        (["design", "export-lmi"], None),
+    ],
+    ids=["monte-carlo", "simulate", "analyze", "design", "export-lmi"],
+)
+def test_floating_point_overflow_exit_code(tmp_path, capsys, argv, trigger):
+    # a measurement matrix of 1e300 overflows products in every subcommand:
+    # one numerical-failure line, and no warning
+    cfg = {"model": {**TWO_STATE, "C": [[1e300, 0.0]]}, "trigger": trigger, "horizon": 20,
+           "runs": 2, "delta0": [[3.0, 0.0], [0.0, 3.0]]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_initial_mean_keeps_the_error_finite(tmp_path, capsys):
+    # the prior error is drawn, not the difference of a huge x0 and its
+    # mean, so the logged error stays finite
+    cfg = {"model": TWO_STATE, "trigger": {"variant": "periodic", "period": 3, "phase": 1},
+           "horizon": 20, "runs": 2, "seed": 1, "burn_in": 5, "pre_roll": 2,
+           "x0_mean": [0.5e300, -0.5e300]}
+    path = tmp_path / "mean.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 20 and np.isfinite(np.array(rows, dtype=float)).all()
+
+
 def test_closed_pipe_exit_code(scenario_config):
     # the reader takes one line and closes the pipe; the writer exits as a
     # process killed by SIGPIPE would, and writes nothing to stderr

@@ -167,6 +167,18 @@ class TestSimulate:
         rec = simulate(scn)
         assert np.isfinite(rec.sq_err).all()
 
+    def test_pre_roll_predicts_the_prior(self):
+        # the filter predicts through the pre-roll, so at k = 0 the squared
+        # error has mean tr P: over 20 000 runs MSE / tr P is 0.988 +- 0.010,
+        # within 3 standard errors of 1 (2.743 with the prior left at Sigma0)
+        scn = scalar_scenario(
+            TriggerPolicy.open_loop([[1.0]]), horizon=1, runs=20_000, seed=3, burn_in=0,
+            pre_roll=200,
+        )
+        block = _simulate_runs(scn, range(scn.runs))
+        ratio = block.sq_err[:, 0] / block.P_trace[:, 0]
+        assert abs(ratio.mean() - 1.0) <= 3.0 * ratio.std(ddof=1) / np.sqrt(ratio.size)
+
 
 class TestPeriodicBounds:
     @pytest.mark.parametrize(

@@ -5,8 +5,8 @@ replaced.
 verbatim; ``util._ray_boundary`` and ``util._bisect_rate`` are the design
 and calibration routines before it, verbatim.  The stacked search must give
 every bracket, design and calibration weight to the bit, test every point
-the sequential search tests, and raise only where the sequential search
-raises.
+the sequential search tests, raise a failure at any point it tests, and
+raise the sequential search's error where that search fails.
 """
 
 import math
@@ -28,7 +28,6 @@ from setkf.design import (
     ray_search,
 )
 from setkf.analysis import ray_drop_noise
-from setkf.errors import value_of
 from setkf.harness import calibrate_closed_loop, calibrate_open_loop
 from setkf.model import steady_state
 from setkf.riccati import RiccatiMap
@@ -141,18 +140,20 @@ class Failure(Exception):
 
 
 class TestFailures:
-    """A test that fails at one point, as the stacked search sees it (an
-    outcome) and as the sequential one does (a raise)."""
+    """A test that fails at one point, as the stacked search sees it (a raise
+    from its round) and as the sequential one does (a raise at the point)."""
 
     BOUNDARIES = [3.0, 0.3, 1e-9, 5e11, 0.75, 1.7e4]
 
     @staticmethod
     def _failing(b, bad):
         def stacked(thetas):
-            return [Failure(f"failed at {float(t)!r}") if t == bad else t >= b for t in thetas]
+            if bad in thetas:
+                raise Failure(f"failed at {bad!r}")
+            return thetas >= b
 
         def single(t):
-            return value_of(stacked(np.array([t]))[0])
+            return stacked(np.array([t]))[0]
 
         return stacked, single
 
@@ -165,15 +166,15 @@ class TestFailures:
         return points, visited
 
     @pytest.mark.parametrize("rel_tol, lo", [(RAY_REL_TOL, None), (CALIBRATION_TOL, RAY_FLOOR)])
-    def test_failure_where_the_search_never_goes_does_not_raise(self, rel_tol, lo):
+    def test_failure_at_any_point_of_a_tested_round_raises(self, rel_tol, lo):
         unvisited = 0
         for b in self.BOUNDARIES:
             points, visited = self._points(b, rel_tol, lo)
-            expected = ray_search_reference(lambda t, b=b: t >= b, rel_tol, lo=lo)
-            for bad in set(points) - set(visited):
+            for bad in points:
                 stacked, _ = self._failing(b, bad)
-                assert ray_search(stacked, rel_tol, lo=lo) == expected
-                unvisited += 1
+                with pytest.raises(Failure, match=f"failed at {bad!r}"):
+                    ray_search(stacked, rel_tol, lo=lo)
+                unvisited += bad not in visited
         assert unvisited >= 50
 
     @pytest.mark.parametrize("rel_tol, lo", [(RAY_REL_TOL, None), (CALIBRATION_TOL, RAY_FLOOR)])
@@ -189,21 +190,17 @@ class TestFailures:
                 assert str(new_error.value) == str(seq_error.value) == f"failed at {bad!r}"
 
     def test_fixed_point_failures_in_a_design_search(self, monkeypatch):
-        # a fixed point of a round that fails to converge: the design ends as
-        # without the failure where the search never goes, and raises it
-        # where it goes
+        # a fixed point of a round that fails to converge: the design search
+        # raises it, where the sequential search goes and where it does not
         model = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
         problem = DesignProblem(model, [[1.5]])
-        expected = design_search(problem)
         margin = design._strictness(problem.Delta0)
         visited = []
 
         def single(theta):
             visited.append(theta)
-            outcomes = design._below_bound(
-                model, np.array([theta]), np.eye(1), problem.Delta0, margin
-            )
-            return value_of(outcomes[0])
+            thetas = np.array([theta])
+            return design._below_bound(model, thetas, np.eye(1), problem.Delta0, margin)[0]
 
         ray_search_reference(single, RAY_REL_TOL)
         rounds = []
@@ -219,20 +216,16 @@ class TestFailures:
         every_W = np.concatenate(rounds)
         unvisited = [W for W in every_W if not any(np.array_equal(W, V) for V in visited_W)]
         assert len(unvisited) >= 20 and len(every_W) == len(unvisited) + len(visited)
-        for bad, should_raise in [(W, False) for W in unvisited] + [(W, True) for W in visited_W]:
+        for bad in every_W:
 
             def failing(model, W, bad=bad):
-                X, errors = fixed_points(model, W)
-                failed = [np.array_equal(w, bad) for w in W]
-                return X, [NoConvergence(64, "Riccati doubling") if f else e
-                           for f, e in zip(failed, errors)]
+                if any(np.array_equal(w, bad) for w in W):
+                    raise NoConvergence(64, "Riccati doubling")
+                return fixed_points(model, W)
 
             monkeypatch.setattr(design, "fixed_points", failing)
-            if should_raise:
-                with pytest.raises(NoConvergence, match="Riccati doubling did not converge"):
-                    design_search(problem)
-            else:
-                assert _same_design(design_search(problem), expected)
+            with pytest.raises(NoConvergence, match="Riccati doubling did not converge"):
+                design_search(problem)
 
 
 def _plant(rng, rho_lo, rho_hi, n_max=3, m_min=1, m_max=3):
@@ -374,7 +367,7 @@ def test_stacked_rounds_walk_as_the_sequential_search(monkeypatch):
 
         def single(theta):
             visited.append(theta)
-            return bool(value_of(pred(np.array([theta]))[0]))
+            return bool(pred(np.array([theta]))[0])
 
         bracket = ray_search(recording, rel_tol, lo=lo)
         assert bracket == ray_search_reference(single, rel_tol, lo=lo)

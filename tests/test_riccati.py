@@ -252,15 +252,11 @@ def _oracle_plant(rng, rho):
 
 
 def _stack_of_one(single):
-    """A doubling of one element as ``riccati._doubling`` of a stack of one:
-    the value and the error, each in a list."""
+    """A doubling of one element as ``riccati._doubling`` of a stack of one."""
 
     def doubling(element, tol, max_doublings, label, offset=0.0):
-        try:
-            X = single(tuple(part[0] for part in element), tol, max_doublings, label, offset)
-        except NoConvergence as exc:
-            return np.zeros_like(element[1]), [exc]
-        return X[None], [None]
+        element = tuple(part[0] for part in element)
+        return single(element, tol, max_doublings, label, offset)[None]
 
     return doubling
 
@@ -330,10 +326,26 @@ def _doubling_elements(rng, count, n):
     return elements
 
 
+def _stack(*elements):
+    return tuple(np.stack(part) for part in zip(*elements))
+
+
+def _first_failure(errors):
+    """Of the errors of single doublings, the one that a stack of their
+    elements raises: at the earliest doubling, and there a singular step
+    before a C that is not finite before the cap."""
+
+    def order(error):
+        return error.max_iter, "singular" not in str(error), "diverged" not in str(error)
+
+    return min(errors, key=order)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stacked_doubling_matches_single_doubling(n):
-    # each element of a stack of 1 to 8 equals its doubling alone to the bit,
-    # with its own error, whatever the other elements of its stack do
+    # a stack of 1 to 8 elements raises iff one of them raises alone, with
+    # the error of the first to fail, and without the failing elements each
+    # element equals its doubling alone to the bit, whatever the others do
     rng = np.random.default_rng(60 + n)
     elements = _doubling_elements(rng, 160, n)
     failures = solved = 0
@@ -344,60 +356,65 @@ def test_stacked_doubling_matches_single_doubling(n):
             chunk = elements[start : start + size]
             start += size
             offset = 0.0 if size % 2 else random_spd(rng, n)
-            stack = tuple(np.stack(part) for part in zip(*chunk))
-            X, errors = riccati._doubling(stack, tol, max_doublings, "label", offset)
-            assert X.shape == stack[1].shape and len(errors) == len(chunk)
-            for element, value, error in zip(chunk, X, errors):
+            good, wants, errors = [], [], []
+            for element in chunk:
                 try:
-                    want = doubling_single(element, tol, max_doublings, "label", offset)
+                    wants.append(doubling_single(element, tol, max_doublings, "label", offset))
+                    good.append(element)
                 except NoConvergence as exc:
-                    assert str(error) == str(exc) and not value.any()
-                    failures += 1
-                else:
-                    assert error is None and np.array_equal(value, want)
-                    solved += 1
-    assert failures >= 100 and solved >= 200, (failures, solved)
+                    errors.append(exc)
+            if errors:
+                with pytest.raises(NoConvergence) as exc:
+                    riccati._doubling(_stack(*chunk), tol, max_doublings, "label", offset)
+                assert str(exc.value) == str(_first_failure(errors))
+                failures += 1
+            if good:
+                X = riccati._doubling(_stack(*good), tol, max_doublings, "label", offset)
+                assert X.shape == (len(good), n, n)
+                assert all(np.array_equal(x, want) for x, want in zip(X, wants))
+                solved += len(good)
+    assert failures >= 50 and solved >= 300, (failures, solved)
 
 
 def test_stack_with_one_failing_element():
-    # the second element needs more than four doublings, the third diverges
+    # the second element needs more than four doublings, the third diverges:
+    # the stack raises what the first element to fail raises alone
     fast = (np.array([[0.1]]), np.array([[1.0]]), np.array([[1.0]]))
     slow = (np.array([[0.9999]]), np.array([[1.0]]), np.array([[0.0]]))
     unstable = (np.array([[2.0]]), np.array([[1.0]]), np.array([[0.0]]))
-    stack = tuple(np.stack(part) for part in zip(fast, slow, unstable, fast))
-    X, errors = riccati._doubling(stack, 1e-10, 4, "label")
-    assert errors[0] is None and errors[3] is None
-    assert str(errors[1]) == "label did not converge within 4 doublings"
-    assert isinstance(errors[2], NoConvergence)
-    want = doubling_single(fast, 1e-10, 4, "label")
-    assert np.array_equal(X[0], want) and np.array_equal(X[3], want)
-    assert not X[1].any() and not X[2].any()
-    with pytest.raises(NoConvergence, match=str(errors[2])):
-        doubling_single(unstable, 1e-10, 4, "label")
-    X, errors = riccati._doubling(stack, 1e-10, 64, "label")
-    assert errors[:2] == [None, None] and errors[3] is None
-    assert np.array_equal(X[1], doubling_single(slow, 1e-10, 64, "label"))
+    for max_doublings, failing, message in (
+        (4, slow, "label did not converge within 4 doublings"),
+        (64, unstable, r"label \(diverged\) did not converge"),
+    ):
+        with pytest.raises(NoConvergence, match=message) as alone:
+            doubling_single(failing, 1e-10, max_doublings, "label")
+        with pytest.raises(NoConvergence) as stacked:
+            riccati._doubling(_stack(fast, slow, unstable, fast), 1e-10, max_doublings, "label")
+        assert str(stacked.value) == str(alone.value)
+    X = riccati._doubling(_stack(fast, slow, fast), 1e-10, 64, "label")
+    for x, element in zip(X, (fast, slow, fast)):
+        assert np.array_equal(x, doubling_single(element, 1e-10, 64, "label"))
 
 
 def test_stack_with_one_singular_step():
-    # I + C J = 0 for the second element: its step is singular, and the
-    # others square on
+    # I + C J = 0 for the second element: its step is singular, and so is
+    # the stack's
     good = (np.array([[0.5, 0.1], [0.0, 0.3]]), np.eye(2), 0.5 * np.eye(2))
     singular = (0.5 * np.eye(2), np.eye(2), -np.eye(2))
-    stack = tuple(np.stack(part) for part in zip(good, singular, good))
-    X, errors = riccati._doubling(stack, 1e-10, 64, "label")
-    with pytest.raises(NoConvergence) as exc:
+    with pytest.raises(NoConvergence) as alone:
         doubling_single(singular, 1e-10, 64, "label")
-    assert str(errors[1]) == str(exc.value)
-    assert str(exc.value) == "label (singular step) did not converge within 1 doublings"
+    assert str(alone.value) == "label (singular step) did not converge within 1 doublings"
+    with pytest.raises(NoConvergence) as stacked:
+        riccati._doubling(_stack(good, singular, good), 1e-10, 64, "label")
+    assert str(stacked.value) == str(alone.value)
     want = doubling_single(good, 1e-10, 64, "label")
-    assert errors[0] is None and errors[2] is None
-    assert np.array_equal(X[0], want) and np.array_equal(X[2], want) and not X[1].any()
+    X = riccati._doubling(_stack(good, good), 1e-10, 64, "label")
+    assert np.array_equal(X[0], want) and np.array_equal(X[1], want)
 
 
 def test_fixed_points_match_single_solves():
-    # the stacked solve with a bad W among good ones: every good W solves as
-    # alone, and the bad one has the error RiccatiMap raises for it
+    # every W of a good stack solves as alone; a stack with a bad W raises
+    # the error RiccatiMap raises for it, naming W
     rng = np.random.default_rng(66)
     for _ in range(40):
         m = random_stable_model(rng, n_max=4, m_max=3)
@@ -406,22 +423,21 @@ def test_fixed_points_match_single_solves():
         bad = int(rng.integers(0, len(W) + 1))
         if bad < len(W):
             W[bad] = -W[bad]
-        X, errors = riccati.fixed_points(m, np.stack(W), start=start)
-        for i, (w, x, error) in enumerate(zip(W, X, errors)):
-            if i == bad:
-                with pytest.raises(NotPositiveDefinite) as exc:
-                    RiccatiMap(m, w)
-                assert str(error) == str(exc.value)
-            else:
-                assert error is None
-                assert np.array_equal(x, fixed_point(RiccatiMap(m, w), start=start))
-    # no W to solve
-    X, errors = riccati.fixed_points(SCALAR, np.array([[[-1.0]], [[np.nan]]]))
-    assert X.shape == (2, 1, 1) and not X.any()
-    assert [str(e) for e in errors] == [
-        "matrix 'W' is not symmetric positive-definite (smallest eigenvalue <= 0 or asymmetric)",
-        "matrix 'W' is not symmetric positive-definite (non-finite entries)",
-    ]
+            with pytest.raises(NotPositiveDefinite) as alone:
+                RiccatiMap(m, W[bad])
+            with pytest.raises(NotPositiveDefinite) as stacked:
+                riccati.fixed_points(m, np.stack(W), start=start)
+            assert stacked.value.which == "W" and str(stacked.value) == str(alone.value)
+            continue
+        X = riccati.fixed_points(m, np.stack(W), start=start)
+        for w, x in zip(W, X):
+            assert np.array_equal(x, fixed_point(RiccatiMap(m, w), start=start))
+    # two bad W: the first is named
+    with pytest.raises(NotPositiveDefinite) as exc:
+        riccati.fixed_points(SCALAR, np.array([[[-1.0]], [[np.nan]]]))
+    assert str(exc.value) == (
+        "matrix 'W' is not symmetric positive-definite (smallest eigenvalue <= 0 or asymmetric)"
+    )
 
 
 def test_spectral_norm_is_numpys_2_norm():

@@ -516,10 +516,11 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
     x = L0 @ rng.standard_normal(n)
     if scenario.x0_mean is not None:
         x = x + scenario.x0_mean
+    # the pre-roll is a prediction: the filter predicts through it
+    state = initial_state(model, scenario.x0_mean)
     for _ in range(scenario.pre_roll):
         x = A @ x + Lq @ rng.standard_normal(n)
-
-    state = initial_state(model, scenario.x0_mean)
+        state = time_update(offline_drop_update(state), model)
     Y_inv = np.linalg.inv(pol.Y) if pol.variant == "open_loop" else None
     Z_inv = np.linalg.inv(pol.Z) if pol.variant == "closed_loop" else None
 
