@@ -1,11 +1,15 @@
-"""Exact standard output of the CLI on three scalar plants.
+"""Exact standard output of the CLI on three scalar plants and one with two
+measurements.
 
 Each case runs one ``setkf`` command in-process and compares what it writes
-to stdout, byte for byte, with a file in ``tests/data/golden``.  The plants
-are C = Q = R = Sigma0 = 1 with A = 0.8 (delta0 1.5), A = 0.999 (delta0 60)
-and the unstable A = 1.2 (delta0 60, closed-loop commands only).  The files
-were written by this module's ``main``; rewrite them only for an intended
-change of output:
+to stdout, byte for byte, with a file in ``tests/data/golden``.  The scalar
+plants are C = Q = R = Sigma0 = 1 with A = 0.8 (delta0 1.5), A = 0.999
+(delta0 60) and the unstable A = 1.2 (delta0 60, closed-loop commands only).
+The m = 2 plant is acceptance criterion 1's 2 x 2 plant with a full delta0;
+it runs ``design``, ``compare`` and a closed-loop ``design`` along a
+non-identity basis, which take the ray search where the scalar plants take
+closed forms.  The files were written by this module's ``main``; rewrite
+them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -23,7 +27,28 @@ from setkf import cli
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
-PLANTS = {"scalar": (0.8, 1.5), "near_unit": (0.999, 60.0), "unstable": (1.2, 60.0)}
+
+
+def _scalar(a):
+    return {"A": [[a]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "Sigma0": [[1.0]]}
+
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+TWO_SENSOR = {
+    "A": [[0.8, 1.0], [0.0, 0.95]],
+    "C": [[0.5, 0.3], [0.0, 1.4]],
+    "Q": EYE2,
+    "R": EYE2,
+    "Sigma0": EYE2,
+}
+# name -> (model, delta0)
+PLANTS = {
+    "scalar": (_scalar(0.8), [[1.5]]),
+    "near_unit": (_scalar(0.999), [[60.0]]),
+    "unstable": (_scalar(1.2), [[60.0]]),
+    "two_sensor": (TWO_SENSOR, [[4.0, 1.0], [1.0, 3.0]]),
+}
+BASIS = [[2.0, 0.5], [0.5, 1.0]]  # the two_sensor closed-loop design's ray
 
 # name -> (config kind, arguments after --config)
 COMMANDS = {
@@ -34,22 +59,26 @@ COMMANDS = {
     "export_lmi": ("design", ["design", "export-lmi"]),
     "compare": ("design", ["compare", "--target-rate", "0.5", "--runs", "2", "--horizon", "50"]),
 }
+TWO_SENSOR_COMMANDS = ("design", "design_closed", "compare")
 TINY_RATES = ("2e-12", "1e-11")  # the smallest rates the scalar plant's weights reach
 
 CASES = [
     (plant, name)
     for plant in PLANTS
     for name in COMMANDS
-    if plant != "unstable" or name in ("design_closed", "analyze_closed")
+    if (plant != "unstable" or name in ("design_closed", "analyze_closed"))
+    and (plant != "two_sensor" or name in TWO_SENSOR_COMMANDS)
 ] + [("scalar", f"compare_{rate}") for rate in TINY_RATES]
 
 
 def _configs(plant, directory):
-    a, delta0 = PLANTS[plant]
-    model = {"A": [[a]], "C": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "Sigma0": [[1.0]]}
+    model, delta0 = PLANTS[plant]
+    closed = {"model": model, "delta0": delta0, "closed_loop": True}
+    if plant == "two_sensor":
+        closed["basis"] = BASIS
     configs = {
-        "design": {"model": model, "delta0": [[delta0]]},
-        "design_closed": {"model": model, "delta0": [[delta0]], "closed_loop": True},
+        "design": {"model": model, "delta0": delta0},
+        "design_closed": closed,
         "open": {"model": model, "trigger": {"variant": "open_loop", "Y": [[0.5]]}},
         "closed": {"model": model, "trigger": {"variant": "closed_loop", "Z": [[0.5]]}},
     }
