@@ -23,11 +23,11 @@ used in-repo; :func:`export_lmi` emits the blocks in a plain-text sparse
 format for external SDP tooling.
 
 The search over all SPD Y is restricted to a ray Y = theta * B for a fixed
-SPD basis B (default identity).  Feasibility is monotone along the ray, so
-bisection finds the boundary; the objective tr(Pi Y) is increasing in theta,
-so the boundary point is the ray optimum.  :func:`ray_search` is the one
-search along the ray, shared with the rate calibrations in ``harness``; it
-asks its test about a stack of points at a time.  Both designs keep the
+SPD basis B (default identity).  Feasibility is monotone along the ray, and
+the objective tr(Pi Y) is increasing in theta, so the feasibility boundary
+is the ray optimum.  :func:`ray_search`, shared with the rate calibrations
+in ``harness``, walks to it as bisection does, testing stacks of points
+aimed by a secant step on the test's scores.  Both designs keep the
 feasible end of its bracket, to relative width RAY_REL_TOL; the calibrations
 keep the midpoint, to relative width 1e-12.
 """
@@ -92,10 +92,12 @@ def _strictness(Delta0):
 
 
 def _below_bound(model, thetas, B, Delta0, margin):
-    """For each theta of a stack, lambda_min(Delta0 - fix(g_{R+(theta B)^-1}))
-    > margin; B and Delta0 are checked."""
+    """For each theta of a stack, whether lambda_min(Delta0 - X) > margin,
+    with X = fix(g_{R+(theta B)^-1}), and the score lambda_min - margin; B
+    and Delta0 are checked."""
     X = fixed_points(model, ray_drop_noise(model.R, thetas, B))
-    return np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] > margin
+    score = np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] - margin
+    return score > 0.0, score
 
 
 def feasibility_check(model, Y, Delta0):
@@ -104,7 +106,7 @@ def feasibility_check(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y")
     Delta0 = require_spd(Delta0, "Delta0")
-    return bool(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0])
+    return bool(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0][0])
 
 
 def assemble_lmi_blocks(model, Y, S, Delta0):
@@ -167,32 +169,52 @@ def lmi_feasible(model, Y, Delta0):
     return is_spd(M1) and is_spd(M2)
 
 
-def ray_search(pred, rel_tol, lo=None):
+def ray_search(test, rel_tol, lo=None):
     """Bracket and bisect the point where a monotone test flips on the ray.
 
-    ``pred(thetas)`` gets a stack of theta in [RAY_FLOOR, RAY_CAP] and gives
-    for each False below its boundary and True above it.  The floor is
-    tested first.  The upper end then starts at 1 and doubles while the test
-    fails.  The lower end starts at ``lo``, by default one halving below the
-    upper end; when the test holds at 1 it halves while the test still
-    holds, taking the upper end along, and stops at the floor.  Bisection
-    then halves the bracket until ``hi - lo <= rel_tol * hi``, at most
-    RAY_MAX_BISECTIONS times.  A point not yet tested starts a round, one
-    call of ``pred`` on 2^RAY_TREE_DEPTH - 1 points: it and the next
-    doublings or halvings, or the next RAY_TREE_DEPTH levels of the
-    bisection tree.  The search walks the answers as if tested one at a
-    time; a failure of ``pred`` raises, at any point of a round, reached or
-    not.  Returns the bracket ``(lo, hi)``: ``(0, RAY_FLOOR)`` when the test
-    holds at the floor, and ``hi`` is inf when it fails at RAY_CAP.
-    Each caller keeps its own end of the bracket.
+    ``test(thetas)`` gets a stack of theta in [RAY_FLOOR, RAY_CAP] and gives
+    for each its verdict, False below its boundary and True above it, and a
+    signed score that estimates its distance from the boundary.  The floor
+    is tested first.  The upper end then starts at 1 and doubles while the
+    test fails.  The lower end starts at ``lo``, by default one halving
+    below the upper end; when the test holds at 1 it halves while the test
+    still holds, taking the upper end along, and stops at the floor.
+    Bisection then halves the bracket until ``hi - lo <= rel_tol * hi``, at
+    most RAY_MAX_BISECTIONS times.  A point at or above a tested one that
+    holds holds, at or below one that fails fails; any other starts a round,
+    one call of ``test`` on it and the next doublings, halvings or
+    RAY_TREE_DEPTH tree levels, up to 2^RAY_TREE_DEPTH - 1 points, and on
+    the ends of the walk's bracket were the boundary at the secant root, in
+    1/theta, of the two tested points of smallest |score|.  A failure of
+    ``test`` raises at any point of a round.  Returns the bracket ``(lo, hi)``,
+    ``(0, RAY_FLOOR)`` when the test holds at the floor and with ``hi`` inf
+    when it fails at RAY_CAP.  Each caller keeps its own end of it.
     """
-    known = {}
+    scores = {}
+    edge = [0.0, math.inf]  # the highest tested point that fails, the lowest that holds
 
-    def holds(theta, points):
-        if theta not in known:
-            thetas = points()[: 2**RAY_TREE_DEPTH - 1]
-            known.update(zip(thetas, pred(np.array(thetas))))
-        return bool(known[theta])
+    def implied(theta):
+        return True if theta >= edge[1] else False if theta <= edge[0] else None
+
+    def secant():
+        (t1, f1), (t2, f2) = sorted(scores.items(), key=lambda item: abs(item[1]))[:2]
+        u = 1.0 / t1 - f1 * (1.0 / t2 - 1.0 / t1) / (f2 - f1) if f1 != f2 else 0.0
+
+        def guess(theta, fill):
+            return theta * u >= 1.0 if implied(theta) is None else implied(theta)
+
+        return walk(guess, lo) if 0.0 < u < math.inf else ()
+
+    def holds(theta, fill):
+        if implied(theta) is None:
+            fresh = [t for t in fill() if implied(t) is None][: 2**RAY_TREE_DEPTH - 1]
+            ends = [t for t in secant() if t <= RAY_CAP and implied(t) is None] if scores else []
+            thetas = list(dict.fromkeys(fresh + ends))
+            verdicts, values = test(np.array(thetas))
+            for t, verdict, value in zip(thetas, verdicts, values):
+                scores[t] = float(value)
+                edge[bool(verdict)] = (min if verdict else max)(edge[bool(verdict)], t)
+        return implied(theta)
 
     def chain(t, factor):
         points = (t * factor**i for i in range(2**RAY_TREE_DEPTH))
@@ -204,28 +226,31 @@ def ray_search(pred, rel_tol, lo=None):
         mid = 0.5 * (lo + hi)
         return [mid, *tree(lo, mid, depth - 1), *tree(mid, hi, depth - 1)]
 
-    if holds(RAY_FLOOR, lambda: [RAY_FLOOR, *chain(1.0, 2.0)]):
-        return 0.0, RAY_FLOOR
-    hi = 1.0
-    while not holds(hi, lambda: chain(hi, 2.0)):
-        hi *= 2.0
-        if hi > RAY_CAP:
-            return hi / 2.0, math.inf
-    if lo is None:
-        lo = hi / 2.0
-    if hi == 1.0:  # after a doubling pred failed at hi / 2, so at every lo <= hi / 2
-        while lo > RAY_FLOOR and holds(lo, lambda: chain(lo, 0.5)):
-            hi, lo = lo, lo / 2.0
-    lo = max(lo, RAY_FLOOR)
-    for _ in range(RAY_MAX_BISECTIONS):
-        if hi - lo <= rel_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if holds(mid, lambda: tree(lo, hi, RAY_TREE_DEPTH)):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    def walk(answer, lo):
+        if answer(RAY_FLOOR, lambda: [RAY_FLOOR, *chain(1.0, 2.0)]):
+            return 0.0, RAY_FLOOR
+        hi = 1.0
+        while not answer(hi, lambda: chain(hi, 2.0)):
+            hi *= 2.0
+            if hi > RAY_CAP:
+                return hi / 2.0, math.inf
+        if lo is None:
+            lo = hi / 2.0
+        if hi == 1.0:  # after a doubling the test failed at hi / 2, so at every lo <= hi / 2
+            while lo > RAY_FLOOR and answer(lo, lambda: chain(lo, 0.5)):
+                hi, lo = lo, lo / 2.0
+        lo = max(lo, RAY_FLOOR)
+        for _ in range(RAY_MAX_BISECTIONS):
+            if hi - lo <= rel_tol * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if answer(mid, lambda: tree(lo, hi, RAY_TREE_DEPTH)):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
+
+    return walk(holds, lo)
 
 
 def optimality_gap_bound(Pi, Y):

@@ -657,7 +657,12 @@ def _weight(theta, target_rate):
 def _ray_weight(rates, target_rate):
     """Midpoint of the ray search's bracket around rate(theta) = target;
     ``rates(thetas)`` gives each theta's rate."""
-    lo, hi = ray_search(lambda t: rates(t) >= target_rate, 1e-12, lo=RAY_FLOOR)
+
+    def test(thetas):
+        gap = rates(thetas) - target_rate
+        return gap >= 0.0, gap
+
+    lo, hi = ray_search(test, 1e-12, lo=RAY_FLOOR)
     # below the floor when the rate at the floor already reaches the target
     return _weight(0.5 * (lo + hi), target_rate)
 
