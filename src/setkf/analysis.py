@@ -158,24 +158,18 @@ def sequential_drop_probability(steady, model, Y, l):
     if l < 1:
         raise ValueError("l must be a positive integer")
     Y = require_spd(Y, "Y")
-    C, Sigma, R = model.C, steady.Sigma, model.R
-    m = model.m
-    blocks = [[None] * l for _ in range(l)]
+    C, Sigma = model.C, steady.Sigma
     Apow = np.eye(model.n)
     lags = []
     for _ in range(l):
         lags.append(C @ Sigma @ Apow.T @ C.T)
         Apow = Apow @ model.A
-    for i in range(l):
-        for j in range(i, l):
-            B = lags[j - i].copy()
-            if i == j:
-                B = B + R
-            blocks[i][j] = B
-            blocks[j][i] = B.T
-    Pi_l = sym(np.block(blocks))
+    Pi_l = sym(
+        np.block([[lags[j - i] if j >= i else lags[i - j].T for j in range(l)] for i in range(l)])
+        + np.kron(np.eye(l), model.R)
+    )
     Y_l = np.kron(np.eye(l), Y)
-    sign, logdet = np.linalg.slogdet(np.eye(m * l) + Pi_l @ Y_l)
+    sign, logdet = np.linalg.slogdet(np.eye(model.m * l) + Pi_l @ Y_l)
     if sign <= 0:
         raise UnstableSystem("det(I + Pi_l Y_l) must be positive")
     return float(np.exp(-0.5 * logdet))

@@ -45,6 +45,10 @@ _PARAMETERS = {
 }
 TRIGGER_VARIANTS = tuple(_PARAMETERS)
 
+# the variants whose decisions read the estimate, through the innovation; the
+# others decide from y and zeta alone, ahead of the filter
+READS_ESTIMATE = ("closed_loop", "deterministic_threshold")
+
 # the largest period: with 0 <= phase < period, k - phase fits an int64 for
 # every step k the scan passes as an int64 array
 MAX_PERIOD = int(np.iinfo(np.int64).max)
@@ -147,15 +151,16 @@ def initial_state(model, x0_mean=None):
     )
 
 
-def transmit(policy, y, y_pred, zeta, k):
-    """Transmission decisions, True to send, of a stack of runs: y and
-    y_pred = C xhat_prior are (runs, m, 1), zeta is (runs,)."""
+def transmit(policy, z, zeta, k):
+    """Transmission decisions, True to send, of a stack of runs: zeta is
+    (runs,) and z (runs, m, 1) the signal the rule reads, y for the open-loop
+    trigger and the innovation y - C xhat_prior for the closed-loop and
+    threshold triggers; the periodic and random triggers ignore it."""
     variant = policy.variant
     if variant == "periodic":
         return np.full(zeta.shape, (k - policy.phase) % policy.period == 0)
     if variant == "random":
         return zeta > 1.0 - policy.p
-    z = y if variant == "open_loop" else y - y_pred
     if variant == "deterministic_threshold":
         return np.abs(z).max(axis=(1, 2)) > policy.delta
     W = policy.Y if variant == "open_loop" else policy.Z
@@ -206,7 +211,9 @@ def trigger_decide(policy, y, y_pred, zeta, k):
     """Per-step decision, 1 to send and 0 to stay idle: :func:`transmit` on one run."""
     if not 0.0 <= zeta <= 1.0:
         raise InconsistentArgs(f"zeta must lie in [0, 1], got {zeta}")
-    return int(transmit(policy, _stack(y), _stack(y_pred), np.array([zeta]), k)[0])
+    y, y_pred = _stack(y), _stack(y_pred)
+    z = y - y_pred if policy.variant in READS_ESTIMATE else y
+    return int(transmit(policy, z, np.array([zeta]), k)[0])
 
 
 def _check_measurement(gamma, value, what):

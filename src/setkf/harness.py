@@ -8,17 +8,19 @@ one per block of steps; the draw order is documented in :func:`simulate`.
 
 One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.  Its two paths share the draws, plant path and logs,
-and both carry the prior error x - xhat rather than the estimate, so the
-error keeps its digits on plants whose state grows; the plant path itself
-is stepped only for the open-loop trigger, the one rule that reads y.
-The step loop stacks the filter state over runs and loops over time steps
-in Python for the filter recursion alone; it serves every scenario.  When
-no transmission decision can depend on the estimate, the scan runs the
-filter as a scan over time in O(log T) batched calls, which compose the
-covariance maps with :func:`riccati.compose`; it serves the scenarios with
-few runs.  Both paths use the trigger rule and measurement update of the
-single-step API, :func:`estimation.transmit` and
+kernel over all runs.  Its two paths share the draws, plant path, gamma and
+logs of :class:`_Runs`, and both carry the prior error x - xhat rather than
+the estimate, so the error keeps its digits on plants whose state grows; the
+plant path itself is stepped only for the open-loop trigger, the one rule
+that reads y.  :meth:`_Runs.blocks` decides gamma a block at a time unless
+the rule reads the estimate (the closed-loop and threshold triggers), which
+the step loop decides per step on the innovation.  The step loop stacks
+the filter state over runs and loops over time steps in Python for the
+filter recursion alone; it serves every scenario.  When gamma is decided
+ahead, the scan runs the filter as a scan over time in O(log T) batched
+calls, which compose the covariance maps with :func:`riccati.compose`; it
+serves the scenarios with few runs.  Both paths use the trigger rule and
+measurement update of the single-step API, :func:`estimation.transmit` and
 :func:`estimation.measurement_update`.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
@@ -29,12 +31,13 @@ ray raises :class:`CalibrationFailed`.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CalibrationFailed, ConfigError, NumericalError
-from .estimation import TriggerPolicy, measurement_update, transmit
+from .estimation import READS_ESTIMATE, TriggerPolicy, measurement_update, transmit
 from .matrices import as_matrix, as_number, config_fields, read_json, require_spd, sym, write_json
 from .model import model_from_dict, steady_state, validate_model
 from . import riccati
@@ -168,41 +171,24 @@ def _rng_for_run(seed, run_index):
     return np.random.default_rng([int(seed), int(run_index)])
 
 
-@dataclass(frozen=True, eq=False)
-class _RunBlock:
-    """A block of runs: per-run logs (runs, T), each run's prior covariance
-    at the last step (runs, n, n), and the per-step sums over the runs of
-    the prior covariance and the error outer product (T, n, n)."""
-
-    gamma: np.ndarray
-    P_trace: np.ndarray
-    sq_err: np.ndarray
-    P11: np.ndarray
-    sq_err11: np.ndarray
-    P_last: np.ndarray
-    P_sum: np.ndarray | None
-    E_sum: np.ndarray | None
-
-
 def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """Simulate the runs ``run_indices`` of a scenario side by side.
+    """Simulate the runs ``run_indices`` of a scenario side by side; the
+    :class:`_Runs` returned holds their logs.
 
-    When no transmission decision can depend on the estimate (an open-loop,
-    periodic or random trigger, or a forced gamma) and runs * n^2 is at
-    most ``SCAN_MAX_WIDTH``, the filter runs as a scan over time
-    (:func:`_scan_runs`); otherwise it steps all runs together through time
-    (:func:`_step_runs`).  The choice reads the scenario only, never the
-    block, so a run has the same values in any block.
+    When gamma is decided ahead, block by block in :meth:`_Runs.blocks` (a
+    forced gamma, or a trigger that does not read the estimate), and
+    runs * n^2 is at most ``SCAN_MAX_WIDTH``, the filter runs as a scan
+    over time (:func:`_scan_runs`); otherwise it steps all runs together
+    through time (:func:`_step_runs`).  The choice reads the scenario only,
+    never the block, so a run has the same values in any block.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
     error outer products are summed over the runs per step; no
     (runs, T, n, n) array is kept.
     """
-    feedback_free = force_gamma is not None or scenario.trigger.variant in (
-        "open_loop", "periodic", "random"
-    )
-    if feedback_free and _width(scenario) <= SCAN_MAX_WIDTH:
+    decided = force_gamma is not None or scenario.trigger.variant not in READS_ESTIMATE
+    if decided and _width(scenario) <= SCAN_MAX_WIDTH:
         return _scan_runs(scenario, run_indices, force_gamma, sums)
     return _step_runs(scenario, run_indices, force_gamma, sums)
 
@@ -213,10 +199,12 @@ def _width(scenario):
 
 
 class _Runs:
-    """What both paths of :func:`_simulate_runs` start from and write to: the
-    constants, each run's generator and uniforms, the prior error at step 0,
-    the blocks of draws (with the plant path where the trigger reads y),
-    and the logs.  Block arrays are time-major."""
+    """What both paths of :func:`_simulate_runs` start from, write to and
+    return: the constants, each run's generator and uniforms, the prior
+    error at step 0, the blocks of draws (with the plant path where the
+    trigger reads y, and gamma where it does not read the estimate), and
+    the logs, from which the properties derive the per-run logs (runs, T)
+    that :func:`simulate` records.  Block arrays are time-major."""
 
     def __init__(self, scenario, run_indices, force_gamma, sums):
         model = scenario.model
@@ -235,7 +223,7 @@ class _Runs:
 
         # the drop noise of the OLSET and CLSET filters; the other triggers'
         # filter learns nothing from a drop
-        pol = scenario.trigger
+        self.trigger = pol = scenario.trigger
         W = {"open_loop": pol.Y, "closed_loop": pol.Z}.get(pol.variant)
         self.W_drop = None if W is None else model.R + np.linalg.inv(W)
         self.open_loop = pol.variant == "open_loop"
@@ -263,8 +251,10 @@ class _Runs:
         self.e = e
         self.P = np.tile(P, (N, 1, 1))
 
-        # per-step logs (runs, T, n): the prior error and the diagonal of P
-        self.gamma_log = np.zeros((N, self.T), dtype=np.int8)
+        # per-step logs: gamma (runs, T), the prior error and the diagonal of
+        # P (runs, T, n), and the sums of P and e e' over the runs (T, n, n);
+        # log() also keeps each run's last P as P_last (runs, n, n)
+        self.gamma = np.zeros((N, self.T), dtype=np.int8)
         self.err_log = np.zeros((N, self.T, n))
         self.diag_log = np.zeros((N, self.T, n))
         self.P_sum = np.zeros((self.T, n, n)) if sums else None
@@ -273,8 +263,10 @@ class _Runs:
     def blocks(self, length):
         """For each block of ``length`` steps (at least one): its steps, zeta
         (L, runs), the noises L_r v (L, runs, m, 1) of each step and L_q w
-        (L, runs, n, 1) that takes it to the next, and, for the open-loop
-        trigger, y (L, runs, m, 1), else None."""
+        (L, runs, n, 1) that takes it to the next, for the open-loop
+        trigger y (L, runs, m, 1), else None, and gamma (L, runs): the
+        forced rows, or else one :func:`estimation.transmit` call's
+        decisions, or None where the trigger reads the estimate."""
         A, C, Lq, Lr, N = self.A, self.C, self.Lq, self.Lr, self.N
         n, m, length = A.shape[0], Lr.shape[0], max(1, length)
         for k0 in range(0, self.T, length):
@@ -295,7 +287,16 @@ class _Runs:
                     np.add(A @ xs[j], Lw[j], out=xs[j + 1])
                 self.x = xs[L]
                 y = C @ xs[:L] + Lv
-            yield slice(k0, k0 + L), self.zeta[:, k0 : k0 + L].T, Lv, Lw, y
+            zeta = self.zeta[:, k0 : k0 + L].T
+            if self.forced is not None:
+                gamma = self.forced[k0 : k0 + L]
+            elif self.trigger.variant in READS_ESTIMATE:
+                gamma = None
+            else:
+                k = np.repeat(np.arange(k0, k0 + L), N)
+                z = None if y is None else y.reshape(L * N, m, 1)
+                gamma = transmit(self.trigger, z, zeta.ravel(), k).reshape(L, N)
+            yield slice(k0, k0 + L), zeta, Lv, Lw, y, gamma
 
     def log(self, steps, gamma, e, P):
         """Write a block's logs and sums from its gamma and prior e and P.
@@ -311,7 +312,7 @@ class _Runs:
                 f"prior covariance at step {steps.start + int(broken.argmax())} has a"
                 " diagonal entry that is not positive and finite"
             )
-        self.gamma_log[:, steps] = gamma.T
+        self.gamma[:, steps] = gamma.T
         self.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
         self.diag_log[:, steps] = diag.transpose(1, 0, 2)
         if self.P_sum is not None:
@@ -321,19 +322,23 @@ class _Runs:
             self.E_sum[steps] = np.add.accumulate(e * e.swapaxes(2, 3), axis=1)[:, -1]
         self.P_last = P[-1]
 
-    def result(self):
+    @property
+    def P_trace(self):
+        return self.diag_log.sum(axis=2)
+
+    @property
+    def sq_err(self):
         e = self.err_log
-        err0 = e[:, :, 0]
-        return _RunBlock(
-            gamma=self.gamma_log,
-            P_trace=self.diag_log.sum(axis=2),
-            sq_err=(e[:, :, None, :] @ e[:, :, :, None])[:, :, 0, 0],
-            P11=self.diag_log[:, :, 0],
-            sq_err11=err0 * err0,
-            P_last=self.P_last,
-            P_sum=self.P_sum,
-            E_sum=self.E_sum,
-        )
+        return (e[:, :, None, :] @ e[:, :, :, None])[:, :, 0, 0]
+
+    @property
+    def P11(self):
+        return self.diag_log[:, :, 0]
+
+    @property
+    def sq_err11(self):
+        err0 = self.err_log[:, :, 0]
+        return err0 * err0
 
 
 def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
@@ -344,9 +349,10 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     time steps in Python.  Vectors are column stacks, so every product is
     one small matrix product per run and a run's values do not depend on
     the other runs of the block.  Each step keeps the prior e and P, forms
-    the innovation C e + L_r v, calls :func:`estimation.transmit` and
-    :func:`estimation.measurement_update` on the whole stack and does the
-    time update; the draws, plant path and logs are :class:`_Runs`'.
+    the innovation C e + L_r v, calls :func:`estimation.transmit` on it if
+    the block brings no gamma, calls :func:`estimation.measurement_update`
+    on the whole stack and does the time update; the draws, plant path,
+    block gammas and logs are :class:`_Runs`'.
     """
     model, pol = scenario.model, scenario.trigger
     n, m = model.n, model.m
@@ -358,16 +364,15 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     e, P = s.e, s.P
 
     length = STEP_BLOCK_ENTRIES // (s.N * (n * n + 3 * n + 2 * m + 1))
-    for steps, zeta, Lv, Lw, y in s.blocks(length):
-        gamma = np.empty(zeta.shape, dtype=bool) if s.forced is None else s.forced[steps]
+    for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
+        decide = gamma is None
+        gamma = np.empty(zeta.shape, dtype=bool) if decide else gamma
         e_prior, P_prior = np.empty(Lw.shape), np.empty(Lw.shape[:2] + (n, n))
         for j, k in enumerate(range(steps.start, steps.stop)):
             e_prior[j], P_prior[j] = e, P
             innov = C @ e + Lv[j]
-            if s.forced is None:
-                # the closed-loop and threshold triggers read y - y_pred,
-                # the innovation, the open-loop trigger y itself
-                gamma[j] = transmit(pol, innov if y is None else y[j], 0.0, zeta[j], k)
+            if decide:
+                gamma[j] = transmit(pol, innov, zeta[j], k)
             # with y = 0 and the innovation as y_pred the update's mean
             # formula takes the prior error to the posterior error
             e, P, K, _ = measurement_update(
@@ -380,7 +385,7 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
             P = sym(A @ P @ A_T + Q)
         s.log(steps, gamma, e_prior, P_prior)
 
-    return s.result()
+    return s
 
 
 def _orbit(v0, maps, compose, apply):
@@ -423,12 +428,11 @@ def _apply_affine(maps, x):
 
 
 def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The scan path of :func:`_simulate_runs`, for feedback-free triggers.
+    """The scan path of :func:`_simulate_runs`, for a gamma decided ahead.
 
     Given gamma, the filter is a linear time-varying Kalman filter.  Per
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
-    draws (and y) from :class:`_Runs`, decides every gamma in one
-    :func:`estimation.transmit` call, finds the prior covariances as an
+    draws, y and gamma from :class:`_Runs`, finds the prior covariances as an
     :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
     :func:`riccati.compose`, J = C' W^-1 C being the step's information,
     gets the gains from one :func:`estimation.measurement_update` call, and
@@ -437,7 +441,7 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     formula and the time update make.  Each block starts from the previous
     one's end state.
     """
-    model, pol = scenario.model, scenario.trigger
+    model = scenario.model
     n, m = model.n, model.m
     A, C, Q, R = model.A, model.C, model.Q, model.R
     s = _Runs(scenario, run_indices, force_gamma, sums)
@@ -446,15 +450,8 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     J_arrival = C.T @ np.linalg.solve(R, C)
     J_drop = np.zeros((n, n)) if s.W_drop is None else C.T @ np.linalg.solve(s.W_drop, C)
 
-    for steps, zeta, Lv, Lw, y in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
+    for steps, _, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
         L = Lw.shape[0]
-        if s.forced is not None:
-            gamma = s.forced[steps]
-        else:
-            k = np.repeat(np.arange(steps.start, steps.stop), N)
-            z = None if y is None else y.reshape(L * N, m, 1)
-            gamma = transmit(pol, z, None, zeta.ravel(), k).reshape(L, N)
-
         J = np.where(gamma[:, :, None, None], J_arrival, J_drop)
         try:
             # a covariance that breaks down is reported by the log's check
@@ -487,7 +484,7 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
         e = e_all[L]
         s.log(steps, gamma, e_all[:L], P_prior)
 
-    return s.result()
+    return s
 
 
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
@@ -586,7 +583,8 @@ def monte_carlo(scenario):
     P_trace_mean = np.trace(P_mean, axis1=1, axis2=2)
     mse_mean = np.trace(E_mean, axis1=1, axis2=2)
     rates = block.gamma.mean(axis=1)
-    steady = block.P_trace[:, scenario.burn_in :].mean(axis=1)
+    P_trace = block.P_trace
+    steady = P_trace[:, scenario.burn_in :].mean(axis=1)
     return MonteCarloStats(
         steps=np.arange(scenario.horizon),
         rate_mean=block.gamma.sum(axis=0) / N,
@@ -601,7 +599,7 @@ def monte_carlo(scenario):
         terminal_P_stderr=np.asarray(_stderr(block.P_last)),
         steady_trace_mean=float(steady.mean()),
         steady_trace_stderr=float(_stderr(steady)),
-        P_trace_max=float(block.P_trace.max()),
+        P_trace_max=float(P_trace.max()),
         drop_run_hist=_run_length_histogram(block.gamma, 0),
         arrival_run_hist=_run_length_histogram(block.gamma, 1),
         runs=N,
@@ -630,19 +628,16 @@ def run_length_stats(record, l):
     """Count windows of l consecutive drops / arrivals in a trajectory."""
     if l < 1:
         raise ValueError("l must be a positive integer")
+    l = operator.index(l)
     g = np.asarray(record.gamma)
     if g.size == 0:
         raise ValueError("record is empty")
-    if l > g.size:
-        return RunLengthStats(l=l, n_windows=0, drop_windows=0, arrival_windows=0)
-    windows = np.lib.stride_tricks.sliding_window_view(g, l)
-    sums = windows.sum(axis=1)
-    return RunLengthStats(
-        l=l,
-        n_windows=int(sums.shape[0]),
-        drop_windows=int((sums == 0).sum()),
-        arrival_windows=int((sums == l).sum()),
-    )
+
+    def windows(value):
+        # a maximal run of L equal values holds L - l + 1 windows of length l
+        return sum(c * (L - l + 1) for L, c in _run_length_histogram(g, value).items() if L >= l)
+
+    return RunLengthStats(l, max(0, g.size - l + 1), windows(0), windows(1))
 
 
 def _weight(theta, target_rate):

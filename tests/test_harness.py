@@ -460,7 +460,11 @@ class TestKernelOracle:
     def test_simulate_matches_reference(self, n, m, pairing):
         model = oracle_model(n, m, seed=10 * n + m)
         trig = oracle_pairings(m)[pairing]
-        for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
+        # the last scenario is too wide for the scan, so every pairing steps
+        for extra in (
+            {}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)},
+            {"runs": SCAN_MAX_WIDTH // n**2 + 1},
+        ):
             scn = Scenario(
                 model=model, trigger=trig, horizon=80, seed=5, burn_in=10, **extra
             )
@@ -475,11 +479,13 @@ class TestKernelOracle:
         model = oracle_model(2, 1, seed=21)
         trig = oracle_pairings(1)[pairing]
         forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
-        scn = Scenario(model=model, trigger=trig, horizon=60, seed=6, burn_in=5)
-        assert_records_agree(
-            simulate(scn, 2, force_gamma=forced, record_full=True),
-            simulate_reference(scn, 2, force_gamma=forced, record_full=True),
-        )
+        # one run takes the scan, the wider scenario the step loop
+        for runs in (1, SCAN_MAX_WIDTH // model.n**2 + 1):
+            scn = Scenario(model=model, trigger=trig, horizon=60, runs=runs, seed=6, burn_in=5)
+            assert_records_agree(
+                simulate(scn, 2, force_gamma=forced, record_full=True),
+                simulate_reference(scn, 2, force_gamma=forced, record_full=True),
+            )
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_batched_runs_equal_single_runs(self, pairing):

@@ -60,7 +60,8 @@ class TestTransmit:
             zeta[[5, 7]] = 1.0
             for pol in policies(rng, m):
                 for k in range(7):
-                    got = transmit(pol, y, y_pred, zeta, k)
+                    z = y if pol.variant == "open_loop" else y - y_pred
+                    got = transmit(pol, z, zeta, k)
                     want = [
                         _trigger_decide(pol, y[r, :, 0], y_pred[r, :, 0], zeta[r], k)
                         for r in range(N)
