@@ -8,8 +8,12 @@ plants are C = Q = R = Sigma0 = 1 with A = 0.8 (delta0 1.5), A = 0.999
 The m = 2 plant is acceptance criterion 1's 2 x 2 plant with a full delta0;
 it runs ``design``, ``compare`` and a closed-loop ``design`` along a
 non-identity basis, which take the ray search where the scalar plants take
-closed forms.  The files were written by this module's ``main``; rewrite
-them only for an intended change of output:
+closed forms.  The plant A = 0.8 and the m = 2 plant also run ``simulate``
+and ``monte-carlo`` (3 runs) for each trigger over 30 steps; one more
+``monte-carlo`` has a pre-roll of 2 steps, and one has 40 runs of the m = 2
+plant, too wide for the scan, so that its open-loop trigger takes the step
+loop.  The files were written by this module's ``main``; rewrite them only
+for an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -24,9 +28,9 @@ from pathlib import Path
 import pytest
 
 from setkf import cli
+from setkf.estimation import TRIGGER_VARIANTS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-
 
 
 def _scalar(a):
@@ -62,13 +66,45 @@ COMMANDS = {
 TWO_SENSOR_COMMANDS = ("design", "design_closed", "compare")
 TINY_RATES = ("2e-12", "1e-11")  # the smallest rates the scalar plant's weights reach
 
-CASES = [
-    (plant, name)
-    for plant in PLANTS
-    for name in COMMANDS
-    if (plant != "unstable" or name in ("design_closed", "analyze_closed"))
-    and (plant != "two_sensor" or name in TWO_SENSOR_COMMANDS)
-] + [("scalar", f"compare_{rate}") for rate in TINY_RATES]
+# simulated name -> (subcommand, trigger variant, scenario fields besides
+# the model, the trigger and the 30-step horizon)
+SIMULATIONS = {
+    **{f"simulate_{v}": ("simulate", v, {}) for v in TRIGGER_VARIANTS},
+    **{f"monte_carlo_{v}": ("monte-carlo", v, {"runs": 3}) for v in TRIGGER_VARIANTS},
+    "monte_carlo_pre_roll": ("monte-carlo", "open_loop", {"runs": 3, "pre_roll": 2}),
+    # runs * n^2 = 160 is wider than harness.SCAN_MAX_WIDTH
+    "monte_carlo_40_runs": ("monte-carlo", "open_loop", {"runs": 40}),
+}
+WEIGHTS = {"scalar": [[0.5]], "two_sensor": BASIS}  # Y and Z of the simulations
+
+CASES = (
+    [
+        (plant, name)
+        for plant in PLANTS
+        for name in COMMANDS
+        if (plant != "unstable" or name in ("design_closed", "analyze_closed"))
+        and (plant != "two_sensor" or name in TWO_SENSOR_COMMANDS)
+    ]
+    + [("scalar", f"compare_{rate}") for rate in TINY_RATES]
+    + [
+        (plant, f"{command}_{v}")
+        for plant in WEIGHTS
+        for command in ("simulate", "monte_carlo")
+        for v in TRIGGER_VARIANTS
+    ]
+    + [("scalar", "monte_carlo_pre_roll"), ("two_sensor", "monte_carlo_40_runs")]
+)
+
+
+def _trigger(variant, weight):
+    fields = {
+        "open_loop": {"Y": weight},
+        "closed_loop": {"Z": weight},
+        "periodic": {"period": 3, "phase": 1},
+        "random": {"p": 0.5},
+        "deterministic_threshold": {"delta": 1.0},
+    }[variant]
+    return {"variant": variant, **fields}
 
 
 def _configs(plant, directory):
@@ -90,6 +126,17 @@ def _configs(plant, directory):
 
 
 def _argv(plant, name, directory):
+    if name in SIMULATIONS:
+        command, variant, fields = SIMULATIONS[name]
+        scenario = {
+            "model": PLANTS[plant][0],
+            "trigger": _trigger(variant, WEIGHTS[plant]),
+            "horizon": 30,
+            **fields,
+        }
+        path = Path(directory) / f"{plant}_{name}.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        return [command, "--config", str(path)]
     paths = _configs(plant, directory)
     if name.startswith("compare_"):
         rate = name.split("_", 1)[1]
