@@ -38,7 +38,7 @@ from .harness import (
     write_report_csv,
     write_trajectory_csv,
 )
-from .matrices import config_fields, read_json
+from .matrices import config_fields, read_json, write_file
 from .model import model_from_dict
 
 
@@ -203,8 +203,7 @@ def main(argv=None):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             write, result = args.fn(args)
             if args.output is not None:
-                with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                    write(result, fh)
+                write_file(args.output, functools.partial(write, result))
                 return 0
             try:
                 write(result, sys.stdout)

@@ -52,6 +52,17 @@ RAY_MAX_BISECTIONS = 200
 RAY_TREE_DEPTH = 3
 
 
+def ray_basis(basis, m):
+    """The basis B of the ray theta * B: the m x m identity for None, else
+    ``basis`` symmetrized, which must be m x m and positive-definite."""
+    if basis is None:
+        return np.eye(m)
+    B = require_spd(basis, "basis")
+    if B.shape[0] != m:
+        raise NotPositiveDefinite("basis", f"must be {m} x {m}")
+    return B
+
+
 @dataclass(frozen=True, eq=False)
 class DesignProblem:
     """A plant with a worst-case covariance bound Delta0 and search basis."""
@@ -65,11 +76,7 @@ class DesignProblem:
         if D.shape[0] != self.model.n:
             raise NotPositiveDefinite("Delta0", f"must be {self.model.n} x {self.model.n}")
         object.__setattr__(self, "Delta0", D)
-        if self.basis is not None:
-            B = require_spd(self.basis, "basis")
-            if B.shape[0] != self.model.m:
-                raise NotPositiveDefinite("basis", f"must be {self.model.m} x {self.model.m}")
-            object.__setattr__(self, "basis", B)
+        object.__setattr__(self, "basis", ray_basis(self.basis, self.model.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,9 +287,8 @@ def _ray_design(problem, rate):
     ``rate(st, Y)`` is the reported rate; ``st`` is the stationary
     statistics, None for an unstable plant.
     """
-    model, Delta0 = problem.model, problem.Delta0
+    model, Delta0, B = problem.model, problem.Delta0, problem.basis
     _check_floor(model, Delta0)
-    B = np.eye(model.m) if problem.basis is None else problem.basis
     margin = _strictness(Delta0)
     _, theta = ray_search(lambda t: _below_bound(model, t, B, Delta0, margin), RAY_REL_TOL)
     if theta == math.inf:

@@ -7,19 +7,19 @@ function of the measurement (open loop) or of the innovation (closed loop):
     open loop:    send iff zeta > exp(-y' Y y / 2)
     closed loop:  send iff zeta > exp(-z' Z z / 2),  z = y - C xhat_prior
 
-Under either stochastic policy the remote estimator stays exactly Gaussian
-and admits closed-form recursions: the measurement update uses the standard
-Kalman gain with noise covariance R when a packet arrives and the inflated
-covariance R + Y^-1 (resp. R + Z^-1) when it does not.  On a drop the
-open-loop posterior mean is the scaled prior (I - K C) xhat_prior while the
-closed-loop posterior mean is the prior itself.
+Under either stochastic policy a silent step is itself a measurement, so
+the remote estimator stays exactly Gaussian.  The gain uses the noise R on
+an arrival and the drop noise R + Y^-1 (resp. R + Z^-1) on a drop, and the
+prior error e = x - xhat_prior, with innovation z = y - C xhat_prior,
+becomes e - K z on an arrival.  On a drop it stays e under the closed loop
+and becomes e - K z + K y under the open loop, where the measurement 0
+arrives; the offline baselines (periodic, random, threshold) predict only.
 
-Offline baselines (periodic, random, deterministic threshold) perform a
-pure-prediction update on drops.
-
-The trigger rule and the measurement update are written once, over a stack
-of runs (:func:`transmit`, :func:`measurement_update`); the single-step
-functions on a :class:`FilterState` pass them a stack of one run.
+The trigger rule, the drop noise and the measurement update are written
+once (:func:`transmit`, :func:`drop_noise`, :func:`measurement_update`),
+the rule and the update over a stack of runs; the single-step functions on
+a :class:`FilterState` pass them a stack of one run, whose estimate is
+minus the error of a plant held at 0.
 """
 
 from dataclasses import dataclass
@@ -167,26 +167,31 @@ def transmit(policy, z, zeta, k):
     return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
 
 
-def measurement_update(model, P, x, y, y_pred, gamma, W_drop=None, open_loop=False):
-    """The measurement update of a stack of runs; a stack of one is one step.
+def drop_noise(model, policy):
+    """The noise of a drop: R + Y^-1 under the open-loop trigger, R + Z^-1
+    under the closed-loop trigger, None where a drop tells the filter nothing."""
+    W = {"open_loop": policy.Y, "closed_loop": policy.Z}.get(policy.variant)
+    return None if W is None else model.R + np.linalg.inv(W)
 
-    P (runs, n, n), x (runs, n, 1) are the prior, y and y_pred = C x
-    (runs, m, 1), and gamma (runs,) is True on an arrival.  The gain uses R
-    on an arrival and W_drop on a drop (R + Y^-1 olset, R + Z^-1 clset); with
-    no W_drop a drop keeps the prior (K = 0, the offline baseline).  The mean
-    is x + K (gamma y - y_pred) if ``open_loop``, else x + gamma K (y - y_pred).
-    Returns x, P, K (runs, n, m) and the innovation covariance M (runs, m, m);
-    SingularInnovation is raised for a singular M with m > 1 only.
+
+def measurement_update(model, P, e, z, gamma, W_drop=None, y=None):
+    """The measurement update of a stack of runs in error form, by the drop
+    rule of the module docstring; a stack of one is one step.
+
+    P (runs, n, n) and e (runs, n, 1) are the prior, z (runs, m, 1) the
+    innovation and gamma (runs,) True on an arrival; the open-loop trigger
+    also passes the plant's y (runs, m, 1).  With no W_drop, the offline
+    baseline, a drop keeps the prior (K = 0).  Returns e, P, K (runs, n, m)
+    and the innovation covariance M (runs, m, m); SingularInnovation is
+    raised for a singular M with m > 1 only.
     """
     C = model.C
     CP = C @ P
     # a contiguous C' multiplies a stack faster than the transposed view,
     # with the same result
     CPC = CP @ C.T.copy()
-    if W_drop is None:
-        M = CPC + model.R
-    else:
-        M = CPC + np.where(gamma[:, None, None], model.R, W_drop)
+    g = gamma[:, None, None]
+    M = CPC + (model.R if W_drop is None else np.where(g, model.R, W_drop))
     if model.m == 1:
         # M >= R > 0 for a positive semi-definite prior
         K = CP.transpose(0, 2, 1) / M
@@ -195,11 +200,10 @@ def measurement_update(model, P, x, y, y_pred, gamma, W_drop=None, open_loop=Fal
             K = np.linalg.solve(sym(M), CP).transpose(0, 2, 1)
         except np.linalg.LinAlgError as exc:
             raise SingularInnovation(f"innovation covariance is singular: {exc}") from exc
-    g = gamma[:, None, None].astype(float)
     if W_drop is None:
         K = K * g
-    u = g * y - y_pred if open_loop else g * (y - y_pred)
-    return x + K @ u, sym(P - K @ CP), K, M
+    e = e - K @ (z * g) if y is None else e - K @ z + K @ (y * ~g)
+    return e, sym(P - K @ CP), K, M
 
 
 def _stack(v):
@@ -225,50 +229,43 @@ def _check_measurement(gamma, value, what):
         raise InconsistentArgs(f"gamma=0: the estimator must not receive {what}")
 
 
-def _update_one(state, model, gamma, y, y_pred, W_drop=None, open_loop=False):
-    """:func:`measurement_update` on one run; a drop passes y = None."""
-    y = np.zeros((1, model.m, 1)) if y is None else _stack(y)
+def _update_one(state, model, gamma, z, W_drop=None, y=None):
+    """:func:`measurement_update` on one run, whose estimate is minus the
+    error of a plant held at 0; a closed-loop drop passes z = None."""
+    z = np.zeros((1, model.m, 1)) if z is None else _stack(z)
     # a scalar M of 0 is reported below as SingularInnovation, not as a warning
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, P, K, M = measurement_update(
-            model, state.P_prior[None], _stack(state.x_prior), y, _stack(y_pred),
-            np.array([gamma == 1]), W_drop, open_loop,
+        e, P, K, M = measurement_update(
+            model, state.P_prior[None], -_stack(state.x_prior), z,
+            np.array([gamma == 1]), W_drop, _stack(y),
         )
     if model.m == 1 and not (M[0, 0, 0] > 0.0 and np.isfinite(M[0, 0, 0])):
         raise SingularInnovation("innovation covariance is singular")
-    return FilterState(state.x_prior, state.P_prior, x[0, :, 0], P[0], K[0], state.k)
+    return FilterState(state.x_prior, state.P_prior, -e[0, :, 0], P[0], K[0], state.k)
 
 
 def olset_measurement_update(state, gamma, y, model, Y):
-    """Open-loop event-triggered measurement update.
-
-    With gamma=1 this is the standard Kalman update.  With gamma=0 the gain
-    uses the inflated noise R + Y^-1 and the posterior mean is the scaled
-    prior (I - K C) xhat_prior.
-    """
+    """Open-loop event-triggered (OLSET) measurement update; a drop passes
+    y = None, and its posterior mean is (I - K C) xhat_prior."""
     _check_measurement(gamma, y, "y")
-    W_drop = model.R + np.linalg.inv(Y)
-    return _update_one(state, model, gamma, y, model.C @ state.x_prior, W_drop, open_loop=True)
+    y = _stack(np.zeros(model.m) if y is None else y)
+    W_drop = drop_noise(model, TriggerPolicy.open_loop(Y))
+    return _update_one(state, model, gamma, y - _stack(model.C @ state.x_prior), W_drop, y)
 
 
 def clset_measurement_update(state, gamma, z, model, Z):
-    """Closed-loop event-triggered measurement update.
-
-    With gamma=1 the innovation z = y - C xhat_prior is applied through the
-    standard gain; with gamma=0 the posterior mean equals the prior while
-    the covariance still contracts through the inflated-noise gain.
-    """
+    """Closed-loop event-triggered (CLSET) measurement update of the
+    innovation z = y - C xhat_prior; a drop passes z = None, and its
+    posterior mean is the prior's."""
     _check_measurement(gamma, z, "z")
-    W_drop = model.R + np.linalg.inv(Z)
-    # only y - y_pred is read, so z goes in as the measurement of a zero prediction
-    return _update_one(state, model, gamma, z, np.zeros(model.m), W_drop)
+    return _update_one(state, model, gamma, z, drop_noise(model, TriggerPolicy.closed_loop(Z)))
 
 
 def standard_kf_update(state, y, model):
     """Textbook Kalman measurement update; the gamma=1 oracle."""
     if y is None:
         raise MissingMeasurement("standard update needs a measurement")
-    return _update_one(state, model, 1, y, model.C @ state.x_prior)
+    return _update_one(state, model, 1, _stack(y) - _stack(model.C @ state.x_prior))
 
 
 def offline_drop_update(state):

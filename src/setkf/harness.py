@@ -10,18 +10,20 @@ One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
 kernel over all runs.  Its two paths share the draws, plant path, gamma and
 logs of :class:`_Runs`, and both carry the prior error x - xhat rather than
-the estimate, so the error keeps its digits on plants whose state grows; the
-plant path itself is stepped only for the open-loop trigger, the one rule
-that reads y.  :meth:`_Runs.blocks` decides gamma a block at a time unless
-the rule reads the estimate (the closed-loop and threshold triggers), which
-the step loop decides per step on the innovation.  The step loop stacks
-the filter state over runs and loops over time steps in Python for the
-filter recursion alone; it serves every scenario.  When gamma is decided
-ahead, the scan runs the filter as a scan over time in O(log T) batched
-calls, which compose the covariance maps with :func:`riccati.compose`; it
-serves the scenarios with few runs.  Both paths use the trigger rule and
-measurement update of the single-step API, :func:`estimation.transmit` and
-:func:`estimation.measurement_update`.
+the estimate, so the error keeps its digits on plants whose state grows.
+What a drop tells the filter is the error form of
+:func:`estimation.measurement_update` alone; the open-loop trigger hands it
+y, and for that trigger only the plant path itself is stepped.
+:meth:`_Runs.blocks` decides gamma a block at a time unless the rule reads
+the estimate (the closed-loop and threshold triggers), which the step loop
+decides per step on the innovation.  The step loop stacks the filter state
+over runs and loops over time steps in Python for the filter recursion
+alone; it serves every scenario.  When gamma is decided ahead, the scan runs
+the filter as a scan over time in O(log T) batched calls, which compose the
+covariance maps with :func:`riccati.compose`; it serves the scenarios with
+few runs.  Both paths use the trigger rule, drop noise and measurement
+update of the single-step API, :func:`estimation.transmit`,
+:func:`estimation.drop_noise` and :func:`estimation.measurement_update`.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
@@ -37,12 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationFailed, ConfigError, NumericalError
-from .estimation import READS_ESTIMATE, TriggerPolicy, measurement_update, transmit
-from .matrices import as_matrix, as_number, config_fields, read_json, require_spd, sym, write_json
+from .estimation import READS_ESTIMATE, TriggerPolicy, drop_noise, measurement_update, transmit
+from .matrices import as_matrix, as_number, config_fields, read_json, sym, write_json
 from .model import model_from_dict, steady_state, validate_model
 from . import riccati
 from .analysis import open_loop_rates, upper_rates
-from .design import RAY_CAP, RAY_FLOOR, ray_search
+from .design import RAY_CAP, RAY_FLOOR, ray_basis, ray_search
 
 # Most per-step log entries, runs * horizon * n, a scenario may ask for: the
 # kernel's logs take about 16 n + 25 bytes per run and step and the (runs, T)
@@ -221,12 +223,8 @@ class _Runs:
                 raise ConfigError("force_gamma must cover the horizon")
             self.forced = np.broadcast_to((force_gamma[: self.T] != 0)[:, None], (self.T, N))
 
-        # the drop noise of the OLSET and CLSET filters; the other triggers'
-        # filter learns nothing from a drop
-        self.trigger = pol = scenario.trigger
-        W = {"open_loop": pol.Y, "closed_loop": pol.Z}.get(pol.variant)
-        self.W_drop = None if W is None else model.R + np.linalg.inv(W)
-        self.open_loop = pol.variant == "open_loop"
+        self.trigger = scenario.trigger
+        self.W_drop = drop_noise(model, self.trigger)
 
         # each run first draws the horizon's uniforms, then x0 and the
         # pre-roll's process noise, one call each
@@ -247,7 +245,7 @@ class _Runs:
             w = self.Lq @ head[:, j : j + n]
             x, e = model.A @ x + w, model.A @ e + w
             P = sym(model.A @ P @ model.A.T + model.Q)
-        self.x = x if self.open_loop else None
+        self.x = x if self.trigger.variant == "open_loop" else None
         self.e = e
         self.P = np.tile(P, (N, 1, 1))
 
@@ -278,7 +276,7 @@ class _Runs:
             vw = vw.transpose(1, 0, 2)[..., None]
             Lv, Lw = Lr @ vw[:, :, :m], Lq @ vw[:, :, m:]
             y = None
-            if self.open_loop:
+            if self.x is not None:
                 # the same products in the same order in any block, so that
                 # x and y do not depend on the block length
                 xs = np.empty((L + 1, N, n, 1))
@@ -373,14 +371,9 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
             innov = C @ e + Lv[j]
             if decide:
                 gamma[j] = transmit(pol, innov, zeta[j], k)
-            # with y = 0 and the innovation as y_pred the update's mean
-            # formula takes the prior error to the posterior error
-            e, P, K, _ = measurement_update(
-                model, P, e, 0.0, innov, gamma[j], s.W_drop, s.open_loop
+            e, P, _, _ = measurement_update(
+                model, P, e, innov, gamma[j], s.W_drop, None if y is None else y[j]
             )
-            if s.open_loop:
-                # an olset drop also pulls the estimate towards 0: + K y
-                e = e + K @ (y[j] * ~gamma[j][:, None, None])
             e = A @ e + Lw[j]
             P = sym(A @ P @ A_T + Q)
         s.log(steps, gamma, e_prior, P_prior)
@@ -437,8 +430,9 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     :func:`riccati.compose`, J = C' W^-1 C being the step's information,
     gets the gains from one :func:`estimation.measurement_update` call, and
     finds the prior errors e = x - xhat as an :func:`_orbit` of the affine
-    maps e -> F e + A d + L_q w, F = A (I - K C), that the update's mean
-    formula and the time update make.  Each block starts from the previous
+    maps e -> F e + A d + L_q w, F = A (I - K C), that the update's error
+    rule and the time update make, K being zero where a drop keeps the
+    error.  Each block starts from the previous
     one's end state.
     """
     model = scenario.model
@@ -464,18 +458,15 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
             raise NumericalError(f"prior covariance scan failed ({exc})") from exc
         P_prior, P = P_all[:L], P_all[L]
 
-        # with a zero prior error and y, and L_r v as y_pred, the update
+        # with a zero prior error, whose innovation is L_r v, the update
         # returns the part d of the posterior error that the noise makes
         g = gamma.reshape(L * N)
         d, _, K, _ = measurement_update(
-            model, P_prior.reshape(L * N, n, n), 0.0, 0.0, Lv.reshape(L * N, m, 1), g,
-            s.W_drop, s.open_loop,
+            model, P_prior.reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1), g, s.W_drop,
+            None if y is None else y.reshape(L * N, m, 1),
         )
-        if s.open_loop:
-            # an olset drop also pulls the estimate towards 0: + K y
-            d = d + K @ (y.reshape(L * N, m, 1) * ~g[:, None, None])
-        else:
-            K = K * g[:, None, None]
+        if y is None:
+            K = K * g[:, None, None]  # the error keeps its prior on a drop
         e_all = _orbit(
             e,
             ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
@@ -670,8 +661,7 @@ def calibrate_open_loop(steady_stats, target_rate, basis=None):
     if not 0.0 < target_rate < 1.0:
         raise CalibrationFailed("target rate must lie in (0, 1)")
     m = steady_stats.Pi.shape[0]
-    B = np.eye(m) if basis is None else np.asarray(basis, dtype=float)
-    require_spd(B, "basis")  # once, instead of each theta * B
+    B = ray_basis(basis, m)  # checked once, instead of each theta * B
     if m == 1:
         pi_b = float(steady_stats.Pi[0, 0] * B[0, 0])
         return _weight(((1.0 / (1.0 - target_rate)) ** 2 - 1.0) / pi_b, target_rate)
@@ -685,8 +675,7 @@ def calibrate_closed_loop(model, target_rate, basis=None):
     the target (the bound is what the design machinery also uses)."""
     if not 0.0 < target_rate < 1.0:
         raise CalibrationFailed("target rate must lie in (0, 1)")
-    B = np.eye(model.m) if basis is None else np.asarray(basis, dtype=float)
-    require_spd(B, "basis")  # once, instead of each theta * B
+    B = ray_basis(basis, model.m)  # checked once, instead of each theta * B
     return _ray_weight(lambda t: upper_rates(model, t, B), target_rate)
 
 

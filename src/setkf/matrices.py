@@ -27,11 +27,18 @@ def read_json(path, what):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def write_file(path, write):
+    """Call ``write(fh)`` on the file ``path``; an OSError raises ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(data, path):
     """Write ``data`` to the file ``path`` as indented JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_file(path, lambda fh: fh.write(json.dumps(data, indent=2) + "\n"))
 
 
 def config_fields(data, what, required=(), optional=()):

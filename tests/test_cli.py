@@ -625,6 +625,23 @@ def test_config_not_utf8_exit_code(tmp_path, capsys):
     assert err.startswith("config error: cannot read config") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--output", "--save-scenario"])
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_output_exit_code(scenario_config, tmp_path, capsys, flag, where):
+    # the file cannot be opened: one config-error line and exit 2, as for a
+    # config that cannot be read
+    path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    if flag == "--output":
+        argv = ["simulate", "--config", str(scenario_config), "--output", str(path)]
+    else:
+        argv = ["singer", "--z-scale", "0.5", "--runs", "2", "--horizon", "5",
+                "--save-scenario", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_export_lmi_delta0_shape_exit_code(tmp_path, capsys):
     # a 1 x 1 delta0 would otherwise fill the plant's 2 x 2 block by broadcasting
     path = tmp_path / "design.json"

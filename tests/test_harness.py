@@ -8,8 +8,10 @@ import pytest
 from setkf import (
     CalibrationFailed,
     ConfigError,
+    NotPositiveDefinite,
     Scenario,
     TriggerPolicy,
+    calibrate_closed_loop,
     calibrate_open_loop,
     calibrate_period,
     closed_loop_rate_bounds,
@@ -310,6 +312,24 @@ class TestCalibration:
             calibrate_open_loop(st, 0.0)
         with pytest.raises(CalibrationFailed):
             calibrate_open_loop(st, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_basis_must_be_m_by_m(self, m):
+        # an m = 1 plant once read B[0, 0] of a 2 x 2 basis and returned
+        # half the weight; other sizes failed inside numpy
+        model = validate_model(np.diag([0.8, 0.6])[:m, :m], np.eye(m), np.eye(m), np.eye(m), np.eye(m))
+        st = steady_state(model)
+        for size in {1, 2, 3} - {m}:
+            basis = np.eye(size) + 0.1 * (1 - np.eye(size))
+            for calibrate in (
+                lambda: calibrate_open_loop(st, 0.5, basis),
+                lambda: calibrate_closed_loop(model, 0.5, basis),
+            ):
+                with pytest.raises(NotPositiveDefinite, match=f"must be {m} x {m}"):
+                    calibrate()
+        # the right size still calibrates, to the weight along the identity
+        assert calibrate_open_loop(st, 0.5, np.eye(m)) == calibrate_open_loop(st, 0.5)
+        assert calibrate_closed_loop(model, 0.5, np.eye(m)) == calibrate_closed_loop(model, 0.5)
 
 
 class TestCompareSchedulers:

@@ -7,6 +7,7 @@ import pytest
 
 from setkf import (
     FilterState,
+    NotPositiveDefinite,
     SingularInnovation,
     TriggerPolicy,
     clset_measurement_update,
@@ -104,9 +105,11 @@ class TestMeasurementUpdate:
                 gamma[:2] = [True, False]
             W = random_spd(rng, m)
             W_drop = model.R + np.linalg.inv(W) if kind in ("olset", "clset") else None
-            xs, Ps, Ks, Ms = measurement_update(
-                model, P, x, y, model.C @ x, gamma, W_drop, open_loop=kind == "olset"
+            # with e = -x, the error of a plant held at 0, the update returns -xhat
+            es, Ps, Ks, Ms = measurement_update(
+                model, P, -x, y - model.C @ x, gamma, W_drop, y if kind == "olset" else None
             )
+            xs = -es
             assert Ms.shape == (N, m, m)
             for r in range(N):
                 state = FilterState(x[r, :, 0], P[r], x[r, :, 0], P[r], np.zeros((n, m)), 0)
@@ -148,3 +151,15 @@ def test_single_step_names_raise_singular_innovation(P):
     # the oracle agrees on each case
     with pytest.raises(SingularInnovation):
         _standard_kf_update(state, y, model)
+
+
+@pytest.mark.parametrize("W", [[[-0.5]], [[0.0]], [[float("inf")]]], ids=["negative", "zero", "infinite"])
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_single_step_names_refuse_a_weight_that_is_not_positive_definite(W, gamma):
+    # a drop once returned P_post = -2 for -0.5 and raised LinAlgError for 0
+    model = validate_model(0.5, 1.0, 1.0, 1.0, 1.0)
+    state = _prior([[1.0]])
+    y = np.ones(1) if gamma else None
+    for update in (olset_measurement_update, clset_measurement_update):
+        with pytest.raises(NotPositiveDefinite):
+            update(state, gamma, y, model, np.array(W))
