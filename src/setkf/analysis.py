@@ -53,18 +53,19 @@ class ClosedLoopAnalysis:
     R3: np.ndarray
 
 
-def _det_rates(M):
-    # 1 - det(I + M)^(-1/2) for each M of a stack, via slogdet for robustness
-    # at large weights
+def inverse_root_det(M, what="Pi Y"):
+    """det(I + M)^(-1/2) for M or each M of a stack, via slogdet for
+    robustness at large weights; ``what`` names M in the error raised when
+    the determinant is not positive."""
     sign, logdet = np.linalg.slogdet(np.eye(M.shape[-1]) + M)
     if np.any(sign <= 0):
-        raise UnstableSystem("det(I + Pi Y) must be positive")
-    return 1.0 - np.exp(-0.5 * logdet)
+        raise UnstableSystem(f"det(I + {what}) must be positive")
+    return np.exp(-0.5 * logdet)
 
 
 def drop_noise(R, M):
     """Effective measurement noise on a drop: R + M^-1."""
-    return ray_drop_noise(R, np.ones(1), require_spd(M, "trigger weight"))[0]
+    return ray_drop_noise(R, np.ones(1), require_spd(M, "trigger weight", size=len(R)))[0]
 
 
 def ray_drop_noise(R, thetas, B):
@@ -77,22 +78,24 @@ def open_loop_rates(steady, Y):
     """The open-loop rate for each checked weight of a stack."""
     if steady.rho_A >= 1.0:
         raise UnstableSystem("open-loop rate requires a stable system")
-    return _det_rates(steady.Pi @ Y)
+    return 1.0 - inverse_root_det(steady.Pi @ Y)
 
 
 def open_loop_rate(steady, Y):
     """Long-run open-loop transmission rate 1 - det(I + Pi Y)^(-1/2)."""
-    return float(open_loop_rates(steady, require_spd(Y, "Y")[None])[0])
+    Y = require_spd(Y, "Y", size=steady.Pi.shape[0])
+    return float(open_loop_rates(steady, Y[None])[0])
 
 
 def conditional_rates(model, X, Z):
     """Transmission probability of the closed-loop trigger at each prior
     covariance X of a stack, with weight Z (one, or one per X)."""
-    return _det_rates(sym(model.C @ X @ model.C.T + model.R) @ Z)
+    return 1.0 - inverse_root_det(sym(model.C @ X @ model.C.T + model.R) @ Z)
 
 
 def conditional_rate(model, X, Z):
     """Transmission probability of the closed-loop trigger at prior covariance X."""
+    Z = require_spd(Z, "Z", size=model.m)
     return float(conditional_rates(model, X[None], Z)[0])
 
 
@@ -115,7 +118,7 @@ def olset_bounds(model, Y):
     Requires a stable plant.  Returns the ordered triple
     X0 <= X_lower <= X_upper along with the rate and R1.
     """
-    Y = require_spd(Y, "Y")
+    Y = require_spd(Y, "Y", size=model.m)
     st = steady_state(model)
     # Y is checked once, here, so the stack forms take it as it is
     gamma = float(open_loop_rates(st, Y[None])[0])
@@ -129,7 +132,7 @@ def olset_bounds(model, Y):
 
 def closed_loop_rate_bounds(model, Z):
     """Closed-loop rate bounds and covariance bounds; no stability needed."""
-    Z = require_spd(Z, "Z")
+    Z = require_spd(Z, "Z", size=model.m)
     W_drop = ray_drop_noise(model.R, np.ones(1), Z)[0]
     X = fixed_points(model, np.stack([model.R, W_drop]))
     gamma_low, gamma_upper = conditional_rates(model, X, Z).tolist()
@@ -157,7 +160,7 @@ def sequential_drop_probability(steady, model, Y, l):
         raise UnstableSystem("sequential drop probability requires a stable system")
     if l < 1:
         raise ValueError("l must be a positive integer")
-    Y = require_spd(Y, "Y")
+    Y = require_spd(Y, "Y", size=model.m)
     C, Sigma = model.C, steady.Sigma
     Apow = np.eye(model.n)
     lags = []
@@ -168,11 +171,7 @@ def sequential_drop_probability(steady, model, Y, l):
         np.block([[lags[j - i] if j >= i else lags[i - j].T for j in range(l)] for i in range(l)])
         + np.kron(np.eye(l), model.R)
     )
-    Y_l = np.kron(np.eye(l), Y)
-    sign, logdet = np.linalg.slogdet(np.eye(model.m * l) + Pi_l @ Y_l)
-    if sign <= 0:
-        raise UnstableSystem("det(I + Pi_l Y_l) must be positive")
-    return float(np.exp(-0.5 * logdet))
+    return float(inverse_root_det(Pi_l @ np.kron(np.eye(l), Y), "Pi_l Y_l"))
 
 
 def rate_trace_bounds(Pi, Y):
@@ -183,7 +182,7 @@ def rate_trace_bounds(Pi, Y):
     the rate exactly because det(I + Pi Y) = 1 + tr(Pi Y).
     """
     Pi = require_spd(Pi, "Pi")
-    Y = require_spd(Y, "Y")
+    Y = require_spd(Y, "Y", size=Pi.shape[0])
     t = float(np.trace(Pi @ Y))
     lower = 1.0 - (1.0 + t) ** -0.5
     upper = 1.0 - float(np.exp(-0.5 * t))

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NotPositiveDefinite, UnstableSystem
+from .errors import Infeasible, UnstableSystem
 from .matrices import is_spd, require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
 from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
-from .analysis import open_loop_rate, ray_drop_noise, upper_rates
+from .analysis import inverse_root_det, open_loop_rate, ray_drop_noise, upper_rates
 
 RAY_REL_TOL = 1e-8
 # the ray theta * B is searched on [RAY_FLOOR, RAY_CAP]
@@ -55,12 +55,7 @@ RAY_TREE_DEPTH = 3
 def ray_basis(basis, m):
     """The basis B of the ray theta * B: the m x m identity for None, else
     ``basis`` symmetrized, which must be m x m and positive-definite."""
-    if basis is None:
-        return np.eye(m)
-    B = require_spd(basis, "basis")
-    if B.shape[0] != m:
-        raise NotPositiveDefinite("basis", f"must be {m} x {m}")
-    return B
+    return np.eye(m) if basis is None else require_spd(basis, "basis", size=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +67,7 @@ class DesignProblem:
     basis: np.ndarray | None = None
 
     def __post_init__(self):
-        D = require_spd(self.Delta0, "Delta0")
-        if D.shape[0] != self.model.n:
-            raise NotPositiveDefinite("Delta0", f"must be {self.model.n} x {self.model.n}")
-        object.__setattr__(self, "Delta0", D)
+        object.__setattr__(self, "Delta0", require_spd(self.Delta0, "Delta0", size=self.model.n))
         object.__setattr__(self, "basis", ray_basis(self.basis, self.model.m))
 
 
@@ -111,8 +103,8 @@ def feasibility_check(model, Y, Delta0):
     """True iff fix(g_{R+Y^-1}) < Delta0 in the strict Loewner order."""
     if model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
-    Y = require_spd(Y, "Y")
-    Delta0 = require_spd(Delta0, "Delta0")
+    Y = require_spd(Y, "Y", size=model.m)
+    Delta0 = require_spd(Delta0, "Delta0", size=model.n)
     return bool(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0][0])
 
 
@@ -158,8 +150,8 @@ def lmi_feasible(model, Y, Delta0):
     """
     if model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
-    Y = require_spd(Y, "Y")
-    Delta0 = require_spd(Delta0, "Delta0")
+    Y = require_spd(Y, "Y", size=model.m)
+    Delta0 = require_spd(Delta0, "Delta0", size=model.n)
     (W_eff,) = ray_drop_noise(model.R, np.ones(1), Y)
     X_upper = fixed_point(RiccatiMap(model, W_eff))
     try:
@@ -266,10 +258,9 @@ def optimality_gap_bound(Pi, Y):
     (1 + tr(Pi Y))^(-1/2) - det(I + Pi Y)^(-1/2); zero when m = 1.
     """
     Pi = require_spd(Pi, "Pi")
-    Y = require_spd(Y, "Y")
+    Y = require_spd(Y, "Y", size=Pi.shape[0])
     t = float(np.trace(Pi @ Y))
-    sign, logdet = np.linalg.slogdet(np.eye(Pi.shape[0]) + Pi @ Y)
-    val = (1.0 + t) ** -0.5 - float(np.exp(-0.5 * logdet))
+    val = (1.0 + t) ** -0.5 - float(inverse_root_det(Pi @ Y))
     return max(val, 0.0)
 
 

@@ -44,6 +44,8 @@ _PARAMETERS = {
     "deterministic_threshold": (("delta",), ()),
 }
 TRIGGER_VARIANTS = tuple(_PARAMETERS)
+# the stochastic variants' weights
+_WEIGHTS = {"open_loop": "Y", "closed_loop": "Z"}
 
 # the variants whose decisions read the estimate, through the innovation; the
 # others decide from y and zeta alone, ahead of the filter
@@ -74,8 +76,8 @@ class TriggerPolicy:
     def __post_init__(self):
         if self.variant not in TRIGGER_VARIANTS:
             raise ConfigError(f"unknown trigger variant {self.variant!r}")
-        if self.variant in ("open_loop", "closed_loop"):
-            key = "Y" if self.variant == "open_loop" else "Z"
+        if self.variant in _WEIGHTS:
+            key = _WEIGHTS[self.variant]
             object.__setattr__(self, key, require_spd(getattr(self, key), key))
         elif self.variant == "periodic":
             period = as_number(self.period, "period", integer=True, lo=1, hi=MAX_PERIOD)
@@ -169,9 +171,12 @@ def transmit(policy, z, zeta, k):
 
 def drop_noise(model, policy):
     """The noise of a drop: R + Y^-1 under the open-loop trigger, R + Z^-1
-    under the closed-loop trigger, None where a drop tells the filter nothing."""
-    W = {"open_loop": policy.Y, "closed_loop": policy.Z}.get(policy.variant)
-    return None if W is None else model.R + np.linalg.inv(W)
+    under the closed-loop trigger, None where a drop tells the filter nothing.
+    Raises NotPositiveDefinite for a weight that is not m x m."""
+    key = _WEIGHTS.get(policy.variant)
+    if key is None:
+        return None
+    return model.R + np.linalg.inv(require_spd(getattr(policy, key), key, size=model.m))
 
 
 def measurement_update(model, P, e, z, gamma, W_drop=None, y=None):

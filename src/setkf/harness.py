@@ -214,6 +214,9 @@ class _Runs:
         self.A, self.C, self.T = model.A, model.C, scenario.horizon
         self.Lq = np.linalg.cholesky(model.Q)
         self.Lr = np.linalg.cholesky(model.R)
+        # drop_noise checks the weight's size before any generator is built
+        self.trigger = scenario.trigger
+        self.W_drop = drop_noise(model, self.trigger)
         self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
         self.N = N = len(self.rngs)
         self.forced = None
@@ -222,9 +225,6 @@ class _Runs:
             if force_gamma.shape[0] < self.T:
                 raise ConfigError("force_gamma must cover the horizon")
             self.forced = np.broadcast_to((force_gamma[: self.T] != 0)[:, None], (self.T, N))
-
-        self.trigger = scenario.trigger
-        self.W_drop = drop_noise(model, self.trigger)
 
         # each run first draws the horizon's uniforms, then x0 and the
         # pre-roll's process noise, one call each

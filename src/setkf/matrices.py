@@ -133,9 +133,10 @@ def is_spd(X, floor=0.0):
     return True
 
 
-def require_spd(X, name, floor=0.0):
+def require_spd(X, name, floor=0.0, size=None):
     """Return the symmetrized matrix or raise NotPositiveDefinite (ConfigError
-    when an entry is not a number)."""
+    when an entry is not a number); with ``size``, also when it is not
+    size x size, checked last so that the other messages come first."""
     X = as_matrix(X, name)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise NotPositiveDefinite(name, "not a square matrix")
@@ -147,18 +148,20 @@ def require_spd(X, name, floor=0.0):
         raise NotPositiveDefinite(name, "entries too large to symmetrize")
     if not is_spd(X, floor=floor):
         raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
+    if size is not None and S.shape[0] != size:
+        raise NotPositiveDefinite(name, f"must be {size} x {size}")
     return S
 
 
-def require_spd_stack(X, name):
+def require_spd_stack(X, name, size):
     """Raise the error of ``require_spd`` for the first matrix of a stack of
-    symmetric matrices that is not positive-definite: one finiteness test
-    and one Cholesky factorization of the stack, and a check of each matrix
-    in order only when that fails."""
+    symmetric matrices that is not positive-definite, or not size x size:
+    one finiteness test and one Cholesky factorization of the stack, and a
+    check of each matrix in order only when that fails."""
     try:
-        if np.isfinite(X).all() and np.linalg.cholesky(X) is not None:
+        if X.shape[-1] == size and np.isfinite(X).all() and np.linalg.cholesky(X) is not None:
             return
     except np.linalg.LinAlgError:
         pass
     for M in X:
-        require_spd(M, name)
+        require_spd(M, name, size=size)

@@ -44,10 +44,7 @@ class RiccatiMap:
     W: np.ndarray
 
     def __post_init__(self):
-        W = require_spd(self.W, "W")
-        if W.shape[0] != self.model.m:
-            raise NotPositiveDefinite("W", f"must be {self.model.m} x {self.model.m}")
-        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "W", require_spd(self.W, "W", size=self.model.m))
 
 
 def g_step(X, rmap):
@@ -109,9 +106,9 @@ def apply(maps, P):
     return sym(A @ _solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
 
 
-def _doubling(element, tol, max_doublings, label, offset=0.0):
-    """offset + C of each element (A, C, J) of a stack, squared until its C,
-    its image of 0, changes by at most ``tol`` relative to offset + C.
+def _doubling(element, tol, max_doublings, label):
+    """C of each element (A, C, J) of a stack, squared until its C, its
+    image of 0, changes by at most ``tol`` relative to C.
 
     An element leaves the stack at its own stop doubling, so its value is
     that of a stack of one to the bit.  Raises NoConvergence on a singular
@@ -128,59 +125,51 @@ def _doubling(element, tol, max_doublings, label, offset=0.0):
             step, (A, C, J) = squared[1] - C, squared
             if not np.isfinite(C).all():
                 raise NoConvergence(k + 1, f"{label} (diverged)")
-            X = offset + C
             # both spectral norms of each element from one SVD call
-            norms = np.linalg.svd(np.stack([step, X]), compute_uv=False)[..., 0].tolist()
+            norms = np.linalg.svd(np.stack([step, C]), compute_uv=False)[..., 0].tolist()
             done = [step_norm <= tol * x_norm for step_norm, x_norm in zip(*norms)]
             if any(done):
                 if all(done) and len(live) == len(out):
-                    return sym(X)
+                    return sym(C)
                 done = np.array(done)
-                out[live[done]] = sym(X[done])
+                out[live[done]] = sym(C[done])
                 A, C, J, live = A[~done], C[~done], J[~done], live[~done]
                 if not len(live):
                     return out
     raise NoConvergence(max_doublings, label)
 
 
-def fixed_points(model, W, start=None):
+def fixed_points(model, W):
     """Unique positive-definite solution of X = g_W(X) for each W of a stack
     of symmetric matrices, by structured doubling.
 
     Squares the elements (A, Q, C' W^-1 C) of g_W (Chu, Fan, Lin & Wang
     2004) as one stack, each until its last increment falls below
-    FIXED_POINT_TOL relative to its X.  A ``start`` S shifts the unknown to
-    X = S + Delta, whose map has the element
-    (A - K(S) C, g_W(S) - S, C' (W + C S C')^-1 C).  The stack of W is checked
-    once.  Returns the stack of X, or raises the first failure, as a single
-    solve does: NotPositiveDefinite for the first W that is not, or
-    NoConvergence on a singular step, on an iterate that stops being finite
+    FIXED_POINT_TOL relative to its X.  The stack of W is checked once.
+    Returns the stack of X, or raises the first failure, as a single solve
+    does: NotPositiveDefinite for the first W that is not, or is not m x m,
+    or NoConvergence on a singular step, on an iterate that stops being finite
     or after MAX_DOUBLINGS doublings, which signals ill-conditioning rather
     than non-existence.
     """
-    require_spd_stack(W, "W")
-    return _fixed_points(model, W, start)
+    require_spd_stack(W, "W", model.m)
+    return _fixed_points(model, W)
 
 
-def _fixed_points(model, W, start):
+def _fixed_points(model, W):
     # fixed_points for a stack of W already checked
-    C, A, S, H = model.C, model.A[None], 0.0, model.Q[None]
+    C, A, H = model.C, model.A[None], model.Q[None]
     if len(W) > 1:  # compose squares stacks of equal height
         A, H = A.repeat(len(W), 0), H.repeat(len(W), 0)
-    if start is not None:
-        S = sym(np.atleast_2d(np.asarray(start, dtype=float)))
-        T, W = A @ S @ C.T, sym(C @ S @ C.T + W)
-        H = sym(A @ S @ _T(A) + H - T @ np.linalg.solve(W, _T(T))) - S  # g_W(S) - S
-        A = A - _T(np.linalg.solve(W, C @ S @ _T(A))) @ C
     G = sym(C.T @ np.linalg.solve(W, C[None]))
-    return _doubling((A, H, G), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling", offset=S)
+    return _doubling((A, H, G), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling")
 
 
-def fixed_point(rmap, start=None):
+def fixed_point(rmap):
     """Unique positive-definite solution of X = g_W(X) for the checked W of
     ``rmap``: :func:`fixed_points` on a stack of one, stopped at the same
     doubling and to the same bits as in any stack."""
-    return _fixed_points(rmap.model, rmap.W[None], start)[0]
+    return _fixed_points(rmap.model, rmap.W[None])[0]
 
 
 def lyapunov(F, Q):
@@ -237,10 +226,8 @@ def block_gaussian_update(phi, Y):
     The xy block follows from Phi_xy Phi_yy^-1 Theta_yy; the factor order
     (I + Y Phi_yy)^-1 matters when Y and Phi_yy do not commute.
     """
-    Y = require_spd(Y, "Y")
     m = phi.yy.shape[0]
-    if Y.shape[0] != m:
-        raise NotPositiveDefinite("Y", f"must be {m} x {m}")
+    Y = require_spd(Y, "Y", size=m)
     Yinv = np.linalg.inv(Y)
     theta_xx = sym(phi.xx - phi.xy @ np.linalg.solve(sym(phi.yy + Yinv), phi.xy.T))
     B = np.eye(m) + Y @ phi.yy

@@ -37,7 +37,7 @@ from setkf import (
 from setkf.analysis import drop_noise
 from setkf.harness import write_monte_carlo_csv
 from setkf.riccati import BlockCovariance, block_gaussian_update
-from util import dare_fixed_point, loewner_leq, random_spd, random_stable_model
+from util import dare_fixed_point, loewner_leq, random_spd, random_stable_model, riccati_iteration
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 DESIGN_2X2 = validate_model(
@@ -283,9 +283,11 @@ def test_criterion_9_property_suites():
         lhs = np.linalg.inv(gamma_step(np.linalg.inv(X1), rmap))
         rhs = g_step(X1, rmap)
         dual &= np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
-        Xa = fixed_point(rmap, start=m.Q)
-        Xb = fixed_point(rmap, start=30.0 * np.eye(m.n))
-        limit &= np.abs(Xa - Xb).max() <= 1e-8 * max(1.0, np.abs(Xa).max())
+        # the plain iteration from two starts reaches the doubling's limit
+        X = fixed_point(rmap)
+        for start in (m.Q, 30.0 * np.eye(m.n)):
+            Xs = riccati_iteration(rmap, tol=1e-13, start=start)
+            limit &= Xs is not None and np.abs(Xs - X).max() <= 1e-8 * max(1.0, np.abs(X).max())
     checks["monotonicity"] = mono
     checks["duality 1e-9"] = dual
     checks["unique limit 1e-8"] = limit

@@ -651,6 +651,34 @@ def test_export_lmi_delta0_shape_exit_code(tmp_path, capsys):
     assert err.startswith("config error:") and "Delta0" in err and err.count("\n") == 1
 
 
+TWO_MEASUREMENT = {"A": [[0.8, 1.0], [0.0, 0.95]], "C": [[0.5, 0.3], [0.0, 1.4]],
+                   "Q": np.eye(2).tolist(), "R": np.eye(2).tolist(), "Sigma0": np.eye(2).tolist()}
+
+
+@pytest.mark.parametrize(
+    "command, variant, key",
+    [
+        ("simulate", "closed_loop", "Z"),
+        ("simulate", "open_loop", "Y"),
+        ("monte-carlo", "open_loop", "Y"),
+        ("monte-carlo", "closed_loop", "Z"),
+        ("analyze", "open_loop", "Y"),
+        ("analyze", "closed_loop", "Z"),
+    ],
+)
+def test_wrong_size_weight_exit_code(tmp_path, capsys, command, variant, key):
+    # a 1 x 1 weight on the two-measurement plant once failed inside numpy
+    path = tmp_path / "scenario.json"
+    config = {"model": TWO_MEASUREMENT, "trigger": {"variant": variant, key: [[0.5]]}}
+    path.write_text(json.dumps({**config, "horizon": 10, "runs": 2}))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"config error: matrix '{key}' is not symmetric positive-definite (must be 2 x 2)\n"
+    )
+
+
 def test_scan_singular_prior_exit_code(tmp_path, capsys):
     # the scan's covariance composition meets a singular matrix on this prior
     path = tmp_path / "prior.json"

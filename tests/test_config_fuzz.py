@@ -21,7 +21,8 @@ from setkf import harness
 from setkf.cli import main
 
 # a stable two-state plant with one measurement: scalar replacements of the
-# plant's matrices mismatch, those of R and the trigger weights do not
+# plant's matrices mismatch, and 2 x 2 replacements of R, the trigger
+# weights and the basis
 MODEL = {
     "A": [[0.5, 0.1], [0.0, 0.6]],
     "C": [[1.0, 0.0]],
@@ -77,7 +78,7 @@ CONFIGS = {
 DELETE = object()
 VALUES = [
     DELETE, "abc", None, True, [], {}, [[1.0, 2.0], [3.0]], -1, 0, 2.5, 1e30, 1e308,
-    float("nan"), [["x"]],
+    float("nan"), [["x"]], [[1.0, 0.0], [0.0, 1.0]],
 ]
 SCALES = [1e150, 1e-150, 1e300, 1e-300]
 
@@ -179,9 +180,12 @@ def test_config_fuzz(tmp_path, capsys, name):
         (["monte-carlo"], {"pre_roll": 1e30}),
         (["simulate", "--horizon", str(10**30)], {}),
         (["monte-carlo", "--runs", str(10**30)], {}),
+        # a trigger weight of the wrong size for the one-measurement plant
+        (["simulate"], {"trigger": {"variant": "open_loop", "Y": [[1.0, 0.0], [0.0, 1.0]]}}),
+        (["monte-carlo"], {"trigger": {"variant": "closed_loop", "Z": [[1.0, 0.0], [0.0, 1.0]]}}),
     ],
     ids=["simulate-horizon", "monte-carlo-horizon", "monte-carlo-runs", "monte-carlo-pre_roll",
-         "horizon-flag", "runs-flag"],
+         "horizon-flag", "runs-flag", "simulate-Y-size", "monte-carlo-Z-size"],
 )
 def test_huge_counts_refused_before_allocating(tmp_path, capsys, monkeypatch, argv, update):
     def no_generator(seed, run_index):

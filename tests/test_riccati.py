@@ -126,16 +126,6 @@ def test_fixed_point_residual_contract():
         assert res <= 1e-9 * np.linalg.norm(X, 2)
 
 
-def test_fixed_point_independent_of_start():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        m = random_stable_model(rng, n_max=3, m_max=3)
-        rm = RiccatiMap(m, random_spd(rng, m.m))
-        X1 = fixed_point(rm, start=m.Q)
-        X2 = fixed_point(rm, start=50.0 * np.eye(m.n))
-        assert np.abs(X1 - X2).max() <= 1e-8 * max(1.0, np.abs(X1).max())
-
-
 def test_fixed_point_no_convergence_signal():
     # A = 1, C = 0: each doubling doubles X, so its increment never shrinks
     rm = RiccatiMap(UNOBSERVED_WALK, [[1.0]])
@@ -200,8 +190,7 @@ def test_fixed_point_singer_unit_root(z_scale):
     [[[2.0]], [[1.0]], [[1.0, 1.0], [0.0, 1.0]]],
     ids=["unstable", "unit", "jordan"],
 )
-@pytest.mark.parametrize("shifted", [False, True], ids=["from-0", "from-2I"])
-def test_fixed_point_undetectable_raises_without_warning(A, shifted):
+def test_fixed_point_undetectable_raises_without_warning(A):
     # no measurement channel on a non-stable A: validate_model rejects the
     # plant, so it is built around the validation
     A = np.array(A)
@@ -210,7 +199,7 @@ def test_fixed_point_undetectable_raises_without_warning(A, shifted):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence):
-            fixed_point(RiccatiMap(m, [[1.0]]), start=2.0 * np.eye(n) if shifted else None)
+            fixed_point(RiccatiMap(m, [[1.0]]))
 
 
 def test_lyapunov_matches_plain_iteration():
@@ -254,9 +243,9 @@ def _oracle_plant(rng, rho):
 def _stack_of_one(single):
     """A doubling of one element as ``riccati._doubling`` of a stack of one."""
 
-    def doubling(element, tol, max_doublings, label, offset=0.0):
+    def doubling(element, tol, max_doublings, label):
         element = tuple(part[0] for part in element)
-        return single(element, tol, max_doublings, label, offset)[None]
+        return single(element, tol, max_doublings, label)[None]
 
     return doubling
 
@@ -292,9 +281,10 @@ def test_doubling_matches_the_two_norm_stop_test(monkeypatch):
     for i, rho in enumerate(rhos):
         m = _oracle_plant(rng, rho)
         rm = RiccatiMap(m, random_spd(rng, m.m))
-        start = random_spd(rng, m.n) if i % 3 == 0 else None
+        if i % 3 == 0:
+            random_spd(rng, m.n)  # a former start's draw, kept so that later draws are unchanged
         for fn, args, kwargs in (
-            (riccati.fixed_point, (rm,), {"start": start}),
+            (riccati.fixed_point, (rm,), {}),
             (riccati.lyapunov, (m.A, m.Q), {}),
         ):
             got, got_count = solve(doubling, fn, *args, **kwargs)
@@ -355,21 +345,22 @@ def test_stacked_doubling_matches_single_doubling(n):
             size = int(rng.integers(1, 9))
             chunk = elements[start : start + size]
             start += size
-            offset = 0.0 if size % 2 else random_spd(rng, n)
+            if not size % 2:
+                random_spd(rng, n)  # a former offset's draw, kept so that later draws are unchanged
             good, wants, errors = [], [], []
             for element in chunk:
                 try:
-                    wants.append(doubling_single(element, tol, max_doublings, "label", offset))
+                    wants.append(doubling_single(element, tol, max_doublings, "label"))
                     good.append(element)
                 except NoConvergence as exc:
                     errors.append(exc)
             if errors:
                 with pytest.raises(NoConvergence) as exc:
-                    riccati._doubling(_stack(*chunk), tol, max_doublings, "label", offset)
+                    riccati._doubling(_stack(*chunk), tol, max_doublings, "label")
                 assert str(exc.value) == str(_first_failure(errors))
                 failures += 1
             if good:
-                X = riccati._doubling(_stack(*good), tol, max_doublings, "label", offset)
+                X = riccati._doubling(_stack(*good), tol, max_doublings, "label")
                 assert X.shape == (len(good), n, n)
                 assert all(np.array_equal(x, want) for x, want in zip(X, wants))
                 solved += len(good)
@@ -419,19 +410,20 @@ def test_fixed_points_match_single_solves():
     for _ in range(40):
         m = random_stable_model(rng, n_max=4, m_max=3)
         W = [random_spd(rng, m.m) for _ in range(int(rng.integers(1, 6)))]
-        start = random_spd(rng, m.n) if rng.random() < 0.3 else None
+        if rng.random() < 0.3:
+            random_spd(rng, m.n)  # a former start's draw, kept so that later draws are unchanged
         bad = int(rng.integers(0, len(W) + 1))
         if bad < len(W):
             W[bad] = -W[bad]
             with pytest.raises(NotPositiveDefinite) as alone:
                 RiccatiMap(m, W[bad])
             with pytest.raises(NotPositiveDefinite) as stacked:
-                riccati.fixed_points(m, np.stack(W), start=start)
+                riccati.fixed_points(m, np.stack(W))
             assert stacked.value.which == "W" and str(stacked.value) == str(alone.value)
             continue
-        X = riccati.fixed_points(m, np.stack(W), start=start)
+        X = riccati.fixed_points(m, np.stack(W))
         for w, x in zip(W, X):
-            assert np.array_equal(x, fixed_point(RiccatiMap(m, w), start=start))
+            assert np.array_equal(x, fixed_point(RiccatiMap(m, w)))
     # two bad W: the first is named
     with pytest.raises(NotPositiveDefinite) as exc:
         riccati.fixed_points(SCALAR, np.array([[[-1.0]], [[np.nan]]]))

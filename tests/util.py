@@ -122,15 +122,16 @@ def lyapunov_iteration(F, Q, tol=1e-12, max_iter=100_000):
     return None
 
 
-def riccati_iteration(rmap, tol=1e-10, max_iter=100_000):
-    """Plain fixed-point iteration X <- g_W(X) from X = Q.
+def riccati_iteration(rmap, tol=1e-10, max_iter=100_000, start=None):
+    """Plain fixed-point iteration X <- g_W(X) from X = ``start``, by
+    default Q.
 
     The reference for ``setkf.riccati.fixed_point``: one Riccati step per
     iteration, stopping when the relative spectral-norm change drops below
     ``tol``.  Returns None when that does not happen within ``max_iter``
     steps or the iterates stop being finite.
     """
-    X = rmap.model.Q.copy()
+    X = rmap.model.Q.copy() if start is None else start
     for _ in range(max_iter):
         nxt = g_step(X, rmap)
         if not np.all(np.isfinite(nxt)):
@@ -142,7 +143,7 @@ def riccati_iteration(rmap, tol=1e-10, max_iter=100_000):
     return None
 
 
-def doubling_reference(element, tol, max_doublings, label, offset=0.0):
+def doubling_reference(element, tol, max_doublings, label):
     """``setkf.riccati._doubling`` with its former stop test: two separate
     ``np.linalg.norm(., 2)`` calls.  Composes through ``riccati.compose`` as
     looked up at call time, so a test can count the compositions."""
@@ -156,9 +157,8 @@ def doubling_reference(element, tol, max_doublings, label, offset=0.0):
             step, C = element[1] - C, element[1]
             if not np.all(np.isfinite(C)):
                 raise NoConvergence(k + 1, f"{label} (diverged)")
-            X = offset + C
-            if float(np.linalg.norm(step, 2)) <= tol * float(np.linalg.norm(X, 2)):
-                return sym(X)
+            if float(np.linalg.norm(step, 2)) <= tol * float(np.linalg.norm(C, 2)):
+                return sym(C)
     raise NoConvergence(max_doublings, label)
 
 
@@ -167,9 +167,9 @@ def doubling_reference(element, tol, max_doublings, label, offset=0.0):
 # verbatim as the oracles of the stacked forms.
 
 
-def doubling_single(element, tol, max_doublings, label, offset=0.0):
-    """offset + C of the element (A, C, J) squared until C, its image of 0,
-    changes by at most ``tol`` relative to offset + C.  Raises NoConvergence
+def doubling_single(element, tol, max_doublings, label):
+    """C of the element (A, C, J) squared until C, its image of 0, changes
+    by at most ``tol`` relative to C.  Raises NoConvergence
     on a singular step, on a C that is not finite, or after ``max_doublings``.
     """
     C = element[1]
@@ -182,11 +182,10 @@ def doubling_single(element, tol, max_doublings, label, offset=0.0):
             step, C = element[1] - C, element[1]
             if not np.all(np.isfinite(C)):
                 raise NoConvergence(k + 1, f"{label} (diverged)")
-            X = offset + C
             # both spectral norms from one SVD call on the stacked pair
-            step_norm, x_norm = np.linalg.svd(np.stack([step, X]), compute_uv=False)[:, 0]
+            step_norm, x_norm = np.linalg.svd(np.stack([step, C]), compute_uv=False)[:, 0]
             if step_norm <= tol * x_norm:
-                return sym(X)
+                return sym(C)
     raise NoConvergence(max_doublings, label)
 
 
