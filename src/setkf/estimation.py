@@ -32,7 +32,7 @@ from .errors import (
     MissingMeasurement,
     SingularInnovation,
 )
-from .matrices import as_number, config_fields, require_spd, sym
+from .matrices import as_number, config_fields, require_size, require_spd, sym
 
 # each variant's required and optional parameters, in the key order of
 # TriggerPolicy.to_dict
@@ -172,11 +172,12 @@ def transmit(policy, z, zeta, k):
 def drop_noise(model, policy):
     """The noise of a drop: R + Y^-1 under the open-loop trigger, R + Z^-1
     under the closed-loop trigger, None where a drop tells the filter nothing.
-    Raises NotPositiveDefinite for a weight that is not m x m."""
+    Raises NotPositiveDefinite for a weight that is not m x m; the policy
+    has checked the rest."""
     key = _WEIGHTS.get(policy.variant)
     if key is None:
         return None
-    return model.R + np.linalg.inv(require_spd(getattr(policy, key), key, size=model.m))
+    return model.R + np.linalg.inv(require_size(getattr(policy, key), key, model.m))
 
 
 def measurement_update(model, P, e, z, gamma, W_drop=None, y=None):

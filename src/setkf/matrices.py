@@ -148,7 +148,12 @@ def require_spd(X, name, floor=0.0, size=None):
         raise NotPositiveDefinite(name, "entries too large to symmetrize")
     if not is_spd(X, floor=floor):
         raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
-    if size is not None and S.shape[0] != size:
+    return S if size is None else require_size(S, name, size)
+
+
+def require_size(S, name, size):
+    """Return the square matrix S, or raise the size error of ``require_spd``."""
+    if S.shape[0] != size:
         raise NotPositiveDefinite(name, f"must be {size} x {size}")
     return S
 
