@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, UnstableSystem
-from .matrices import is_spd, require_spd, smallest_eigenvalue, spectral_norm, sym
+from .matrices import is_spd, require_size, require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
 from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
 from .analysis import inverse_root_det, open_loop_rate, ray_drop_noise, upper_rates
@@ -110,24 +110,24 @@ def feasibility_check(model, Y, Delta0):
 
 def assemble_lmi_blocks(model, Y, S, Delta0):
     """The two block matrices whose joint positive-definiteness certifies
-    feasibility for the given S."""
+    feasibility for the given S; Y must be m x m, S and Delta0 n x n."""
     A, C, Q, R = model.A, model.C, model.Q, model.R
     n, m = model.n, model.m
     Qi = sym(np.linalg.inv(Q))
     Ri = sym(np.linalg.inv(R))
     x, s, y = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + m)
     M1 = np.zeros((2 * n + m, 2 * n + m))
-    M1[x, x] = Qi - S + C.T @ Ri @ C
+    M1[x, x] = Qi - require_size(S, "S", n) + C.T @ Ri @ C
     M1[x, s] = Qi @ A
     M1[x, y] = C.T @ Ri
     M1[s, x] = A.T @ Qi
     M1[s, s] = A.T @ Qi @ A + S
     M1[y, x] = Ri @ C
-    M1[y, y] = Y + Ri
+    M1[y, y] = require_size(Y, "Y", m) + Ri
     M2 = np.zeros((2 * n, 2 * n))
     M2[x, x] = S
     M2[x, s] = M2[s, x] = np.eye(n)
-    M2[s, s] = Delta0
+    M2[s, s] = require_size(Delta0, "Delta0", n)
     return sym(M1), sym(M2)
 
 

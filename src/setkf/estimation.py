@@ -165,7 +165,7 @@ def transmit(policy, z, zeta, k):
         return zeta > 1.0 - policy.p
     if variant == "deterministic_threshold":
         return np.abs(z).max(axis=(1, 2)) > policy.delta
-    W = policy.Y if variant == "open_loop" else policy.Z
+    W = getattr(policy, _WEIGHTS[variant])
     return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
 
 
@@ -218,10 +218,14 @@ def _stack(v):
 
 
 def trigger_decide(policy, y, y_pred, zeta, k):
-    """Per-step decision, 1 to send and 0 to stay idle: :func:`transmit` on one run."""
+    """Per-step decision, 1 to send and 0 to stay idle: :func:`transmit` on one
+    run.  Raises NotPositiveDefinite for a weight that is not len(y) x len(y)."""
     if not 0.0 <= zeta <= 1.0:
         raise InconsistentArgs(f"zeta must lie in [0, 1], got {zeta}")
     y, y_pred = _stack(y), _stack(y_pred)
+    key = _WEIGHTS.get(policy.variant)
+    if key is not None:
+        require_size(getattr(policy, key), key, y.shape[1])
     z = y - y_pred if policy.variant in READS_ESTIMATE else y
     return int(transmit(policy, z, np.array([zeta]), k)[0])
 

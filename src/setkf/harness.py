@@ -11,19 +11,19 @@ One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 kernel over all runs.  Its two paths share the draws, plant path, gamma and
 logs of :class:`_Runs`, and both carry the prior error x - xhat rather than
 the estimate, so the error keeps its digits on plants whose state grows.
-What a drop tells the filter is the error form of
-:func:`estimation.measurement_update` alone; the open-loop trigger hands it
-y, and for that trigger only the plant path itself is stepped.
-:meth:`_Runs.blocks` decides gamma a block at a time unless the rule reads
-the estimate (the closed-loop and threshold triggers), which the step loop
-decides per step on the innovation.  The step loop stacks the filter state
-over runs and loops over time steps in Python for the filter recursion
-alone; it serves every scenario.  When gamma is decided ahead, the scan runs
-the filter as a scan over time in O(log T) batched calls, which compose the
-covariance maps with :func:`riccati.compose`; it serves the scenarios with
-few runs.  Both paths use the trigger rule, drop noise and measurement
-update of the single-step API, :func:`estimation.transmit`,
-:func:`estimation.drop_noise` and :func:`estimation.measurement_update`.
+Both use the trigger rule, drop noise and measurement update of the
+single-step API, :func:`estimation.transmit`, :func:`estimation.drop_noise`
+and :func:`estimation.measurement_update`, whose error form alone says what
+a drop tells the filter; the open-loop trigger hands it y, and for that
+trigger only the plant path itself is stepped.  The step loop serves every
+scenario: it stacks the filter state over runs and loops over time steps in
+Python for the filter recursion alone, deciding on the innovation where the
+trigger reads the estimate (the closed-loop and threshold triggers).  For
+the other triggers :meth:`_Runs.blocks` decides gamma a block at a time,
+and with few runs the scan runs the filter over time in O(log T) batched
+calls, which compose the covariance maps with :func:`riccati.compose` and
+read a drop only through its drop noise, in information form.  A forced
+gamma keeps its trigger's path.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
@@ -177,20 +177,19 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     """Simulate the runs ``run_indices`` of a scenario side by side; the
     :class:`_Runs` returned holds their logs.
 
-    When gamma is decided ahead, block by block in :meth:`_Runs.blocks` (a
-    forced gamma, or a trigger that does not read the estimate), and
-    runs * n^2 is at most ``SCAN_MAX_WIDTH``, the filter runs as a scan
-    over time (:func:`_scan_runs`); otherwise it steps all runs together
-    through time (:func:`_step_runs`).  The choice reads the scenario only,
-    never the block, so a run has the same values in any block.
+    When the trigger does not read the estimate and runs * n^2 is at most
+    ``SCAN_MAX_WIDTH``, the filter runs as a scan over time
+    (:func:`_scan_runs`); otherwise it steps all runs together through time
+    (:func:`_step_runs`).  The choice reads the trigger and the width only,
+    so a forced gamma keeps its trigger's path and a run has the same
+    values in any block.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
     error outer products are summed over the runs per step; no
     (runs, T, n, n) array is kept.
     """
-    decided = force_gamma is not None or scenario.trigger.variant not in READS_ESTIMATE
-    if decided and _width(scenario) <= SCAN_MAX_WIDTH:
+    if scenario.trigger.variant not in READS_ESTIMATE and _width(scenario) <= SCAN_MAX_WIDTH:
         return _scan_runs(scenario, run_indices, force_gamma, sums)
     return _step_runs(scenario, run_indices, force_gamma, sums)
 
@@ -421,19 +420,19 @@ def _apply_affine(maps, x):
 
 
 def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The scan path of :func:`_simulate_runs`, for a gamma decided ahead.
+    """The scan path of :func:`_simulate_runs`, for a trigger that does not
+    read the estimate: the open-loop trigger and the offline baselines.
 
     Given gamma, the filter is a linear time-varying Kalman filter.  Per
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
     draws, y and gamma from :class:`_Runs`, finds the prior covariances as an
     :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
     :func:`riccati.compose`, J = C' W^-1 C being the step's information,
-    gets the gains from one :func:`estimation.measurement_update` call, and
-    finds the prior errors e = x - xhat as an :func:`_orbit` of the affine
-    maps e -> F e + A d + L_q w, F = A (I - K C), that the update's error
-    rule and the time update make, K being zero where a drop keeps the
-    error.  Each block starts from the previous
-    one's end state.
+    W = R on an arrival and the drop noise on a drop, gets the error's gains
+    K from one :func:`estimation.measurement_update` call, and finds the
+    prior errors e = x - xhat as an :func:`_orbit` of the affine maps
+    e -> F e + A d + L_q w, F = A (I - K C), that the update and the time
+    update make.  Each block starts from the previous one's end state.
     """
     model = scenario.model
     n, m = model.n, model.m
@@ -460,13 +459,10 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
 
         # with a zero prior error, whose innovation is L_r v, the update
         # returns the part d of the posterior error that the noise makes
-        g = gamma.reshape(L * N)
         d, _, K, _ = measurement_update(
-            model, P_prior.reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1), g, s.W_drop,
-            None if y is None else y.reshape(L * N, m, 1),
+            model, P_prior.reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1),
+            gamma.reshape(L * N), s.W_drop, None if y is None else y.reshape(L * N, m, 1),
         )
-        if y is None:
-            K = K * g[:, None, None]  # the error keeps its prior on a drop
         e_all = _orbit(
             e,
             ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),

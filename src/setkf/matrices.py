@@ -152,8 +152,8 @@ def require_spd(X, name, floor=0.0, size=None):
 
 
 def require_size(S, name, size):
-    """Return the square matrix S, or raise the size error of ``require_spd``."""
-    if S.shape[0] != size:
+    """Return S, or raise the size error of ``require_spd`` if it is not size x size."""
+    if np.shape(S) != (size, size):
         raise NotPositiveDefinite(name, f"must be {size} x {size}")
     return S
 

@@ -606,15 +606,20 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_forced_gamma(self, pairing):
-        # a forced gamma takes the scan for every pairing, clset and the
-        # deterministic threshold included
+        # a forced gamma keeps its trigger's path: one run of a trigger that
+        # does not read the estimate takes the scan, clset and the
+        # deterministic threshold the step loop
         model = oracle_model(2, 1, seed=21)
         trig = oracle_pairings(1)[pairing]
         forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
         scn = Scenario(model=model, trigger=trig, horizon=60, seed=6, burn_in=5)
         block = _simulate_runs(scn, [2], force_gamma=forced)
-        assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
-        assert_blocks_agree(block, _step_runs(scn, [2], force_gamma=forced))
+        step = _step_runs(scn, [2], force_gamma=forced)
+        if pairing in FEEDBACK_FREE:
+            assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
+            assert_blocks_agree(block, step)
+        else:
+            assert_blocks_equal(block, step)
         assert_priors_psd(block)
 
     @pytest.mark.parametrize("pairing", FEEDBACK_FREE, ids=[PAIRING_IDS[i] for i in FEEDBACK_FREE])
@@ -686,6 +691,25 @@ class TestScanOracle:
         single = _simulate_runs(scn, [0])
         assert paths == ["_scan_runs" if scan else "_step_runs"] * 2
         np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["decided", "forced"])
+    @pytest.mark.parametrize("pairing", range(1, 6), ids=PAIRING_IDS[1:])
+    def test_route_reads_trigger_and_width(self, monkeypatch, pairing, forced, wide):
+        # the closed-loop and threshold triggers always step; the others take
+        # the scan if and only if the scenario is narrow, forced or not
+        model = oracle_model(2, 1, seed=21)
+        runs = SCAN_MAX_WIDTH // model.n**2 + 1 if wide else 1
+        scn = Scenario(
+            model=model, trigger=oracle_pairings(1)[pairing], horizon=9, runs=runs, seed=8,
+            burn_in=0,
+        )
+        paths = []
+        for name in ("_scan_runs", "_step_runs"):
+            monkeypatch.setattr(harness, name, lambda *a, _name=name: paths.append(_name))
+        _simulate_runs(scn, [0], force_gamma=np.ones(9, dtype=int) if forced else None)
+        scan = pairing in FEEDBACK_FREE and not wide
+        assert paths == ["_scan_runs" if scan else "_step_runs"]
 
 
 def step_entries(model):

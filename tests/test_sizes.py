@@ -80,6 +80,33 @@ ENTRY_POINTS = {
     "clset_measurement_update": (
         "Z", "m", lambda p, M: estimation.clset_measurement_update(initial_state(p), 0, None, p, M),
     ),
+    # trigger_decide has no plant: y, of length m, gives the weight's size
+    "trigger_decide-Y": (
+        "Y", "m",
+        lambda p, M: estimation.trigger_decide(
+            TriggerPolicy.open_loop(M), np.ones(p.m), None, 0.5, 0
+        ),
+    ),
+    "trigger_decide-Z": (
+        "Z", "m",
+        lambda p, M: estimation.trigger_decide(
+            TriggerPolicy.closed_loop(M), np.ones(p.m), np.zeros(p.m), 0.5, 0
+        ),
+    ),
+    # export_lmi passes Y = 0 and S = 0, so the blocks check sizes only; the
+    # second Y entry keeps m columns, so the scalar plant gets a 2 x 1 Y
+    "assemble_lmi_blocks-Y": (
+        "Y", "m", lambda p, M: design.assemble_lmi_blocks(p, M, np.eye(p.n), np.eye(p.n)),
+    ),
+    "assemble_lmi_blocks-Y-columns": (
+        "Y", "m", lambda p, M: design.assemble_lmi_blocks(p, M[:, : p.m], np.eye(p.n), np.eye(p.n)),
+    ),
+    "assemble_lmi_blocks-S": (
+        "S", "n", lambda p, M: design.assemble_lmi_blocks(p, np.eye(p.m), M, np.eye(p.n)),
+    ),
+    "assemble_lmi_blocks-Delta0": (
+        "Delta0", "n", lambda p, M: design.assemble_lmi_blocks(p, np.eye(p.m), np.eye(p.n), M),
+    ),
 }
 
 
