@@ -219,14 +219,20 @@ def _stack(v):
 
 def trigger_decide(policy, y, y_pred, zeta, k):
     """Per-step decision, 1 to send and 0 to stay idle: :func:`transmit` on one
-    run.  Raises NotPositiveDefinite for a weight that is not len(y) x len(y)."""
+    run.  Raises NotPositiveDefinite for a weight that is not len(y) x len(y),
+    and InconsistentArgs for a y_pred that the innovation reads whose length
+    is not len(y)."""
     if not 0.0 <= zeta <= 1.0:
         raise InconsistentArgs(f"zeta must lie in [0, 1], got {zeta}")
     y, y_pred = _stack(y), _stack(y_pred)
     key = _WEIGHTS.get(policy.variant)
     if key is not None:
         require_size(getattr(policy, key), key, y.shape[1])
-    z = y - y_pred if policy.variant in READS_ESTIMATE else y
+    z = y
+    if policy.variant in READS_ESTIMATE:
+        if y_pred.shape != y.shape:
+            raise InconsistentArgs(f"y has length {y.shape[1]} but y_pred {y_pred.shape[1]}")
+        z = y - y_pred
     return int(transmit(policy, z, np.array([zeta]), k)[0])
 
 

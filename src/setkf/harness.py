@@ -19,11 +19,14 @@ trigger only the plant path itself is stepped.  The step loop serves every
 scenario: it stacks the filter state over runs and loops over time steps in
 Python for the filter recursion alone, deciding on the innovation where the
 trigger reads the estimate (the closed-loop and threshold triggers).  For
-the other triggers :meth:`_Runs.blocks` decides gamma a block at a time,
-and with few runs the scan runs the filter over time in O(log T) batched
+the other triggers :meth:`_Runs.blocks` decides gamma a block at a time.
+With few runs the scan runs the filter over time in O(log T) batched
 calls, which compose the covariance maps with :func:`riccati.compose` and
-read a drop only through its drop noise, in information form.  A forced
-gamma keeps its trigger's path.
+read a drop only through its drop noise, in information form; for the
+triggers that read the estimate it finds gamma by sweeps of the scan until
+the decisions repeat, which settles on the causal solution, since the
+innovation of a step reads only the decisions before it.  A forced gamma
+keeps its trigger's path.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
@@ -61,6 +64,23 @@ MAX_RUNS = 5 * 10**5
 # paths take equally long (measured for n = 1 to 6 and m <= n); below it the
 # scan is faster, 7-11x for one run of 10^5 steps.
 SCAN_MAX_WIDTH = 128
+
+# Widest scenario, runs * n^2, whose closed-loop or threshold trigger is
+# simulated by sweeps of the scan; wider ones step through time.  Up to this
+# width the sweeps ran 1.3-6.7x (closed loop) and 0.9-5.5x (threshold) as
+# fast as the step loop at 200 and 1500 steps; two runs of n = 2 ran
+# 0.7-1.0x.
+SWEEP_MAX_WIDTH = 4
+
+# Sweeps a block of L steps may take per doubling of L: the runs that have
+# not settled after ceil(SWEEPS_PER_DOUBLING * log2(L + 1)) sweeps, 12 for
+# 200 steps and 16 for 1500, are stepped through the block.  A sweep costs
+# O(log L) calls and the step loop O(L), while a stable plant needs more
+# sweeps on longer blocks: the scalar plant A = 0.8 at rate 0.5 needs 5-16
+# over 1500 steps (1200 seeds) and 10-15 over 65536.  A run that never
+# settles costs 1.9-2.1x the step loop at 200 steps and 1.2-1.9x at 1500
+# and 8000.
+SWEEPS_PER_DOUBLING = 1.5
 
 # The scan works on blocks of SCAN_BLOCK_ENTRIES // (runs * n^2) steps, so
 # that a block's arrays take some 16 MB at most.
@@ -177,19 +197,21 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     """Simulate the runs ``run_indices`` of a scenario side by side; the
     :class:`_Runs` returned holds their logs.
 
-    When the trigger does not read the estimate and runs * n^2 is at most
-    ``SCAN_MAX_WIDTH``, the filter runs as a scan over time
-    (:func:`_scan_runs`); otherwise it steps all runs together through time
-    (:func:`_step_runs`).  The choice reads the trigger and the width only,
-    so a forced gamma keeps its trigger's path and a run has the same
-    values in any block.
+    When runs * n^2 is at most ``SCAN_MAX_WIDTH`` for a trigger that does
+    not read the estimate, or at most ``SWEEP_MAX_WIDTH`` for the
+    closed-loop and threshold triggers, whose gamma the scan finds by
+    sweeps, the filter runs as a scan over time (:func:`_scan_runs`);
+    otherwise it steps all runs together through time (:func:`_step_runs`).
+    The choice reads the trigger and the width only, so a forced gamma
+    keeps its trigger's path and a run has the same values in any block.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
     error outer products are summed over the runs per step; no
     (runs, T, n, n) array is kept.
     """
-    if scenario.trigger.variant not in READS_ESTIMATE and _width(scenario) <= SCAN_MAX_WIDTH:
+    bound = SWEEP_MAX_WIDTH if scenario.trigger.variant in READS_ESTIMATE else SCAN_MAX_WIDTH
+    if _width(scenario) <= bound:
         return _scan_runs(scenario, run_indices, force_gamma, sums)
     return _step_runs(scenario, run_indices, force_gamma, sums)
 
@@ -339,45 +361,55 @@ class _Runs:
 
 
 def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The step loop of :func:`_simulate_runs`, for any scenario.
+    """The step loop of :func:`_simulate_runs`, for any scenario: each block
+    of steps is stepped by :func:`_step_block`, and the draws, plant path,
+    block gammas and logs are :class:`_Runs`'.
+    """
+    model = scenario.model
+    s = _Runs(scenario, run_indices, force_gamma, sums)
+    e, P = s.e, s.P
+    length = STEP_BLOCK_ENTRIES // (s.N * (model.n**2 + 3 * model.n + 2 * model.m + 1))
+    for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
+        gamma, e_all, P_all = _step_block(model, s, steps.start, zeta, Lv, Lw, y, gamma, e, P)
+        e, P = e_all[-1], P_all[-1]
+        s.log(steps, gamma, e_all[:-1], P_all[:-1])
+    return s
+
+
+def _step_block(model, s, k0, zeta, Lv, Lw, y, gamma, e, P):
+    """Step a stack of runs through a block of steps from k0 on; returns
+    gamma (L, runs) and the prior errors and covariances of the block's
+    steps and of the step after it, (L + 1, runs, n, 1) and (L + 1, runs, n, n).
 
     The filter state is a stack over runs, P (runs, n, n) and the prior
     error e = x - xhat (runs, n, 1); only the filter recursion loops over
     time steps in Python.  Vectors are column stacks, so every product is
     one small matrix product per run and a run's values do not depend on
-    the other runs of the block.  Each step keeps the prior e and P, forms
+    the other runs of the stack.  Each step keeps the prior e and P, forms
     the innovation C e + L_r v, calls :func:`estimation.transmit` on it if
     the block brings no gamma, calls :func:`estimation.measurement_update`
-    on the whole stack and does the time update; the draws, plant path,
-    block gammas and logs are :class:`_Runs`'.
+    on the whole stack and does the time update.
     """
-    model, pol = scenario.model, scenario.trigger
-    n, m = model.n, model.m
     A, C, Q = model.A, model.C, model.Q
     # a contiguous A': matmul multiplies a stack by it faster than by the
     # transposed view, with the same result
     A_T = A.T.copy()
-    s = _Runs(scenario, run_indices, force_gamma, sums)
-    e, P = s.e, s.P
-
-    length = STEP_BLOCK_ENTRIES // (s.N * (n * n + 3 * n + 2 * m + 1))
-    for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
-        decide = gamma is None
-        gamma = np.empty(zeta.shape, dtype=bool) if decide else gamma
-        e_prior, P_prior = np.empty(Lw.shape), np.empty(Lw.shape[:2] + (n, n))
-        for j, k in enumerate(range(steps.start, steps.stop)):
-            e_prior[j], P_prior[j] = e, P
-            innov = C @ e + Lv[j]
-            if decide:
-                gamma[j] = transmit(pol, innov, zeta[j], k)
-            e, P, _, _ = measurement_update(
-                model, P, e, innov, gamma[j], s.W_drop, None if y is None else y[j]
-            )
-            e = A @ e + Lw[j]
-            P = sym(A @ P @ A_T + Q)
-        s.log(steps, gamma, e_prior, P_prior)
-
-    return s
+    L = Lw.shape[0]
+    decide = gamma is None
+    gamma = np.empty(zeta.shape, dtype=bool) if decide else gamma
+    e_all, P_all = np.empty((L + 1,) + e.shape), np.empty((L + 1,) + P.shape)
+    for j in range(L):
+        e_all[j], P_all[j] = e, P
+        innov = C @ e + Lv[j]
+        if decide:
+            gamma[j] = transmit(s.trigger, innov, zeta[j], k0 + j)
+        e, P, _, _ = measurement_update(
+            model, P, e, innov, gamma[j], s.W_drop, None if y is None else y[j]
+        )
+        e = A @ e + Lw[j]
+        P = sym(A @ P @ A_T + Q)
+    e_all[L], P_all[L] = e, P
+    return gamma, e_all, P_all
 
 
 def _orbit(v0, maps, compose, apply):
@@ -420,8 +452,7 @@ def _apply_affine(maps, x):
 
 
 def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The scan path of :func:`_simulate_runs`, for a trigger that does not
-    read the estimate: the open-loop trigger and the offline baselines.
+    """The scan path of :func:`_simulate_runs`.
 
     Given gamma, the filter is a linear time-varying Kalman filter.  Per
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
@@ -432,19 +463,25 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     K from one :func:`estimation.measurement_update` call, and finds the
     prior errors e = x - xhat as an :func:`_orbit` of the affine maps
     e -> F e + A d + L_q w, F = A (I - K C), that the update and the time
-    update make.  Each block starts from the previous one's end state.
+    update make; where a drop keeps the error, K = 0 on a drop.
+    Each block starts from the previous one's end state.
+
+    A block of a trigger that reads the estimate brings no gamma; the
+    sweeps of :func:`_sweep_block` find it.
     """
     model = scenario.model
     n, m = model.n, model.m
     A, C, Q, R = model.A, model.C, model.Q, model.R
     s = _Runs(scenario, run_indices, force_gamma, sums)
-    e, P, N = s.e, s.P, s.N
+    e, P = s.e, s.P
     # the information of an arrival and of a drop; an offline drop has none
     J_arrival = C.T @ np.linalg.solve(R, C)
     J_drop = np.zeros((n, n)) if s.W_drop is None else C.T @ np.linalg.solve(s.W_drop, C)
 
-    for steps, _, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
-        L = Lw.shape[0]
+    def scan(gamma, Lv, Lw, y, e, P):
+        """The prior e and P of a block's steps and of the step after it,
+        (L + 1, runs, ...), given its gamma (L, runs)."""
+        L, N = gamma.shape
         J = np.where(gamma[:, :, None, None], J_arrival, J_drop)
         try:
             # a covariance that breaks down is reported by the log's check
@@ -455,23 +492,72 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
                 )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"prior covariance scan failed ({exc})") from exc
-        P_prior, P = P_all[:L], P_all[L]
-
         # with a zero prior error, whose innovation is L_r v, the update
         # returns the part d of the posterior error that the noise makes
+        g = gamma.reshape(L * N)
         d, _, K, _ = measurement_update(
-            model, P_prior.reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1),
-            gamma.reshape(L * N), s.W_drop, None if y is None else y.reshape(L * N, m, 1),
+            model, P_all[:L].reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1), g, s.W_drop,
+            None if y is None else y.reshape(L * N, m, 1),
         )
+        if y is None:
+            K = K * g[:, None, None]  # the error keeps its prior on a drop
         e_all = _orbit(
             e,
             ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
             _compose_affine, _apply_affine,
         )
-        e = e_all[L]
-        s.log(steps, gamma, e_all[:L], P_prior)
+        return e_all, P_all
+
+    for steps, zeta, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
+        if gamma is None:
+            gamma, e_all, P_all = _sweep_block(model, s, scan, steps.start, zeta, Lv, Lw, e, P)
+        else:
+            e_all, P_all = scan(gamma, Lv, Lw, y, e, P)
+        e, P = e_all[-1], P_all[-1]
+        s.log(steps, gamma, e_all[:-1], P_all[:-1])
 
     return s
+
+
+def _sweep_block(model, s, scan, k0, zeta, Lv, Lw, e, P):
+    """gamma of a block of a trigger that reads the estimate, found by
+    sweeps of ``scan``, and the prior errors and covariances it gives, as
+    :func:`_step_block` returns them.
+
+    Each sweep scans the block under a guess of gamma, at first all ones,
+    forms the innovations C e + L_r v and decides them in one
+    :func:`estimation.transmit` call.  Both orbits are causal, so the
+    innovation of step k reads only the guesses before k: the decisions are
+    right through the first step where they differ from the guess, and a run
+    whose decisions equal its guess has the one fixed point, the causal
+    solution, whatever the guesses were.  Such a run leaves the sweeps with
+    that sweep's scan; its values read nothing of the other runs.  The runs
+    that have not settled after ``SWEEPS_PER_DOUBLING * log2(L + 1)``
+    sweeps, rounded up, are stepped through the block from its start.
+    """
+    L, N = zeta.shape
+    gamma = np.ones((L, N), dtype=bool)
+    e_all, P_all = np.empty((L + 1,) + e.shape), np.empty((L + 1,) + P.shape)
+    live = np.arange(N)
+    # a guess may drop often enough for the error of an unstable plant to
+    # overflow; only a settled run's values are kept
+    with np.errstate(all="ignore"):
+        for _ in range(math.ceil(SWEEPS_PER_DOUBLING * math.log2(L + 1))):
+            e_live, P_live = scan(gamma[:, live], Lv[:, live], Lw[:, live], None, e[live], P[live])
+            k = np.repeat(np.arange(k0, k0 + L), live.size)
+            z = (model.C @ e_live[:L] + Lv[:, live]).reshape(L * live.size, model.m, 1)
+            decided = transmit(s.trigger, z, zeta[:, live].ravel(), k).reshape(L, live.size)
+            settled = (decided == gamma[:, live]).all(axis=0)
+            done = live[settled]
+            e_all[:, done], P_all[:, done] = e_live[:, settled], P_live[:, settled]
+            gamma[:, live] = decided
+            live = live[~settled]
+            if not live.size:
+                return gamma, e_all, P_all
+    gamma[:, live], e_all[:, live], P_all[:, live] = _step_block(
+        model, s, k0, zeta[:, live], Lv[:, live], Lw[:, live], None, None, e[live], P[live]
+    )
+    return gamma, e_all, P_all
 
 
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):

@@ -96,6 +96,19 @@ class TestTriggerPolicy:
         assert trigger_decide(pol, y, y_pred, 0.5, 0) == 1
         assert trigger_decide(pol, y_pred, y_pred, 0.5, 0) == 0
 
+    @pytest.mark.parametrize(
+        "pol, y, y_pred",
+        [
+            (TriggerPolicy.deterministic_threshold(1.0), [0.2], [0.0, 5.0]),
+            (TriggerPolicy.closed_loop(np.eye(2)), [3.0, 3.0], [0.5]),
+        ],
+        ids=["threshold", "closed_loop"],
+    )
+    def test_innovation_lengths_must_match(self, pol, y, y_pred):
+        # broadcasting y - y_pred formed an innovation of the longer length
+        with pytest.raises(InconsistentArgs, match="y has length .* but y_pred"):
+            trigger_decide(pol, y, y_pred, 0.5, 0)
+
     def test_zeta_domain(self):
         pol = TriggerPolicy.random_offline(0.5)
         with pytest.raises(InconsistentArgs):

@@ -33,6 +33,7 @@ from setkf.cli import main
 from setkf.estimation import MAX_PERIOD
 from setkf.harness import (
     SCAN_MAX_WIDTH,
+    SWEEP_MAX_WIDTH,
     _scan_runs,
     _simulate_runs,
     _step_runs,
@@ -584,10 +585,11 @@ FEEDBACK_FREE = [0, 1, 3, 4]  # standard, olset, periodic, random
 
 
 class TestScanOracle:
-    """The scan path of the kernel against its step loop."""
+    """The scan path of the kernel, with the sweeps of the triggers that read
+    the estimate, against its step loop."""
 
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 3), (6, 2)])
-    @pytest.mark.parametrize("pairing", FEEDBACK_FREE, ids=[PAIRING_IDS[i] for i in FEEDBACK_FREE])
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_scan_matches_step_loop(self, n, m, pairing):
         model = oracle_model(n, m, seed=10 * n + m)
         trig = oracle_pairings(m)[pairing]
@@ -606,23 +608,21 @@ class TestScanOracle:
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_forced_gamma(self, pairing):
-        # a forced gamma keeps its trigger's path: one run of a trigger that
-        # does not read the estimate takes the scan, clset and the
-        # deterministic threshold the step loop
+        # a forced gamma keeps its trigger's path: one run of n = 2 is narrow
+        # enough for every trigger to take the scan, clset and the
+        # deterministic threshold with no sweep
         model = oracle_model(2, 1, seed=21)
         trig = oracle_pairings(1)[pairing]
         forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
         scn = Scenario(model=model, trigger=trig, horizon=60, seed=6, burn_in=5)
+        assert harness._width(scn) <= SWEEP_MAX_WIDTH
         block = _simulate_runs(scn, [2], force_gamma=forced)
-        step = _step_runs(scn, [2], force_gamma=forced)
-        if pairing in FEEDBACK_FREE:
-            assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
-            assert_blocks_agree(block, step)
-        else:
-            assert_blocks_equal(block, step)
+        assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
+        assert_blocks_agree(block, _step_runs(scn, [2], force_gamma=forced))
+        np.testing.assert_array_equal(block.gamma[0], forced)
         assert_priors_psd(block)
 
-    @pytest.mark.parametrize("pairing", FEEDBACK_FREE, ids=[PAIRING_IDS[i] for i in FEEDBACK_FREE])
+    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_block_boundaries(self, monkeypatch, pairing):
         # blocks of 1, 2 and 7 steps restart the scans from the carried state
         model = oracle_model(3, 3, seed=33)
@@ -668,11 +668,14 @@ class TestScanOracle:
             (1, SCAN_MAX_WIDTH + 1, TriggerPolicy.open_loop([[0.7]]), False),
             (2, SCAN_MAX_WIDTH // 4, TriggerPolicy.random_offline(0.4), True),
             (2, SCAN_MAX_WIDTH // 4 + 1, TriggerPolicy.random_offline(0.4), False),
-            (1, 1, TriggerPolicy.closed_loop([[0.7]]), False),
-            (1, 1, TriggerPolicy.deterministic_threshold(1.0), False),
+            (1, SWEEP_MAX_WIDTH, TriggerPolicy.closed_loop([[0.7]]), True),
+            (1, SWEEP_MAX_WIDTH + 1, TriggerPolicy.closed_loop([[0.7]]), False),
+            (2, SWEEP_MAX_WIDTH // 4, TriggerPolicy.deterministic_threshold(1.0), True),
+            (2, SWEEP_MAX_WIDTH // 4 + 1, TriggerPolicy.deterministic_threshold(1.0), False),
         ],
         ids=[
-            "olset-at-bound", "olset-above", "random-at-bound", "random-above", "clset", "threshold",
+            "olset-at-bound", "olset-above", "random-at-bound", "random-above", "clset",
+            "clset-above", "threshold", "threshold-above",
         ],
     )
     def test_routing_bound(self, monkeypatch, n, runs, trig, scan):
@@ -692,14 +695,16 @@ class TestScanOracle:
         assert paths == ["_scan_runs" if scan else "_step_runs"] * 2
         np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
 
-    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("wide", [False, None, True], ids=["narrow", "mid", "wide"])
     @pytest.mark.parametrize("forced", [False, True], ids=["decided", "forced"])
     @pytest.mark.parametrize("pairing", range(1, 6), ids=PAIRING_IDS[1:])
     def test_route_reads_trigger_and_width(self, monkeypatch, pairing, forced, wide):
-        # the closed-loop and threshold triggers always step; the others take
-        # the scan if and only if the scenario is narrow, forced or not
+        # every trigger takes the scan if and only if the scenario is narrow
+        # enough for it, forced or not: the closed-loop and threshold
+        # triggers up to SWEEP_MAX_WIDTH, the others up to SCAN_MAX_WIDTH
         model = oracle_model(2, 1, seed=21)
-        runs = SCAN_MAX_WIDTH // model.n**2 + 1 if wide else 1
+        bound = {False: 0, None: SWEEP_MAX_WIDTH, True: SCAN_MAX_WIDTH}[wide]
+        runs = bound // model.n**2 + 1
         scn = Scenario(
             model=model, trigger=oracle_pairings(1)[pairing], horizon=9, runs=runs, seed=8,
             burn_in=0,
@@ -708,8 +713,56 @@ class TestScanOracle:
         for name in ("_scan_runs", "_step_runs"):
             monkeypatch.setattr(harness, name, lambda *a, _name=name: paths.append(_name))
         _simulate_runs(scn, [0], force_gamma=np.ones(9, dtype=int) if forced else None)
-        scan = pairing in FEEDBACK_FREE and not wide
+        scan = wide is False or (wide is None and pairing in FEEDBACK_FREE)
         assert paths == ["_scan_runs" if scan else "_step_runs"]
+
+
+class TestSweepCap:
+    """Runs that settle within the cap on sweeps keep the scan's values; the
+    others are stepped through the block, and neither depends on the other
+    runs of the block."""
+
+    def test_capped_and_settled_runs(self, monkeypatch):
+        # A = 1.2 forgets slowly, so its runs need many sweeps: over these 60
+        # steps, whose cap is 9 sweeps, runs 1 and 3 settle in 8 and 7 and
+        # runs 0 and 2 would need 14
+        scn = Scenario(
+            model=validate_model(1.2, 1.0, 1.0, 1.0, 1.0),
+            trigger=TriggerPolicy.closed_loop([[0.02807]]), horizon=60, runs=SWEEP_MAX_WIDTH,
+            seed=3, burn_in=0,
+        )
+        stepped = []
+        step_block = harness._step_block
+        # record how many runs each call steps, from zeta (L, runs)
+        monkeypatch.setattr(
+            harness, "_step_block",
+            lambda model, s, k0, zeta, *rest: stepped.append(zeta.shape[1])
+            or step_block(model, s, k0, zeta, *rest),
+        )
+        block = _simulate_runs(scn, range(scn.runs))
+        assert stepped == [2]
+        capped = []
+        for r in range(scn.runs):
+            stepped.clear()
+            rec = simulate(scn, r, record_full=True)
+            capped.append(bool(stepped))
+            for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
+                np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
+            ref = _step_runs(scn, [r])
+            one = _simulate_runs(scn, [r])
+            (assert_blocks_equal if capped[-1] else assert_blocks_agree)(one, ref)
+        assert capped == [True, False, True, False]
+
+    def test_overflowing_guesses_stay_inside(self):
+        # over 8000 steps a guess's long drop runs overflow the error of
+        # this unstable plant; the CLI's error state turns a leak into exit 3
+        scn = Scenario(
+            model=validate_model(1.2, 1.0, 1.0, 1.0, 1.0),
+            trigger=TriggerPolicy.closed_loop([[0.028]]), horizon=8000, seed=0, burn_in=0,
+        )
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            block = _simulate_runs(scn, [0])
+        assert np.isfinite(block.sq_err).all()
 
 
 def step_entries(model):
@@ -795,7 +848,7 @@ class TestDraws:
         # blocks of 7 steps for the two runs, so 8 blocks of the horizon of 50
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 7 * 2 * step_entries(model))
         monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 7 * harness._width(scn))
-        paths = [_step_runs] + ([_scan_runs] if pairing in FEEDBACK_FREE else [])
+        paths = [_step_runs, _scan_runs]
         refs = [path(scn, [2, 0]) for path in paths]
         gens = []
         monkeypatch.setattr(
