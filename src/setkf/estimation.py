@@ -153,11 +153,12 @@ def initial_state(model, x0_mean=None):
     )
 
 
-def transmit(policy, z, zeta, k):
+def transmit(policy, z, zeta, k=None):
     """Transmission decisions, True to send, of a stack of runs: zeta is
     (runs,) and z (runs, m, 1) the signal the rule reads, y for the open-loop
     trigger and the innovation y - C xhat_prior for the closed-loop and
-    threshold triggers; the periodic and random triggers ignore it."""
+    threshold triggers; the periodic and random triggers ignore it.  Only
+    the periodic rule reads the step index k, an int or (runs,)."""
     variant = policy.variant
     if variant == "periodic":
         return np.full(zeta.shape, (k - policy.phase) % policy.period == 0)

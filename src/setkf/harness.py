@@ -322,7 +322,14 @@ class _Runs:
 
         Raises NumericalError, naming the first step, when a diagonal entry
         of a prior covariance is not positive and finite: the covariance
-        recursion has broken down, and no later value means anything.
+        recursion has broken down, and no later value means anything.  Unless
+        gamma is forced, it also does so when a coordinate of a prior error
+        lies more than 1000 standard deviations out, |e_i| > 1e3 sqrt(P_ii).
+        The filter is exact, so e ~ N(0, P), and for the threshold trigger P
+        bounds the error: an honest run crosses the bound with probability
+        below 1e-200000, an error that has lost its digits to rounding does.
+        A forced gamma is not the trigger's own, so there P is not the
+        error's covariance.
         """
         diag = P.diagonal(axis1=2, axis2=3)
         if not (diag.min() > 0.0 and diag.max() < np.inf):
@@ -330,6 +337,13 @@ class _Runs:
             raise NumericalError(
                 f"prior covariance at step {steps.start + int(broken.argmax())} has a"
                 " diagonal entry that is not positive and finite"
+            )
+        # an error that is not finite fails this test, and nothing in it overflows
+        far = ~(np.abs(e[..., 0]) <= 1e3 * np.sqrt(diag)).all(axis=(1, 2))
+        if self.forced is None and far.any():
+            raise NumericalError(
+                f"prior error at step {steps.start + int(far.argmax())} lies more than"
+                " 1000 standard deviations out"
             )
         self.gamma[:, steps] = gamma.T
         self.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
@@ -370,16 +384,16 @@ def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     e, P = s.e, s.P
     length = STEP_BLOCK_ENTRIES // (s.N * (model.n**2 + 3 * model.n + 2 * model.m + 1))
     for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
-        gamma, e_all, P_all = _step_block(model, s, steps.start, zeta, Lv, Lw, y, gamma, e, P)
+        gamma, e_all, P_all = _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P)
         e, P = e_all[-1], P_all[-1]
         s.log(steps, gamma, e_all[:-1], P_all[:-1])
     return s
 
 
-def _step_block(model, s, k0, zeta, Lv, Lw, y, gamma, e, P):
-    """Step a stack of runs through a block of steps from k0 on; returns
-    gamma (L, runs) and the prior errors and covariances of the block's
-    steps and of the step after it, (L + 1, runs, n, 1) and (L + 1, runs, n, n).
+def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
+    """Step a stack of runs through a block of steps; returns gamma (L, runs)
+    and the prior errors and covariances of the block's steps and of the
+    step after it, (L + 1, runs, n, 1) and (L + 1, runs, n, n).
 
     The filter state is a stack over runs, P (runs, n, n) and the prior
     error e = x - xhat (runs, n, 1); only the filter recursion loops over
@@ -387,8 +401,10 @@ def _step_block(model, s, k0, zeta, Lv, Lw, y, gamma, e, P):
     one small matrix product per run and a run's values do not depend on
     the other runs of the stack.  Each step keeps the prior e and P, forms
     the innovation C e + L_r v, calls :func:`estimation.transmit` on it if
-    the block brings no gamma, calls :func:`estimation.measurement_update`
-    on the whole stack and does the time update.
+    the block brings no gamma (only the closed-loop and threshold triggers,
+    whose rules read no step index, bring none), calls
+    :func:`estimation.measurement_update` on the whole stack and does the
+    time update.
     """
     A, C, Q = model.A, model.C, model.Q
     # a contiguous A': matmul multiplies a stack by it faster than by the
@@ -402,7 +418,7 @@ def _step_block(model, s, k0, zeta, Lv, Lw, y, gamma, e, P):
         e_all[j], P_all[j] = e, P
         innov = C @ e + Lv[j]
         if decide:
-            gamma[j] = transmit(s.trigger, innov, zeta[j], k0 + j)
+            gamma[j] = transmit(s.trigger, innov, zeta[j])
         e, P, _, _ = measurement_update(
             model, P, e, innov, gamma[j], s.W_drop, None if y is None else y[j]
         )
@@ -510,7 +526,7 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
 
     for steps, zeta, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
         if gamma is None:
-            gamma, e_all, P_all = _sweep_block(model, s, scan, steps.start, zeta, Lv, Lw, e, P)
+            gamma, e_all, P_all = _sweep_block(model, s, scan, zeta, Lv, Lw, e, P)
         else:
             e_all, P_all = scan(gamma, Lv, Lw, y, e, P)
         e, P = e_all[-1], P_all[-1]
@@ -519,43 +535,40 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     return s
 
 
-def _sweep_block(model, s, scan, k0, zeta, Lv, Lw, e, P):
+def _sweep_block(model, s, scan, zeta, Lv, Lw, e, P):
     """gamma of a block of a trigger that reads the estimate, found by
     sweeps of ``scan``, and the prior errors and covariances it gives, as
     :func:`_step_block` returns them.
 
-    Each sweep scans the block under a guess of gamma, at first all ones,
-    forms the innovations C e + L_r v and decides them in one
-    :func:`estimation.transmit` call.  Both orbits are causal, so the
-    innovation of step k reads only the guesses before k: the decisions are
-    right through the first step where they differ from the guess, and a run
-    whose decisions equal its guess has the one fixed point, the causal
-    solution, whatever the guesses were.  Such a run leaves the sweeps with
-    that sweep's scan; its values read nothing of the other runs.  The runs
-    that have not settled after ``SWEEPS_PER_DOUBLING * log2(L + 1)``
-    sweeps, rounded up, are stepped through the block from its start.
+    Each sweep scans the whole block under a guess of gamma, at first all
+    ones, forms the innovations C e + L_r v and decides them in one
+    :func:`estimation.transmit` call; the decisions are the next guess.
+    Both orbits are causal, so the innovation of step k reads only the
+    guesses before k: the decisions are right through the first step where
+    they differ from the guess, and a run whose decisions equal its guess
+    has the one fixed point, the causal solution, whatever the guesses were.
+    A settled run is a fixed point, so each later sweep gives it the same
+    values, which read nothing of the other runs.  The sweeps end when no
+    run's decisions changed; after ``SWEEPS_PER_DOUBLING * log2(L + 1)``
+    sweeps, rounded up, the runs whose last sweep changed a decision are
+    stepped through the block from its start.
     """
     L, N = zeta.shape
     gamma = np.ones((L, N), dtype=bool)
-    e_all, P_all = np.empty((L + 1,) + e.shape), np.empty((L + 1,) + P.shape)
-    live = np.arange(N)
     # a guess may drop often enough for the error of an unstable plant to
     # overflow; only a settled run's values are kept
     with np.errstate(all="ignore"):
         for _ in range(math.ceil(SWEEPS_PER_DOUBLING * math.log2(L + 1))):
-            e_live, P_live = scan(gamma[:, live], Lv[:, live], Lw[:, live], None, e[live], P[live])
-            k = np.repeat(np.arange(k0, k0 + L), live.size)
-            z = (model.C @ e_live[:L] + Lv[:, live]).reshape(L * live.size, model.m, 1)
-            decided = transmit(s.trigger, z, zeta[:, live].ravel(), k).reshape(L, live.size)
-            settled = (decided == gamma[:, live]).all(axis=0)
-            done = live[settled]
-            e_all[:, done], P_all[:, done] = e_live[:, settled], P_live[:, settled]
-            gamma[:, live] = decided
-            live = live[~settled]
-            if not live.size:
+            e_all, P_all = scan(gamma, Lv, Lw, None, e, P)
+            z = (model.C @ e_all[:L] + Lv).reshape(L * N, model.m, 1)
+            decided = transmit(s.trigger, z, zeta.ravel()).reshape(L, N)
+            changed = (decided != gamma).any(axis=0)
+            gamma = decided
+            if not changed.any():
                 return gamma, e_all, P_all
-    gamma[:, live], e_all[:, live], P_all[:, live] = _step_block(
-        model, s, k0, zeta[:, live], Lv[:, live], Lw[:, live], None, None, e[live], P[live]
+    gamma[:, changed], e_all[:, changed], P_all[:, changed] = _step_block(
+        model, s, zeta[:, changed], Lv[:, changed], Lw[:, changed], None, None,
+        e[changed], P[changed],
     )
     return gamma, e_all, P_all
 
@@ -880,39 +893,36 @@ def singer_scenario(
     )
 
 
-def _fmt(x):
-    return f"{x:.12g}"
+def _write_rows(fh, header, rows):
+    """Write a CSV header line and one line per row: floats at ``.12g``,
+    every other cell as ``str``."""
+    fh.write(header + "\n")
+    for row in rows:
+        fh.write(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def write_trajectory_csv(record, fh):
-    fh.write("k,gamma,P_trace,mse,P11,mse11\n")
-    for k in range(record.gamma.shape[0]):
-        fh.write(
-            f"{k},{int(record.gamma[k])},{_fmt(record.P_trace[k])},"
-            f"{_fmt(record.sq_err[k])},{_fmt(record.P11[k])},{_fmt(record.sq_err11[k])}\n"
-        )
+    _write_rows(
+        fh, "k,gamma,P_trace,mse,P11,mse11",
+        zip(range(record.gamma.shape[0]), map(int, record.gamma), record.P_trace, record.sq_err,
+            record.P11, record.sq_err11),
+    )
 
 
 def write_monte_carlo_csv(stats, fh):
-    fh.write("k,rate_mean,P_trace_mean,mse_mean,P11_mean,mse11_mean\n")
-    for k in range(stats.steps.shape[0]):
-        fh.write(
-            f"{k},{_fmt(stats.rate_mean[k])},{_fmt(stats.P_trace_mean[k])},"
-            f"{_fmt(stats.mse_mean[k])},{_fmt(stats.P_mean[k, 0, 0])},"
-            f"{_fmt(stats.err_outer_mean[k, 0, 0])}\n"
-        )
+    _write_rows(
+        fh, "k,rate_mean,P_trace_mean,mse_mean,P11_mean,mse11_mean",
+        zip(range(stats.steps.shape[0]), stats.rate_mean, stats.P_trace_mean, stats.mse_mean,
+            stats.P_mean[:, 0, 0], stats.err_outer_mean[:, 0, 0]),
+    )
 
 
 def write_comparison_csv(rows, fh):
-    fh.write("scheduler,param,empirical_rate,steady_trace\n")
-    for row in rows:
-        fh.write(
-            f"{row.scheduler},{_fmt(row.param)},{_fmt(row.empirical_rate)},"
-            f"{_fmt(row.steady_trace)}\n"
-        )
+    _write_rows(
+        fh, "scheduler,param,empirical_rate,steady_trace",
+        ((r.scheduler, r.param, r.empirical_rate, r.steady_trace) for r in rows),
+    )
 
 
 def write_report_csv(rows, fh):
-    fh.write("quantity,value\n")
-    for name, value in rows:
-        fh.write(f"{name},{_fmt(value)}\n")
+    _write_rows(fh, "quantity,value", rows)

@@ -17,7 +17,10 @@ the one digest it prints:
     python tests/cli_sweep.py            # the digest of the whole sweep
     python tests/cli_sweep.py --cases    # also one digest per case
 
-The name does not match ``test_*.py``, so pytest does not collect it.
+The name does not match ``test_*.py``, so pytest does not collect it;
+``test_cli_golden.py`` checks its digest against
+``tests/data/golden/cli_sweep.sha256`` and rewrites that file with the
+goldens.
 """
 
 import contextlib

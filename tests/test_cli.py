@@ -732,29 +732,44 @@ def test_filter_key_is_ignored(tmp_path, capsys, trigger, filt):
     assert outputs[0].err == ""
 
 
+CLSET = {"variant": "closed_loop", "Z": [[1.0]]}
+BROKEN_COVARIANCE = "prior covariance at step 2 has a diagonal entry that is not positive and finite"
+LOST_ERROR = "prior error at step 2 lies more than 1000 standard deviations out"
+
+
 @pytest.mark.parametrize(
-    "command, trigger, scale",
+    "command, trigger, scale, extra, message",
     [
-        ("monte-carlo", {"variant": "closed_loop", "Z": [[1.0]]}, 1e300),
-        ("monte-carlo", {"variant": "closed_loop", "Z": [[1.0]]}, 1e150),
-        ("simulate", {"variant": "periodic", "period": 3, "phase": 1}, 1e300),
+        ("monte-carlo", CLSET, 1e300, {}, BROKEN_COVARIANCE),
+        ("monte-carlo", CLSET, 1e150, {}, BROKEN_COVARIANCE),
+        ("simulate", {"variant": "periodic", "period": 3, "phase": 1}, 1e300, {},
+         BROKEN_COVARIANCE),
+        # the covariance stays positive and finite, but the error has lost
+        # its digits: at step 2 tr P is below 34 and e'e above 1e264
+        ("monte-carlo", CLSET, 1e300, {"pre_roll": 2, "x0_mean": [0.5, -0.5]}, LOST_ERROR),
+        ("monte-carlo", CLSET, 1e300, {"runs": 1}, LOST_ERROR),
+        ("monte-carlo", {"variant": "deterministic_threshold", "delta": 1.0}, 1e300, {"runs": 1},
+         LOST_ERROR),
+        ("monte-carlo", {"variant": "open_loop", "Y": [[1.0]]}, 1e300, {"runs": 1}, LOST_ERROR),
+        ("monte-carlo", {"variant": "open_loop", "Y": [[1.0]]}, 1e300, {}, LOST_ERROR),
     ],
-    ids=["clset-1e300", "clset-1e150", "periodic-scan-1e300"],
+    ids=["clset-1e300", "clset-1e150", "periodic-scan-1e300", "clset-pre-roll-1e300",
+         "clset-sweeps-1e300", "threshold-sweeps-1e300", "olset-scan-1-1e300",
+         "olset-scan-2-1e300"],
 )
-def test_broken_prior_covariance_exit_code(tmp_path, capsys, command, trigger, scale):
+def test_broken_prior_covariance_exit_code(tmp_path, capsys, command, trigger, scale, extra,
+                                           message):
     # a huge prior makes the posterior's P - K C P cancel: the step loop's
-    # covariance turns negative at step 2, the scan's not a number
+    # covariance turns negative at step 2, the scan's not a number; where
+    # it stays positive, the error keeps the rounding residue of its prior
     cfg = {"model": {**TWO_STATE, "Sigma0": (scale * np.eye(2)).tolist()}, "trigger": trigger,
-           "horizon": 20, "runs": 2, "seed": 1, "burn_in": 5}
+           "horizon": 20, "runs": 2, "seed": 1, "burn_in": 5, **extra}
     path = tmp_path / "prior.json"
     path.write_text(json.dumps(cfg))
     assert main([command, "--config", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == (
-        "numerical failure: prior covariance at step 2 has a diagonal entry that is not"
-        " positive and finite\n"
-    )
+    assert err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")

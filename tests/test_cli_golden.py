@@ -12,8 +12,9 @@ closed forms.  The plant A = 0.8 and the m = 2 plant also run ``simulate``
 and ``monte-carlo`` (3 runs) for each trigger over 30 steps; one more
 ``monte-carlo`` has a pre-roll of 2 steps, and one has 40 runs of the m = 2
 plant, too wide for the scan, so that its open-loop trigger takes the step
-loop.  The files were written by this module's ``main``; rewrite them only
-for an intended change of output:
+loop.  ``cli_sweep.sha256`` holds the digest that ``tests/cli_sweep.py``
+prints over its 256 commands.  The files were written by this module's
+``main``; rewrite them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -21,6 +22,7 @@ for an intended change of output:
 import contextlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -31,6 +33,7 @@ from setkf import cli
 from setkf.estimation import TRIGGER_VARIANTS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+SWEEP = Path(__file__).resolve().parent / "cli_sweep.py"
 
 
 def _scalar(a):
@@ -160,13 +163,25 @@ def test_stdout_matches_golden(plant, name, tmp_path):
     assert _stdout(_argv(plant, name, tmp_path)) == expected
 
 
+def _sweep_digest():
+    """What ``tests/cli_sweep.py`` prints, from a process of its own."""
+    return subprocess.run(
+        [sys.executable, str(SWEEP)], capture_output=True, text=True, check=True
+    ).stdout
+
+
+def test_cli_sweep_digest():
+    assert _sweep_digest() == (GOLDEN / "cli_sweep.sha256").read_text(encoding="utf-8")
+
+
 def main():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as directory:
         for plant, name in CASES:
             text = _stdout(_argv(plant, name, directory))
             (GOLDEN / f"{plant}-{name}.txt").write_text(text, encoding="utf-8")
-    print(f"wrote {len(CASES)} files to {GOLDEN}")
+    (GOLDEN / "cli_sweep.sha256").write_text(_sweep_digest(), encoding="utf-8")
+    print(f"wrote {len(CASES) + 1} files to {GOLDEN}")
 
 
 if __name__ == "__main__":

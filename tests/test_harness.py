@@ -719,8 +719,8 @@ class TestScanOracle:
 
 class TestSweepCap:
     """Runs that settle within the cap on sweeps keep the scan's values; the
-    others are stepped through the block, and neither depends on the other
-    runs of the block."""
+    runs whose last sweep still changed a decision are stepped through the
+    block, and neither depends on the other runs of the block."""
 
     def test_capped_and_settled_runs(self, monkeypatch):
         # A = 1.2 forgets slowly, so its runs need many sweeps: over these 60
@@ -736,8 +736,8 @@ class TestSweepCap:
         # record how many runs each call steps, from zeta (L, runs)
         monkeypatch.setattr(
             harness, "_step_block",
-            lambda model, s, k0, zeta, *rest: stepped.append(zeta.shape[1])
-            or step_block(model, s, k0, zeta, *rest),
+            lambda model, s, zeta, *rest: stepped.append(zeta.shape[1])
+            or step_block(model, s, zeta, *rest),
         )
         block = _simulate_runs(scn, range(scn.runs))
         assert stepped == [2]
