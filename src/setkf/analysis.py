@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnstableSystem
+from .estimation import drop_noises
 from .matrices import require_spd, sym
 from .model import SteadyState, steady_state
 from .riccati import fixed_points
@@ -64,14 +65,8 @@ def inverse_root_det(M, what="Pi Y"):
 
 
 def drop_noise(R, M):
-    """Effective measurement noise on a drop: R + M^-1."""
-    return ray_drop_noise(R, np.ones(1), require_spd(M, "trigger weight", size=len(R)))[0]
-
-
-def ray_drop_noise(R, thetas, B):
-    """drop_noise(R, theta * B) for each theta of a stack, B checked once by
-    the caller instead of each theta * B."""
-    return sym(R + np.linalg.inv(sym(thetas[:, None, None] * B)))
+    """Effective measurement noise on a drop, R + M^-1: drop_noises of one M."""
+    return drop_noises(R, require_spd(M, "trigger weight", size=len(R))[None])[0]
 
 
 def open_loop_rates(steady, Y):
@@ -102,8 +97,8 @@ def conditional_rate(model, X, Z):
 def upper_rates(model, thetas, B):
     """The closed-loop upper rate bound, the rate at fix(g_{R+Z^-1}), with
     Z = theta B for each theta of a stack and B checked by the caller."""
-    X = fixed_points(model, ray_drop_noise(model.R, thetas, B))
-    return conditional_rates(model, X, thetas[:, None, None] * B)
+    Z = thetas[:, None, None] * B
+    return conditional_rates(model, fixed_points(model, drop_noises(model.R, Z)), Z)
 
 
 def rate_weighted_noise(R, W_drop, gamma):
@@ -122,7 +117,7 @@ def olset_bounds(model, Y):
     st = steady_state(model)
     # Y is checked once, here, so the stack forms take it as it is
     gamma = float(open_loop_rates(st, Y[None])[0])
-    W_drop = ray_drop_noise(model.R, np.ones(1), Y)[0]
+    W_drop = drop_noises(model.R, Y[None])[0]
     R1 = rate_weighted_noise(model.R, W_drop, gamma)
     X0, X_upper, X_lower = fixed_points(model, np.stack([model.R, W_drop, R1]))
     return OpenLoopAnalysis(
@@ -133,7 +128,7 @@ def olset_bounds(model, Y):
 def closed_loop_rate_bounds(model, Z):
     """Closed-loop rate bounds and covariance bounds; no stability needed."""
     Z = require_spd(Z, "Z", size=model.m)
-    W_drop = ray_drop_noise(model.R, np.ones(1), Z)[0]
+    W_drop = drop_noises(model.R, Z[None])[0]
     X = fixed_points(model, np.stack([model.R, W_drop]))
     gamma_low, gamma_upper = conditional_rates(model, X, Z).tolist()
     R3 = rate_weighted_noise(model.R, W_drop, gamma_upper)

@@ -41,7 +41,8 @@ from .errors import Infeasible, UnstableSystem
 from .matrices import is_spd, require_size, require_spd, smallest_eigenvalue, spectral_norm, sym
 from .model import steady_state
 from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
-from .analysis import inverse_root_det, open_loop_rate, ray_drop_noise, upper_rates
+from .analysis import inverse_root_det, open_loop_rate, upper_rates
+from .estimation import drop_noises, measurement_update
 
 RAY_REL_TOL = 1e-8
 # the ray theta * B is searched on [RAY_FLOOR, RAY_CAP]
@@ -94,7 +95,7 @@ def _below_bound(model, thetas, B, Delta0, margin):
     """For each theta of a stack, whether lambda_min(Delta0 - X) > margin,
     with X = fix(g_{R+(theta B)^-1}), and the score lambda_min - margin; B
     and Delta0 are checked."""
-    X = fixed_points(model, ray_drop_noise(model.R, thetas, B))
+    X = fixed_points(model, drop_noises(model.R, thetas[:, None, None] * B))
     score = np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] - margin
     return score > 0.0, score
 
@@ -131,11 +132,6 @@ def assemble_lmi_blocks(model, Y, S, Delta0):
     return sym(M1), sym(M2)
 
 
-def _posterior_image(model, X, W_eff):
-    M = sym(model.C @ X @ model.C.T + W_eff)
-    return sym(X - X @ model.C.T @ np.linalg.solve(M, model.C @ X))
-
-
 def lmi_feasible(model, Y, Delta0):
     """Feasibility via the block-matrix certificate.
 
@@ -152,18 +148,19 @@ def lmi_feasible(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y", size=model.m)
     Delta0 = require_spd(Delta0, "Delta0", size=model.n)
-    (W_eff,) = ray_drop_noise(model.R, np.ones(1), Y)
+    (W_eff,) = drop_noises(model.R, Y[None])
     X_upper = fixed_point(RiccatiMap(model, W_eff))
     try:
         L = np.linalg.cholesky(sym(Delta0 - X_upper))
     except np.linalg.LinAlgError:
         return False
-    A, C = model.A, model.C
-    K = np.linalg.solve(sym(C @ X_upper @ C.T + W_eff), C @ X_upper @ A.T).T
-    D = lyapunov(A - K @ C, np.eye(model.n))
+    # the update of a drop, whose measurement 0 has the noise W_eff
+    drop = (0.0, np.zeros((1, model.m, 1)), np.zeros(1, dtype=bool), W_eff)
+    K = measurement_update(model, X_upper[None], *drop)[2][0]
+    D = lyapunov(model.A @ (np.eye(model.n) - K @ model.C), np.eye(model.n))
     Linv = np.linalg.inv(L)
     eps_star = 1.0 / float(np.linalg.eigvalsh(sym(Linv @ D @ Linv.T))[-1])
-    X = _posterior_image(model, sym(X_upper + (0.5 * eps_star) * D), W_eff)
+    X = measurement_update(model, sym(X_upper + (0.5 * eps_star) * D)[None], *drop)[1][0]
     M1, M2 = assemble_lmi_blocks(model, Y, sym(np.linalg.inv(X)), Delta0)
     return is_spd(M1) and is_spd(M2)
 

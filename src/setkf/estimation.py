@@ -16,7 +16,7 @@ and becomes e - K z + K y under the open loop, where the measurement 0
 arrives; the offline baselines (periodic, random, threshold) predict only.
 
 The trigger rule, the drop noise and the measurement update are written
-once (:func:`transmit`, :func:`drop_noise`, :func:`measurement_update`),
+once (:func:`transmit`, :func:`drop_noises`, :func:`measurement_update`),
 the rule and the update over a stack of runs; the single-step functions on
 a :class:`FilterState` pass them a stack of one run, whose estimate is
 minus the error of a plant held at 0.
@@ -170,6 +170,11 @@ def transmit(policy, z, zeta, k=None):
     return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
 
 
+def drop_noises(R, W):
+    """sym(R + W^-1), the noise of a drop, for each checked weight W of a stack."""
+    return sym(R + np.linalg.inv(W))
+
+
 def drop_noise(model, policy):
     """The noise of a drop: R + Y^-1 under the open-loop trigger, R + Z^-1
     under the closed-loop trigger, None where a drop tells the filter nothing.
@@ -178,7 +183,7 @@ def drop_noise(model, policy):
     key = _WEIGHTS.get(policy.variant)
     if key is None:
         return None
-    return model.R + np.linalg.inv(require_size(getattr(policy, key), key, model.m))
+    return drop_noises(model.R, require_size(getattr(policy, key), key, model.m)[None])[0]
 
 
 def measurement_update(model, P, e, z, gamma, W_drop=None, y=None):

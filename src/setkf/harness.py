@@ -491,8 +491,8 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     s = _Runs(scenario, run_indices, force_gamma, sums)
     e, P = s.e, s.P
     # the information of an arrival and of a drop; an offline drop has none
-    J_arrival = C.T @ np.linalg.solve(R, C)
-    J_drop = np.zeros((n, n)) if s.W_drop is None else C.T @ np.linalg.solve(s.W_drop, C)
+    J_arrival = riccati.information(C, R[None])[0]
+    J_drop = np.zeros((n, n)) if s.W_drop is None else riccati.information(C, s.W_drop[None])[0]
 
     def scan(gamma, Lv, Lw, y, e, P):
         """The prior e and P of a block's steps and of the step after it,

@@ -156,12 +156,15 @@ def fixed_points(model, W):
     return _fixed_points(model, W)
 
 
+def information(C, W):
+    """C' W^-1 C, the information of a measurement with noise W, for each W of a stack."""
+    return sym(C.T @ np.linalg.solve(W, C[None]))
+
+
 def _fixed_points(model, W):
-    # fixed_points for a stack of W already checked
-    C, A, H = model.C, model.A[None], model.Q[None]
-    if len(W) > 1:  # compose squares stacks of equal height
-        A, H = A.repeat(len(W), 0), H.repeat(len(W), 0)
-    G = sym(C.T @ np.linalg.solve(W, C[None]))
+    # fixed_points for a stack of checked W; compose squares stacks of equal height
+    A, H = model.A[None].repeat(len(W), 0), model.Q[None].repeat(len(W), 0)
+    G = information(model.C, W)
     return _doubling((A, H, G), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling")
 
 
