@@ -38,7 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible, UnstableSystem
-from .matrices import is_spd, require_size, require_spd, smallest_eigenvalue, spectral_norm, sym
+from .matrices import (
+    as_number,
+    is_spd,
+    require_size,
+    require_spd,
+    smallest_eigenvalue,
+    spectral_norm,
+    sym,
+)
 from .model import steady_state
 from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
 from .analysis import inverse_root_det, open_loop_rate, upper_rates
@@ -140,9 +148,11 @@ def lmi_feasible(model, Y, Delta0):
     strictly contractive when the fixed point is perturbed along it.  Let
     eps* be the largest step with X_upper + eps* D <= Delta0; the one
     candidate is S = X^-1 with X the posterior image of X_upper + eps*/2 D,
-    checked on the Schur pair (M1, M2).  When Delta0 - X_upper is not
-    positive definite no step exists and the answer is False, so the result
-    agrees with :func:`feasibility_check`.
+    checked on the Schur pair (M1, M2).  F and X take the gain and the
+    covariance of a drop from :func:`estimation.measurement_update`.  When
+    lambda_min(Delta0 - X_upper) does not exceed the strictness margin of
+    :func:`feasibility_check` the answer is False, as there, so the two
+    agree.
     """
     if model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
@@ -150,6 +160,8 @@ def lmi_feasible(model, Y, Delta0):
     Delta0 = require_spd(Delta0, "Delta0", size=model.n)
     (W_eff,) = drop_noises(model.R, Y[None])
     X_upper = fixed_point(RiccatiMap(model, W_eff))
+    if not smallest_eigenvalue(Delta0 - X_upper) > _strictness(Delta0):
+        return False
     try:
         L = np.linalg.cholesky(sym(Delta0 - X_upper))
     except np.linalg.LinAlgError:
@@ -315,6 +327,7 @@ def design_search_closed_loop(problem):
 
 def delta0_for_lambda_max_bound(c, n):
     """Delta0 encoding the constraint lambda_max(X_upper) <= c (exact)."""
+    c = as_number(c, "lambda_max bound")
     if c <= 0:
         raise Infeasible("lambda_max bound must be positive")
     return c * np.eye(n)
@@ -322,6 +335,7 @@ def delta0_for_lambda_max_bound(c, n):
 
 def delta0_for_trace_bound(c, n):
     """Delta0 encoding tr(X_upper) <= c via the ball (c/n) I (conservative)."""
+    c = as_number(c, "trace bound")
     if c <= 0:
         raise Infeasible("trace bound must be positive")
     return (c / n) * np.eye(n)

@@ -171,7 +171,8 @@ def transmit(policy, z, zeta, k=None):
 
 
 def drop_noises(R, W):
-    """sym(R + W^-1), the noise of a drop, for each checked weight W of a stack."""
+    """sym(R + W^-1), the noise of a drop, for each checked weight W of a
+    stack: the one formula that the filters, the analysis and the design read."""
     return sym(R + np.linalg.inv(W))
 
 

@@ -474,10 +474,11 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
     draws, y and gamma from :class:`_Runs`, finds the prior covariances as an
     :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
-    :func:`riccati.compose`, J = C' W^-1 C being the step's information,
-    W = R on an arrival and the drop noise on a drop, gets the error's gains
-    K from one :func:`estimation.measurement_update` call, and finds the
-    prior errors e = x - xhat as an :func:`_orbit` of the affine maps
+    :func:`riccati.compose`, J = C' W^-1 C being the step's
+    :func:`riccati.information`, W = R on an arrival and the drop noise on a
+    drop, gets the error's gains K from one
+    :func:`estimation.measurement_update` call, and finds the prior errors
+    e = x - xhat as an :func:`_orbit` of the affine maps
     e -> F e + A d + L_q w, F = A (I - K C), that the update and the time
     update make; where a drop keeps the error, K = 0 on a drop.
     Each block starts from the previous one's end state.

@@ -9,11 +9,11 @@ The two maps are dual: [Gamma_W(X^-1)]^-1 = g_W(X).  Both are monotone in
 the Loewner order and, for detectable/stabilizable plants, iterate to a
 unique positive-definite fixed point from any positive-definite start.
 Each map P -> A (P^-1 + J)^-1 A' + C is an element (A, C, J), g_W being
-(A, Q, C' W^-1 C), and :func:`compose` is their one composition: the
-harness's time-parallel scan composes an element per step, while
-:func:`fixed_points` and :func:`lyapunov` (whose element is (F, Q, 0))
-square a stack of elements, k doublings covering 2^k iterates, at most 64
-times, each element until its own stop.
+(A, Q, C' W^-1 C) with :func:`information` as its J, and :func:`compose`
+is their one composition: the harness's time-parallel scan composes an
+element per step, while :func:`fixed_points` and :func:`lyapunov` (whose
+element is (F, Q, 0)) square a stack of elements, k doublings covering 2^k
+iterates, at most 64 times, each element until its own stop.
 
 Also provides the block-Gaussian covariance identity used to absorb a
 quadratic measurement weight into a joint covariance: for a joint SPD

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from setkf import (
+    ConfigError,
     DesignProblem,
     Infeasible,
     UnstableSystem,
@@ -24,6 +25,9 @@ from setkf.riccati import RiccatiMap, fixed_point
 from util import assemble_lmi_blocks_reference, loewner_leq, random_spd, random_stable_model
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
+TWO_SENSOR = validate_model(
+    [[0.8, 1.0], [0.0, 0.95]], [[0.5, 0.3], [0.0, 1.4]], np.eye(2), np.eye(2), np.eye(2)
+)
 
 
 class TestFeasibilityCheck:
@@ -86,6 +90,17 @@ class TestLmiFeasible:
             assert lmi_feasible(m, Y, D) == expect
             outcomes.append(expect)
         assert 50 <= sum(outcomes) <= 150
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-12])
+    @pytest.mark.parametrize("plant", [SCALAR, TWO_SENSOR], ids=["scalar", "two_sensor"])
+    def test_agreement_inside_the_strictness_margin(self, plant, eps):
+        # Delta0 - X_upper is positive-definite, but its smallest eigenvalue
+        # eps lies within feasibility_check's margin 1e-9 (1 + ||Delta0||)
+        Y = np.eye(plant.m)
+        X_upper = fixed_point(RiccatiMap(plant, drop_noise(plant.R, Y)))
+        Delta0 = X_upper + eps * np.eye(plant.n)
+        assert feasibility_check(plant, Y, Delta0) is False
+        assert lmi_feasible(plant, Y, Delta0) is False
 
     def test_monotone_feasibility_along_weight(self):
         rng = np.random.default_rng(14)
@@ -214,6 +229,15 @@ class TestConstraintReductions:
     def test_trace_form(self):
         D = delta0_for_trace_bound(6.0, 3)
         assert np.trace(D) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("reduce", [delta0_for_lambda_max_bound, delta0_for_trace_bound])
+    def test_bound_must_be_finite_and_positive(self, reduce):
+        for c in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match="must be finite"):
+                reduce(c, 2)
+        for c in (0.0, -1.0):
+            with pytest.raises(Infeasible, match="must be positive"):
+                reduce(c, 2)
 
     def test_trace_constraint_satisfied_by_search(self):
         D = delta0_for_trace_bound(3.2, 1)

@@ -15,7 +15,8 @@ from setkf import (
     trigger_decide,
     validate_model,
 )
-from setkf.estimation import MAX_PERIOD
+from setkf.analysis import drop_noise
+from setkf.estimation import MAX_PERIOD, drop_noise as simulated_drop_noise
 from util import random_spd, random_stable_model
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
@@ -206,6 +207,24 @@ class TestMeasurementUpdates:
         s2 = standard_kf_update(initial_state(m2), np.concatenate([y, y]), m2)
         np.testing.assert_allclose(s1.P_post, s2.P_post, atol=1e-10)
         np.testing.assert_allclose(s1.x_post, s2.x_post, atol=1e-10)
+
+
+    def test_filter_and_analysis_share_one_drop_noise(self):
+        # for m >= 2 the filter's drop noise once differed from the
+        # analysis's in the last bits and was not exactly symmetric
+        rng = np.random.default_rng(26)
+        checked = 0
+        while checked < 100:
+            model = random_stable_model(rng, n_max=3, m_max=5)
+            if model.m < 2:
+                continue
+            W = random_spd(rng, model.m, scale=float(rng.uniform(0.05, 2.0)))
+            expected = drop_noise(model.R, W)
+            for policy in (TriggerPolicy.open_loop(W), TriggerPolicy.closed_loop(W)):
+                noise = simulated_drop_noise(model, policy)
+                assert np.array_equal(noise, expected)
+                assert np.array_equal(noise, noise.T)
+            checked += 1
 
 
 class TestTimeAndDropUpdates:

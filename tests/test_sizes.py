@@ -43,6 +43,8 @@ ENTRY_POINTS = {
     "olset_bounds": ("Y", "m", lambda p, M: analysis.olset_bounds(p, M)),
     "closed_loop_rate_bounds": ("Z", "m", lambda p, M: analysis.closed_loop_rate_bounds(p, M)),
     "conditional_rate": ("Z", "m", lambda p, M: analysis.conditional_rate(p, np.eye(p.n), M)),
+    # a positive semi-definite X is a valid prior, so X's size alone is checked
+    "conditional_rate-X": ("X", "n", lambda p, M: analysis.conditional_rate(p, M, np.eye(p.m))),
     "open_loop_rate": ("Y", "m", lambda p, M: analysis.open_loop_rate(steady_state(p), M)),
     "sequential_drop_probability": (
         "Y", "m", lambda p, M: analysis.sequential_drop_probability(steady_state(p), p, M, 2),
