@@ -208,7 +208,6 @@ class TestMeasurementUpdates:
         np.testing.assert_allclose(s1.P_post, s2.P_post, atol=1e-10)
         np.testing.assert_allclose(s1.x_post, s2.x_post, atol=1e-10)
 
-
     def test_filter_and_analysis_share_one_drop_noise(self):
         # for m >= 2 the filter's drop noise once differed from the
         # analysis's in the last bits and was not exactly symmetric
