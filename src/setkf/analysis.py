@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import UnstableSystem
 from .estimation import drop_noises
-from .matrices import require_size, require_spd, sym
+from .matrices import as_matrix, require_size, require_spd, sym
 from .model import SteadyState, steady_state
 from .riccati import fixed_points
 
@@ -91,7 +91,8 @@ def conditional_rates(model, X, Z):
 def conditional_rate(model, X, Z):
     """Transmission probability of the closed-loop trigger at prior covariance X."""
     Z = require_spd(Z, "Z", size=model.m)
-    return float(conditional_rates(model, require_size(X, "X", model.n)[None], Z)[0])
+    X = require_size(as_matrix(X, "X"), "X", model.n)
+    return float(conditional_rates(model, X[None], Z)[0])
 
 
 def upper_rates(model, thetas, B):

@@ -65,6 +65,12 @@ MAX_RUNS = 5 * 10**5
 # scan is faster, 7-11x for one run of 10^5 steps.
 SCAN_MAX_WIDTH = 128
 
+# Most runs of a scalar open-loop scenario that step their plant path in
+# Python floats, run by run; more step as one stack.  Per step of a block the
+# floats took 0.7-1.2 us against the stack's 2.2-4.1 at 8 runs, and 1.5-2.95
+# against 2.4-4.1 at 16 (2-CPU Xeon, numpy 2.4, 1500 steps, best of 7).
+FLOAT_PATH_MAX_RUNS = 8
+
 # Widest scenario, runs * n^2, whose closed-loop or threshold trigger is
 # simulated by sweeps of the scan; wider ones step through time.  Up to this
 # width the sweeps ran 1.3-6.7x (closed loop) and 0.9-5.5x (threshold) as
@@ -285,7 +291,9 @@ class _Runs:
         (L, runs, n, 1) that takes it to the next, for the open-loop
         trigger y (L, runs, m, 1), else None, and gamma (L, runs): the
         forced rows, or else one :func:`estimation.transmit` call's
-        decisions, or None where the trigger reads the estimate."""
+        decisions, or None where the trigger reads the estimate.  For n = 1
+        and at most ``FLOAT_PATH_MAX_RUNS`` runs the plant path steps each
+        run in Python floats, the stack's products and sums."""
         A, C, Lq, Lr, N = self.A, self.C, self.Lq, self.Lr, self.N
         n, m, length = A.shape[0], Lr.shape[0], max(1, length)
         for k0 in range(0, self.T, length):
@@ -302,8 +310,15 @@ class _Runs:
                 # x and y do not depend on the block length
                 xs = np.empty((L + 1, N, n, 1))
                 xs[0] = self.x
-                for j in range(L):
-                    np.add(A @ xs[j], Lw[j], out=xs[j + 1])
+                if n == 1 and N <= FLOAT_PATH_MAX_RUNS:
+                    a = A.item()
+                    for r, x in enumerate(xs[0].ravel().tolist()):
+                        out = memoryview(xs[1:, r, 0, 0])
+                        for j, w in enumerate(memoryview(Lw[:, r, 0, 0])):
+                            x = out[j] = a * x + w
+                else:
+                    for j in range(L):
+                        np.add(A @ xs[j], Lw[j], out=xs[j + 1])
                 self.x = xs[L]
                 y = C @ xs[:L] + Lv
             zeta = self.zeta[:, k0 : k0 + L].T
@@ -456,15 +471,18 @@ def _orbit(v0, maps, compose, apply):
 
 
 def _compose_affine(first, second):
-    """The map x -> F x + b of the second (F, b) after the first."""
+    """The map x -> F x + b of the second (F, b) after the first; elementwise,
+    with the same bits, for n = 1."""
     F1, b1 = first
     F2, b2 = second
+    if F1.shape[-1] == 1:
+        return F2 * F1, F2 * b1 + b2
     return F2 @ F1, F2 @ b1 + b2
 
 
 def _apply_affine(maps, x):
     F, b = maps
-    return F @ x + b
+    return F * x + b if x.shape[-2] == 1 else F @ x + b
 
 
 def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):

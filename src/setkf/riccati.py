@@ -81,29 +81,30 @@ def _T(M):
     return M.swapaxes(-1, -2)
 
 
-def _solve(M, B):
-    """M^-1 B for a stack of matrices M, each I plus a product of two
-    positive semi-definite matrices and so never singular; a division when
-    M is 1 x 1."""
-    return B / M if M.shape[-1] == 1 else np.linalg.solve(M, B)
-
-
 def compose(first, second):
     """The map P -> A (P^-1 + J)^-1 A' + C of the second (A, C, J) after the
     first: Sarkka and Garcia-Fernandez's filtering elements (IEEE TAC 66(1),
-    2021) without their mean parts."""
+    2021) without their mean parts.  For n = 1 the same products, in the
+    same order, are formed elementwise, with the same bits."""
     A1, C1, J1 = first
     A2, C2, J2 = second
     n = A1.shape[-1]
-    X = _solve(np.eye(n) + C1 @ J2, np.concatenate([A1, C1], axis=-1))
+    if n == 1:
+        D = 1 + C1 * J2
+        XA, XC = A1 / D, C1 / D
+        return A2 * XA, sym(A2 * XC * A2 + C2), sym(XA * J2 * A1 + J1)
+    X = np.linalg.solve(np.eye(n) + C1 @ J2, np.concatenate([A1, C1], axis=-1))
     XA, XC = X[..., :n], X[..., n:]
     return A2 @ XA, sym(A2 @ XC @ _T(A2) + C2), sym(_T(XA) @ J2 @ A1 + J1)
 
 
 def apply(maps, P):
-    """The image of each P of a stack under its map (A, C, J)."""
+    """The image of each P of a stack under its map (A, C, J), elementwise
+    for n = 1 as in :func:`compose`."""
     A, C, J = maps
-    return sym(A @ _solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
+    if P.shape[-1] == 1:
+        return sym(A * (P / (1 + P * J)) * A + C)
+    return sym(A @ np.linalg.solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
 
 
 def _doubling(element, tol, max_doublings, label):

@@ -42,7 +42,15 @@ from setkf.harness import (
     write_monte_carlo_csv,
     write_trajectory_csv,
 )
-from util import maximal_runs, random_spd, simulate_reference
+from util import (
+    SCALAR_EXPONENTS,
+    apply_affine_reference,
+    compose_affine_reference,
+    maximal_runs,
+    random_spd,
+    scalar_stack,
+    simulate_reference,
+)
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 
@@ -717,6 +725,61 @@ class TestScanOracle:
         assert paths == ["_scan_runs" if scan else "_step_runs"]
 
 
+@pytest.mark.parametrize("exponents", list(SCALAR_EXPONENTS))
+def test_scalar_affine_maps_have_the_matrix_bits(exponents):
+    # the error scan's maps e -> F e + b on (steps, runs, 1, 1) stacks, across
+    # magnitudes whose products overflow to inf and underflow to 0
+    rng = np.random.default_rng(sorted(SCALAR_EXPONENTS).index(exponents))
+    span = SCALAR_EXPONENTS[exponents]
+    first, second = (
+        tuple(scalar_stack(rng, [500, 4], span, signed=True) for _ in range(2)) for _ in range(2)
+    )
+    x = scalar_stack(rng, [500, 4], span, signed=True)
+    with np.errstate(all="ignore"):
+        got = harness._compose_affine(first, second)
+        want = compose_affine_reference(first, second)
+        pairs = list(zip(got, want))
+        pairs.append((harness._apply_affine(first, x), apply_affine_reference(first, x)))
+    for g, w in pairs:
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+class TestFloatPlantPath:
+    """A scalar open-loop scenario of at most ``FLOAT_PATH_MAX_RUNS`` runs
+    steps its plant path in Python floats, a wider one as one stack; both
+    give the same bits."""
+
+    @staticmethod
+    def plant_path(scn, runs):
+        """The y of every block and the last x that :class:`_Runs` steps."""
+        s = harness._Runs(scn, range(runs), None, False)
+        ys = [y.copy() for *_, y, _ in s.blocks(37)]
+        return np.concatenate(ys), s.x
+
+    @pytest.mark.parametrize("runs", [1, 8, 9, 60])
+    def test_float_path_equals_the_stack(self, monkeypatch, runs):
+        scn = scalar_scenario(
+            TriggerPolicy.open_loop([[0.7]]), horizon=300, runs=runs, seed=12, burn_in=0,
+            pre_roll=3, x0_mean=[40.0],
+        )
+        assert (runs <= harness.FLOAT_PATH_MAX_RUNS) == (runs in (1, 8))
+        y, x = self.plant_path(scn, runs)
+        monkeypatch.setattr(harness, "FLOAT_PATH_MAX_RUNS", 0)
+        y_stack, x_stack = self.plant_path(scn, runs)
+        np.testing.assert_array_equal(y, y_stack)
+        np.testing.assert_array_equal(x, x_stack)
+        monkeypatch.undo()
+        # a run of the whole block equals its own single run, which always
+        # takes the float path
+        block = _simulate_runs(scn, range(runs))
+        assert 0.0 < block.gamma.mean() < 1.0
+        for r in range(runs):
+            rec = simulate(scn, r)
+            for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
+                np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
+
+
 class TestSweepCap:
     """Runs that settle within the cap on sweeps keep the scan's values; the
     runs whose last sweep still changed a decision are stepped through the
@@ -776,21 +839,27 @@ class TestStepBlocks:
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_block_length_changes_nothing(self, monkeypatch, pairing):
-        model = oracle_model(3, 3, seed=33)
-        trig = oracle_pairings(3)[pairing]
-        scn = Scenario(
-            model=model, trigger=trig, horizon=50, runs=2, seed=7, burn_in=10,
-            pre_roll=3, x0_mean=np.arange(1.0, 4.0),
-        )
-        forced = (np.random.default_rng(pairing).random(50) < 0.5).astype(int)
-        refs = [_step_runs(scn, [0, 1]), _step_runs(scn, [1, 0], force_gamma=forced, sums=False)]
-        assert 0.0 < refs[0].gamma.mean() <= 1.0
-        for steps in (1, 2, 7):
-            monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
-            assert_blocks_equal(_step_runs(scn, [0, 1]), refs[0])
-            assert_blocks_equal(
-                _step_runs(scn, [1, 0], force_gamma=forced, sums=False), refs[1]
+        # n = 3, and n = 1, whose two open-loop runs step their plant path in
+        # Python floats
+        for n in (3, 1):
+            model = oracle_model(n, n, seed=33)
+            trig = oracle_pairings(n)[pairing]
+            scn = Scenario(
+                model=model, trigger=trig, horizon=50, runs=2, seed=7, burn_in=10,
+                pre_roll=3, x0_mean=np.arange(1.0, n + 1.0),
             )
+            forced = (np.random.default_rng(pairing).random(50) < 0.5).astype(int)
+            monkeypatch.undo()
+            refs = [
+                _step_runs(scn, [0, 1]), _step_runs(scn, [1, 0], force_gamma=forced, sums=False),
+            ]
+            assert 0.0 < refs[0].gamma.mean() <= 1.0
+            for steps in (1, 2, 7):
+                monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
+                assert_blocks_equal(_step_runs(scn, [0, 1]), refs[0])
+                assert_blocks_equal(
+                    _step_runs(scn, [1, 0], force_gamma=forced, sums=False), refs[1]
+                )
 
     def test_wide_clset_equals_single_runs(self):
         # 3000 singer runs take several blocks, one run the whole horizon

@@ -23,6 +23,9 @@ from setkf.analysis import drop_noise
 from setkf.matrices import spectral_norm, sym
 from setkf.riccati import apply, compose
 from util import (
+    SCALAR_EXPONENTS,
+    apply_reference,
+    compose_reference,
     dare_fixed_point,
     doubling_reference,
     doubling_single,
@@ -32,6 +35,7 @@ from util import (
     random_stable_model,
     riccati_iteration,
     scalar_g_fixed_point,
+    scalar_stack,
 )
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
@@ -458,7 +462,7 @@ def _random_elements(rng, K, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_compose_is_the_second_map_after_the_first(n):
-    # n = 1 takes the division branch
+    # n = 1 takes the elementwise branch
     rng = np.random.default_rng(40 + n)
     first, second = _random_elements(rng, 50, n), _random_elements(rng, 50, n)
     P = np.stack([random_spd(rng, n) for _ in range(50)])
@@ -489,6 +493,55 @@ def test_compose_without_information_is_the_lyapunov_step(n):
     np.testing.assert_allclose(A2, F @ F, rtol=1e-14, atol=0)
     np.testing.assert_allclose(C2, F @ Q @ _T(F) + Q, rtol=1e-14, atol=1e-14 * np.abs(C2).max())
     assert not J2.any()
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("lyapunov", [False, True], ids=["riccati", "lyapunov"])
+@pytest.mark.parametrize("exponents", list(SCALAR_EXPONENTS))
+def test_scalar_compose_and_apply_have_the_matrix_bits(exponents, lyapunov):
+    # random 1 x 1 stacks of magnitudes 1e-300..1e300, near 1 and above
+    # 8.99e307; J = 0 is the Lyapunov element (F, Q, 0)
+    rng = np.random.default_rng(sorted(SCALAR_EXPONENTS).index(exponents) + 10 * lyapunov)
+    span = SCALAR_EXPONENTS[exponents]
+    first, second = (
+        (
+            scalar_stack(rng, [4000], span, signed=True),
+            scalar_stack(rng, [4000], span),
+            np.zeros((4000, 1, 1)) if lyapunov else scalar_stack(rng, [4000], span),
+        )
+        for _ in range(2)
+    )
+    P = scalar_stack(rng, [4000], span)
+    with np.errstate(all="ignore"):
+        _assert_same_bits(compose(first, second), compose_reference(first, second))
+        _assert_same_bits([apply(first, P)], [apply_reference(first, P)])
+        # the scan's stacks: (steps, runs, 1, 1), A broadcast from one matrix
+        maps = tuple(f.reshape(2000, 2, 1, 1) for f in first)
+        maps = (np.broadcast_to(first[0][:1], maps[1].shape),) + maps[1:]
+        P = P.reshape(2000, 2, 1, 1)
+        _assert_same_bits(compose(maps, maps), compose_reference(maps, maps))
+        _assert_same_bits([apply(maps, P)], [apply_reference(maps, P)])
+
+
+def test_scalar_sym_overflow_stays_inf():
+    # A, J and P small enough that every value before sym is finite, C above
+    # 8.99e307: sym's x + x overflows to inf on both forms
+    rng = np.random.default_rng(60)
+    small = scalar_stack(rng, [500], (-160.0, -10.0), signed=True)
+    huge = scalar_stack(rng, [500], SCALAR_EXPONENTS["huge"])
+    element = (small, huge, np.abs(small))
+    with np.errstate(over="ignore"):
+        got, want = compose(element, element), compose_reference(element, element)
+        _assert_same_bits(got, want)
+        assert np.isinf(got[1]).all() and np.isfinite(got[2]).all()
+        image = apply(element, np.abs(small))
+        _assert_same_bits([image], [apply_reference(element, np.abs(small))])
+        assert np.isinf(image).all()
 
 
 def test_doubling_failures_name_their_solver():

@@ -145,3 +145,14 @@ def test_size_is_checked_after_definiteness():
         require_spd_stack(np.array([-np.eye(2), np.eye(2)]), "W", 1)
     with pytest.raises(NotPositiveDefinite, match=re.escape("(must be 1 x 1)")):
         require_spd_stack(np.array([np.eye(2), -np.eye(2)]), "W", 1)
+
+
+@pytest.mark.parametrize("plant", [TWO, SCALAR], ids=["two", "scalar"])
+def test_conditional_rate_takes_nested_lists(plant):
+    # X is converted as every other matrix argument is, so nested lists give
+    # the value of the arrays
+    X, Z = np.eye(plant.n), np.eye(plant.m)
+    want = analysis.conditional_rate(plant, X, Z)
+    assert analysis.conditional_rate(plant, X.tolist(), Z.tolist()) == want
+    with pytest.raises(NotPositiveDefinite, match=re.escape(f"(must be {plant.n} x {plant.n})")):
+        analysis.conditional_rate(plant, np.eye(3).tolist(), Z.tolist())

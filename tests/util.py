@@ -189,6 +189,58 @@ def doubling_single(element, tol, max_doublings, label):
     raise NoConvergence(max_doublings, label)
 
 
+# log10 ranges of the magnitudes of random 1 x 1 stacks: across the whole
+# range, where products overflow and underflow; near 1; and above 8.99e307,
+# where sym's x + x overflows to inf
+SCALAR_EXPONENTS = {"wide": (-300.0, 300.0), "moderate": (-3.0, 3.0), "huge": (307.954, 308.25)}
+
+
+def scalar_stack(rng, shape, exponents, signed=False):
+    """A stack of 1 x 1 values of log-uniform magnitude in 10^exponents."""
+    x = 10.0 ** rng.uniform(*exponents, size=tuple(shape) + (1, 1))
+    return x * rng.choice([-1.0, 1.0], size=x.shape) if signed else x
+
+
+# ``setkf.riccati.compose`` and ``apply`` and the scan's affine maps
+# (``setkf.harness._compose_affine`` and ``_apply_affine``) as matrix
+# products for every n, as they were before n = 1 took elementwise branches;
+# kept as the oracles of those branches.
+
+
+def _solve_reference(M, B):
+    return B / M if M.shape[-1] == 1 else np.linalg.solve(M, B)
+
+
+def compose_reference(first, second):
+    A1, C1, J1 = first
+    A2, C2, J2 = second
+    n = A1.shape[-1]
+    X = _solve_reference(np.eye(n) + C1 @ J2, np.concatenate([A1, C1], axis=-1))
+    XA, XC = X[..., :n], X[..., n:]
+    return (
+        A2 @ XA,
+        sym(A2 @ XC @ A2.swapaxes(-1, -2) + C2),
+        sym(XA.swapaxes(-1, -2) @ J2 @ A1 + J1),
+    )
+
+
+def apply_reference(maps, P):
+    A, C, J = maps
+    X = _solve_reference(np.eye(P.shape[-1]) + P @ J, P)
+    return sym(A @ X @ A.swapaxes(-1, -2) + C)
+
+
+def compose_affine_reference(first, second):
+    F1, b1 = first
+    F2, b2 = second
+    return F2 @ F1, F2 @ b1 + b2
+
+
+def apply_affine_reference(maps, x):
+    F, b = maps
+    return F @ x + b
+
+
 def ray_search_reference(pred, rel_tol, lo=None):
     """Bracket and bisect the point where a monotone test flips on the ray.
 
