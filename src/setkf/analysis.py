@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import UnstableSystem
 from .estimation import drop_noises
-from .matrices import as_matrix, require_size, require_spd, sym
+from .matrices import as_matrix, as_number, require_size, require_spd, sym
 from .model import SteadyState, steady_state
 from .riccati import fixed_points
 
@@ -154,8 +154,7 @@ def sequential_drop_probability(steady, model, Y, l):
     """
     if steady.rho_A >= 1.0:
         raise UnstableSystem("sequential drop probability requires a stable system")
-    if l < 1:
-        raise ValueError("l must be a positive integer")
+    l = as_number(l, "l", integer=True, lo=1)
     Y = require_spd(Y, "Y", size=model.m)
     C, Sigma = model.C, steady.Sigma
     Apow = np.eye(model.n)

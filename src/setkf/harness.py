@@ -18,15 +18,13 @@ a drop tells the filter; the open-loop trigger hands it y, and for that
 trigger only the plant path itself is stepped.  The step loop serves every
 scenario: it stacks the filter state over runs and loops over time steps in
 Python for the filter recursion alone, deciding on the innovation where the
-trigger reads the estimate (the closed-loop and threshold triggers).  For
-the other triggers :meth:`_Runs.blocks` decides gamma a block at a time.
-With few runs the scan runs the filter over time in O(log T) batched
-calls, which compose the covariance maps with :func:`riccati.compose` and
-read a drop only through its drop noise, in information form; for the
-triggers that read the estimate it finds gamma by sweeps of the scan until
-the decisions repeat, which settles on the causal solution, since the
-innovation of a step reads only the decisions before it.  A forced gamma
-keeps its trigger's path.
+trigger reads the estimate (the closed-loop and threshold triggers); a
+scalar plant with few runs steps each run in Python floats instead, with the
+same bits.  For the other triggers :meth:`_Runs.blocks` decides gamma a
+block at a time, and with few runs the scan runs the filter over time in
+O(log T) batched calls, which compose the covariance maps with
+:func:`riccati.compose` and read a drop only through its drop noise, in
+information form.  A forced gamma keeps its trigger's path.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
@@ -36,7 +34,6 @@ ray raises :class:`CalibrationFailed`.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,28 +62,12 @@ MAX_RUNS = 5 * 10**5
 # scan is faster, 7-11x for one run of 10^5 steps.
 SCAN_MAX_WIDTH = 128
 
-# Most runs of a scalar open-loop scenario that step their plant path in
-# Python floats, run by run; more step as one stack.  Per step of a block the
-# floats took 0.7-1.2 us against the stack's 2.2-4.1 at 8 runs, and 1.5-2.95
-# against 2.4-4.1 at 16 (2-CPU Xeon, numpy 2.4, 1500 steps, best of 7).
+# Most runs of a scalar scenario that step in Python floats, run by run: the
+# open-loop plant path, and the filter of the step loop where n = m = 1; more
+# step as one stack.  Per step of a block the floats took 0.7-1.2 us against
+# the stack's 2.2-4.1 at 8 runs, and 1.5-2.95 against 2.4-4.1 at 16 (plant
+# path; 2-CPU Xeon, numpy 2.4, 1500 steps, best of 7).
 FLOAT_PATH_MAX_RUNS = 8
-
-# Widest scenario, runs * n^2, whose closed-loop or threshold trigger is
-# simulated by sweeps of the scan; wider ones step through time.  Up to this
-# width the sweeps ran 1.3-6.7x (closed loop) and 0.9-5.5x (threshold) as
-# fast as the step loop at 200 and 1500 steps; two runs of n = 2 ran
-# 0.7-1.0x.
-SWEEP_MAX_WIDTH = 4
-
-# Sweeps a block of L steps may take per doubling of L: the runs that have
-# not settled after ceil(SWEEPS_PER_DOUBLING * log2(L + 1)) sweeps, 12 for
-# 200 steps and 16 for 1500, are stepped through the block.  A sweep costs
-# O(log L) calls and the step loop O(L), while a stable plant needs more
-# sweeps on longer blocks: the scalar plant A = 0.8 at rate 0.5 needs 5-16
-# over 1500 steps (1200 seeds) and 10-15 over 65536.  A run that never
-# settles costs 1.9-2.1x the step loop at 200 steps and 1.2-1.9x at 1500
-# and 8000.
-SWEEPS_PER_DOUBLING = 1.5
 
 # The scan works on blocks of SCAN_BLOCK_ENTRIES // (runs * n^2) steps, so
 # that a block's arrays take some 16 MB at most.
@@ -203,21 +184,20 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     """Simulate the runs ``run_indices`` of a scenario side by side; the
     :class:`_Runs` returned holds their logs.
 
-    When runs * n^2 is at most ``SCAN_MAX_WIDTH`` for a trigger that does
-    not read the estimate, or at most ``SWEEP_MAX_WIDTH`` for the
-    closed-loop and threshold triggers, whose gamma the scan finds by
-    sweeps, the filter runs as a scan over time (:func:`_scan_runs`);
-    otherwise it steps all runs together through time (:func:`_step_runs`).
-    The choice reads the trigger and the width only, so a forced gamma
-    keeps its trigger's path and a run has the same values in any block.
+    When the trigger does not read the estimate and runs * n^2 is at most
+    ``SCAN_MAX_WIDTH``, the filter runs as a scan over time
+    (:func:`_scan_runs`); otherwise it steps through time
+    (:func:`_step_runs`), which is how the closed-loop and threshold
+    triggers always run.  The choice reads the trigger and the width only,
+    so a forced gamma keeps its trigger's path and a run has the same values
+    in any block.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
     error outer products are summed over the runs per step; no
     (runs, T, n, n) array is kept.
     """
-    bound = SWEEP_MAX_WIDTH if scenario.trigger.variant in READS_ESTIMATE else SCAN_MAX_WIDTH
-    if _width(scenario) <= bound:
+    if scenario.trigger.variant not in READS_ESTIMATE and _width(scenario) <= SCAN_MAX_WIDTH:
         return _scan_runs(scenario, run_indices, force_gamma, sums)
     return _step_runs(scenario, run_indices, force_gamma, sums)
 
@@ -241,17 +221,24 @@ class _Runs:
         self.A, self.C, self.T = model.A, model.C, scenario.horizon
         self.Lq = np.linalg.cholesky(model.Q)
         self.Lr = np.linalg.cholesky(model.R)
-        # drop_noise checks the weight's size before any generator is built
+        # drop_noise checks the weight's size, and this the forced gamma (a
+        # 1-D sequence of 0s and 1s, bools too), before any generator is built
         self.trigger = scenario.trigger
         self.W_drop = drop_noise(model, self.trigger)
-        self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
-        self.N = N = len(self.rngs)
         self.forced = None
         if force_gamma is not None:
-            force_gamma = np.asarray(force_gamma).ravel()
-            if force_gamma.shape[0] < self.T:
+            try:
+                forced = np.asarray(force_gamma, dtype=float)
+            except (TypeError, ValueError):
+                forced = np.array(np.nan)  # not one number per step
+            if forced.ndim != 1 or not np.isin(forced, (0.0, 1.0)).all():
+                raise ConfigError("force_gamma must be a 1-D sequence of 0s and 1s")
+            if forced.shape[0] < self.T:
                 raise ConfigError("force_gamma must cover the horizon")
-            self.forced = np.broadcast_to((force_gamma[: self.T] != 0)[:, None], (self.T, N))
+            shape = (self.T, len(run_indices))
+            self.forced = np.broadcast_to((forced[: self.T] == 1.0)[:, None], shape)
+        self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
+        self.N = N = len(self.rngs)
 
         # each run first draws the horizon's uniforms, then x0 and the
         # pre-roll's process noise, one call each
@@ -293,7 +280,8 @@ class _Runs:
         forced rows, or else one :func:`estimation.transmit` call's
         decisions, or None where the trigger reads the estimate.  For n = 1
         and at most ``FLOAT_PATH_MAX_RUNS`` runs the plant path steps each
-        run in Python floats, the stack's products and sums."""
+        run in Python floats, the stack's products and sums.  ``k0`` keeps
+        the first step of the block last yielded."""
         A, C, Lq, Lr, N = self.A, self.C, self.Lq, self.Lr, self.N
         n, m, length = A.shape[0], Lr.shape[0], max(1, length)
         for k0 in range(0, self.T, length):
@@ -330,6 +318,7 @@ class _Runs:
                 k = np.repeat(np.arange(k0, k0 + L), N)
                 z = None if y is None else y.reshape(L * N, m, 1)
                 gamma = transmit(self.trigger, z, zeta.ravel(), k).reshape(L, N)
+            self.k0 = k0
             yield slice(k0, k0 + L), zeta, Lv, Lw, y, gamma
 
     def log(self, steps, gamma, e, P):
@@ -349,10 +338,7 @@ class _Runs:
         diag = P.diagonal(axis1=2, axis2=3)
         if not (diag.min() > 0.0 and diag.max() < np.inf):
             broken = ~((diag > 0.0) & (diag < np.inf)).all(axis=(1, 2))
-            raise NumericalError(
-                f"prior covariance at step {steps.start + int(broken.argmax())} has a"
-                " diagonal entry that is not positive and finite"
-            )
+            raise _broken_covariance(steps.start + int(broken.argmax()))
         # an error that is not finite fails this test, and nothing in it overflows
         far = ~(np.abs(e[..., 0]) <= 1e3 * np.sqrt(diag)).all(axis=(1, 2))
         if self.forced is None and far.any():
@@ -389,17 +375,26 @@ class _Runs:
         return err0 * err0
 
 
+def _broken_covariance(step):
+    return NumericalError(
+        f"prior covariance at step {step} has a diagonal entry that is not positive and finite"
+    )
+
+
 def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
     """The step loop of :func:`_simulate_runs`, for any scenario: each block
-    of steps is stepped by :func:`_step_block`, and the draws, plant path,
-    block gammas and logs are :class:`_Runs`'.
+    of steps is stepped by :func:`_step_block`, or by :func:`_float_block`
+    when n = m = 1 and the scenario has at most ``FLOAT_PATH_MAX_RUNS`` runs,
+    and the draws, plant path, block gammas and logs are :class:`_Runs`'.
     """
     model = scenario.model
     s = _Runs(scenario, run_indices, force_gamma, sums)
     e, P = s.e, s.P
+    floats = model.n == model.m == 1 and scenario.runs <= FLOAT_PATH_MAX_RUNS
+    step = _float_block if floats else _step_block
     length = STEP_BLOCK_ENTRIES // (s.N * (model.n**2 + 3 * model.n + 2 * model.m + 1))
     for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
-        gamma, e_all, P_all = _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P)
+        gamma, e_all, P_all = step(model, s, zeta, Lv, Lw, y, gamma, e, P)
         e, P = e_all[-1], P_all[-1]
         s.log(steps, gamma, e_all[:-1], P_all[:-1])
     return s
@@ -440,6 +435,64 @@ def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
         e = A @ e + Lw[j]
         P = sym(A @ P @ A_T + Q)
     e_all[L], P_all[L] = e, P
+    return gamma, e_all, P_all
+
+
+def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
+    """:func:`_step_block` for n = m = 1: each run steps in Python floats,
+    read and written through memoryviews, with the products and sums of
+    :func:`estimation.transmit`, :func:`estimation.measurement_update` and
+    the time update in the same order, so with the same bits.  The
+    closed-loop rule takes ``math.exp`` where ``transmit`` takes ``np.exp``;
+    the two can decide apart only when zeta lies within an ulp of the
+    acceptance probability.  Python floats do not raise on overflow, so
+    NumericalError names the step of a prior covariance that is not
+    positive and finite (the step after the block's included), of an
+    innovation covariance c p c + R (or + the drop noise) that is not
+    finite, where the update would go on with K = 0, and of a closed-loop
+    z' Z z that overflows, where the numpy step loop raises under the CLI's
+    error state.
+    """
+    a, c, q, r = (X.item() for X in (model.A, model.C, model.Q, model.R))
+    w_drop = None if s.W_drop is None else s.W_drop.item()
+    closed = s.trigger.variant == "closed_loop"
+    weight = s.trigger.Z.item() if closed else s.trigger.delta
+    exp, inf, k0 = math.exp, math.inf, s.k0
+    L, N = zeta.shape
+    decide = gamma is None
+    gamma = np.empty((L, N), dtype=bool) if decide else gamma
+    e_all, P_all = np.empty((L + 1, N, 1, 1)), np.empty((L + 1, N, 1, 1))
+    for run, (e_r, p) in enumerate(zip(e[:, 0, 0].tolist(), P[:, 0, 0].tolist())):
+        es, ps = memoryview(e_all[:, run, 0, 0]), memoryview(P_all[:, run, 0, 0])
+        gs, ys = memoryview(gamma[:, run]), None if y is None else memoryview(y[:, run, 0, 0])
+        vs, ws = memoryview(Lv[:, run, 0, 0]), memoryview(Lw[:, run, 0, 0])
+        # a prior p is positive and finite, or else its M is not finite
+        for j, (zt, v, w) in enumerate(zip(memoryview(zeta[:, run]), vs, ws)):
+            es[j], ps[j] = e_r, p
+            z = c * e_r + v
+            if not decide:
+                g = gs[j]
+            elif closed:
+                zz = z * weight * z
+                if zz == inf:
+                    raise NumericalError(f"z' Z z of the innovation at step {k0 + j} overflows")
+                g = gs[j] = zt > exp(-0.5 * zz)
+            else:
+                g = gs[j] = abs(z) > weight
+            cp = c * p
+            M = cp * c + (r if g or w_drop is None else w_drop)
+            if not M < inf:
+                raise NumericalError(f"innovation covariance at step {k0 + j} is not finite")
+            k = cp / M if w_drop is not None else cp / M * g
+            e_r = e_r - k * (z * g) if ys is None else e_r - k * z + k * (ys[j] * (not g))
+            p = p - k * cp
+            p = 0.5 * (p + p)
+            e_r = a * e_r + w
+            p = a * p * a + q
+            p = 0.5 * (p + p)
+            if not 0.0 < p < inf:
+                raise _broken_covariance(k0 + j + 1)
+        es[L], ps[L] = e_r, p
     return gamma, e_all, P_all
 
 
@@ -486,7 +539,8 @@ def _apply_affine(maps, x):
 
 
 def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The scan path of :func:`_simulate_runs`.
+    """The scan path of :func:`_simulate_runs`, for a trigger that does not
+    read the estimate: the open-loop trigger and the offline baselines.
 
     Given gamma, the filter is a linear time-varying Kalman filter.  Per
     block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
@@ -498,25 +552,19 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
     :func:`estimation.measurement_update` call, and finds the prior errors
     e = x - xhat as an :func:`_orbit` of the affine maps
     e -> F e + A d + L_q w, F = A (I - K C), that the update and the time
-    update make; where a drop keeps the error, K = 0 on a drop.
-    Each block starts from the previous one's end state.
-
-    A block of a trigger that reads the estimate brings no gamma; the
-    sweeps of :func:`_sweep_block` find it.
+    update make.  Each block starts from the previous one's end state.
     """
     model = scenario.model
     n, m = model.n, model.m
     A, C, Q, R = model.A, model.C, model.Q, model.R
     s = _Runs(scenario, run_indices, force_gamma, sums)
-    e, P = s.e, s.P
+    e, P, N = s.e, s.P, s.N
     # the information of an arrival and of a drop; an offline drop has none
     J_arrival = riccati.information(C, R[None])[0]
     J_drop = np.zeros((n, n)) if s.W_drop is None else riccati.information(C, s.W_drop[None])[0]
 
-    def scan(gamma, Lv, Lw, y, e, P):
-        """The prior e and P of a block's steps and of the step after it,
-        (L + 1, runs, ...), given its gamma (L, runs)."""
-        L, N = gamma.shape
+    for steps, _, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
+        L = Lw.shape[0]
         J = np.where(gamma[:, :, None, None], J_arrival, J_drop)
         try:
             # a covariance that breaks down is reported by the log's check
@@ -529,67 +577,19 @@ def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
             raise NumericalError(f"prior covariance scan failed ({exc})") from exc
         # with a zero prior error, whose innovation is L_r v, the update
         # returns the part d of the posterior error that the noise makes
-        g = gamma.reshape(L * N)
         d, _, K, _ = measurement_update(
-            model, P_all[:L].reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1), g, s.W_drop,
-            None if y is None else y.reshape(L * N, m, 1),
+            model, P_all[:L].reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1),
+            gamma.reshape(L * N), s.W_drop, None if y is None else y.reshape(L * N, m, 1),
         )
-        if y is None:
-            K = K * g[:, None, None]  # the error keeps its prior on a drop
         e_all = _orbit(
             e,
             ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
             _compose_affine, _apply_affine,
         )
-        return e_all, P_all
-
-    for steps, zeta, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
-        if gamma is None:
-            gamma, e_all, P_all = _sweep_block(model, s, scan, zeta, Lv, Lw, e, P)
-        else:
-            e_all, P_all = scan(gamma, Lv, Lw, y, e, P)
         e, P = e_all[-1], P_all[-1]
         s.log(steps, gamma, e_all[:-1], P_all[:-1])
 
     return s
-
-
-def _sweep_block(model, s, scan, zeta, Lv, Lw, e, P):
-    """gamma of a block of a trigger that reads the estimate, found by
-    sweeps of ``scan``, and the prior errors and covariances it gives, as
-    :func:`_step_block` returns them.
-
-    Each sweep scans the whole block under a guess of gamma, at first all
-    ones, forms the innovations C e + L_r v and decides them in one
-    :func:`estimation.transmit` call; the decisions are the next guess.
-    Both orbits are causal, so the innovation of step k reads only the
-    guesses before k: the decisions are right through the first step where
-    they differ from the guess, and a run whose decisions equal its guess
-    has the one fixed point, the causal solution, whatever the guesses were.
-    A settled run is a fixed point, so each later sweep gives it the same
-    values, which read nothing of the other runs.  The sweeps end when no
-    run's decisions changed; after ``SWEEPS_PER_DOUBLING * log2(L + 1)``
-    sweeps, rounded up, the runs whose last sweep changed a decision are
-    stepped through the block from its start.
-    """
-    L, N = zeta.shape
-    gamma = np.ones((L, N), dtype=bool)
-    # a guess may drop often enough for the error of an unstable plant to
-    # overflow; only a settled run's values are kept
-    with np.errstate(all="ignore"):
-        for _ in range(math.ceil(SWEEPS_PER_DOUBLING * math.log2(L + 1))):
-            e_all, P_all = scan(gamma, Lv, Lw, None, e, P)
-            z = (model.C @ e_all[:L] + Lv).reshape(L * N, model.m, 1)
-            decided = transmit(s.trigger, z, zeta.ravel()).reshape(L, N)
-            changed = (decided != gamma).any(axis=0)
-            gamma = decided
-            if not changed.any():
-                return gamma, e_all, P_all
-    gamma[:, changed], e_all[:, changed], P_all[:, changed] = _step_block(
-        model, s, zeta[:, changed], Lv[:, changed], Lw[:, changed], None, None,
-        e[changed], P[changed],
-    )
-    return gamma, e_all, P_all
 
 
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
@@ -731,9 +731,7 @@ class RunLengthStats:
 
 def run_length_stats(record, l):
     """Count windows of l consecutive drops / arrivals in a trajectory."""
-    if l < 1:
-        raise ValueError("l must be a positive integer")
-    l = operator.index(l)
+    l = as_number(l, "l", integer=True, lo=1)
     g = np.asarray(record.gamma)
     if g.size == 0:
         raise ValueError("record is empty")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from setkf import (
+    ConfigError,
     Scenario,
     TriggerPolicy,
     UnstableSystem,
@@ -124,6 +125,18 @@ class TestSequentialDropProbability:
         assert 0.0 < p3 < 1.0
         p1 = sequential_drop_probability(st, m, 0.5 * np.eye(2), 1)
         assert p3 < p1
+
+    @pytest.mark.parametrize("l", [0, -1, 2.5, True, "abc", None])
+    def test_window_length_must_be_a_positive_integer(self, l):
+        with pytest.raises(ConfigError, match="^l must"):
+            sequential_drop_probability(SCALAR_STEADY, SCALAR, [[1.0]], l)
+
+    def test_window_length_is_read_as_a_number(self):
+        # as every scalar field of a config is: an integral float or string
+        # is that integer
+        p2 = sequential_drop_probability(SCALAR_STEADY, SCALAR, [[1.0]], 2)
+        for l in (2.0, "2", np.int64(2)):
+            assert sequential_drop_probability(SCALAR_STEADY, SCALAR, [[1.0]], l) == p2
 
 
 class TestRateTraceBounds:

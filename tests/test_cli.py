@@ -747,9 +747,10 @@ LOST_ERROR = "prior error at step 2 lies more than 1000 standard deviations out"
         # the covariance stays positive and finite, but the error has lost
         # its digits: at step 2 tr P is below 34 and e'e above 1e264
         ("monte-carlo", CLSET, 1e300, {"pre_roll": 2, "x0_mean": [0.5, -0.5]}, LOST_ERROR),
-        ("monte-carlo", CLSET, 1e300, {"runs": 1}, LOST_ERROR),
+        # one run of the triggers that read the estimate steps as two do
+        ("monte-carlo", CLSET, 1e300, {"runs": 1}, BROKEN_COVARIANCE),
         ("monte-carlo", {"variant": "deterministic_threshold", "delta": 1.0}, 1e300, {"runs": 1},
-         LOST_ERROR),
+         BROKEN_COVARIANCE),
         ("monte-carlo", {"variant": "open_loop", "Y": [[1.0]]}, 1e300, {"runs": 1}, LOST_ERROR),
         ("monte-carlo", {"variant": "open_loop", "Y": [[1.0]]}, 1e300, {}, LOST_ERROR),
     ],

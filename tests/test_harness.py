@@ -9,6 +9,7 @@ from setkf import (
     CalibrationFailed,
     ConfigError,
     NotPositiveDefinite,
+    NumericalError,
     Scenario,
     TriggerPolicy,
     calibrate_closed_loop,
@@ -32,8 +33,8 @@ from setkf import harness
 from setkf.cli import main
 from setkf.estimation import MAX_PERIOD
 from setkf.harness import (
+    FLOAT_PATH_MAX_RUNS,
     SCAN_MAX_WIDTH,
-    SWEEP_MAX_WIDTH,
     _scan_runs,
     _simulate_runs,
     _step_runs,
@@ -268,6 +269,11 @@ class TestRunLengthStats:
         rl = run_length_stats(rec, 1)
         assert rl.drop_windows == 0
         assert rl.arrival_windows == 50
+
+    @pytest.mark.parametrize("l", [0, -1, 2.5, True, "abc", None])
+    def test_window_length_must_be_a_positive_integer(self, l):
+        with pytest.raises(ConfigError, match="^l must"):
+            run_length_stats(self._record([0, 0, 1]), l)
 
     def test_window_longer_than_horizon(self):
         rec = self._record(np.ones(10, dtype=int))
@@ -592,15 +598,27 @@ def assert_priors_psd(block):
 FEEDBACK_FREE = [0, 1, 3, 4]  # standard, olset, periodic, random
 
 
+def numpy_step_runs(scenario, run_indices, **kw):
+    """``_step_runs`` on the numpy step loop, ``_step_block``, for any plant."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "FLOAT_PATH_MAX_RUNS", 0)
+        return _step_runs(scenario, run_indices, **kw)
+
+
 class TestScanOracle:
-    """The scan path of the kernel, with the sweeps of the triggers that read
-    the estimate, against its step loop."""
+    """The scan path of the kernel against its step loop; the closed-loop and
+    threshold triggers, which always step, against the numpy step loop."""
 
     @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 3), (6, 2)])
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_scan_matches_step_loop(self, n, m, pairing):
         model = oracle_model(n, m, seed=10 * n + m)
         trig = oracle_pairings(m)[pairing]
+        # a scalar plant steps the closed-loop and threshold triggers in
+        # Python floats, with the numpy step loop's bits
+        path, agree = (_simulate_runs, assert_blocks_equal)
+        if pairing in FEEDBACK_FREE:
+            path, agree = _scan_runs, assert_blocks_agree
         for horizon in (1, 2, 3, 77):
             for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
                 scn = Scenario(
@@ -608,31 +626,35 @@ class TestScanOracle:
                     burn_in=0, **extra,
                 )
                 for sums in (False, True):
-                    assert_blocks_agree(
-                        _scan_runs(scn, [1, 0], sums=sums), _step_runs(scn, [1, 0], sums=sums)
-                    )
-                block = _scan_runs(scn, [1], sums=True)
+                    agree(path(scn, [1, 0], sums=sums), numpy_step_runs(scn, [1, 0], sums=sums))
+                block = path(scn, [1], sums=True)
                 assert_priors_psd(block)
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_forced_gamma(self, pairing):
-        # a forced gamma keeps its trigger's path: one run of n = 2 is narrow
-        # enough for every trigger to take the scan, clset and the
-        # deterministic threshold with no sweep
-        model = oracle_model(2, 1, seed=21)
-        trig = oracle_pairings(1)[pairing]
+        # a forced gamma keeps its trigger's path: one run of a trigger that
+        # does not read the estimate takes the scan, clset and the
+        # deterministic threshold the step loop, in Python floats for n = 1
         forced = (np.random.default_rng(pairing).random(60) < 0.5).astype(int)
-        scn = Scenario(model=model, trigger=trig, horizon=60, seed=6, burn_in=5)
-        assert harness._width(scn) <= SWEEP_MAX_WIDTH
-        block = _simulate_runs(scn, [2], force_gamma=forced)
-        assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
-        assert_blocks_agree(block, _step_runs(scn, [2], force_gamma=forced))
-        np.testing.assert_array_equal(block.gamma[0], forced)
-        assert_priors_psd(block)
+        for n in (2, 1):
+            model = oracle_model(n, 1, seed=21)
+            scn = Scenario(
+                model=model, trigger=oracle_pairings(1)[pairing], horizon=60, seed=6, burn_in=5
+            )
+            block = _simulate_runs(scn, [2], force_gamma=forced)
+            step = numpy_step_runs(scn, [2], force_gamma=forced)
+            if pairing in FEEDBACK_FREE:
+                assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
+                assert_blocks_agree(block, step)
+            else:
+                assert_blocks_equal(block, step)
+            np.testing.assert_array_equal(block.gamma[0], forced)
+            assert_priors_psd(block)
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_block_boundaries(self, monkeypatch, pairing):
-        # blocks of 1, 2 and 7 steps restart the scans from the carried state
+        # blocks of 1, 2 and 7 steps restart the scans, or the step loop of
+        # the triggers that read the estimate, from the carried state
         model = oracle_model(3, 3, seed=33)
         trig = oracle_pairings(3)[pairing]
         scn = Scenario(
@@ -640,9 +662,13 @@ class TestScanOracle:
             pre_roll=3,
         )
         ref = _step_runs(scn, [0, 1])
-        for entries in (18, 36, 126):
-            monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", entries)
-            assert_blocks_agree(_scan_runs(scn, [0, 1]), ref)
+        for steps in (1, 2, 7):
+            if pairing in FEEDBACK_FREE:
+                monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", steps * harness._width(scn))
+                assert_blocks_agree(_scan_runs(scn, [0, 1]), ref)
+            else:
+                monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
+                assert_blocks_equal(_simulate_runs(scn, [0, 1]), ref)
 
     def test_singer_open_loop(self):
         # rho(A) = 1: the combine step's I + C J stays well conditioned
@@ -670,48 +696,49 @@ class TestScanOracle:
             assert_blocks_agree(_scan_runs(scn, [0]), _step_runs(scn, [0]))
 
     @pytest.mark.parametrize(
-        "n, runs, trig, scan",
+        "n, runs, trig, route",
         [
-            (1, SCAN_MAX_WIDTH, TriggerPolicy.open_loop([[0.7]]), True),
-            (1, SCAN_MAX_WIDTH + 1, TriggerPolicy.open_loop([[0.7]]), False),
-            (2, SCAN_MAX_WIDTH // 4, TriggerPolicy.random_offline(0.4), True),
-            (2, SCAN_MAX_WIDTH // 4 + 1, TriggerPolicy.random_offline(0.4), False),
-            (1, SWEEP_MAX_WIDTH, TriggerPolicy.closed_loop([[0.7]]), True),
-            (1, SWEEP_MAX_WIDTH + 1, TriggerPolicy.closed_loop([[0.7]]), False),
-            (2, SWEEP_MAX_WIDTH // 4, TriggerPolicy.deterministic_threshold(1.0), True),
-            (2, SWEEP_MAX_WIDTH // 4 + 1, TriggerPolicy.deterministic_threshold(1.0), False),
+            (1, SCAN_MAX_WIDTH, TriggerPolicy.open_loop([[0.7]]), "_scan_runs"),
+            (1, SCAN_MAX_WIDTH + 1, TriggerPolicy.open_loop([[0.7]]), "_step_block"),
+            (2, SCAN_MAX_WIDTH // 4, TriggerPolicy.random_offline(0.4), "_scan_runs"),
+            (2, SCAN_MAX_WIDTH // 4 + 1, TriggerPolicy.random_offline(0.4), "_step_block"),
+            (1, FLOAT_PATH_MAX_RUNS, TriggerPolicy.closed_loop([[0.7]]), "_float_block"),
+            (1, FLOAT_PATH_MAX_RUNS + 1, TriggerPolicy.closed_loop([[0.7]]), "_step_block"),
+            (1, FLOAT_PATH_MAX_RUNS, TriggerPolicy.deterministic_threshold(1.0), "_float_block"),
+            (1, FLOAT_PATH_MAX_RUNS + 1, TriggerPolicy.deterministic_threshold(1.0),
+             "_step_block"),
         ],
         ids=[
             "olset-at-bound", "olset-above", "random-at-bound", "random-above", "clset",
             "clset-above", "threshold", "threshold-above",
         ],
     )
-    def test_routing_bound(self, monkeypatch, n, runs, trig, scan):
+    def test_routing_bound(self, monkeypatch, n, runs, trig, route):
         scn = Scenario(
             model=oracle_model(n, 1, seed=n), trigger=trig, horizon=9, runs=runs,
             seed=8, burn_in=0,
         )
         paths = []
-        for name in ("_scan_runs", "_step_runs"):
+        for name in ("_scan_runs", "_step_block", "_float_block"):
             path = getattr(harness, name)
             monkeypatch.setattr(
                 harness, name, lambda *a, _path=path, _name=name: paths.append(_name) or _path(*a)
             )
-        # the route depends on the scenario, not on the block of runs
+        # the route depends on the scenario, not on the block of runs: the
+        # scan, or one block of the step loop in numpy or in Python floats
         block = _simulate_runs(scn, [runs - 1, 0])
         single = _simulate_runs(scn, [0])
-        assert paths == ["_scan_runs" if scan else "_step_runs"] * 2
+        assert paths == [route] * 2
         np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
 
     @pytest.mark.parametrize("wide", [False, None, True], ids=["narrow", "mid", "wide"])
     @pytest.mark.parametrize("forced", [False, True], ids=["decided", "forced"])
     @pytest.mark.parametrize("pairing", range(1, 6), ids=PAIRING_IDS[1:])
     def test_route_reads_trigger_and_width(self, monkeypatch, pairing, forced, wide):
-        # every trigger takes the scan if and only if the scenario is narrow
-        # enough for it, forced or not: the closed-loop and threshold
-        # triggers up to SWEEP_MAX_WIDTH, the others up to SCAN_MAX_WIDTH
+        # the closed-loop and threshold triggers always step; the others take
+        # the scan if and only if the scenario is narrow, forced or not
         model = oracle_model(2, 1, seed=21)
-        bound = {False: 0, None: SWEEP_MAX_WIDTH, True: SCAN_MAX_WIDTH}[wide]
+        bound = {False: 0, None: SCAN_MAX_WIDTH // 2, True: SCAN_MAX_WIDTH}[wide]
         runs = bound // model.n**2 + 1
         scn = Scenario(
             model=model, trigger=oracle_pairings(1)[pairing], horizon=9, runs=runs, seed=8,
@@ -721,7 +748,7 @@ class TestScanOracle:
         for name in ("_scan_runs", "_step_runs"):
             monkeypatch.setattr(harness, name, lambda *a, _name=name: paths.append(_name))
         _simulate_runs(scn, [0], force_gamma=np.ones(9, dtype=int) if forced else None)
-        scan = wide is False or (wide is None and pairing in FEEDBACK_FREE)
+        scan = pairing in FEEDBACK_FREE and not wide
         assert paths == ["_scan_runs" if scan else "_step_runs"]
 
 
@@ -780,52 +807,168 @@ class TestFloatPlantPath:
                 np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
 
 
-class TestSweepCap:
-    """Runs that settle within the cap on sweeps keep the scan's values; the
-    runs whose last sweep still changed a decision are stepped through the
-    block, and neither depends on the other runs of the block."""
+UNSTABLE = validate_model(1.2, 1.0, 1.0, 1.0, 1.0)
 
-    def test_capped_and_settled_runs(self, monkeypatch):
-        # A = 1.2 forgets slowly, so its runs need many sweeps: over these 60
-        # steps, whose cap is 9 sweeps, runs 1 and 3 settle in 8 and 7 and
-        # runs 0 and 2 would need 14
-        scn = Scenario(
-            model=validate_model(1.2, 1.0, 1.0, 1.0, 1.0),
-            trigger=TriggerPolicy.closed_loop([[0.02807]]), horizon=60, runs=SWEEP_MAX_WIDTH,
-            seed=3, burn_in=0,
-        )
-        stepped = []
-        step_block = harness._step_block
-        # record how many runs each call steps, from zeta (L, runs)
-        monkeypatch.setattr(
-            harness, "_step_block",
-            lambda model, s, zeta, *rest: stepped.append(zeta.shape[1])
-            or step_block(model, s, zeta, *rest),
-        )
-        block = _simulate_runs(scn, range(scn.runs))
-        assert stepped == [2]
-        capped = []
-        for r in range(scn.runs):
-            stepped.clear()
-            rec = simulate(scn, r, record_full=True)
-            capped.append(bool(stepped))
-            for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
-                np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
-            ref = _step_runs(scn, [r])
-            one = _simulate_runs(scn, [r])
-            (assert_blocks_equal if capped[-1] else assert_blocks_agree)(one, ref)
-        assert capped == [True, False, True, False]
+# one trigger of each kind on a scalar plant; A = 1.2 at this weight forgets
+# slowly, and its decisions hang on long runs of earlier ones
+FLOAT_CASES = {
+    "clset": (SCALAR, TriggerPolicy.closed_loop([[0.7]])),
+    "clset-unstable": (UNSTABLE, TriggerPolicy.closed_loop([[0.02807]])),
+    "threshold": (SCALAR, TriggerPolicy.deterministic_threshold(1.0)),
+    "olset": (SCALAR, TriggerPolicy.open_loop([[0.7]])),
+    "random": (SCALAR, TriggerPolicy.random_offline(0.4)),
+}
 
-    def test_overflowing_guesses_stay_inside(self):
-        # over 8000 steps a guess's long drop runs overflow the error of
-        # this unstable plant; the CLI's error state turns a leak into exit 3
+
+class TestFloatBlock:
+    """A scalar scenario of at most ``FLOAT_PATH_MAX_RUNS`` runs steps its
+    filter in Python floats, :func:`harness._float_block`, with the bits of
+    the numpy step loop, :func:`harness._step_block`."""
+
+    @pytest.mark.parametrize("case", list(FLOAT_CASES))
+    def test_float_block_equals_step_block(self, monkeypatch, case):
+        model, trig = FLOAT_CASES[case]
+        forced = (np.random.default_rng(3).random(60) < 0.5).astype(int)
+        for extra in ({}, {"pre_roll": 2, "x0_mean": [3.0]}):
+            scn = Scenario(
+                model=model, trigger=trig, horizon=60, runs=4, seed=3, burn_in=0, **extra
+            )
+            assert scn.runs <= FLOAT_PATH_MAX_RUNS
+            for kw in ({}, {"force_gamma": forced, "sums": False}):
+                ref = numpy_step_runs(scn, [3, 0, 2, 1], **kw)
+                assert 0.0 < ref.gamma.mean() < 1.0
+                # the whole horizon in one block, and blocks of 1, 2 and 7 steps
+                for steps in (None, 1, 2, 7):
+                    if steps is not None:
+                        monkeypatch.setattr(
+                            harness, "STEP_BLOCK_ENTRIES", steps * 4 * step_entries(model)
+                        )
+                    assert_blocks_equal(_step_runs(scn, [3, 0, 2, 1], **kw), ref)
+                monkeypatch.undo()
+            assert_priors_psd(_step_runs(scn, [1]))
+
+    @pytest.mark.parametrize(
+        "model, trig, extra, message",
+        [
+            # the update leaves a huge prior's rounding residue in the error,
+            # or cancels its covariance to below 0
+            (validate_model(0.8, 3.0, 1.0, 1.0, 1e300), TriggerPolicy.closed_loop([[1.0]]), {},
+             "prior error at step 1 lies more than 1000 standard deviations out"),
+            (validate_model(0.8, 3.0, 1.0, 1.0, 1e300),
+             TriggerPolicy.deterministic_threshold(1.0), {},
+             "prior error at step 1 lies more than 1000 standard deviations out"),
+            (validate_model(0.8, 0.7, 1.0, 1.0, 1e300), TriggerPolicy.closed_loop([[1.0]]), {},
+             "prior covariance at step 1 has a diagonal entry that is not positive and finite"),
+            # a forced drop keeps the prior, whose next P + P' overflows
+            (validate_model(1.2, 1.0, 1.0, 1.0, 8e307),
+             TriggerPolicy.deterministic_threshold(1.0), {"force_gamma": [0, 1, 1]},
+             "prior covariance at step 1 has a diagonal entry that is not positive and finite"),
+        ],
+        ids=["clset-lost-error", "threshold-lost-error", "clset-broken-covariance",
+             "threshold-broken-covariance"],
+    )
+    def test_failures_match_step_block(self, model, trig, extra, message):
+        scn = Scenario(model=model, trigger=trig, horizon=3, runs=2, seed=1, burn_in=0)
+        for path in (_step_runs, numpy_step_runs):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"^{message}$"):
+                path(scn, [0, 1], **extra)
+
+    @pytest.mark.parametrize(
+        "C, Sigma0, trig, seed, message",
+        [
+            (1e300, 1.0, TriggerPolicy.deterministic_threshold(1.0), 1,
+             "innovation covariance at step 0 is not finite"),
+            (1.5e154, 1e-9, TriggerPolicy.deterministic_threshold(1.0), 1,
+             "innovation covariance at step 1 is not finite"),
+            # the closed-loop rule reads z' Z z before the update reads c p c
+            (1e300, 1.0, TriggerPolicy.closed_loop([[1.0]]), 1,
+             "z' Z z of the innovation at step 0 overflows"),
+            (1.0, 1.0, TriggerPolicy.closed_loop([[8e307]]), 2,
+             "z' Z z of the innovation at step 1 overflows"),
+        ],
+        ids=["step-0", "step-1", "clset-huge-C", "clset-huge-weight"],
+    )
+    def test_overflow_names_the_step(self, monkeypatch, C, Sigma0, trig, seed, message):
+        # c p c or z' Z z overflows: the numpy step loop warns and goes on,
+        # or raises under the CLI's error state; Python floats name the step,
+        # in any block
         scn = Scenario(
-            model=validate_model(1.2, 1.0, 1.0, 1.0, 1.0),
-            trigger=TriggerPolicy.closed_loop([[0.028]]), horizon=8000, seed=0, burn_in=0,
+            model=validate_model(0.8, C, 1.0, 1.0, Sigma0), trigger=trig, horizon=5, runs=2,
+            seed=seed, burn_in=0,
+        )
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            numpy_step_runs(scn, [0, 1])
+        for steps in (None, 1):
+            if steps is not None:
+                monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 2 * step_entries(scn.model))
+            with pytest.raises(NumericalError, match=f"^{message}$"):
+                _step_runs(scn, [0, 1])
+
+    def test_prior_after_the_horizon_must_be_finite(self):
+        # the time update after the last step overflows; the numpy step loop
+        # raises only under the CLI's error state
+        scn = Scenario(
+            model=validate_model(1.2, 1.0, 1.0, 1.0, 8e307),
+            trigger=TriggerPolicy.deterministic_threshold(1.0), horizon=1, seed=1, burn_in=0,
+        )
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            numpy_step_runs(scn, [0], force_gamma=[0])
+        with pytest.raises(NumericalError, match="^prior covariance at step 1 has"):
+            _step_runs(scn, [0], force_gamma=[0])
+
+    @pytest.mark.parametrize("pairing", [2, 5], ids=["clset", "threshold"])
+    def test_simulate_equals_monte_carlo_run(self, pairing):
+        # 8 runs step in Python floats, 9 in numpy; run r of either is
+        # simulate(scenario, r), and run 0 is the same at both sizes
+        trig = oracle_pairings(1)[pairing]
+        single = {}
+        for runs in (FLOAT_PATH_MAX_RUNS, FLOAT_PATH_MAX_RUNS + 1):
+            scn = scalar_scenario(
+                trig, horizon=300, runs=runs, seed=12, burn_in=0, pre_roll=3, x0_mean=[40.0]
+            )
+            block = _simulate_runs(scn, range(runs))
+            stats = monte_carlo(scn)
+            assert 0.0 < stats.rate_overall < 1.0
+            recs = [simulate(scn, r, record_full=True) for r in range(runs)]
+            for r, rec in enumerate(recs):
+                for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
+                    np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
+            np.testing.assert_array_equal(stats.P_mean, block.P_sum / runs)
+            single[runs] = recs[0]
+        small, large = single.values()
+        for name in ("gamma", "P_trace", "sq_err", "P_prior_full", "err_outer"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(large, name))
+
+    def test_long_unstable_run_stays_finite(self):
+        # 8000 steps of an unstable plant, whose drop runs are long, raise
+        # nothing under the CLI's error state
+        scn = Scenario(
+            model=UNSTABLE, trigger=TriggerPolicy.closed_loop([[0.028]]), horizon=8000, seed=0,
+            burn_in=0,
         )
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             block = _simulate_runs(scn, [0])
         assert np.isfinite(block.sq_err).all()
+
+    @pytest.mark.parametrize(
+        "forced",
+        [[np.nan, 0, 1], [0, 2, 1], [[1, 0], [0, 1]], [0.5] * 4, ["a"] * 4, [[1, 0], [1]], 1],
+        ids=["nan", "two", "2-d", "half", "string", "ragged", "scalar"],
+    )
+    def test_forced_gamma_must_be_zeros_and_ones(self, monkeypatch, forced):
+        def no_generator(seed, run_index):
+            raise AssertionError("a generator was built")
+
+        scn = scalar_scenario(TriggerPolicy.closed_loop([[0.7]]), horizon=3, burn_in=0)
+        monkeypatch.setattr(harness, "_rng_for_run", no_generator)
+        with pytest.raises(ConfigError, match="^force_gamma must be a 1-D sequence of 0s and 1s$"):
+            simulate(scn, force_gamma=forced)
+
+    def test_forced_gamma_takes_bools(self):
+        scn = scalar_scenario(TriggerPolicy.closed_loop([[0.7]]), horizon=3, burn_in=0)
+        rec = simulate(scn, force_gamma=[True, False, True])
+        np.testing.assert_array_equal(rec.gamma, [1, 0, 1])
+        np.testing.assert_array_equal(rec.sq_err, simulate(scn, force_gamma=[1, 0, 1]).sq_err)
 
 
 def step_entries(model):
@@ -917,7 +1060,7 @@ class TestDraws:
         # blocks of 7 steps for the two runs, so 8 blocks of the horizon of 50
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 7 * 2 * step_entries(model))
         monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 7 * harness._width(scn))
-        paths = [_step_runs, _scan_runs]
+        paths = [_step_runs] + ([_scan_runs] if pairing in FEEDBACK_FREE else [])
         refs = [path(scn, [2, 0]) for path in paths]
         gens = []
         monkeypatch.setattr(
