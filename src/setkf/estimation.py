@@ -158,7 +158,9 @@ def transmit(policy, z, zeta, k=None):
     (runs,) and z (runs, m, 1) the signal the rule reads, y for the open-loop
     trigger and the innovation y - C xhat_prior for the closed-loop and
     threshold triggers; the periodic and random triggers ignore it.  Only
-    the periodic rule reads the step index k, an int or (runs,)."""
+    the periodic rule reads the step index k, an int or (runs,).  A form
+    z' W z that overflows, to inf or, for m >= 2, to the nan of cancelling
+    infinities, sends for every zeta > 0, as exp(-inf / 2) = 0 does."""
     variant = policy.variant
     if variant == "periodic":
         return np.full(zeta.shape, (k - policy.phase) % policy.period == 0)
@@ -167,7 +169,8 @@ def transmit(policy, z, zeta, k=None):
     if variant == "deterministic_threshold":
         return np.abs(z).max(axis=(1, 2)) > policy.delta
     W = getattr(policy, _WEIGHTS[variant])
-    return zeta > np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(zeta <= np.exp(-0.5 * (z.transpose(0, 2, 1) @ W @ z)[:, 0, 0]))
 
 
 def drop_noises(R, W):

@@ -8,23 +8,32 @@ one per block of steps; the draw order is documented in :func:`simulate`.
 
 One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
 :func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.  Its two paths share the draws, plant path, gamma and
-logs of :class:`_Runs`, and both carry the prior error x - xhat rather than
-the estimate, so the error keeps its digits on plants whose state grows.
-Both use the trigger rule, drop noise and measurement update of the
-single-step API, :func:`estimation.transmit`, :func:`estimation.drop_noise`
-and :func:`estimation.measurement_update`, whose error form alone says what
-a drop tells the filter; the open-loop trigger hands it y, and for that
-trigger only the plant path itself is stepped.  The step loop serves every
-scenario: it stacks the filter state over runs and loops over time steps in
-Python for the filter recursion alone, deciding on the innovation where the
-trigger reads the estimate (the closed-loop and threshold triggers); a
-scalar plant with few runs steps each run in Python floats instead, with the
-same bits.  For the other triggers :meth:`_Runs.blocks` decides gamma a
-block at a time, and with few runs the scan runs the filter over time in
-O(log T) batched calls, which compose the covariance maps with
-:func:`riccati.compose` and read a drop only through its drop noise, in
-information form.  A forced gamma keeps its trigger's path.
+kernel over all runs.  It is one driver over three block steppers, which
+share the draws, plant path, gamma and logs of :class:`_Runs`, carry the
+prior error x - xhat rather than the estimate, so the error keeps its digits
+on plants whose state grows, and use the trigger rule, drop noise and
+measurement update of the single-step API, :func:`estimation.transmit`,
+:func:`estimation.drop_noise` and :func:`estimation.measurement_update`,
+whose error form alone says what a drop tells the filter; the open-loop
+trigger hands it y, and for that trigger only the plant path itself is
+stepped.  The first matching row of one route table picks the stepper:
+
+    trigger        size                                    stepper       block
+    feedback-free  runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
+    any            n = m = 1, runs <= FLOAT_PATH_MAX_RUNS  _float_block  L_step
+    any            any other                               _step_block   L_step
+
+with blocks of L_scan = SCAN_BLOCK_ENTRIES // (runs * n^2) and L_step =
+STEP_BLOCK_ENTRIES // (N * (n^2 + 3n + 2m + 1)) steps, runs being the
+scenario's and N the number of runs simulated.  For the feedback-free
+triggers (open loop, periodic, random) :meth:`_Runs.blocks` decides gamma a
+block at a time, and the scan runs the filter over time in O(log T) batched
+calls, which compose the covariance maps with :func:`riccati.compose` and
+read a drop only through its drop noise, in information form.  The step
+loops loop over time steps in Python for the filter recursion alone,
+deciding on the innovation where the trigger reads the estimate; the float
+one steps each run in Python floats, with the numpy one's bits.  A forced
+gamma keeps its trigger's stepper.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
@@ -184,32 +193,53 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     """Simulate the runs ``run_indices`` of a scenario side by side; the
     :class:`_Runs` returned holds their logs.
 
-    When the trigger does not read the estimate and runs * n^2 is at most
-    ``SCAN_MAX_WIDTH``, the filter runs as a scan over time
-    (:func:`_scan_runs`); otherwise it steps through time
-    (:func:`_step_runs`), which is how the closed-loop and threshold
-    triggers always run.  The choice reads the trigger and the width only,
-    so a forced gamma keeps its trigger's path and a run has the same values
-    in any block.
+    The one driver of the kernel.  It builds :class:`_Runs`, takes the
+    stepper and block length of the first matching row of the route table
+    of the module docstring,
+
+        trigger        size                                    stepper       block
+        feedback-free  runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
+        any            n = m = 1, runs <= FLOAT_PATH_MAX_RUNS  _float_block  L_step
+        any            any other                               _step_block   L_step
+
+    and steps each block from the last one's end state.  The route reads the
+    trigger and the scenario's size only, so a forced gamma keeps its
+    trigger's stepper, and a run has the same values in any block of runs:
+    only the scan's values depend on the block length, which reads the
+    scenario's runs.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
     error outer products are summed over the runs per step; no
     (runs, T, n, n) array is kept.
     """
-    if scenario.trigger.variant not in READS_ESTIMATE and _width(scenario) <= SCAN_MAX_WIDTH:
-        return _scan_runs(scenario, run_indices, force_gamma, sums)
-    return _step_runs(scenario, run_indices, force_gamma, sums)
-
-
-def _width(scenario):
-    """runs * n^2, the number of covariance entries per step of a scenario."""
-    return scenario.runs * scenario.model.n**2
+    model = scenario.model
+    n, m = model.n, model.m
+    s = _Runs(scenario, run_indices, force_gamma, sums)
+    width = scenario.runs * n**2
+    if scenario.trigger.variant not in READS_ESTIMATE and width <= SCAN_MAX_WIDTH:
+        step, length = _scan_block, SCAN_BLOCK_ENTRIES // width
+        # the information of an arrival and of a drop; an offline drop has none
+        s.J_arrival = riccati.information(model.C, model.R[None])[0]
+        s.J_drop = (
+            np.zeros((n, n)) if s.W_drop is None
+            else riccati.information(model.C, s.W_drop[None])[0]
+        )
+    else:
+        floats = n == m == 1 and scenario.runs <= FLOAT_PATH_MAX_RUNS
+        step = _float_block if floats else _step_block
+        length = STEP_BLOCK_ENTRIES // (s.N * (n**2 + 3 * n + 2 * m + 1))
+    e, P = s.e, s.P
+    for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
+        gamma, e_all, P_all = step(model, s, zeta, Lv, Lw, y, gamma, e, P)
+        e, P = e_all[-1], P_all[-1]
+        s.log(steps, gamma, e_all[:-1], P_all[:-1])
+    return s
 
 
 class _Runs:
-    """What both paths of :func:`_simulate_runs` start from, write to and
-    return: the constants, each run's generator and uniforms, the prior
+    """What the block steppers of :func:`_simulate_runs` start from, write to
+    and return: the constants, each run's generator and uniforms, the prior
     error at step 0, the blocks of draws (with the plant path where the
     trigger reads y, and gamma where it does not read the estimate), and
     the logs, from which the properties derive the per-run logs (runs, T)
@@ -381,25 +411,6 @@ def _broken_covariance(step):
     )
 
 
-def _step_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The step loop of :func:`_simulate_runs`, for any scenario: each block
-    of steps is stepped by :func:`_step_block`, or by :func:`_float_block`
-    when n = m = 1 and the scenario has at most ``FLOAT_PATH_MAX_RUNS`` runs,
-    and the draws, plant path, block gammas and logs are :class:`_Runs`'.
-    """
-    model = scenario.model
-    s = _Runs(scenario, run_indices, force_gamma, sums)
-    e, P = s.e, s.P
-    floats = model.n == model.m == 1 and scenario.runs <= FLOAT_PATH_MAX_RUNS
-    step = _float_block if floats else _step_block
-    length = STEP_BLOCK_ENTRIES // (s.N * (model.n**2 + 3 * model.n + 2 * model.m + 1))
-    for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
-        gamma, e_all, P_all = step(model, s, zeta, Lv, Lw, y, gamma, e, P)
-        e, P = e_all[-1], P_all[-1]
-        s.log(steps, gamma, e_all[:-1], P_all[:-1])
-    return s
-
-
 def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
     """Step a stack of runs through a block of steps; returns gamma (L, runs)
     and the prior errors and covariances of the block's steps and of the
@@ -447,11 +458,9 @@ def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
     the two can decide apart only when zeta lies within an ulp of the
     acceptance probability.  Python floats do not raise on overflow, so
     NumericalError names the step of a prior covariance that is not
-    positive and finite (the step after the block's included), of an
+    positive and finite (the step after the block's included), and of an
     innovation covariance c p c + R (or + the drop noise) that is not
-    finite, where the update would go on with K = 0, and of a closed-loop
-    z' Z z that overflows, where the numpy step loop raises under the CLI's
-    error state.
+    finite, where the update would go on with K = 0.
     """
     a, c, q, r = (X.item() for X in (model.A, model.C, model.Q, model.R))
     w_drop = None if s.W_drop is None else s.W_drop.item()
@@ -473,10 +482,7 @@ def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
             if not decide:
                 g = gs[j]
             elif closed:
-                zz = z * weight * z
-                if zz == inf:
-                    raise NumericalError(f"z' Z z of the innovation at step {k0 + j} overflows")
-                g = gs[j] = zt > exp(-0.5 * zz)
+                g = gs[j] = not zt <= exp(-0.5 * (z * weight * z))
             else:
                 g = gs[j] = abs(z) > weight
             cp = c * p
@@ -538,58 +544,46 @@ def _apply_affine(maps, x):
     return F * x + b if x.shape[-2] == 1 else F @ x + b
 
 
-def _scan_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """The scan path of :func:`_simulate_runs`, for a trigger that does not
-    read the estimate: the open-loop trigger and the offline baselines.
+def _scan_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
+    """:func:`_step_block` for a trigger that does not read the estimate, as
+    a scan over time; :func:`_simulate_runs` forms its information matrices
+    ``s.J_arrival`` and ``s.J_drop``.
 
-    Given gamma, the filter is a linear time-varying Kalman filter.  Per
-    block of ``SCAN_BLOCK_ENTRIES // (runs * n^2)`` steps it takes the
-    draws, y and gamma from :class:`_Runs`, finds the prior covariances as an
-    :func:`_orbit` of the maps P -> A (P^-1 + J)^-1 A' + Q under
-    :func:`riccati.compose`, J = C' W^-1 C being the step's
-    :func:`riccati.information`, W = R on an arrival and the drop noise on a
-    drop, gets the error's gains K from one
+    Given gamma, the filter is a linear time-varying Kalman filter.  The
+    scan finds the prior covariances as an :func:`_orbit` of the maps
+    P -> A (P^-1 + J)^-1 A' + Q under :func:`riccati.compose`, J = C' W^-1 C
+    being the step's :func:`riccati.information`, W = R on an arrival and
+    the drop noise on a drop, gets the error's gains K from one
     :func:`estimation.measurement_update` call, and finds the prior errors
     e = x - xhat as an :func:`_orbit` of the affine maps
     e -> F e + A d + L_q w, F = A (I - K C), that the update and the time
-    update make.  Each block starts from the previous one's end state.
+    update make.
     """
-    model = scenario.model
     n, m = model.n, model.m
-    A, C, Q, R = model.A, model.C, model.Q, model.R
-    s = _Runs(scenario, run_indices, force_gamma, sums)
-    e, P, N = s.e, s.P, s.N
-    # the information of an arrival and of a drop; an offline drop has none
-    J_arrival = riccati.information(C, R[None])[0]
-    J_drop = np.zeros((n, n)) if s.W_drop is None else riccati.information(C, s.W_drop[None])[0]
-
-    for steps, _, Lv, Lw, y, gamma in s.blocks(SCAN_BLOCK_ENTRIES // _width(scenario)):
-        L = Lw.shape[0]
-        J = np.where(gamma[:, :, None, None], J_arrival, J_drop)
-        try:
-            # a covariance that breaks down is reported by the log's check
-            with np.errstate(over="ignore", invalid="ignore"):
-                P_all = _orbit(
-                    P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
-                    riccati.compose, riccati.apply,
-                )
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"prior covariance scan failed ({exc})") from exc
-        # with a zero prior error, whose innovation is L_r v, the update
-        # returns the part d of the posterior error that the noise makes
-        d, _, K, _ = measurement_update(
-            model, P_all[:L].reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1),
-            gamma.reshape(L * N), s.W_drop, None if y is None else y.reshape(L * N, m, 1),
-        )
-        e_all = _orbit(
-            e,
-            ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
-            _compose_affine, _apply_affine,
-        )
-        e, P = e_all[-1], P_all[-1]
-        s.log(steps, gamma, e_all[:-1], P_all[:-1])
-
-    return s
+    A, C, Q = model.A, model.C, model.Q
+    L, N = zeta.shape
+    J = np.where(gamma[:, :, None, None], s.J_arrival, s.J_drop)
+    try:
+        # a covariance that breaks down is reported by the log's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            P_all = _orbit(
+                P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
+                riccati.compose, riccati.apply,
+            )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"prior covariance scan failed ({exc})") from exc
+    # with a zero prior error, whose innovation is L_r v, the update
+    # returns the part d of the posterior error that the noise makes
+    d, _, K, _ = measurement_update(
+        model, P_all[:L].reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1),
+        gamma.reshape(L * N), s.W_drop, None if y is None else y.reshape(L * N, m, 1),
+    )
+    e_all = _orbit(
+        e,
+        ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
+        _compose_affine, _apply_affine,
+    )
+    return gamma, e_all, P_all
 
 
 def simulate(scenario, run_index=0, force_gamma=None, record_full=False):

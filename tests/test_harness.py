@@ -1,5 +1,7 @@
+import functools
 import io
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -31,13 +33,11 @@ from setkf import (
 )
 from setkf import harness
 from setkf.cli import main
-from setkf.estimation import MAX_PERIOD
+from setkf.estimation import MAX_PERIOD, trigger_decide
 from setkf.harness import (
     FLOAT_PATH_MAX_RUNS,
     SCAN_MAX_WIDTH,
-    _scan_runs,
     _simulate_runs,
-    _step_runs,
     _run_length_histogram,
     write_comparison_csv,
     write_monte_carlo_csv,
@@ -204,7 +204,7 @@ class TestPeriodicBounds:
         scn = scalar_scenario(TriggerPolicy.periodic(period, phase),
                               horizon=12, runs=2, burn_in=0)
         expected = [int((k - int(phase)) % period == 0) for k in range(12)]
-        for path in (_scan_runs, _step_runs):
+        for path in (scan_runs, step_runs):
             assert path(scn, range(2)).gamma.tolist() == [expected, expected]
 
 
@@ -598,11 +598,45 @@ def assert_priors_psd(block):
 FEEDBACK_FREE = [0, 1, 3, 4]  # standard, olset, periodic, random
 
 
-def numpy_step_runs(scenario, run_indices, **kw):
-    """``_step_runs`` on the numpy step loop, ``_step_block``, for any plant."""
+# each route of the kernel: the constants that force it and the steppers it
+# may call; "step" is the step loop, in Python floats where the scenario may
+ROUTES = {
+    "scan": ({"SCAN_MAX_WIDTH": math.inf}, {"_scan_block"}),
+    "step": ({"SCAN_MAX_WIDTH": 0}, {"_step_block", "_float_block"}),
+    "numpy": ({"SCAN_MAX_WIDTH": 0, "FLOAT_PATH_MAX_RUNS": 0}, {"_step_block"}),
+}
+
+
+def spy_steppers(mp, calls):
+    """Patch the three steppers so that each call appends its name and its
+    block length to ``calls``."""
+    for name in ("_scan_block", "_step_block", "_float_block"):
+        stepper = getattr(harness, name)
+        mp.setattr(
+            harness, name,
+            lambda *a, _f=stepper, _name=name: calls.append((_name, a[2].shape[0])) or _f(*a),
+        )
+
+
+def routed_runs(route, scenario, run_indices, **kw):
+    """``_simulate_runs`` forced onto one of ``ROUTES`` by monkeypatch; the
+    scan takes a feedback-free trigger only.  Spies check that only the
+    route's steppers ran."""
+    constants, steppers = ROUTES[route]
+    calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "FLOAT_PATH_MAX_RUNS", 0)
-        return _step_runs(scenario, run_indices, **kw)
+        for name, value in constants.items():
+            mp.setattr(harness, name, value)
+        spy_steppers(mp, calls)
+        block = _simulate_runs(scenario, run_indices, **kw)
+    called = {name for name, _ in calls}
+    assert called and called <= steppers, (route, called)
+    return block
+
+
+scan_runs = functools.partial(routed_runs, "scan")
+step_runs = functools.partial(routed_runs, "step")
+numpy_step_runs = functools.partial(routed_runs, "numpy")
 
 
 class TestScanOracle:
@@ -618,7 +652,7 @@ class TestScanOracle:
         # Python floats, with the numpy step loop's bits
         path, agree = (_simulate_runs, assert_blocks_equal)
         if pairing in FEEDBACK_FREE:
-            path, agree = _scan_runs, assert_blocks_agree
+            path, agree = scan_runs, assert_blocks_agree
         for horizon in (1, 2, 3, 77):
             for extra in ({}, {"pre_roll": 7, "x0_mean": np.arange(1.0, n + 1.0)}):
                 scn = Scenario(
@@ -644,7 +678,7 @@ class TestScanOracle:
             block = _simulate_runs(scn, [2], force_gamma=forced)
             step = numpy_step_runs(scn, [2], force_gamma=forced)
             if pairing in FEEDBACK_FREE:
-                assert_blocks_equal(block, _scan_runs(scn, [2], force_gamma=forced))
+                assert_blocks_equal(block, scan_runs(scn, [2], force_gamma=forced))
                 assert_blocks_agree(block, step)
             else:
                 assert_blocks_equal(block, step)
@@ -661,11 +695,11 @@ class TestScanOracle:
             model=model, trigger=trig, horizon=50, runs=2, seed=7, burn_in=10,
             pre_roll=3,
         )
-        ref = _step_runs(scn, [0, 1])
+        ref = step_runs(scn, [0, 1])
         for steps in (1, 2, 7):
             if pairing in FEEDBACK_FREE:
-                monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", steps * harness._width(scn))
-                assert_blocks_agree(_scan_runs(scn, [0, 1]), ref)
+                monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", steps * width(scn))
+                assert_blocks_agree(scan_runs(scn, [0, 1]), ref)
             else:
                 monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
                 assert_blocks_equal(_simulate_runs(scn, [0, 1]), ref)
@@ -678,10 +712,10 @@ class TestScanOracle:
             model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), horizon=100, runs=3,
             seed=4, burn_in=20,
         )
-        block = _scan_runs(scn, range(3))
+        block = scan_runs(scn, range(3))
         assert 0.0 < block.gamma.mean() < 1.0
-        assert_blocks_agree(block, _step_runs(scn, range(3)))
-        assert_priors_psd(_scan_runs(scn, [2]))
+        assert_blocks_agree(block, step_runs(scn, range(3)))
+        assert_priors_psd(scan_runs(scn, [2]))
 
     def test_singer_open_loop_long_horizon(self):
         # the state grows without bound; the carried prior error keeps the
@@ -693,14 +727,14 @@ class TestScanOracle:
                 model=model, trigger=TriggerPolicy.open_loop(0.52 * np.eye(3)), horizon=10_000,
                 seed=seed, burn_in=20,
             )
-            assert_blocks_agree(_scan_runs(scn, [0]), _step_runs(scn, [0]))
+            assert_blocks_agree(scan_runs(scn, [0]), step_runs(scn, [0]))
 
     @pytest.mark.parametrize(
         "n, runs, trig, route",
         [
-            (1, SCAN_MAX_WIDTH, TriggerPolicy.open_loop([[0.7]]), "_scan_runs"),
+            (1, SCAN_MAX_WIDTH, TriggerPolicy.open_loop([[0.7]]), "_scan_block"),
             (1, SCAN_MAX_WIDTH + 1, TriggerPolicy.open_loop([[0.7]]), "_step_block"),
-            (2, SCAN_MAX_WIDTH // 4, TriggerPolicy.random_offline(0.4), "_scan_runs"),
+            (2, SCAN_MAX_WIDTH // 4, TriggerPolicy.random_offline(0.4), "_scan_block"),
             (2, SCAN_MAX_WIDTH // 4 + 1, TriggerPolicy.random_offline(0.4), "_step_block"),
             (1, FLOAT_PATH_MAX_RUNS, TriggerPolicy.closed_loop([[0.7]]), "_float_block"),
             (1, FLOAT_PATH_MAX_RUNS + 1, TriggerPolicy.closed_loop([[0.7]]), "_step_block"),
@@ -718,17 +752,20 @@ class TestScanOracle:
             model=oracle_model(n, 1, seed=n), trigger=trig, horizon=9, runs=runs,
             seed=8, burn_in=0,
         )
-        paths = []
-        for name in ("_scan_runs", "_step_block", "_float_block"):
-            path = getattr(harness, name)
-            monkeypatch.setattr(
-                harness, name, lambda *a, _path=path, _name=name: paths.append(_name) or _path(*a)
-            )
+        # blocks shorter than the horizon: the scan's of 4 steps, as many as
+        # SCAN_BLOCK_ENTRIES holds for the scenario's runs, the step loop's of
+        # 3 steps for two runs and 6 for one, as many as STEP_BLOCK_ENTRIES
+        # holds for the runs simulated
+        monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 4 * width(scn) + width(scn) - 1)
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 6 * step_entries(scn.model) + 1)
+        calls = []
+        spy_steppers(monkeypatch, calls)
         # the route depends on the scenario, not on the block of runs: the
-        # scan, or one block of the step loop in numpy or in Python floats
+        # scan, or the step loop in numpy or in Python floats
         block = _simulate_runs(scn, [runs - 1, 0])
         single = _simulate_runs(scn, [0])
-        assert paths == [route] * 2
+        lengths = [4, 4, 1] * 2 if route == "_scan_block" else [3, 3, 3, 6, 3]
+        assert calls == [(route, L) for L in lengths]
         np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
 
     @pytest.mark.parametrize("wide", [False, None, True], ids=["narrow", "mid", "wide"])
@@ -744,12 +781,11 @@ class TestScanOracle:
             model=model, trigger=oracle_pairings(1)[pairing], horizon=9, runs=runs, seed=8,
             burn_in=0,
         )
-        paths = []
-        for name in ("_scan_runs", "_step_runs"):
-            monkeypatch.setattr(harness, name, lambda *a, _name=name: paths.append(_name))
+        calls = []
+        spy_steppers(monkeypatch, calls)
         _simulate_runs(scn, [0], force_gamma=np.ones(9, dtype=int) if forced else None)
         scan = pairing in FEEDBACK_FREE and not wide
-        assert paths == ["_scan_runs" if scan else "_step_runs"]
+        assert calls == [("_scan_block" if scan else "_step_block", 9)]
 
 
 @pytest.mark.parametrize("exponents", list(SCALAR_EXPONENTS))
@@ -843,9 +879,9 @@ class TestFloatBlock:
                         monkeypatch.setattr(
                             harness, "STEP_BLOCK_ENTRIES", steps * 4 * step_entries(model)
                         )
-                    assert_blocks_equal(_step_runs(scn, [3, 0, 2, 1], **kw), ref)
+                    assert_blocks_equal(step_runs(scn, [3, 0, 2, 1], **kw), ref)
                 monkeypatch.undo()
-            assert_priors_psd(_step_runs(scn, [1]))
+            assert_priors_psd(step_runs(scn, [1]))
 
     @pytest.mark.parametrize(
         "model, trig, extra, message",
@@ -869,7 +905,7 @@ class TestFloatBlock:
     )
     def test_failures_match_step_block(self, model, trig, extra, message):
         scn = Scenario(model=model, trigger=trig, horizon=3, runs=2, seed=1, burn_in=0)
-        for path in (_step_runs, numpy_step_runs):
+        for path in (step_runs, numpy_step_runs):
             with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"^{message}$"):
                 path(scn, [0, 1], **extra)
 
@@ -880,29 +916,78 @@ class TestFloatBlock:
              "innovation covariance at step 0 is not finite"),
             (1.5e154, 1e-9, TriggerPolicy.deterministic_threshold(1.0), 1,
              "innovation covariance at step 1 is not finite"),
-            # the closed-loop rule reads z' Z z before the update reads c p c
+            # the closed-loop rule's z' Z z overflows to a send, and then the
+            # update's c p c overflows
             (1e300, 1.0, TriggerPolicy.closed_loop([[1.0]]), 1,
-             "z' Z z of the innovation at step 0 overflows"),
-            (1.0, 1.0, TriggerPolicy.closed_loop([[8e307]]), 2,
-             "z' Z z of the innovation at step 1 overflows"),
+             "innovation covariance at step 0 is not finite"),
+            # z' Z z overflows to a send, and nothing else does: both loops
+            # complete, with the same bits
+            (1.0, 1.0, TriggerPolicy.closed_loop([[8e307]]), 2, None),
         ],
         ids=["step-0", "step-1", "clset-huge-C", "clset-huge-weight"],
     )
     def test_overflow_names_the_step(self, monkeypatch, C, Sigma0, trig, seed, message):
-        # c p c or z' Z z overflows: the numpy step loop warns and goes on,
-        # or raises under the CLI's error state; Python floats name the step,
-        # in any block
+        # c p c overflows: the numpy step loop warns and goes on, or raises
+        # under the CLI's error state; Python floats name the step, in any
+        # block
         scn = Scenario(
             model=validate_model(0.8, C, 1.0, 1.0, Sigma0), trigger=trig, horizon=5, runs=2,
             seed=seed, burn_in=0,
         )
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            numpy_step_runs(scn, [0, 1])
+        if message is None:
+            with np.errstate(over="raise", invalid="raise"):
+                ref = numpy_step_runs(scn, [0, 1])
+            assert ref.gamma.all()
+        else:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                numpy_step_runs(scn, [0, 1])
         for steps in (None, 1):
             if steps is not None:
                 monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 2 * step_entries(scn.model))
-            with pytest.raises(NumericalError, match=f"^{message}$"):
-                _step_runs(scn, [0, 1])
+            if message is None:
+                assert_blocks_equal(step_runs(scn, [0, 1]), ref)
+            else:
+                with pytest.raises(NumericalError, match=f"^{message}$"):
+                    step_runs(scn, [0, 1])
+
+    def test_huge_weight_sends_at_every_step(self):
+        # Z = 8e307 passes require_spd, and z' Z z overflows once |z| > 1.5:
+        # exp(-inf / 2) = 0, so the send is exact and nothing raises; 8 runs
+        # step in Python floats, 9 in numpy, and run 0 is the same at both
+        trig = TriggerPolicy.closed_loop([[8e307]])
+        single = {}
+        with np.errstate(over="raise", invalid="raise"):
+            assert trigger_decide(trig, [3.0], [0.0], 0.5, 0) == 1
+            for runs in (FLOAT_PATH_MAX_RUNS, FLOAT_PATH_MAX_RUNS + 1):
+                scn = scalar_scenario(trig, horizon=300, runs=runs, seed=12, burn_in=0)
+                block = _simulate_runs(scn, range(runs))
+                assert block.gamma.all()
+                single[runs] = simulate(scn, 0, record_full=True)
+        small, large = single.values()
+        for name in ("gamma", "P_trace", "sq_err", "P_prior_full", "err_outer"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(large, name))
+
+    def test_huge_two_measurement_weight_sends_at_every_step(self, monkeypatch):
+        # with m = 2, z' Z overflows in both entries and z' Z z can cancel
+        # them to nan, as for z = (30, -3): a send too.  C = 10 I makes
+        # innovations of about 10, and some of their forms nan
+        trig = TriggerPolicy.closed_loop([[8e307, 1e307], [1e307, 8e307]])
+        model = validate_model(np.diag([0.8, 0.5]), 10.0 * np.eye(2), np.eye(2), np.eye(2),
+                               np.eye(2))
+        scn = Scenario(model=model, trigger=trig, horizon=300, runs=3, seed=12, burn_in=0)
+        forms, harness_transmit = [], harness.transmit
+
+        def transmit(policy, z, zeta, k=None):
+            with np.errstate(all="ignore"):
+                forms.append((z.transpose(0, 2, 1) @ policy.Z @ z).ravel())
+            return harness_transmit(policy, z, zeta, k)
+
+        monkeypatch.setattr(harness, "transmit", transmit)
+        with np.errstate(over="raise", invalid="raise"):
+            for z in ([30.0, -3.0], [3.0, -30.0], [3.0, 3.0]):
+                assert trigger_decide(trig, z, [0.0, 0.0], 0.5, 0) == 1
+            assert _simulate_runs(scn, range(3)).gamma.all()
+        assert np.isnan(np.concatenate(forms)).any()
 
     def test_prior_after_the_horizon_must_be_finite(self):
         # the time update after the last step overflows; the numpy step loop
@@ -914,7 +999,7 @@ class TestFloatBlock:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             numpy_step_runs(scn, [0], force_gamma=[0])
         with pytest.raises(NumericalError, match="^prior covariance at step 1 has"):
-            _step_runs(scn, [0], force_gamma=[0])
+            step_runs(scn, [0], force_gamma=[0])
 
     @pytest.mark.parametrize("pairing", [2, 5], ids=["clset", "threshold"])
     def test_simulate_equals_monte_carlo_run(self, pairing):
@@ -976,6 +1061,11 @@ def step_entries(model):
     return model.n**2 + 3 * model.n + 2 * model.m + 1
 
 
+def width(scenario):
+    """runs * n^2, the scan's entries per step, as in ``SCAN_BLOCK_ENTRIES``."""
+    return scenario.runs * scenario.model.n**2
+
+
 class TestStepBlocks:
     """The step loop draws, steps the plant and logs once per block of steps;
     no block length changes a value."""
@@ -994,14 +1084,14 @@ class TestStepBlocks:
             forced = (np.random.default_rng(pairing).random(50) < 0.5).astype(int)
             monkeypatch.undo()
             refs = [
-                _step_runs(scn, [0, 1]), _step_runs(scn, [1, 0], force_gamma=forced, sums=False),
+                step_runs(scn, [0, 1]), step_runs(scn, [1, 0], force_gamma=forced, sums=False),
             ]
             assert 0.0 < refs[0].gamma.mean() <= 1.0
             for steps in (1, 2, 7):
                 monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
-                assert_blocks_equal(_step_runs(scn, [0, 1]), refs[0])
+                assert_blocks_equal(step_runs(scn, [0, 1]), refs[0])
                 assert_blocks_equal(
-                    _step_runs(scn, [1, 0], force_gamma=forced, sums=False), refs[1]
+                    step_runs(scn, [1, 0], force_gamma=forced, sums=False), refs[1]
                 )
 
     def test_wide_clset_equals_single_runs(self):
@@ -1059,8 +1149,8 @@ class TestDraws:
         )
         # blocks of 7 steps for the two runs, so 8 blocks of the horizon of 50
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 7 * 2 * step_entries(model))
-        monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 7 * harness._width(scn))
-        paths = [_step_runs] + ([_scan_runs] if pairing in FEEDBACK_FREE else [])
+        monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 7 * width(scn))
+        paths = [step_runs] + ([scan_runs] if pairing in FEEDBACK_FREE else [])
         refs = [path(scn, [2, 0]) for path in paths]
         gens = []
         monkeypatch.setattr(
