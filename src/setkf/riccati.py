@@ -12,8 +12,9 @@ Each map P -> A (P^-1 + J)^-1 A' + C is an element (A, C, J), g_W being
 (A, Q, C' W^-1 C) with :func:`information` as its J, and :func:`compose`
 is their one composition: the harness's time-parallel scan composes an
 element per step, while :func:`fixed_points` and :func:`lyapunov` (whose
-element is (F, Q, 0)) square a stack of elements, k doublings covering 2^k
-iterates, at most 64 times, each element until its own stop.
+element (F, Q, None) needs no solve) square a stack of elements, k doublings
+covering 2^k iterates, at most 64 times, each element until its own stop,
+decided by entry bounds or, where they leave it open, by an SVD.
 
 Also provides the block-Gaussian covariance identity used to absorb a
 quadratic measurement weight into a joint covariance: for a joint SPD
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation
-from .matrices import is_spd, require_spd, require_spd_stack, sym
+from .matrices import is_spd, require_size, require_spd, require_spd_stack, sym
 
 FIXED_POINT_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
@@ -85,10 +86,16 @@ def compose(first, second):
     """The map P -> A (P^-1 + J)^-1 A' + C of the second (A, C, J) after the
     first: Sarkka and Garcia-Fernandez's filtering elements (IEEE TAC 66(1),
     2021) without their mean parts.  For n = 1 the same products, in the
-    same order, are formed elementwise, with the same bits."""
+    same order, are formed elementwise, with the same bits.  A second J of
+    None stands for 0, as in the Lyapunov element (F, Q, None): I + C1 J2 is
+    then I, so the solve is skipped and (A2 A1, A2 C1 A2' + C2, J1) is
+    returned, the products of J = 0 in the same order, with the same bits."""
     A1, C1, J1 = first
     A2, C2, J2 = second
     n = A1.shape[-1]
+    if J2 is None:
+        mul = np.multiply if n == 1 else np.matmul
+        return mul(A2, A1), sym(mul(mul(A2, C1), _T(A2)) + C2), J1
     if n == 1:
         D = 1 + C1 * J2
         XA, XC = A1 / D, C1 / D
@@ -107,9 +114,25 @@ def apply(maps, P):
     return sym(A @ np.linalg.solve(np.eye(P.shape[-1]) + P @ J, P) @ _T(A) + C)
 
 
+def _settled(step, C, tol):
+    """Whether ||step||_2 <= tol ||C||_2 for each pair of a stack of symmetric
+    n x n matrices, as one SVD of the stacked pairs decides.  The norm ratio
+    lies in [rho / n, n rho], rho = max|step| / max|C| (a ratio, so nothing
+    underflows), so these bounds decide with 1% to spare for rounding, and
+    the SVD runs only when some pair falls between them."""
+    n = C.shape[-1]
+    rho = abs(step).max(axis=(-2, -1)) / abs(C).max(axis=(-2, -1))
+    done = 1.01 * n * rho <= tol
+    if (done | (rho > 1.01 * n * tol)).all():
+        return done
+    norms = np.linalg.svd(np.stack([step, C]), compute_uv=False)[..., 0]
+    return norms[0] <= tol * norms[1]
+
+
 def _doubling(element, tol, max_doublings, label):
     """C of each element (A, C, J) of a stack, squared until its C, its
-    image of 0, changes by at most ``tol`` relative to C.
+    image of 0, changes by at most ``tol`` relative to C in the 2-norm, as
+    :func:`_settled` decides.  J is a stack or None, which stays None.
 
     An element leaves the stack at its own stop doubling, so its value is
     that of a stack of one to the bit.  Raises NoConvergence on a singular
@@ -126,15 +149,13 @@ def _doubling(element, tol, max_doublings, label):
             step, (A, C, J) = squared[1] - C, squared
             if not np.isfinite(C).all():
                 raise NoConvergence(k + 1, f"{label} (diverged)")
-            # both spectral norms of each element from one SVD call
-            norms = np.linalg.svd(np.stack([step, C]), compute_uv=False)[..., 0].tolist()
-            done = [step_norm <= tol * x_norm for step_norm, x_norm in zip(*norms)]
-            if any(done):
-                if all(done) and len(live) == len(out):
+            done = _settled(step, C, tol)
+            if done.any():
+                if done.all() and len(live) == len(out):
                     return sym(C)
-                done = np.array(done)
                 out[live[done]] = sym(C[done])
-                A, C, J, live = A[~done], C[~done], J[~done], live[~done]
+                A, C, live = A[~done], C[~done], live[~done]
+                J = None if J is None else J[~done]
                 if not len(live):
                     return out
     raise NoConvergence(max_doublings, label)
@@ -179,15 +200,18 @@ def fixed_point(rmap):
 def lyapunov(F, Q):
     """Solution of X = F X F' + Q for a stable F, by Smith doubling.
 
-    Squares the element (F, Q, 0), k squarings summing the first 2^k terms
-    of sum_i F^i Q (F^i)'.  Stops when the last increment falls below
-    LYAPUNOV_TOL relative to X.  Raises NoConvergence when the sum stops
-    being finite or after MAX_DOUBLINGS doublings, both of which mean
-    rho(F) >= 1 up to rounding.
+    Squares the element (F, Q, None), k squarings summing the first 2^k
+    terms of sum_i F^i Q (F^i)', with no solve (see :func:`compose`).  Stops
+    when the last increment falls below LYAPUNOV_TOL relative to X.  Raises
+    NotPositiveDefinite, the size error, for an F that is not square or a Q
+    of another size (Q is not checked further), and NoConvergence when the
+    sum stops being finite or after MAX_DOUBLINGS doublings, both of which
+    mean rho(F) >= 1 up to rounding.
     """
-    F = np.atleast_2d(np.asarray(F, dtype=float))[None]
-    Q = sym(np.atleast_2d(np.asarray(Q, dtype=float)))[None]
-    element = (F, Q, np.zeros_like(Q))
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    require_size(F, "F", len(F))
+    Q = sym(require_size(np.atleast_2d(np.asarray(Q, dtype=float)), "Q", len(F)))
+    element = (F[None], Q[None], None)
     return _doubling(element, LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")[0]
 
 

@@ -229,6 +229,14 @@ def test_lyapunov_non_stable_raises_without_warning(F):
             lyapunov(F, np.eye(len(F)))
 
 
+@pytest.mark.parametrize(
+    "F, Q", [(np.ones((2, 3)), np.eye(2)), (0.5 * np.eye(2), np.eye(3))], ids=["F-2x3", "Q-3x3"]
+)
+def test_lyapunov_wrong_size_is_the_size_error(F, Q):
+    with pytest.raises(NotPositiveDefinite, match="must be 2 x 2"):
+        lyapunov(F, Q)
+
+
 def _oracle_plant(rng, rho):
     """A random detectable plant with n <= 5, m <= 3 and rho(A) = rho."""
     while True:
@@ -248,7 +256,7 @@ def _stack_of_one(single):
     """A doubling of one element as ``riccati._doubling`` of a stack of one."""
 
     def doubling(element, tol, max_doublings, label):
-        element = tuple(part[0] for part in element)
+        element = tuple(None if part is None else part[0] for part in element)
         return single(element, tol, max_doublings, label)[None]
 
     return doubling
@@ -300,6 +308,86 @@ def test_doubling_matches_the_two_norm_stop_test(monkeypatch):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 solves += 1
     assert solves > 560
+
+
+def _svd_rule(step, C, tol):
+    # the former stop test of each element: one SVD of the stacked pair
+    step_norm, x_norm = np.linalg.svd(np.stack([step, C]), compute_uv=False)[:, 0]
+    return step_norm <= tol * x_norm
+
+
+def _pairs_at_ratio(rng, n, ratio, magnitude):
+    """(step, C) pairs with ||step||_2 = ratio ||C||_2 and max|C| near
+    ``magnitude``: random, diagonal and rank-one shapes, so that the norm
+    ratio meets both ends of its bounds in max|step| / max|C|."""
+    ones, corner = np.ones((n, n)), np.zeros((n, n))
+    corner[0, 0] = 1.0
+    pairs = []
+    for C in (random_spd(rng, n), np.eye(n), ones + np.eye(n)):
+        C = C * (magnitude / np.abs(C).max())
+        for S in (sym(rng.normal(size=(n, n))), ones, corner, -np.eye(n)):
+            S = S * (ratio * np.linalg.norm(C, 2) / np.linalg.norm(S, 2))
+            pairs.append((S, C))
+    return pairs
+
+
+@pytest.mark.parametrize("tol", [riccati.FIXED_POINT_TOL, riccati.LYAPUNOV_TOL])
+def test_settled_matches_the_svd_rule(tol, monkeypatch):
+    # norm ratios at tol (1 +- 1e-9), tol n (1 +- 0.02) and tol / n (1 +- 0.02),
+    # C at 1e-300, 1 and 1e300: the entry bounds decide alone or leave it to
+    # the SVD, and either way each element stops as under the SVD rule, in a
+    # stack of one and in the mixed stack of all of them
+    svd_calls = []
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(None)
+        return svd(*args, **kwargs)
+
+    svd = np.linalg.svd
+    rng = np.random.default_rng(70)
+    paths = {"done": 0, "not done": 0, "svd": 0}
+    for n in range(1, 7):
+        for magnitude in (1e-300, 1.0, 1e300):
+            pairs = [
+                pair
+                for factor in (1 - 1e-9, 1 + 1e-9, n * 0.98, n * 1.02, 0.98 / n, 1.02 / n)
+                for pair in _pairs_at_ratio(rng, n, tol * factor, magnitude)
+            ]
+            want = [_svd_rule(step, C, tol) for step, C in pairs]
+            monkeypatch.setattr(np.linalg, "svd", counted_svd)
+            for (step, C), stops in zip(pairs, want):
+                svd_calls.clear()
+                got = riccati._settled(step[None], C[None], tol)
+                assert got.shape == (1,) and got[0] == stops
+                paths["svd" if svd_calls else "done" if stops else "not done"] += 1
+            got = riccati._settled(*(np.stack(part) for part in zip(*pairs)), tol)
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert got.tolist() == want
+    assert min(paths.values()) >= 100, paths
+
+
+def test_settled_rarely_needs_the_svd(monkeypatch):
+    # on 24 plants with rho(A) in [0.99, 0.999], the entry bounds settle at
+    # least 90% of the stop tests of their fixed points and Lyapunov solves
+    rng = np.random.default_rng(71)
+    plants = [_oracle_plant(rng, rho) for rho in np.linspace(0.99, 0.999, 24)]
+    tests, svd_calls, svd, settled = [], [], np.linalg.svd, riccati._settled
+
+    def counted_settled(*args):
+        tests.append(None)
+        return settled(*args)
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "_settled", counted_settled)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for m in plants:
+        riccati.fixed_points(m, np.stack([m.R * scale for scale in (1.0, 1e2, 1e4)]))
+        fixed_point(RiccatiMap(m, m.R))
+        lyapunov(m.A, m.Q)
+    assert len(tests) > 500 and len(svd_calls) <= 0.1 * len(tests), (len(svd_calls), len(tests))
 
 
 def _doubling_elements(rng, count, n):
@@ -493,6 +581,30 @@ def test_compose_without_information_is_the_lyapunov_step(n):
     np.testing.assert_allclose(A2, F @ F, rtol=1e-14, atol=0)
     np.testing.assert_allclose(C2, F @ Q @ _T(F) + Q, rtol=1e-14, atol=1e-14 * np.abs(C2).max())
     assert not J2.any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_lyapunov_compose_skips_the_identity_solve_to_the_bit(n):
+    # (F, Q, None) composes as the general branch with J = 0: the same bits,
+    # signed zeros included, for magnitudes 1e-150..1e150 and F with exact
+    # +0 and -0 entries, squared and after another element; J stays None
+    rng = np.random.default_rng(80 + n)
+
+    def element():
+        F = rng.normal(size=(50, n, n)) * 10.0 ** rng.uniform(-150, 150, size=(50, n, n))
+        zeros = rng.uniform(size=F.shape)
+        F[zeros < 0.2], F[zeros > 0.8] = 0.0, -0.0
+        Q = rng.normal(size=(50, n, n)) * 10.0 ** rng.uniform(-150, 150, size=(50, n, n))
+        Q[rng.uniform(size=Q.shape) < 0.3] = -0.0
+        return F, sym(Q)
+
+    for first, second in ((element(),) * 2, (element(), element())):
+        with np.errstate(all="ignore"):
+            got = compose((*first, None), (*second, None))
+            want = compose((*first, np.zeros_like(first[1])), (*second, np.zeros_like(second[1])))
+        assert got[2] is None
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape and np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def _assert_same_bits(got, want):
