@@ -24,16 +24,19 @@ stepped.  The first matching row of one route table picks the stepper:
     any            any other                               _step_block   L_step
 
 with blocks of L_scan = SCAN_BLOCK_ENTRIES // (runs * n^2) and L_step =
-STEP_BLOCK_ENTRIES // (N * (n^2 + 3n + 2m + 1)) steps, runs being the
-scenario's and N the number of runs simulated.  For the feedback-free
-triggers (open loop, periodic, random) :meth:`_Runs.blocks` decides gamma a
-block at a time, and the scan runs the filter over time in O(log T) batched
-calls, which compose the covariance maps with :func:`riccati.compose` and
-read a drop only through its drop noise, in information form.  The step
-loops loop over time steps in Python for the filter recursion alone,
-deciding on the innovation where the trigger reads the estimate; the float
-one steps each run in Python floats, with the numpy one's bits.  A forced
-gamma keeps its trigger's stepper.
+STEP_BLOCK_ENTRIES // (runs * (n^2 + 3n + 2m + 1)) steps, runs being the
+scenario's, however many of them are simulated.  The route and the block
+length read the trigger and the scenario alone, so a forced gamma keeps its
+trigger's stepper and run r has the same bits in any block of runs.  For
+the feedback-free triggers (open loop, periodic, random) :meth:`_Runs.blocks`
+decides gamma a block at a time, and the scan runs the filter over time in
+O(log T) batched calls, which compose the covariance maps with
+:func:`riccati.compose` and read a drop only through its drop noise, in
+information form.  The step loops loop over time steps in Python for the
+filter recursion alone, deciding on the innovation where the trigger reads
+the estimate; the float one steps each run in Python floats, with the numpy
+one's bits.  The open-loop plant path is an :func:`_orbit` of affine maps
+on every route, a scan over time like the prior errors'.
 
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
@@ -71,20 +74,21 @@ MAX_RUNS = 5 * 10**5
 # scan is faster, 7-11x for one run of 10^5 steps.
 SCAN_MAX_WIDTH = 128
 
-# Most runs of a scalar scenario that step in Python floats, run by run: the
-# open-loop plant path, and the filter of the step loop where n = m = 1; more
-# step as one stack.  Per step of a block the floats took 0.7-1.2 us against
-# the stack's 2.2-4.1 at 8 runs, and 1.5-2.95 against 2.4-4.1 at 16 (plant
-# path; 2-CPU Xeon, numpy 2.4, 1500 steps, best of 7).
+# Most runs of a scenario with n = m = 1 whose step loop steps in Python
+# floats, run by run (_float_block); more step as one numpy stack.  The
+# floats took 0.05, 0.19, 0.35, 0.65, 1.12 and 1.81 times the stack's time at
+# 1, 8, 16, 32, 64 and 128 runs (scalar closed loop, monte_carlo, 1500 steps,
+# best of 3; 2-CPU Xeon, numpy 2.4).
 FLOAT_PATH_MAX_RUNS = 8
 
 # The scan works on blocks of SCAN_BLOCK_ENTRIES // (runs * n^2) steps, so
 # that a block's arrays take some 16 MB at most.
 SCAN_BLOCK_ENTRIES = 2**16
 
-# The step loop works on blocks of STEP_BLOCK_ENTRIES // (runs * e) steps, e =
-# n^2 + 3n + 2m + 1 being its entries per run and step (P, e, w, v, L_q w, L_r v
-# and gamma); only the open-loop trigger holds the plant's x and y, n + m more.
+# The step loop works on blocks of STEP_BLOCK_ENTRIES // (runs * e) steps, runs
+# being the scenario's and e = n^2 + 3n + 2m + 1 its entries per run and step
+# (P, e, w, v, L_q w, L_r v and gamma); only the open-loop trigger holds the
+# plant's x and y, n + m more.
 STEP_BLOCK_ENTRIES = 2**21
 
 # Largest gap |1/period - target rate| at which the periodic scheduler counts
@@ -195,18 +199,8 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
 
     The one driver of the kernel.  It builds :class:`_Runs`, takes the
     stepper and block length of the first matching row of the route table
-    of the module docstring,
-
-        trigger        size                                    stepper       block
-        feedback-free  runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
-        any            n = m = 1, runs <= FLOAT_PATH_MAX_RUNS  _float_block  L_step
-        any            any other                               _step_block   L_step
-
-    and steps each block from the last one's end state.  The route reads the
-    trigger and the scenario's size only, so a forced gamma keeps its
-    trigger's stepper, and a run has the same values in any block of runs:
-    only the scan's values depend on the block length, which reads the
-    scenario's runs.
+    of the module docstring, and steps each block from the last one's end
+    state.
 
     Each run draws from its own generator in the order of the randomness
     contract (see :func:`simulate`).  With ``sums`` the prior covariances and
@@ -228,7 +222,7 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     else:
         floats = n == m == 1 and scenario.runs <= FLOAT_PATH_MAX_RUNS
         step = _float_block if floats else _step_block
-        length = STEP_BLOCK_ENTRIES // (s.N * (n**2 + 3 * n + 2 * m + 1))
+        length = STEP_BLOCK_ENTRIES // (scenario.runs * (n**2 + 3 * n + 2 * m + 1))
     e, P = s.e, s.P
     for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
         gamma, e_all, P_all = step(model, s, zeta, Lv, Lw, y, gamma, e, P)
@@ -308,10 +302,11 @@ class _Runs:
         (L, runs, n, 1) that takes it to the next, for the open-loop
         trigger y (L, runs, m, 1), else None, and gamma (L, runs): the
         forced rows, or else one :func:`estimation.transmit` call's
-        decisions, or None where the trigger reads the estimate.  For n = 1
-        and at most ``FLOAT_PATH_MAX_RUNS`` runs the plant path steps each
-        run in Python floats, the stack's products and sums.  ``k0`` keeps
-        the first step of the block last yielded."""
+        decisions, or None where the trigger reads the estimate.  The plant
+        path x_k+1 = A x_k + L_q w_k is an :func:`_orbit` of affine maps, A
+        broadcast over the runs, so its rounding depends on ``length``, which
+        reads the scenario's runs.  ``k0`` keeps the first step of the block
+        last yielded."""
         A, C, Lq, Lr, N = self.A, self.C, self.Lq, self.Lr, self.N
         n, m, length = A.shape[0], Lr.shape[0], max(1, length)
         for k0 in range(0, self.T, length):
@@ -324,19 +319,9 @@ class _Runs:
             Lv, Lw = Lr @ vw[:, :, :m], Lq @ vw[:, :, m:]
             y = None
             if self.x is not None:
-                # the same products in the same order in any block, so that
-                # x and y do not depend on the block length
-                xs = np.empty((L + 1, N, n, 1))
-                xs[0] = self.x
-                if n == 1 and N <= FLOAT_PATH_MAX_RUNS:
-                    a = A.item()
-                    for r, x in enumerate(xs[0].ravel().tolist()):
-                        out = memoryview(xs[1:, r, 0, 0])
-                        for j, w in enumerate(memoryview(Lw[:, r, 0, 0])):
-                            x = out[j] = a * x + w
-                else:
-                    for j in range(L):
-                        np.add(A @ xs[j], Lw[j], out=xs[j + 1])
+                xs = _orbit(
+                    self.x, (np.broadcast_to(A, (L, 1, n, n)), Lw), _compose_affine, _apply_affine
+                )
                 self.x = xs[L]
                 y = C @ xs[:L] + Lv
             zeta = self.zeta[:, k0 : k0 + L].T
@@ -599,8 +584,8 @@ def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
     drawn and not used).  Normal draws concatenate across calls, so they
     are made in one ``standard_normal(out=...)`` call of
     n * (1 + pre_roll) values at setup and one of L * (m + n) values per
-    block of L steps, and no value depends on the block length.  Every
-    policy sees the same plant path.
+    block of L steps, and no draw depends on the block length.  Every
+    policy sees the same draws.
 
     ``force_gamma`` (a 0/1 sequence, testing hook) overrides the trigger
     decisions without changing the draw order.  The estimator-side update

@@ -205,12 +205,13 @@ def lyapunov(F, Q):
     when the last increment falls below LYAPUNOV_TOL relative to X.  Raises
     NotPositiveDefinite, the size error, for an F that is not square or a Q
     of another size (Q is not checked further), and NoConvergence when the
-    sum stops being finite or after MAX_DOUBLINGS doublings, both of which
-    mean rho(F) >= 1 up to rounding.
+    sum stops being finite, which means rho(F) >= 1 up to rounding or a Q + Q'
+    that overflows, or after MAX_DOUBLINGS doublings, which means rho(F) >= 1.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     require_size(F, "F", len(F))
-    Q = sym(require_size(np.atleast_2d(np.asarray(Q, dtype=float)), "Q", len(F)))
+    with np.errstate(over="ignore"):  # an infinite sym(Q) makes the first sum infinite
+        Q = sym(require_size(np.atleast_2d(np.asarray(Q, dtype=float)), "Q", len(F)))
     element = (F[None], Q[None], None)
     return _doubling(element, LYAPUNOV_TOL, MAX_DOUBLINGS, "Lyapunov doubling")[0]
 

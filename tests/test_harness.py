@@ -752,19 +752,19 @@ class TestScanOracle:
             model=oracle_model(n, 1, seed=n), trigger=trig, horizon=9, runs=runs,
             seed=8, burn_in=0,
         )
-        # blocks shorter than the horizon: the scan's of 4 steps, as many as
-        # SCAN_BLOCK_ENTRIES holds for the scenario's runs, the step loop's of
-        # 3 steps for two runs and 6 for one, as many as STEP_BLOCK_ENTRIES
-        # holds for the runs simulated
+        # blocks shorter than the horizon: the scan's of 4 steps and the step
+        # loop's of 3, as many as SCAN_BLOCK_ENTRIES and STEP_BLOCK_ENTRIES
+        # hold for the scenario's runs, however many are simulated
+        entries = runs * step_entries(scn.model)
         monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 4 * width(scn) + width(scn) - 1)
-        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 6 * step_entries(scn.model) + 1)
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 3 * entries + entries - 1)
         calls = []
         spy_steppers(monkeypatch, calls)
         # the route depends on the scenario, not on the block of runs: the
         # scan, or the step loop in numpy or in Python floats
         block = _simulate_runs(scn, [runs - 1, 0])
         single = _simulate_runs(scn, [0])
-        lengths = [4, 4, 1] * 2 if route == "_scan_block" else [3, 3, 3, 6, 3]
+        lengths = [4, 4, 1] * 2 if route == "_scan_block" else [3, 3, 3] * 2
         assert calls == [(route, L) for L in lengths]
         np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
 
@@ -808,39 +808,68 @@ def test_scalar_affine_maps_have_the_matrix_bits(exponents):
         assert np.array_equal(g, w, equal_nan=True)
 
 
-class TestFloatPlantPath:
-    """A scalar open-loop scenario of at most ``FLOAT_PATH_MAX_RUNS`` runs
-    steps its plant path in Python floats, a wider one as one stack; both
-    give the same bits."""
-
-    @staticmethod
-    def plant_path(scn, runs):
-        """The y of every block and the last x that :class:`_Runs` steps."""
-        s = harness._Runs(scn, range(runs), None, False)
-        ys = [y.copy() for *_, y, _ in s.blocks(37)]
-        return np.concatenate(ys), s.x
+class TestOpenLoopPlantPath:
+    """The open-loop trigger is the one whose runs carry the plant path x,
+    an :func:`harness._orbit` of the maps x -> A x + L_q w on every route.
+    Its rounding depends on the block length, which reads the scenario's
+    runs alone, so each run has the same bits in any block of runs."""
 
     @pytest.mark.parametrize("runs", [1, 8, 9, 60])
-    def test_float_path_equals_the_stack(self, monkeypatch, runs):
-        scn = scalar_scenario(
-            TriggerPolicy.open_loop([[0.7]]), horizon=300, runs=runs, seed=12, burn_in=0,
-            pre_roll=3, x0_mean=[40.0],
+    def test_orbit_equals_sequential_path(self, runs):
+        # x_k+1 = A x_k + L_q w_k step by step from the same draws, in
+        # blocks of 37 steps, at the bar of assert_blocks_agree
+        for model in (SCALAR, oracle_model(2, 1, seed=21)):
+            n = model.n
+            scn = Scenario(
+                model=model, trigger=TriggerPolicy.open_loop([[0.7]]), horizon=300, runs=runs,
+                seed=12, burn_in=0, pre_roll=3, x0_mean=np.full(n, 40.0),
+            )
+            s = harness._Runs(scn, range(runs), None, False)
+            x = s.x.copy()
+            ys, want = [], []
+            for _, _, Lv, Lw, y, _ in s.blocks(37):
+                ys.append(y.copy())
+                for v, w in zip(Lv, Lw):
+                    want.append(model.C @ x + v)
+                    x = model.A @ x + w
+            for got, ref in ((np.concatenate(ys), np.array(want)), (s.x, x)):
+                assert got.shape == ref.shape
+                assert float(np.abs(got - ref).max()) <= 1e-12 * float(np.abs(ref).max())
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["scan", "step"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_simulate_equals_each_row(self, monkeypatch, n, wide):
+        # runs * n^2 at most SCAN_MAX_WIDTH takes the scan, one run more the
+        # step loop; blocks of 6 steps make 7 blocks of the horizon of 40
+        model = SCALAR if n == 1 else oracle_model(2, 1, seed=21)
+        runs = SCAN_MAX_WIDTH // n**2 + 1 if wide else 3
+        scn = Scenario(
+            model=model, trigger=TriggerPolicy.open_loop([[0.7]]), horizon=40, runs=runs,
+            seed=12, burn_in=0, pre_roll=3, x0_mean=np.arange(1.0, n + 1.0),
         )
-        assert (runs <= harness.FLOAT_PATH_MAX_RUNS) == (runs in (1, 8))
-        y, x = self.plant_path(scn, runs)
-        monkeypatch.setattr(harness, "FLOAT_PATH_MAX_RUNS", 0)
-        y_stack, x_stack = self.plant_path(scn, runs)
-        np.testing.assert_array_equal(y, y_stack)
-        np.testing.assert_array_equal(x, x_stack)
-        monkeypatch.undo()
-        # a run of the whole block equals its own single run, which always
-        # takes the float path
+        monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 6 * width(scn))
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 6 * runs * step_entries(model))
+        calls = []
+        spy_steppers(monkeypatch, calls)
         block = _simulate_runs(scn, range(runs))
+        route = "_step_block" if wide else "_scan_block"
+        assert calls == [(route, L) for L in [6] * 6 + [4]]
         assert 0.0 < block.gamma.mean() < 1.0
-        for r in range(runs):
-            rec = simulate(scn, r)
-            for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
-                np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
+        part = _simulate_runs(scn, [runs - 1, 0])
+        stats = monte_carlo(scn)
+        recs = [simulate(scn, r, record_full=True) for r in range(runs)]
+        for rows, order in ((block, range(runs)), (part, [runs - 1, 0])):
+            for row, r in enumerate(order):
+                for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
+                    np.testing.assert_array_equal(
+                        getattr(rows, name)[row], getattr(recs[r], name), err_msg=name
+                    )
+        # monte_carlo adds the runs in run order, as sum does
+        np.testing.assert_array_equal(stats.P_mean, sum(rec.P_prior_full for rec in recs) / runs)
+        np.testing.assert_array_equal(
+            stats.err_outer_mean, sum(rec.err_outer for rec in recs) / runs
+        )
+        np.testing.assert_array_equal(stats.rate_mean, block.gamma.sum(axis=0) / runs)
 
 
 UNSTABLE = validate_model(1.2, 1.0, 1.0, 1.0, 1.0)
@@ -871,16 +900,22 @@ class TestFloatBlock:
             )
             assert scn.runs <= FLOAT_PATH_MAX_RUNS
             for kw in ({}, {"force_gamma": forced, "sums": False}):
-                ref = numpy_step_runs(scn, [3, 0, 2, 1], **kw)
-                assert 0.0 < ref.gamma.mean() < 1.0
+                refs = []
                 # the whole horizon in one block, and blocks of 1, 2 and 7 steps
                 for steps in (None, 1, 2, 7):
                     if steps is not None:
                         monkeypatch.setattr(
                             harness, "STEP_BLOCK_ENTRIES", steps * 4 * step_entries(model)
                         )
-                    assert_blocks_equal(step_runs(scn, [3, 0, 2, 1], **kw), ref)
+                    refs.append(numpy_step_runs(scn, [3, 0, 2, 1], **kw))
+                    assert 0.0 < refs[-1].gamma.mean() < 1.0
+                    assert_blocks_equal(step_runs(scn, [3, 0, 2, 1], **kw), refs[-1])
                 monkeypatch.undo()
+                # the rounding of the open-loop plant path, and of nothing
+                # else, depends on the block length
+                if case != "olset":
+                    for ref in refs[1:]:
+                        assert_blocks_equal(ref, refs[0])
             assert_priors_psd(step_runs(scn, [1]))
 
     @pytest.mark.parametrize(
@@ -1068,12 +1103,13 @@ def width(scenario):
 
 class TestStepBlocks:
     """The step loop draws, steps the plant and logs once per block of steps;
-    no block length changes a value."""
+    no block length changes a value but the open-loop plant path's rounding
+    (see :class:`TestOpenLoopPlantPath`)."""
 
-    @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
+    @pytest.mark.parametrize(
+        "pairing", [0, 2, 3, 4, 5], ids=[PAIRING_IDS[p] for p in (0, 2, 3, 4, 5)]
+    )
     def test_block_length_changes_nothing(self, monkeypatch, pairing):
-        # n = 3, and n = 1, whose two open-loop runs step their plant path in
-        # Python floats
         for n in (3, 1):
             model = oracle_model(n, n, seed=33)
             trig = oracle_pairings(n)[pairing]
@@ -1095,7 +1131,7 @@ class TestStepBlocks:
                 )
 
     def test_wide_clset_equals_single_runs(self):
-        # 3000 singer runs take several blocks, one run the whole horizon
+        # 3000 singer runs take several blocks, as does each run alone
         scn = singer_scenario(1.0, 0.01, 5.0, z_scale=0.52, runs=3000, horizon=60, seed=9)
         assert 1 < harness.STEP_BLOCK_ENTRIES // (scn.runs * step_entries(scn.model)) < 30
         block = _simulate_runs(scn, range(scn.runs))
@@ -1110,7 +1146,7 @@ class TestStepBlocks:
         model = oracle_model(2, 1, seed=21)
         trig = oracle_pairings(1)[pairing]
         scn = Scenario(model=model, trigger=trig, horizon=40, runs=9, seed=3)
-        # blocks of 3 steps for all nine runs, of 27 for one
+        # blocks of 3 steps, for all nine runs as for one
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 3 * 9 * step_entries(model))
         block = _simulate_runs(scn, range(scn.runs))
         for r in range(scn.runs):
@@ -1147,8 +1183,9 @@ class TestDraws:
             model=model, trigger=trig, horizon=50, runs=3, seed=7, burn_in=10,
             pre_roll=2,
         )
-        # blocks of 7 steps for the two runs, so 8 blocks of the horizon of 50
-        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 7 * 2 * step_entries(model))
+        # blocks of 7 steps for the scenario's three runs, so 8 blocks of the
+        # horizon of 50
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 7 * 3 * step_entries(model))
         monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", 7 * width(scn))
         paths = [step_runs] + ([scan_runs] if pairing in FEEDBACK_FREE else [])
         refs = [path(scn, [2, 0]) for path in paths]

@@ -229,6 +229,15 @@ def test_lyapunov_non_stable_raises_without_warning(F):
             lyapunov(F, np.eye(len(F)))
 
 
+def test_lyapunov_overflowing_q_raises_without_warning():
+    # Q + Q' overflows to inf, which the first doubling's sum carries
+    F = [[0.5, 0.1], [0.0, 0.6]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match=r"Lyapunov doubling \(diverged\)"):
+            lyapunov(F, [[1e308, 1e308], [1e308, 1e308]])
+
+
 @pytest.mark.parametrize(
     "F, Q", [(np.ones((2, 3)), np.eye(2)), (0.5 * np.eye(2), np.eye(3))], ids=["F-2x3", "Q-3x3"]
 )
