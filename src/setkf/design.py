@@ -37,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, UnstableSystem
+from .errors import Infeasible, NotPositiveDefinite, UnstableSystem
 from .matrices import (
     as_number,
-    is_spd,
     require_size,
     require_spd,
     smallest_eigenvalue,
@@ -174,7 +173,12 @@ def lmi_feasible(model, Y, Delta0):
     eps_star = 1.0 / float(np.linalg.eigvalsh(sym(Linv @ D @ Linv.T))[-1])
     X = measurement_update(model, sym(X_upper + (0.5 * eps_star) * D)[None], *drop)[1][0]
     M1, M2 = assemble_lmi_blocks(model, Y, sym(np.linalg.inv(X)), Delta0)
-    return is_spd(M1) and is_spd(M2)
+    try:
+        require_spd(M1, "M1")
+        require_spd(M2, "M2")
+    except NotPositiveDefinite:
+        return False
+    return True
 
 
 def ray_search(test, rel_tol, lo=None):

@@ -18,10 +18,10 @@ whose error form alone says what a drop tells the filter; the open-loop
 trigger hands it y, and for that trigger only the plant path itself is
 stepped.  The first matching row of one route table picks the stepper:
 
-    trigger        size                                    stepper       block
-    feedback-free  runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
-    any            n = m = 1, runs <= FLOAT_PATH_MAX_RUNS  _float_block  L_step
-    any            any other                               _step_block   L_step
+    trigger                 size                                    stepper       block
+    feedback-free           runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
+    closed loop, threshold  n = m = 1, runs <= FLOAT_PATH_MAX_RUNS  _float_block  L_step
+    any                     any other                               _step_block   L_step
 
 with blocks of L_scan = SCAN_BLOCK_ENTRIES // (runs * n^2) and L_step =
 STEP_BLOCK_ENTRIES // (runs * (n^2 + 3n + 2m + 1)) steps, runs being the
@@ -220,8 +220,8 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
             else riccati.information(model.C, s.W_drop[None])[0]
         )
     else:
-        floats = n == m == 1 and scenario.runs <= FLOAT_PATH_MAX_RUNS
-        step = _float_block if floats else _step_block
+        floats = scenario.trigger.variant in READS_ESTIMATE and n == m == 1
+        step = _float_block if floats and scenario.runs <= FLOAT_PATH_MAX_RUNS else _step_block
         length = STEP_BLOCK_ENTRIES // (scenario.runs * (n**2 + 3 * n + 2 * m + 1))
     e, P = s.e, s.P
     for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
@@ -435,17 +435,17 @@ def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
 
 
 def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
-    """:func:`_step_block` for n = m = 1: each run steps in Python floats,
-    read and written through memoryviews, with the products and sums of
-    :func:`estimation.transmit`, :func:`estimation.measurement_update` and
-    the time update in the same order, so with the same bits.  The
-    closed-loop rule takes ``math.exp`` where ``transmit`` takes ``np.exp``;
-    the two can decide apart only when zeta lies within an ulp of the
-    acceptance probability.  Python floats do not raise on overflow, so
-    NumericalError names the step of a prior covariance that is not
-    positive and finite (the step after the block's included), and of an
-    innovation covariance c p c + R (or + the drop noise) that is not
-    finite, where the update would go on with K = 0.
+    """:func:`_step_block` for the closed-loop and threshold triggers when
+    n = m = 1: each run steps in Python floats, read and written through
+    memoryviews, with the products and sums of :func:`estimation.transmit`,
+    :func:`estimation.measurement_update` and the time update in the same
+    order, so with the same bits.  The closed-loop rule takes ``math.exp``
+    where ``transmit`` takes ``np.exp``; the two can decide apart only when
+    zeta lies within an ulp of the acceptance probability.  Python floats
+    do not raise on overflow, so NumericalError names the step of a prior
+    covariance that is not positive and finite (the step after the block's
+    included), and of an innovation covariance c p c + R (or + the drop
+    noise) that is not finite, where the update would go on with K = 0.
     """
     a, c, q, r = (X.item() for X in (model.A, model.C, model.Q, model.R))
     w_drop = None if s.W_drop is None else s.W_drop.item()
@@ -458,7 +458,7 @@ def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
     e_all, P_all = np.empty((L + 1, N, 1, 1)), np.empty((L + 1, N, 1, 1))
     for run, (e_r, p) in enumerate(zip(e[:, 0, 0].tolist(), P[:, 0, 0].tolist())):
         es, ps = memoryview(e_all[:, run, 0, 0]), memoryview(P_all[:, run, 0, 0])
-        gs, ys = memoryview(gamma[:, run]), None if y is None else memoryview(y[:, run, 0, 0])
+        gs = memoryview(gamma[:, run])
         vs, ws = memoryview(Lv[:, run, 0, 0]), memoryview(Lw[:, run, 0, 0])
         # a prior p is positive and finite, or else its M is not finite
         for j, (zt, v, w) in enumerate(zip(memoryview(zeta[:, run]), vs, ws)):
@@ -475,7 +475,7 @@ def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
             if not M < inf:
                 raise NumericalError(f"innovation covariance at step {k0 + j} is not finite")
             k = cp / M if w_drop is not None else cp / M * g
-            e_r = e_r - k * (z * g) if ys is None else e_r - k * z + k * (ys[j] * (not g))
+            e_r = e_r - k * (z * g)
             p = p - k * cp
             p = 0.5 * (p + p)
             e_r = a * e_r + w
@@ -856,7 +856,7 @@ def singer_scenario(
     threshold for the offline baseline) must be given.  An unset burn-in is
     20 steps, cut to leave the last step of the horizon.
     """
-    T = as_number(T, "T")
+    T = np.float64(as_number(T, "T"))  # its powers overflow to inf, not to OverflowError
     alpha = as_number(alpha, "alpha")
     sigma_m2 = as_number(sigma_m2, "sigma_m2")
     if T <= 0 or alpha <= 0 or sigma_m2 <= 0:
@@ -865,15 +865,16 @@ def singer_scenario(
         raise ConfigError("specify exactly one of z_scale or delta")
     if a13 not in ("paper", "half"):
         raise ConfigError("a13 must be 'paper' or 'half'")
-    a13_val = T * T if a13 == "paper" else 0.5 * T * T
-    A = np.array([[1.0, T, a13_val], [0.0, 1.0, T], [0.0, 0.0, 1.0]])
-    Q = 2.0 * alpha * sigma_m2 * np.array(
-        [
-            [T**5 / 20.0, T**4 / 8.0, T**3 / 6.0],
-            [T**4 / 8.0, T**3 / 3.0, T**2 / 2.0],
-            [T**3 / 6.0, T**2 / 2.0, T],
-        ]
-    )
+    with np.errstate(over="ignore"):  # an infinite A or Q is refused by validate_model
+        a13_val = T * T if a13 == "paper" else 0.5 * T * T
+        A = np.array([[1.0, T, a13_val], [0.0, 1.0, T], [0.0, 0.0, 1.0]])
+        Q = 2.0 * alpha * sigma_m2 * np.array(
+            [
+                [T**5 / 20.0, T**4 / 8.0, T**3 / 6.0],
+                [T**4 / 8.0, T**3 / 3.0, T**2 / 2.0],
+                [T**3 / 6.0, T**2 / 2.0, T],
+            ]
+        )
     model = validate_model(A, np.eye(3), Q, np.eye(3), np.eye(3))
     if z_scale is not None:
         trigger = TriggerPolicy.closed_loop(as_number(z_scale, "z_scale") * np.eye(3))

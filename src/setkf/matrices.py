@@ -112,43 +112,37 @@ def smallest_eigenvalue(X):
     return float(np.linalg.eigvalsh(sym(np.atleast_2d(np.asarray(X, dtype=float))))[0])
 
 
-def is_spd(X, floor=0.0):
-    """Positive-definiteness test via triangular factorization of X - floor*I.
-
-    Succeeds iff X is square, symmetric to a scale-relative tolerance, and
-    its smallest eigenvalue exceeds ``floor``.  Model covariances pass an
-    explicit floor; trigger weights may be arbitrarily small but positive.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        return False
-    scale = max(1.0, float(np.abs(X).max()))
-    with np.errstate(over="ignore"):  # an overflowing X - X' is asymmetric
-        if float(np.abs(X - X.T).max()) > 1e-8 * scale:
-            return False
-    try:
-        np.linalg.cholesky(sym(X) - floor * np.eye(X.shape[0]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def require_spd(X, name, floor=0.0, size=None):
-    """Return the symmetrized matrix or raise NotPositiveDefinite (ConfigError
-    when an entry is not a number); with ``size``, also when it is not
-    size x size, checked last so that the other messages come first."""
+    """Return sym(X) if X passes the one positive-definiteness rule: X is
+    square, X and sym(X) are finite, X is symmetric to 1e-8 max(1, max|X|),
+    and sym(X) - floor*I has a Cholesky factor.  Raise NotPositiveDefinite
+    otherwise (ConfigError when an entry is not a number), and with ``size``
+    also when X is not size x size, checked last so that the other messages
+    come first."""
     X = as_matrix(X, name)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise NotPositiveDefinite(name, "not a square matrix")
-    if not np.all(np.isfinite(X)):
-        raise NotPositiveDefinite(name, "non-finite entries")
-    with np.errstate(over="ignore"):
-        S = sym(X)
-    if not np.all(np.isfinite(S)):
-        raise NotPositiveDefinite(name, "entries too large to symmetrize")
-    if not is_spd(X, floor=floor):
-        raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
+    S = _check_spd(X, name, floor)
     return S if size is None else require_size(S, name, size)
+
+
+def _check_spd(X, name, floor):
+    """sym(X) for a square X, or a stack of them, that passes the rule of
+    :func:`require_spd`; else the error of the first part of it that fails."""
+    if not np.isfinite(X).all():
+        raise NotPositiveDefinite(name, "non-finite entries")
+    with np.errstate(over="ignore"):  # an overflowing X + X' or X - X' fails the rule
+        S = sym(X)
+        if not np.isfinite(S).all():
+            raise NotPositiveDefinite(name, "entries too large to symmetrize")
+        asym = np.abs(X - X.swapaxes(-1, -2)).max(axis=(-2, -1))
+    try:
+        if (asym <= 1e-8 * np.abs(X).max(axis=(-2, -1), initial=1.0)).all():
+            np.linalg.cholesky(S - floor * np.eye(X.shape[-1]) if floor else S)
+            return S
+    except np.linalg.LinAlgError:
+        pass
+    raise NotPositiveDefinite(name, f"smallest eigenvalue <= {floor:g} or asymmetric")
 
 
 def require_size(S, name, size):
@@ -159,14 +153,15 @@ def require_size(S, name, size):
 
 
 def require_spd_stack(X, name, size):
-    """Raise the error of ``require_spd`` for the first matrix of a stack of
-    symmetric matrices that is not positive-definite, or not size x size:
-    one finiteness test and one Cholesky factorization of the stack, and a
-    check of each matrix in order only when that fails."""
+    """Raise the error of ``require_spd`` for the first matrix of a stack that
+    is not size x size or fails its rule (with floor 0), each matrix being
+    symmetric to its own scale: one pass of the rule over the whole stack,
+    and a check of each matrix in order only when that fails."""
     try:
-        if X.shape[-1] == size and np.isfinite(X).all() and np.linalg.cholesky(X) is not None:
+        if X.shape[-2:] == (size, size):
+            _check_spd(X, name, 0.0)
             return
-    except np.linalg.LinAlgError:
+    except NotPositiveDefinite:
         pass
     for M in X:
         require_spd(M, name, size=size)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotPositiveDefinite, SingularInnovation
-from .matrices import is_spd, require_size, require_spd, require_spd_stack, sym
+from .matrices import require_size, require_spd, require_spd_stack, sym
 
 FIXED_POINT_TOL = 1e-10
 LYAPUNOV_TOL = 1e-12
@@ -233,8 +233,7 @@ class BlockCovariance:
         object.__setattr__(self, "xx", xx)
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "yy", yy)
-        if not is_spd(self.assemble(), floor=0.0):
-            raise NotPositiveDefinite("Phi", "assembled joint covariance")
+        require_spd(self.assemble(), "Phi")
 
     def assemble(self):
         return np.block([[self.xx, self.xy], [self.xy.T, self.yy]])

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from setkf import (
     CalibrationFailed,
     ConfigError,
+    ModelValidationError,
     Scenario,
     TriggerPolicy,
     cli,
@@ -324,6 +326,20 @@ def test_non_finite_flag_exit_code(tmp_path, capsys, argv):
     assert main([*argv, *config]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a13", ["paper", "half"])
+def test_singer_huge_period_exit_code(capsys, a13):
+    # T**5 overflows, so Q is not finite: refused as configuration, as a
+    # huge --alpha is, where Python floats raised OverflowError
+    message = "matrix 'Q' is not symmetric positive-definite (non-finite entries)"
+    with pytest.raises(ModelValidationError, match=re.escape(message)):
+        harness.singer_scenario(1e62, 0.5, 1.0, z_scale=0.5, a13=a13, runs=2, horizon=20)
+    argv = ["singer", "--z-scale", "0.5", "--T", "1e62", "--a13", a13, "--runs", "2",
+            "--horizon", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("closed_loop", ["no", "true", 1, 0, None], ids=repr)

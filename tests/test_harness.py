@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -33,7 +34,7 @@ from setkf import (
 )
 from setkf import harness
 from setkf.cli import main
-from setkf.estimation import MAX_PERIOD, trigger_decide
+from setkf.estimation import MAX_PERIOD, READS_ESTIMATE, trigger_decide
 from setkf.harness import (
     FLOAT_PATH_MAX_RUNS,
     SCAN_MAX_WIDTH,
@@ -874,21 +875,20 @@ class TestOpenLoopPlantPath:
 
 UNSTABLE = validate_model(1.2, 1.0, 1.0, 1.0, 1.0)
 
-# one trigger of each kind on a scalar plant; A = 1.2 at this weight forgets
-# slowly, and its decisions hang on long runs of earlier ones
+# each trigger that reads the estimate on a scalar plant; A = 1.2 at this
+# weight forgets slowly, and its decisions hang on long runs of earlier ones
 FLOAT_CASES = {
     "clset": (SCALAR, TriggerPolicy.closed_loop([[0.7]])),
     "clset-unstable": (UNSTABLE, TriggerPolicy.closed_loop([[0.02807]])),
     "threshold": (SCALAR, TriggerPolicy.deterministic_threshold(1.0)),
-    "olset": (SCALAR, TriggerPolicy.open_loop([[0.7]])),
-    "random": (SCALAR, TriggerPolicy.random_offline(0.4)),
 }
 
 
 class TestFloatBlock:
-    """A scalar scenario of at most ``FLOAT_PATH_MAX_RUNS`` runs steps its
-    filter in Python floats, :func:`harness._float_block`, with the bits of
-    the numpy step loop, :func:`harness._step_block`."""
+    """A scalar closed-loop or threshold scenario of at most
+    ``FLOAT_PATH_MAX_RUNS`` runs steps its filter in Python floats,
+    :func:`harness._float_block`, with the bits of the numpy step loop,
+    :func:`harness._step_block`."""
 
     @pytest.mark.parametrize("case", list(FLOAT_CASES))
     def test_float_block_equals_step_block(self, monkeypatch, case):
@@ -911,11 +911,9 @@ class TestFloatBlock:
                     assert 0.0 < refs[-1].gamma.mean() < 1.0
                     assert_blocks_equal(step_runs(scn, [3, 0, 2, 1], **kw), refs[-1])
                 monkeypatch.undo()
-                # the rounding of the open-loop plant path, and of nothing
-                # else, depends on the block length
-                if case != "olset":
-                    for ref in refs[1:]:
-                        assert_blocks_equal(ref, refs[0])
+                # no rounding depends on the block length
+                for ref in refs[1:]:
+                    assert_blocks_equal(ref, refs[0])
             assert_priors_psd(step_runs(scn, [1]))
 
     @pytest.mark.parametrize(
@@ -1089,6 +1087,69 @@ class TestFloatBlock:
         rec = simulate(scn, force_gamma=[True, False, True])
         np.testing.assert_array_equal(rec.gamma, [1, 0, 1])
         np.testing.assert_array_equal(rec.sq_err, simulate(scn, force_gamma=[1, 0, 1]).sq_err)
+
+
+# CI's two-measurement plant
+TWO_MEASUREMENTS = validate_model(
+    [[0.8, 1.0], [0.0, 0.95]], [[0.5, 0.3], [0.0, 1.4]], np.eye(2), np.eye(2), np.eye(2)
+)
+
+SANDWICH_CASES = {
+    "scalar-clset": (UNSTABLE, TriggerPolicy.closed_loop([[0.7]])),
+    "scalar-random": (UNSTABLE, TriggerPolicy.random_offline(0.4)),
+    "scalar-threshold": (UNSTABLE, TriggerPolicy.deterministic_threshold(1.0)),
+    "two-clset": (TWO_MEASUREMENTS, TriggerPolicy.closed_loop(0.7 * np.eye(2))),
+    "two-olset": (TWO_MEASUREMENTS, TriggerPolicy.open_loop(0.7 * np.eye(2))),
+    "two-random": (TWO_MEASUREMENTS, TriggerPolicy.random_offline(0.4)),
+    "two-periodic": (TWO_MEASUREMENTS, TriggerPolicy.periodic(3, phase=1)),
+}
+
+
+def riccati_steps(model, P, W):
+    """A P A' + Q - A P C' (C P C' + W)^-1 C P A' for a stack P, the map of
+    a measurement with noise W; with W None, A P A' + Q."""
+    A, C = model.A, model.C
+    if W is not None:
+        P = P - P @ C.T @ np.linalg.solve(C @ P @ C.T + W, C @ P)
+    P = A @ P @ A.T + model.Q
+    return 0.5 * (P + P.swapaxes(-1, -2))
+
+
+class TestCovarianceSandwich:
+    """The arrival map g_R and the drop map (g_W for the drop noise W of the
+    stochastic triggers, P -> A P A' + Q for the offline ones) are monotone,
+    and the arrival map lies below the drop map.  So every run's prior P_k
+    lies between L_k and U_k in the Loewner order, where L_k+1 = g_R(L_k),
+    U_k+1 = drop(U_k), and both start from the run's prior at step 0."""
+
+    @pytest.mark.parametrize("case", list(SANDWICH_CASES))
+    def test_priors_lie_between_arrival_and_drop_orbits(self, case):
+        model, trig = SANDWICH_CASES[case]
+        weight = {"open_loop": "Y", "closed_loop": "Z"}.get(trig.variant)
+        W_drop = None if weight is None else model.R + np.linalg.inv(getattr(trig, weight))
+        routes = ["step", "numpy"] + ([] if trig.variant in READS_ESTIMATE else ["scan"])
+        forced = (np.random.default_rng(4).random(300) < 0.5).astype(int)
+        # on the step route 2 scalar runs step in Python floats, 9 in numpy
+        for runs, route, force_gamma in itertools.product((2, 9), routes, (None, forced)):
+            scn = Scenario(
+                model=model, trigger=trig, horizon=300, runs=runs, seed=9, burn_in=0,
+                pre_roll=2,
+            )
+            blocks, log = [], harness._Runs.log
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(
+                    harness._Runs, "log", lambda s, *a: blocks.append(a[-1].copy()) or log(s, *a)
+                )
+                gamma = routed_runs(route, scn, range(runs), force_gamma=force_gamma).gamma
+            assert 0.0 < gamma.mean() < 1.0
+            P = np.concatenate(blocks)
+            lower = upper = P[0]
+            for k, P_k in enumerate(P):
+                tol = -1e-12 * np.maximum(1.0, np.abs(P_k).max(axis=(1, 2)))
+                for gap in (P_k - lower, upper - P_k):
+                    assert (np.linalg.eigvalsh(gap)[:, 0] >= tol).all(), (route, runs, k)
+                lower = riccati_steps(model, lower, model.R)
+                upper = riccati_steps(model, upper, W_drop)
 
 
 def step_entries(model):

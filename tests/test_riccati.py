@@ -533,6 +533,20 @@ def test_fixed_points_match_single_solves():
     )
 
 
+@pytest.mark.parametrize("first", [False, True], ids=["second", "first"])
+def test_fixed_points_refuses_an_asymmetric_weight(first):
+    # positive-definite once symmetrized, but asymmetric beyond the rule's
+    # tolerance: a stack refuses it as RiccatiMap does, in any place
+    model = validate_model([[0.8, 1.0], [0.0, 0.95]], np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    W = np.array([[1.0, 0.9], [0.0, 1.0]])
+    with pytest.raises(NotPositiveDefinite, match="asymmetric") as alone:
+        fixed_point(RiccatiMap(model, W))
+    stack = np.stack([W, np.eye(2)] if first else [np.eye(2), W])
+    with pytest.raises(NotPositiveDefinite) as stacked:
+        riccati.fixed_points(model, stack)
+    assert str(stacked.value) == str(alone.value)
+
+
 def test_spectral_norm_is_numpys_2_norm():
     rng = np.random.default_rng(32)
     for rows in range(1, 7):
@@ -758,3 +772,12 @@ def test_block_update_3x3_2x2_instance():
 def test_block_covariance_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         BlockCovariance(xx=[[1.0]], xy=[[2.0]], yy=[[1.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("block", ["xx", "xy", "yy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_block_covariance_rejects_non_finite(block, value):
+    blocks = {"xx": [[1.0]], "xy": [[0.0]], "yy": [[1.0]], block: [[value]]}
+    with pytest.raises(NotPositiveDefinite, match=r"'Phi' .*\(non-finite entries\)$"):
+        BlockCovariance(**blocks)
