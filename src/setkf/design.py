@@ -29,7 +29,12 @@ is the ray optimum.  :func:`ray_search`, shared with the rate calibrations
 in ``harness``, walks to it as bisection does, testing stacks of points
 aimed by a secant step on the test's scores.  Both designs keep the
 feasible end of its bracket, to relative width RAY_REL_TOL; the calibrations
-keep the midpoint, to relative width 1e-12.
+keep the midpoint, to relative width 1e-12.  A design's first round also
+solves the ray's ends in its stack: X0 = fix(g_R) at theta = inf, which must
+lie below Delta0, and for a stable plant the Lyapunov solution Sigma at
+theta = 0, which gives the objective's Pi.  The closed-loop rate reads the
+round's fixed point at the weight found, so a design solves every fixed
+point inside its rounds, one doubling stack per round.
 """
 
 import math
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, NotPositiveDefinite, UnstableSystem
+from .errors import Infeasible, NotPositiveDefinite, SetkfError, UnstableSystem
 from .matrices import (
     as_number,
     require_size,
@@ -46,9 +51,9 @@ from .matrices import (
     spectral_norm,
     sym,
 )
-from .model import steady_state
-from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov
-from .analysis import inverse_root_det, open_loop_rate, upper_rates
+from .model import stationary, steady_state
+from .riccati import RiccatiMap, fixed_point, fixed_points, lyapunov, ray_fixed_points
+from .analysis import conditional_rates, inverse_root_det, open_loop_rate, upper_rates
 from .estimation import drop_noises, measurement_update
 
 RAY_REL_TOL = 1e-8
@@ -98,11 +103,9 @@ def _strictness(Delta0):
     return 1e-9 * (1.0 + spectral_norm(Delta0))
 
 
-def _below_bound(model, thetas, B, Delta0, margin):
-    """For each theta of a stack, whether lambda_min(Delta0 - X) > margin,
-    with X = fix(g_{R+(theta B)^-1}), and the score lambda_min - margin; B
-    and Delta0 are checked."""
-    X = fixed_points(model, drop_noises(model.R, thetas[:, None, None] * B))
+def _below_bound(X, Delta0, margin):
+    """For each X of a stack, whether lambda_min(Delta0 - X) > margin, and the
+    score lambda_min - margin."""
     score = np.linalg.eigvalsh(sym(Delta0 - X))[:, 0] - margin
     return score > 0.0, score
 
@@ -113,7 +116,8 @@ def feasibility_check(model, Y, Delta0):
         raise UnstableSystem("open-loop design requires a stable system")
     Y = require_spd(Y, "Y", size=model.m)
     Delta0 = require_spd(Delta0, "Delta0", size=model.n)
-    return bool(_below_bound(model, np.ones(1), Y, Delta0, _strictness(Delta0))[0][0])
+    X = fixed_points(model, drop_noises(model.R, Y[None]))
+    return bool(_below_bound(X, Delta0, _strictness(Delta0))[0][0])
 
 
 def assemble_lmi_blocks(model, Y, S, Delta0):
@@ -277,35 +281,65 @@ def optimality_gap_bound(Pi, Y):
     return max(val, 0.0)
 
 
-def _check_floor(model, Delta0):
-    X0 = fixed_point(RiccatiMap(model, model.R))
-    if smallest_eigenvalue(Delta0 - X0) <= _strictness(Delta0):
+def _first_round(model, W, Delta0, margin):
+    """fix(g_W) for the stack of W of the ray search's first round, with the
+    ray's ends X0 and, for a stable plant, Sigma solved in the same stack
+    (:func:`riccati.ray_fixed_points`); returns the stack of X and Sigma,
+    None for an unstable plant or when the stack failed.  Raises Infeasible
+    when X0 is not below Delta0 by ``margin``.
+
+    When the stack fails, X0, the round and (later, in :func:`steady_state`)
+    Sigma are solved apart, in that order, so that each failure, and the
+    floor before the round's, raises as in a search that solves them apart.
+    """
+    try:
+        X0, X, Sigma = ray_fixed_points(model, W, model.rho_A < 1.0)
+    except (SetkfError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning):
+        X0, X, Sigma = fixed_point(RiccatiMap(model, model.R)), None, None
+    if smallest_eigenvalue(Delta0 - X0) <= margin:
         raise Infeasible(
             "Delta0 must exceed the always-transmit fixed point; no trigger weight can satisfy it"
         )
+    return (fixed_points(model, W) if X is None else X), Sigma
 
 
 def _ray_design(problem, rate):
-    """Floor check, ray search to the feasible end, and the result.
+    """Ray search to the feasible end, and the result.
 
-    ``rate(st, Y)`` is the reported rate; ``st`` is the stationary
-    statistics, None for an unstable plant.
+    The search's first round also solves the ray's ends: X0, checked
+    against Delta0 before any point is, and for a stable plant the Lyapunov
+    solution Sigma, from which :func:`model.stationary` forms the
+    objective's statistics.  ``rate(st, Y, X)`` is the reported rate; ``st``
+    is the stationary statistics, None for an unstable plant, and ``X`` the
+    search's fixed point at Y, None when it never tested Y.
     """
     model, Delta0, B = problem.model, problem.Delta0, problem.basis
-    _check_floor(model, Delta0)
     margin = _strictness(Delta0)
-    _, theta = ray_search(lambda t: _below_bound(model, t, B, Delta0, margin), RAY_REL_TOL)
+    solved = {}  # theta: fix(g_{R+(theta B)^-1}) at each tested theta, and Sigma at 0
+
+    def below(thetas):
+        W = drop_noises(model.R, thetas[:, None, None] * B)
+        if solved:
+            X = fixed_points(model, W)
+        else:
+            X, solved[0.0] = _first_round(model, W, Delta0, margin)
+        solved.update(zip(thetas.tolist(), X))
+        return _below_bound(X, Delta0, margin)
+
+    _, theta = ray_search(below, RAY_REL_TOL)
     if theta == math.inf:
         raise Infeasible("no feasible trigger weight found on the ray")
     Y = sym(theta * B)
     if model.rho_A < 1.0:
-        st = steady_state(model)
+        st = steady_state(model) if solved[0.0] is None else stationary(model, solved[0.0])
         objective = float(np.trace(st.Pi @ Y))
         kappa = optimality_gap_bound(st.Pi, Y)
     else:
         st = objective = kappa = None
+    # the search solved theta B, which is Y unless 2 theta B overflows
+    X = solved.get(theta) if np.array_equal(Y, theta * B) else None
     return DesignResult(
-        Y=Y, theta=theta, objective=objective, gamma_achieved=rate(st, Y), kappa_bound=kappa
+        Y=Y, theta=theta, objective=objective, gamma_achieved=rate(st, Y, X), kappa_bound=kappa
     )
 
 
@@ -318,20 +352,29 @@ def design_search(problem):
     """
     if problem.model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
-    return _ray_design(problem, open_loop_rate)
+    return _ray_design(problem, lambda st, Y, X: open_loop_rate(st, Y))
 
 
 def design_search_closed_loop(problem):
     """Closed-loop analogue: the same search, reporting the upper rate bound
-    at fix(g_{R+Z^-1}) as the achieved rate.  Works for unstable plants, in
-    which case the stationary objective and gap bound are unavailable."""
+    at fix(g_{R+Z^-1}) as the achieved rate, from the fixed point the search
+    solved at Z (solved again only if it never tested Z).  Works for unstable
+    plants, in which case the stationary objective and gap bound are
+    unavailable."""
     model = problem.model
-    return _ray_design(problem, lambda st, Z: upper_rates(model, np.ones(1), Z)[0])
+
+    def rate(st, Z, X):
+        if X is None:
+            return upper_rates(model, np.ones(1), Z)[0]
+        return conditional_rates(model, X[None], Z[None])[0]
+
+    return _ray_design(problem, rate)
 
 
 def delta0_for_lambda_max_bound(c, n):
     """Delta0 encoding the constraint lambda_max(X_upper) <= c (exact)."""
     c = as_number(c, "lambda_max bound")
+    n = as_number(n, "n", integer=True, lo=1)
     if c <= 0:
         raise Infeasible("lambda_max bound must be positive")
     return c * np.eye(n)
@@ -340,6 +383,7 @@ def delta0_for_lambda_max_bound(c, n):
 def delta0_for_trace_bound(c, n):
     """Delta0 encoding tr(X_upper) <= c via the ball (c/n) I (conservative)."""
     c = as_number(c, "trace bound")
+    n = as_number(n, "n", integer=True, lo=1)
     if c <= 0:
         raise Infeasible("trace bound must be positive")
     return (c / n) * np.eye(n)

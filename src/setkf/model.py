@@ -154,16 +154,24 @@ def validate_model(A, C, Q, R, Sigma0):
 
 
 def steady_state(model):
-    """Stationary state/measurement covariances of a stable plant.
+    """Stationary state/measurement covariances of a stable plant:
+    :func:`stationary` at the solution of Sigma = A Sigma A' + Q that
+    :func:`setkf.riccati.lyapunov` finds.  Raises UnstableSystem when
+    rho(A) >= 1."""
+    return stationary(model, lyapunov(model.A, model.Q) if model.rho_A < 1.0 else None)
 
-    Solves Sigma = A Sigma A' + Q with :func:`setkf.riccati.lyapunov` and
-    checks the residual.  Raises UnstableSystem when rho(A) >= 1.
+
+def stationary(model, Sigma):
+    """The SteadyState of a stable plant from a solution Sigma of
+    Sigma = A Sigma A' + Q, whose residual is checked: the one check of
+    :func:`steady_state` and of a design, whose search solves Sigma as the
+    ray's end at theta = 0.  Raises UnstableSystem when rho(A) >= 1, before
+    Sigma is read, and NoConvergence when the residual exceeds 1e-10 ||Sigma||.
     """
     rho = model.rho_A
     if rho >= 1.0:
         raise UnstableSystem(f"steady state requires rho(A) < 1, got {rho:.6g}")
     A, Q = model.A, model.Q
-    Sigma = lyapunov(A, Q)
     residual = spectral_norm(Sigma - A @ Sigma @ A.T - Q)
     if residual > 1e-10 * spectral_norm(Sigma):
         raise NoConvergence(MAX_DOUBLINGS, "Lyapunov residual check")

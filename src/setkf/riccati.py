@@ -13,8 +13,9 @@ Each map P -> A (P^-1 + J)^-1 A' + C is an element (A, C, J), g_W being
 is their one composition: the harness's time-parallel scan composes an
 element per step, while :func:`fixed_points` and :func:`lyapunov` (whose
 element (F, Q, None) needs no solve) square a stack of elements, k doublings
-covering 2^k iterates, at most 64 times, each element until its own stop,
-decided by entry bounds or, where they leave it open, by an SVD.
+covering 2^k iterates, at most 64 times, each element until its own stop at
+its own tolerance, decided by entry bounds or, where they leave it open, by
+an SVD.  :func:`ray_fixed_points` squares both kinds in one stack.
 
 Also provides the block-Gaussian covariance identity used to absorb a
 quadratic measurement weight into a joint covariance: for a joint SPD
@@ -116,10 +117,11 @@ def apply(maps, P):
 
 def _settled(step, C, tol):
     """Whether ||step||_2 <= tol ||C||_2 for each pair of a stack of symmetric
-    n x n matrices, as one SVD of the stacked pairs decides.  The norm ratio
-    lies in [rho / n, n rho], rho = max|step| / max|C| (a ratio, so nothing
-    underflows), so these bounds decide with 1% to spare for rounding, and
-    the SVD runs only when some pair falls between them."""
+    n x n matrices and its tolerance, as one SVD of the stacked pairs
+    decides.  The norm ratio lies in [rho / n, n rho], rho = max|step| /
+    max|C| (a ratio, so nothing underflows), so these bounds decide with 1%
+    to spare for rounding, and the SVD runs only when some pair falls
+    between them."""
     n = C.shape[-1]
     rho = abs(step).max(axis=(-2, -1)) / abs(C).max(axis=(-2, -1))
     done = 1.01 * n * rho <= tol
@@ -131,8 +133,9 @@ def _settled(step, C, tol):
 
 def _doubling(element, tol, max_doublings, label):
     """C of each element (A, C, J) of a stack, squared until its C, its
-    image of 0, changes by at most ``tol`` relative to C in the 2-norm, as
-    :func:`_settled` decides.  J is a stack or None, which stays None.
+    image of 0, changes by at most its tolerance relative to C in the 2-norm,
+    as :func:`_settled` decides.  ``tol`` is an array of one tolerance per
+    element, or one float for all.  J is a stack or None, which stays None.
 
     An element leaves the stack at its own stop doubling, so its value is
     that of a stack of one to the bit.  Raises NoConvergence on a singular
@@ -156,6 +159,7 @@ def _doubling(element, tol, max_doublings, label):
                 out[live[done]] = sym(C[done])
                 A, C, live = A[~done], C[~done], live[~done]
                 J = None if J is None else J[~done]
+                tol = tol[~done] if isinstance(tol, np.ndarray) else tol
                 if not len(live):
                     return out
     raise NoConvergence(max_doublings, label)
@@ -188,6 +192,32 @@ def _fixed_points(model, W):
     A, H = model.A[None].repeat(len(W), 0), model.Q[None].repeat(len(W), 0)
     G = information(model.C, W)
     return _doubling((A, H, G), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling")
+
+
+def ray_fixed_points(model, W, stable):
+    """The design ray's fixed points in one doubling stack: X0 = fix(g_R), its
+    end at theta = inf (J = C'R^-1C); fix(g_W) for each W of a stack; and,
+    when ``stable``, its end at theta = 0, the Lyapunov solution Sigma of
+    X = A X A' + Q.
+
+    Sigma is the element (A, Q, 0) at LYAPUNOV_TOL, which has the bits of
+    :func:`lyapunov`'s (A, Q, None); the others are those of
+    :func:`fixed_points` at FIXED_POINT_TOL.  Returns (X0, the stack of X,
+    Sigma or None), or raises a failure of any of them as :func:`fixed_points`
+    does, whose label it takes.
+    """
+    W = np.concatenate([model.R[None], W])
+    require_spd_stack(W, "W", model.m)
+    J, H, tol = information(model.C, W), model.Q[None].repeat(len(W), 0), FIXED_POINT_TOL
+    if stable:
+        with np.errstate(over="ignore"):  # as in lyapunov
+            Q = sym(model.Q)
+        J = np.concatenate([J, np.zeros((1, model.n, model.n))])
+        H = np.concatenate([H, Q[None]])
+        tol = np.append(np.full(len(W), tol), LYAPUNOV_TOL)
+    A = model.A[None].repeat(len(H), 0)
+    X = _doubling((A, H, J), tol, MAX_DOUBLINGS, "Riccati doubling")
+    return X[0], X[1 : len(W)], X[len(W)] if stable else None
 
 
 def fixed_point(rmap):
@@ -225,14 +255,16 @@ class BlockCovariance:
     yy: np.ndarray
 
     def __post_init__(self):
-        xx = sym(np.atleast_2d(np.asarray(self.xx, dtype=float)))
-        yy = sym(np.atleast_2d(np.asarray(self.yy, dtype=float)))
-        xy = np.atleast_2d(np.asarray(self.xy, dtype=float))
-        if xy.shape != (xx.shape[0], yy.shape[0]):
+        xx, xy, yy = (np.atleast_2d(np.asarray(M, float)) for M in (self.xx, self.xy, self.yy))
+        n, m = len(xx), len(yy)
+        if xx.shape != (n, n) or yy.shape != (m, m) or xy.shape != (n, m):
             raise NotPositiveDefinite("Phi", "block shapes are inconsistent")
-        object.__setattr__(self, "xx", xx)
+        if not (np.isfinite(xx).all() and np.isfinite(xy).all() and np.isfinite(yy).all()):
+            raise NotPositiveDefinite("Phi", "non-finite entries")
+        with np.errstate(over="ignore"):  # an overflowing block fails require_spd
+            object.__setattr__(self, "xx", sym(xx))
+            object.__setattr__(self, "yy", sym(yy))
         object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "yy", yy)
         require_spd(self.assemble(), "Phi")
 
     def assemble(self):

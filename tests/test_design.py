@@ -239,6 +239,12 @@ class TestConstraintReductions:
             with pytest.raises(Infeasible, match="must be positive"):
                 reduce(c, 2)
 
+    @pytest.mark.parametrize("reduce", [delta0_for_lambda_max_bound, delta0_for_trace_bound])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, float("nan"), True])
+    def test_dimension_must_be_a_positive_integer(self, reduce, n):
+        with pytest.raises(ConfigError, match="^n must"):
+            reduce(1.0, n)
+
     def test_trace_constraint_satisfied_by_search(self):
         D = delta0_for_trace_bound(3.2, 1)
         res = design_search(DesignProblem(model=SCALAR, Delta0=D))

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import util
-from setkf import CalibrationFailed, ModelValidationError, NoConvergence, analysis, design
+from setkf import CalibrationFailed, Infeasible, ModelValidationError, NoConvergence, analysis
+from setkf import design, riccati
 from setkf import harness, validate_model
 from setkf.design import (
     RAY_CAP,
@@ -265,30 +266,61 @@ class TestFailures:
         assert shared >= 3 * len(self.BOUNDARIES)
 
     def test_fixed_point_failures_in_a_design_search(self, monkeypatch):
-        # a fixed point of a round that fails to converge: the design search
-        # raises it, at every point it tests
+        # a fixed point of a round that fails to converge, X0 and Sigma in
+        # the first round's stack among them: either design search raises
+        # it, at every point it tests, with the label of the solver that
+        # meets it alone; and a Delta0 below X0 raises Infeasible before any
+        # other failure of the first round.  Elements are told apart by
+        # their J, which is 0 in a stack and None alone for Sigma
         model = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
-        problem = DesignProblem(model, [[1.5]])
-        rounds = []
-        fixed_points = design.fixed_points
+        problem, below_floor = DesignProblem(model, [[1.5]]), DesignProblem(model, [[1.3]])
+        X0 = riccati.information(model.C, model.R[None])[0].tobytes()
+        doubling = riccati._doubling
 
-        def recording(model, W):
-            rounds.append(W)
-            return fixed_points(model, W)
+        def keys(element):
+            J = element[2]
+            return ["Sigma"] if J is None else ["Sigma" if not j.any() else j.tobytes() for j in J]
 
-        monkeypatch.setattr(design, "fixed_points", recording)
-        design_search(problem)
-        every_W = np.concatenate(rounds)
-        for bad in every_W:
+        for search in (design_search, design_search_closed_loop):
+            rounds = []
 
-            def failing(model, W, bad=bad):
-                if any(np.array_equal(w, bad) for w in W):
-                    raise NoConvergence(64, "Riccati doubling")
-                return fixed_points(model, W)
+            def recording(element, *args, rounds=rounds):
+                rounds.append(keys(element))
+                return doubling(element, *args)
 
-            monkeypatch.setattr(design, "fixed_points", failing)
-            with pytest.raises(NoConvergence, match="Riccati doubling did not converge"):
-                design_search(problem)
+            monkeypatch.setattr(riccati, "_doubling", recording)
+            search(problem)
+            assert len(rounds) >= 3 and rounds[0][0] == X0 and rounds[0][-1] == "Sigma"
+            for bad in dict.fromkeys(key for round_ in rounds for key in round_):
+
+                def failing(element, tol, max_doublings, label, bad=bad):
+                    if bad in keys(element):
+                        raise NoConvergence(max_doublings, label)
+                    return doubling(element, tol, max_doublings, label)
+
+                monkeypatch.setattr(riccati, "_doubling", failing)
+                solver = "Lyapunov" if bad == "Sigma" else "Riccati"
+                with pytest.raises(NoConvergence, match=f"{solver} doubling did not converge"):
+                    search(problem)
+                if bad in rounds[0][1:]:
+                    with pytest.raises(Infeasible, match="always-transmit fixed point"):
+                        search(below_floor)
+
+
+def _near_unit_problems():
+    """24 plants shaped as the benchmark's near-unit designs: A = rho times
+    an orthogonal matrix, C = m orthonormal rows, Q = R = Sigma0 = I and
+    Delta0 = 2 X0, for n up to 4, m up to 2 and rho(A) in [0.99, 0.999]."""
+    rng = np.random.default_rng(59)
+    problems = []
+    for j in range(24):
+        n, m = ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2))[j % 6]
+        rho = 1.0 - 10.0 ** rng.uniform(-3.0, -2.0)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        C, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        model = validate_model(rho * Q, C[:m], np.eye(n), np.eye(m), np.eye(n))
+        problems.append(DesignProblem(model, 2.0 * design.fixed_point(RiccatiMap(model, model.R))))
+    return problems
 
 
 def _plant(rng, rho_lo, rho_hi, n_max=3, m_min=1, m_max=3):
@@ -339,6 +371,7 @@ def solves(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(design, "fixed_points", counting(design.fixed_points))
+    monkeypatch.setattr(design, "ray_fixed_points", counting(design.ray_fixed_points))
     monkeypatch.setattr(analysis, "fixed_points", counting(analysis.fixed_points))
     monkeypatch.setattr(harness, "open_loop_rates", counting(harness.open_loop_rates))
 
@@ -447,20 +480,48 @@ def test_stacked_rounds_walk_as_the_sequential_search(monkeypatch):
 
 
 def test_near_unit_designs_match_the_former_bisections():
-    # 24 plants shaped as the benchmark's near-unit designs: A = rho times an
-    # orthogonal matrix, C = m orthonormal rows, Q = R = Sigma0 = I and
-    # Delta0 = 2 X0, for n up to 4, m up to 2 and rho(A) in [0.99, 0.999]
-    rng = np.random.default_rng(59)
-    for j in range(24):
-        n, m = ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2))[j % 6]
-        rho = 1.0 - 10.0 ** rng.uniform(-3.0, -2.0)
-        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        C, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        model = validate_model(rho * Q, C[:m], np.eye(n), np.eye(m), np.eye(n))
-        problem = DesignProblem(model, 2.0 * design.fixed_point(RiccatiMap(model, model.R)))
+    for j, problem in enumerate(_near_unit_problems()):
         assert _same_design(design_search(problem), design_search_reference(problem)), j
         closed, reference = design_search_closed_loop, design_search_closed_loop_reference
         assert _same_design(closed(problem), reference(problem)), j
+
+
+def test_a_design_solves_every_fixed_point_in_its_rounds(monkeypatch):
+    # one riccati._doubling call per round of the ray search, in both loops:
+    # X0 and Sigma ride in the first round, and the closed-loop rate reads
+    # the search's fixed point at the returned theta
+    problems = _near_unit_problems()
+    calls, rounds = [], []
+    doubling, search = riccati._doubling, design.ray_search
+
+    def counted(element, *args):
+        calls.append(len(element[1]))
+        return doubling(element, *args)
+
+    def counted_search(test, rel_tol, lo=None):
+        def counted_test(thetas):
+            rounds.append(len(thetas))
+            return test(thetas)
+
+        return search(counted_test, rel_tol, lo)
+
+    monkeypatch.setattr(riccati, "_doubling", counted)
+    monkeypatch.setattr(design, "ray_search", counted_search)
+    for problem in problems:
+        for designed in (design_search, design_search_closed_loop):
+            calls.clear()
+            rounds.clear()
+            designed(problem)
+            assert calls == [rounds[0] + 2, *rounds[1:]], designed.__name__
+
+
+def test_closed_loop_rate_is_the_upper_rate_at_the_weight():
+    # the rate read from the search's own fixed point has the bits of
+    # upper_rates, which solves it again, on stable and unstable plants
+    for model, Delta0, basis, _ in _cases():
+        result = design_search_closed_loop(DesignProblem(model, Delta0, basis))
+        want = analysis.upper_rates(model, np.ones(1), result.Y)[0]
+        assert np.array_equal(np.float64(result.gamma_achieved).view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("rate", [1e-300, 1e-17, 1e-13, 1e-12])

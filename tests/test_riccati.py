@@ -547,6 +547,37 @@ def test_fixed_points_refuses_an_asymmetric_weight(first):
     assert str(stacked.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["random", "diagonal"])
+def test_ray_fixed_points_have_the_bits_of_single_solves(n, diagonal):
+    # the design ray's one stack: X0 and each X as fixed_point and
+    # fixed_points solve them, and the J = 0 element at LYAPUNOV_TOL as
+    # lyapunov(A, Q) solves (A, Q, None), compared as int64 views; diagonal
+    # A and Q keep exact zeros, of either sign, in every doubling
+    rng = np.random.default_rng(90 + n + 10 * diagonal)
+    checked = 0
+    while checked < 12:
+        m = int(rng.integers(1, 4))
+        if diagonal:
+            A, Q = np.diag(rng.uniform(-0.9995, 0.9995, size=n)), np.diag(rng.uniform(0.1, 3.0, n))
+        else:
+            A, Q = rng.normal(size=(n, n)), random_spd(rng, n)
+            A *= rng.uniform(0.1, 0.9995) / max(abs(np.linalg.eigvals(A)))
+        try:
+            model = validate_model(A, rng.normal(size=(m, n)), Q, random_spd(rng, m), np.eye(n))
+        except ModelValidationError:
+            continue
+        W = np.stack([random_spd(rng, m) for _ in range(int(rng.integers(1, 8)))])
+        wants = (fixed_point(RiccatiMap(model, model.R)), riccati.fixed_points(model, W))
+        X0, X, Sigma = riccati.ray_fixed_points(model, W, True)
+        for got, want in zip((X0, X, Sigma), (*wants, lyapunov(model.A, model.Q))):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        X0, X, Sigma = riccati.ray_fixed_points(model, W, False)
+        assert Sigma is None and all(map(np.array_equal, (X0, X), wants))
+        checked += 1
+
+
 def test_spectral_norm_is_numpys_2_norm():
     rng = np.random.default_rng(32)
     for rows in range(1, 7):
@@ -781,3 +812,19 @@ def test_block_covariance_rejects_non_finite(block, value):
     blocks = {"xx": [[1.0]], "xy": [[0.0]], "yy": [[1.0]], block: [[value]]}
     with pytest.raises(NotPositiveDefinite, match=r"'Phi' .*\(non-finite entries\)$"):
         BlockCovariance(**blocks)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "xx, detail",
+    [
+        ([[1.0, np.inf], [-np.inf, 1.0]], "non-finite entries"),  # inf - inf in sym
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "block shapes are inconsistent"),
+        ([[1e308, 1e308], [1e308, 1e308]], "non-finite entries"),  # 1e308 + 1e308 in sym
+    ],
+    ids=["opposite-infinities", "2x3", "overflowing"],
+)
+def test_block_covariance_checks_blocks_before_symmetrizing(xx, detail):
+    xy = np.zeros((len(xx), 1))
+    with pytest.raises(NotPositiveDefinite, match=rf"'Phi' .*\({detail}\)$"):
+        BlockCovariance(xx=xx, xy=xy, yy=[[1.0]])

@@ -366,12 +366,21 @@ def _reference_design(problem, theta, rate):
     )
 
 
+def _check_floor(model, Delta0):
+    """The always-transmit fixed point X0, solved alone, must lie below Delta0."""
+    X0 = design.fixed_point(riccati.RiccatiMap(model, model.R))
+    if smallest_eigenvalue(Delta0 - X0) <= design._strictness(Delta0):
+        raise Infeasible(
+            "Delta0 must exceed the always-transmit fixed point; no trigger weight can satisfy it"
+        )
+
+
 def design_search_reference(problem):
     """The open-loop design search on ``_ray_boundary``."""
     model, Delta0 = problem.model, problem.Delta0
     if model.rho_A >= 1.0:
         raise UnstableSystem("open-loop design requires a stable system")
-    design._check_floor(model, Delta0)
+    _check_floor(model, Delta0)
     B = np.eye(model.m) if problem.basis is None else problem.basis
     theta = _ray_boundary(lambda t: design.feasibility_check(model, t * B, Delta0))
     return _reference_design(problem, theta, lambda Y: open_loop_rate(steady_state(model), Y))
@@ -384,7 +393,7 @@ def _worst_case_reference(model, Y):
 def design_search_closed_loop_reference(problem):
     """The closed-loop design search on ``_ray_boundary``."""
     model, Delta0 = problem.model, problem.Delta0
-    design._check_floor(model, Delta0)
+    _check_floor(model, Delta0)
     B = np.eye(model.m) if problem.basis is None else problem.basis
     margin = design._strictness(Delta0)
 
