@@ -293,7 +293,7 @@ def _first_round(model, W, Delta0, margin):
     floor before the round's, raises as in a search that solves them apart.
     """
     try:
-        X0, X, Sigma = ray_fixed_points(model, W, model.rho_A < 1.0)
+        X0, X, Sigma = ray_fixed_points(model, W)
     except (SetkfError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning):
         X0, X, Sigma = fixed_point(RiccatiMap(model, model.R)), None, None
     if smallest_eigenvalue(Delta0 - X0) <= margin:

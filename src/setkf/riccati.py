@@ -187,17 +187,20 @@ def information(C, W):
     return sym(C.T @ np.linalg.solve(W, C[None]))
 
 
+def _elements(model, W):
+    # the elements (A, Q, C' W^-1 C) of g_W for a stack of checked W
+    return model.A[None].repeat(len(W), 0), model.Q[None].repeat(len(W), 0), information(model.C, W)
+
+
 def _fixed_points(model, W):
     # fixed_points for a stack of checked W; compose squares stacks of equal height
-    A, H = model.A[None].repeat(len(W), 0), model.Q[None].repeat(len(W), 0)
-    G = information(model.C, W)
-    return _doubling((A, H, G), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling")
+    return _doubling(_elements(model, W), FIXED_POINT_TOL, MAX_DOUBLINGS, "Riccati doubling")
 
 
-def ray_fixed_points(model, W, stable):
+def ray_fixed_points(model, W):
     """The design ray's fixed points in one doubling stack: X0 = fix(g_R), its
     end at theta = inf (J = C'R^-1C); fix(g_W) for each W of a stack; and,
-    when ``stable``, its end at theta = 0, the Lyapunov solution Sigma of
+    for a stable plant, its end at theta = 0, the Lyapunov solution Sigma of
     X = A X A' + Q.
 
     Sigma is the element (A, Q, 0) at LYAPUNOV_TOL, which has the bits of
@@ -208,16 +211,16 @@ def ray_fixed_points(model, W, stable):
     """
     W = np.concatenate([model.R[None], W])
     require_spd_stack(W, "W", model.m)
-    J, H, tol = information(model.C, W), model.Q[None].repeat(len(W), 0), FIXED_POINT_TOL
-    if stable:
-        with np.errstate(over="ignore"):  # as in lyapunov
-            Q = sym(model.Q)
-        J = np.concatenate([J, np.zeros((1, model.n, model.n))])
-        H = np.concatenate([H, Q[None]])
-        tol = np.append(np.full(len(W), tol), LYAPUNOV_TOL)
-    A = model.A[None].repeat(len(H), 0)
-    X = _doubling((A, H, J), tol, MAX_DOUBLINGS, "Riccati doubling")
-    return X[0], X[1 : len(W)], X[len(W)] if stable else None
+    if model.rho_A >= 1.0:
+        X = _fixed_points(model, W)
+        return X[0], X[1:], None
+    with np.errstate(over="ignore"):  # as in lyapunov
+        Q = sym(model.Q)
+    sigma = (model.A, Q, np.zeros_like(Q))
+    element = tuple(np.concatenate([E, F[None]]) for E, F in zip(_elements(model, W), sigma))
+    tol = np.append(np.full(len(W), FIXED_POINT_TOL), LYAPUNOV_TOL)
+    X = _doubling(element, tol, MAX_DOUBLINGS, "Riccati doubling")
+    return X[0], X[1:-1], X[-1]
 
 
 def fixed_point(rmap):

@@ -551,9 +551,10 @@ def test_fixed_points_refuses_an_asymmetric_weight(first):
 @pytest.mark.parametrize("diagonal", [False, True], ids=["random", "diagonal"])
 def test_ray_fixed_points_have_the_bits_of_single_solves(n, diagonal):
     # the design ray's one stack: X0 and each X as fixed_point and
-    # fixed_points solve them, and the J = 0 element at LYAPUNOV_TOL as
-    # lyapunov(A, Q) solves (A, Q, None), compared as int64 views; diagonal
-    # A and Q keep exact zeros, of either sign, in every doubling
+    # fixed_points solve them, and, for a stable plant, the J = 0 element at
+    # LYAPUNOV_TOL as lyapunov(A, Q) solves (A, Q, None), compared as int64
+    # views; diagonal A and Q keep exact zeros, of either sign, in every
+    # doubling
     rng = np.random.default_rng(90 + n + 10 * diagonal)
     checked = 0
     while checked < 12:
@@ -563,18 +564,24 @@ def test_ray_fixed_points_have_the_bits_of_single_solves(n, diagonal):
         else:
             A, Q = rng.normal(size=(n, n)), random_spd(rng, n)
             A *= rng.uniform(0.1, 0.9995) / max(abs(np.linalg.eigvals(A)))
+        C, R = rng.normal(size=(m, n)), random_spd(rng, m)
         try:
-            model = validate_model(A, rng.normal(size=(m, n)), Q, random_spd(rng, m), np.eye(n))
+            model = validate_model(A, C, Q, R, np.eye(n))
+            unstable = validate_model(A * (1.2 / max(abs(np.linalg.eigvals(A)))), C, Q, R, np.eye(n))
         except ModelValidationError:
             continue
         W = np.stack([random_spd(rng, m) for _ in range(int(rng.integers(1, 8)))])
         wants = (fixed_point(RiccatiMap(model, model.R)), riccati.fixed_points(model, W))
-        X0, X, Sigma = riccati.ray_fixed_points(model, W, True)
+        X0, X, Sigma = riccati.ray_fixed_points(model, W)
         for got, want in zip((X0, X, Sigma), (*wants, lyapunov(model.A, model.Q))):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        X0, X, Sigma = riccati.ray_fixed_points(model, W, False)
-        assert Sigma is None and all(map(np.array_equal, (X0, X), wants))
+        # an unstable plant has no Sigma: its stack is that of fixed_points
+        wants = (fixed_point(RiccatiMap(unstable, R)), riccati.fixed_points(unstable, W))
+        X0, X, Sigma = riccati.ray_fixed_points(unstable, W)
+        assert Sigma is None
+        for got, want in zip((X0, X), wants):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
         checked += 1
 
 
