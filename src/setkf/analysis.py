@@ -15,18 +15,20 @@ bounded below by fix(g_{R1}) with the rate-weighted harmonic mean
 The closed-loop trigger admits the analogous fixed points with Z in place
 of Y, rate bounds obtained by evaluating the conditional-rate formula at X0
 and X_upper, and a lower bound through R3 built from the upper rate.  No
-stability assumption is needed in the closed-loop case.
+stability assumption is needed in the closed-loop case; for a stable plant
+its X0 and X_upper are solved in one doubling stack with the Lyapunov
+solution Sigma (:func:`riccati.ray_fixed_points`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnstableSystem
+from .errors import SetkfError, UnstableSystem
 from .estimation import drop_noises
 from .matrices import as_matrix, as_number, require_size, require_spd, sym
-from .model import SteadyState, steady_state
-from .riccati import fixed_points
+from .model import SteadyState, stationary, steady_state
+from .riccati import fixed_points, ray_fixed_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +46,8 @@ class OpenLoopAnalysis:
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoopAnalysis:
-    """Rate bounds and covariance bounds for the closed-loop trigger."""
+    """Rate bounds and covariance bounds for the closed-loop trigger, with the
+    plant's steady state, None when rho(A) >= 1."""
 
     gamma_low: float
     gamma_upper: float
@@ -52,6 +55,7 @@ class ClosedLoopAnalysis:
     X_upper: np.ndarray
     X_lower: np.ndarray
     R3: np.ndarray
+    steady: SteadyState | None
 
 
 def inverse_root_det(M, what="Pi Y"):
@@ -127,20 +131,34 @@ def olset_bounds(model, Y):
 
 
 def closed_loop_rate_bounds(model, Z):
-    """Closed-loop rate bounds and covariance bounds; no stability needed."""
+    """Closed-loop rate bounds and covariance bounds; no stability needed.
+
+    X0, X_upper and, for a stable plant, Sigma are solved in one stack.  When
+    the stack fails, X0 and X_upper, then X_lower, then Sigma are solved
+    apart, so that each failure raises in that order; Sigma's residual is
+    checked last either way.
+    """
     Z = require_spd(Z, "Z", size=model.m)
     W_drop = drop_noises(model.R, Z[None])[0]
-    X = fixed_points(model, np.stack([model.R, W_drop]))
-    gamma_low, gamma_upper = conditional_rates(model, X, Z).tolist()
+    try:
+        X0, (X_upper,), Sigma = ray_fixed_points(model, W_drop[None])
+    except (SetkfError, ArithmeticError, np.linalg.LinAlgError, RuntimeWarning):
+        (X0, X_upper), Sigma = fixed_points(model, np.stack([model.R, W_drop])), None
+    gamma_low, gamma_upper = conditional_rates(model, np.stack([X0, X_upper]), Z).tolist()
     R3 = rate_weighted_noise(model.R, W_drop, gamma_upper)
     (X_lower,) = fixed_points(model, R3[None])
+    if model.rho_A >= 1.0:
+        steady = None
+    else:
+        steady = steady_state(model) if Sigma is None else stationary(model, Sigma)
     return ClosedLoopAnalysis(
         gamma_low=gamma_low,
         gamma_upper=gamma_upper,
-        X0=X[0],
-        X_upper=X[1],
+        X0=X0,
+        X_upper=X_upper,
         X_lower=X_lower,
         R3=R3,
+        steady=steady,
     )
 
 
@@ -213,10 +231,9 @@ def closed_loop_report(model, Z):
     """Flat (quantity, value) rows for the closed-loop analysis."""
     res = closed_loop_rate_bounds(model, Z)
     rows = [("rho_A", model.rho_A)]
-    if model.rho_A < 1.0:
-        st = steady_state(model)
-        rows += _matrix_rows("Sigma", st.Sigma)
-        rows += _matrix_rows("Pi", st.Pi)
+    if res.steady is not None:
+        rows += _matrix_rows("Sigma", res.steady.Sigma)
+        rows += _matrix_rows("Pi", res.steady.Pi)
     rows += [("gamma_low", res.gamma_low), ("gamma_upper", res.gamma_upper)]
     rows += _matrix_rows("X0", res.X0)
     rows += _matrix_rows("X_upper_cl", res.X_upper)

@@ -26,15 +26,17 @@ The search over all SPD Y is restricted to a ray Y = theta * B for a fixed
 SPD basis B (default identity).  Feasibility is monotone along the ray, and
 the objective tr(Pi Y) is increasing in theta, so the feasibility boundary
 is the ray optimum.  :func:`ray_search`, shared with the rate calibrations
-in ``harness``, walks to it as bisection does, testing stacks of points
-aimed by a secant step on the test's scores.  Both designs keep the
-feasible end of its bracket, to relative width RAY_REL_TOL; the calibrations
-keep the midpoint, to relative width 1e-12.  A design's first round also
-solves the ray's ends in its stack: X0 = fix(g_R) at theta = inf, which must
-lie below Delta0, and for a stable plant the Lyapunov solution Sigma at
-theta = 0, which gives the objective's Pi.  The closed-loop rate reads the
-round's fixed point at the weight found, so a design solves every fixed
-point inside its rounds, one doubling stack per round.
+in ``harness``, walks to it as bisection does, testing stacks of points:
+its first round brackets theta = 1 from both sides, and later rounds add
+two aimed by inverse quadratic interpolation of the test's scores.  Both
+designs keep the feasible end of its bracket, to relative width
+RAY_REL_TOL; the calibrations keep the midpoint, to relative width 1e-12.
+A design's first round also solves the ray's ends in its stack: X0 =
+fix(g_R) at theta = inf, which must lie below Delta0, and for a stable
+plant the Lyapunov solution Sigma at theta = 0, which gives the objective's
+Pi.  The closed-loop rate reads the round's fixed point at the weight
+found, so a design solves every fixed point inside its rounds, one doubling
+stack per round.
 """
 
 import math
@@ -61,7 +63,8 @@ RAY_REL_TOL = 1e-8
 RAY_FLOOR = 1e-12
 RAY_CAP = 1e15
 RAY_MAX_BISECTIONS = 200
-# a round of the ray search tests 2^RAY_TREE_DEPTH - 1 points in one stack
+# a round of the ray search tests 2^RAY_TREE_DEPTH - 1 points of its walk in
+# one stack, and after the first round two more, aimed at the scores' root
 RAY_TREE_DEPTH = 3
 
 
@@ -198,10 +201,16 @@ def ray_search(test, rel_tol, lo=None):
     Bisection then halves the bracket until ``hi - lo <= rel_tol * hi``, at
     most RAY_MAX_BISECTIONS times.  A point at or above a tested one that
     holds holds, at or below one that fails fails; any other starts a round,
-    one call of ``test`` on it and the next doublings, halvings or
-    RAY_TREE_DEPTH tree levels, up to 2^RAY_TREE_DEPTH - 1 points, and on
-    the ends of the walk's bracket were the boundary at the secant root, in
-    1/theta, of the two tested points of smallest |score|.  A failure of
+    one call of ``test`` on up to 2^RAY_TREE_DEPTH - 1 points of the walk.
+    The first round tests the floor and both chains the walk may ask next,
+    as many doublings from 1 as halvings from 1/2; a later one tests the
+    point asked and the next doublings, halvings or RAY_TREE_DEPTH tree
+    levels, and the ends of the walk's bracket were the boundary at the
+    root, in 1/theta, of the tested scores: by inverse quadratic
+    interpolation through the three tested points of smallest |score|, or
+    by the secant through the two of smallest when two of the three scores
+    are equal or that root is not in (0, inf).  The aim picks which points
+    a round tests, never the walk's answers.  A failure of
     ``test`` raises at any point of a round.  Returns the bracket ``(lo, hi)``,
     ``(0, RAY_FLOOR)`` when the test holds at the floor and with ``hi`` inf
     when it fails at RAY_CAP.  Each caller keeps its own end of it.
@@ -212,9 +221,20 @@ def ray_search(test, rel_tol, lo=None):
     def implied(theta):
         return True if theta >= edge[1] else False if theta <= edge[0] else None
 
-    def secant():
-        (t1, f1), (t2, f2) = sorted(scores.items(), key=lambda item: abs(item[1]))[:2]
-        u = 1.0 / t1 - f1 * (1.0 / t2 - 1.0 / t1) / (f2 - f1) if f1 != f2 else 0.0
+    def aim():
+        # the root u in 1/theta of the three tested points of smallest |score|
+        # by inverse quadratic interpolation, else the two's secant root
+        (t1, f1), (t2, f2), (t3, f3) = sorted(scores.items(), key=lambda item: abs(item[1]))[:3]
+        x1, x2, x3 = 1.0 / t1, 1.0 / t2, 1.0 / t3
+        u = 0.0
+        if f1 != f2 and f1 != f3 and f2 != f3:
+            u = (
+                x1 * (f2 / (f1 - f2)) * (f3 / (f1 - f3))
+                + x2 * (f1 / (f2 - f1)) * (f3 / (f2 - f3))
+                + x3 * (f1 / (f3 - f1)) * (f2 / (f3 - f2))
+            )
+        if not 0.0 < u < math.inf and f1 != f2:
+            u = x1 - f1 * (x2 - x1) / (f2 - f1)
 
         def guess(theta, fill):
             return theta * u >= 1.0 if implied(theta) is None else implied(theta)
@@ -224,7 +244,7 @@ def ray_search(test, rel_tol, lo=None):
     def holds(theta, fill):
         if implied(theta) is None:
             fresh = [t for t in fill() if implied(t) is None][: 2**RAY_TREE_DEPTH - 1]
-            ends = [t for t in secant() if t <= RAY_CAP and implied(t) is None] if scores else []
+            ends = [t for t in aim() if t <= RAY_CAP and implied(t) is None] if scores else []
             thetas = list(dict.fromkeys(fresh + ends))
             verdicts, values = test(np.array(thetas))
             for t, verdict, value in zip(thetas, verdicts, values):
@@ -236,6 +256,8 @@ def ray_search(test, rel_tol, lo=None):
         points = (t * factor**i for i in range(2**RAY_TREE_DEPTH))
         return [s for s in points if RAY_FLOOR < s <= RAY_CAP]
 
+    side = 2 ** (RAY_TREE_DEPTH - 1) - 1  # the first round's doublings, and its halvings
+
     def tree(lo, hi, depth):
         if depth == 0 or hi - lo <= rel_tol * hi:
             return []
@@ -243,7 +265,7 @@ def ray_search(test, rel_tol, lo=None):
         return [mid, *tree(lo, mid, depth - 1), *tree(mid, hi, depth - 1)]
 
     def walk(answer, lo):
-        if answer(RAY_FLOOR, lambda: [RAY_FLOOR, *chain(1.0, 2.0)]):
+        if answer(RAY_FLOOR, lambda: [RAY_FLOOR, *chain(1.0, 2.0)[:side], *chain(0.5, 0.5)[:side]]):
             return 0.0, RAY_FLOOR
         hi = 1.0
         while not answer(hi, lambda: chain(hi, 2.0)):

@@ -3,6 +3,8 @@ import pytest
 
 from setkf import (
     ConfigError,
+    ModelValidationError,
+    NoConvergence,
     Scenario,
     TriggerPolicy,
     UnstableSystem,
@@ -15,7 +17,14 @@ from setkf import (
     steady_state,
     validate_model,
 )
-from util import loewner_leq, random_spd, random_stable_model, scalar_g_fixed_point
+from setkf import analysis, riccati
+from util import (
+    closed_loop_report_reference,
+    loewner_leq,
+    random_spd,
+    random_stable_model,
+    scalar_g_fixed_point,
+)
 
 SCALAR = validate_model(0.8, 1.0, 1.0, 1.0, 1.0)
 SCALAR_STEADY = steady_state(SCALAR)
@@ -246,3 +255,91 @@ def test_open_loop_report_solves_the_steady_state_once(monkeypatch):
     assert len(calls) == 1
     assert rows["Pi[0][0]"] == SCALAR_STEADY.Pi[0, 0]
     assert rows["Sigma[0][0]"] == SCALAR_STEADY.Sigma[0, 0]
+
+
+def _closed_loop_plants():
+    """Seeded plants with rho(A) in [0.3, 0.95], [0.99, 0.999] and
+    [1.01, 1.3], 20 of each, each with a random weight Z."""
+    rng = np.random.default_rng(61)
+    for rho_lo, rho_hi in [(0.3, 0.95), (0.99, 0.999), (1.01, 1.3)] * 20:
+        while True:
+            n, m = (int(k) for k in rng.integers(1, 4, size=2))
+            A = rng.normal(size=(n, n))
+            A *= rng.uniform(rho_lo, rho_hi) / max(abs(np.linalg.eigvals(A)))
+            try:
+                model = validate_model(
+                    A, rng.normal(size=(m, n)), random_spd(rng, n), random_spd(rng, m),
+                    random_spd(rng, n),
+                )
+                break
+            except ModelValidationError:
+                continue
+        yield model, random_spd(rng, m, scale=float(10.0 ** rng.uniform(-3, 3)))
+
+
+def test_closed_loop_report_matches_the_former_solves():
+    # the rows of one stack for X0, X_upper and Sigma have the bits of the
+    # rows solved apart, and the steady field is None exactly when unstable
+    kinds = {"stable": 0, "unstable": 0}
+    for model, Z in _closed_loop_plants():
+        rows, expected = analysis.closed_loop_report(model, Z), closed_loop_report_reference(model, Z)
+        assert [name for name, _ in rows] == [name for name, _ in expected]
+        values, want = (np.array([v for _, v in r]).view(np.int64) for r in (rows, expected))
+        assert np.array_equal(values, want)
+        res = closed_loop_rate_bounds(model, Z)
+        assert (res.steady is None) == (model.rho_A >= 1.0)
+        kinds["stable" if res.steady is not None else "unstable"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_closed_loop_analysis_makes_two_doubling_calls(monkeypatch):
+    # X0, X_upper and Sigma in one stack, then X_lower
+    calls, doubling = [], riccati._doubling
+
+    def counted(element, *args):
+        calls.append(len(element[1]))
+        return doubling(element, *args)
+
+    monkeypatch.setattr(riccati, "_doubling", counted)
+    for model, Z in _closed_loop_plants():
+        calls.clear()
+        analysis.closed_loop_report(model, Z)
+        assert calls == [3 if model.rho_A < 1.0 else 2, 1]
+
+
+def test_closed_loop_analysis_failures_keep_their_order(monkeypatch):
+    # elements that fail to converge, one or two at a time, told apart by
+    # their J (0 in a stack and None alone for Sigma), raise the first error
+    # of the solves made apart
+    model = validate_model(np.diag([0.8, 0.95]), [[1.0, 1.0]], np.eye(2), 1.0, np.eye(2))
+    Z = np.array([[1.0]])
+    doubling = riccati._doubling
+
+    def keys(element):
+        J = element[2]
+        return ["Sigma"] if J is None else ["Sigma" if not j.any() else j.tobytes() for j in J]
+
+    seen = []
+
+    def recording(element, *args):
+        seen.extend(keys(element))
+        return doubling(element, *args)
+
+    monkeypatch.setattr(riccati, "_doubling", recording)
+    analysis.closed_loop_report(model, Z)
+    elements = list(dict.fromkeys(seen))
+    assert len(elements) == 4
+    for bad in [{a, b} for a in elements for b in elements]:
+
+        def failing(element, tol, max_doublings, label, bad=bad):
+            if bad & set(keys(element)):
+                raise NoConvergence(max_doublings, label)
+            return doubling(element, tol, max_doublings, label)
+
+        monkeypatch.setattr(riccati, "_doubling", failing)
+        errors = []
+        for report in (closed_loop_report_reference, analysis.closed_loop_report):
+            with pytest.raises(NoConvergence) as error:
+                report(model, Z)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]

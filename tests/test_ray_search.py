@@ -8,7 +8,7 @@ every bracket, design and calibration weight to the bit, test every point
 the sequential search tests or one on its side that implies its answer,
 raise a failure at any point it tests, and raise the sequential search's
 error where both searches test the failing point.  Its rounds go where the
-scores put the boundary; scores that mislead the secant must cost no more
+scores put the boundary; scores that mislead its aim must cost no more
 rounds than the bound.
 """
 
@@ -83,15 +83,18 @@ def _rounds_bound(sequential_calls):
 
 
 def _check_rounds(rounds, visited, holds):
-    """The first round is the floor and the first doublings.  Each round is a
-    stack of at most WIDTH tree or chain points and the two secant ends on
-    the ray, none asked twice, and every point the sequential search tests
-    is tested or implied by a tested point on its side: one at or below it
-    that holds, or one at or above it that fails.  ``holds(theta)`` is the
+    """The first round is the floor, the first doublings from 1 and as many
+    halvings from 1/2.  Each round is a stack of at most WIDTH tree or chain
+    points and the two aimed ends on the ray, none asked twice, and every
+    point the sequential search tests is tested or implied by a tested point
+    on its side: one at or below it that holds, or one at or above it that
+    fails.  ``holds(theta)`` is the
     sequential search's answer at theta."""
     tested = [(float(t), bool(v)) for thetas, verdicts in rounds for t, v in zip(thetas, verdicts)]
     points = [t for t, _ in tested]
-    assert list(rounds[0][0]) == [RAY_FLOOR, *2.0 ** np.arange(WIDTH - 1)]
+    side = (WIDTH - 1) // 2
+    first = [RAY_FLOOR, *2.0 ** np.arange(side), *2.0 ** -np.arange(1, side + 1)]
+    assert list(rounds[0][0]) == first
     assert all(0 < len(thetas) <= WIDTH + 2 for thetas, _ in rounds)
     assert all(RAY_FLOOR <= t <= RAY_CAP for t in points)
     assert len(set(points)) == len(points)
@@ -166,7 +169,7 @@ class TestThresholdOracle:
 
 
 class TestMisleadingScores:
-    """Monotone tests whose scores mislead the secant: the brackets stay the
+    """Monotone tests whose scores mislead the aim: the brackets stay the
     sequential search's and the rounds within the bound, for the design and
     the calibration tolerance, with boundaries from below the floor to past
     the cap."""
@@ -202,6 +205,24 @@ class TestMisleadingScores:
             seq, visited = _counted(lambda t, b=b: t >= b)
             assert ray_search(test, rel_tol, lo=lo) == ray_search_reference(seq, rel_tol, lo=lo), b
             _check_rounds(rounds, visited, lambda t, b=b: t >= b)
+
+    @pytest.mark.parametrize(
+        "rel_tol, lo",
+        [(RAY_REL_TOL, None), (CALIBRATION_TOL, RAY_FLOOR)],
+        ids=["design", "calibration"],
+    )
+    def test_equal_scores_fall_back_to_the_secant(self, rel_tol, lo):
+        # the score t - 3, but -1 at 1/2 as at 2: the three tested points of
+        # smallest |score| after the first round are 2, 4 and 1/2, two of
+        # them with equal scores, so the second round's ends are aimed at the
+        # secant root 1/theta = 3/8 through (2, -1) and (4, 1)
+        test, rounds = _recorded(lambda t: (t >= 3.0, np.where(t == 0.5, -1.0, t - 3.0)))
+        seq, visited = _counted(lambda t: t >= 3.0)
+        assert ray_search(test, rel_tol, lo=lo) == ray_search_reference(seq, rel_tol, lo=lo)
+        _check_rounds(rounds, visited, lambda t: t >= 3.0)
+        ends = ray_search_reference(lambda t: t * 0.375 >= 1.0, rel_tol, lo=lo)
+        assert 2.0 < ends[0] < 8.0 / 3.0 < ends[1] < 4.0
+        assert set(ends) <= set(rounds[1][0].tolist())
 
 
 class Failure(Exception):
@@ -486,17 +507,9 @@ def test_near_unit_designs_match_the_former_bisections():
         assert _same_design(closed(problem), reference(problem)), j
 
 
-def test_a_design_solves_every_fixed_point_in_its_rounds(monkeypatch):
-    # one riccati._doubling call per round of the ray search, in both loops:
-    # X0 and Sigma ride in the first round, and the closed-loop rate reads
-    # the search's fixed point at the returned theta
-    problems = _near_unit_problems()
-    calls, rounds = [], []
-    doubling, search = riccati._doubling, design.ray_search
-
-    def counted(element, *args):
-        calls.append(len(element[1]))
-        return doubling(element, *args)
+def _count_rounds(monkeypatch):
+    """The list to which each round of a design's ray search appends its size."""
+    rounds, search = [], design.ray_search
 
     def counted_search(test, rel_tol, lo=None):
         def counted_test(thetas):
@@ -505,14 +518,40 @@ def test_a_design_solves_every_fixed_point_in_its_rounds(monkeypatch):
 
         return search(counted_test, rel_tol, lo)
 
-    monkeypatch.setattr(riccati, "_doubling", counted)
     monkeypatch.setattr(design, "ray_search", counted_search)
+    return rounds
+
+
+def test_a_design_solves_every_fixed_point_in_its_rounds(monkeypatch):
+    # one riccati._doubling call per round of the ray search, in both loops:
+    # X0 and Sigma ride in the first round, and the closed-loop rate reads
+    # the search's fixed point at the returned theta
+    problems = _near_unit_problems()
+    calls, doubling = [], riccati._doubling
+
+    def counted(element, *args):
+        calls.append(len(element[1]))
+        return doubling(element, *args)
+
+    monkeypatch.setattr(riccati, "_doubling", counted)
+    rounds = _count_rounds(monkeypatch)
     for problem in problems:
         for designed in (design_search, design_search_closed_loop):
             calls.clear()
             rounds.clear()
             designed(problem)
             assert calls == [rounds[0] + 2, *rounds[1:]], designed.__name__
+
+
+def test_near_unit_designs_take_at_most_four_rounds(monkeypatch):
+    # the first round brackets theta = 1 from both sides, and the later
+    # rounds' ends are aimed by inverse quadratic interpolation
+    rounds = _count_rounds(monkeypatch)
+    for j, problem in enumerate(_near_unit_problems()):
+        for designed in (design_search, design_search_closed_loop):
+            rounds.clear()
+            designed(problem)
+            assert len(rounds) <= 4, (j, designed.__name__, len(rounds))
 
 
 def test_closed_loop_rate_is_the_upper_rate_at_the_weight():

@@ -19,7 +19,7 @@ from setkf import (
     time_update,
     validate_model,
 )
-from setkf import design, riccati
+from setkf import analysis, design, riccati
 from setkf.analysis import conditional_rate, drop_noise, open_loop_rate
 from setkf.design import (
     RAY_CAP,
@@ -426,6 +426,32 @@ def calibrate_closed_loop_reference(model, target_rate, basis=None):
         return conditional_rate(model, X_upper, Z)
 
     return _bisect_rate(upper_rate, target_rate)
+
+
+# ``setkf.analysis.closed_loop_report`` as it was before X0, X_upper and
+# Sigma shared one doubling stack: the stack of X0 and X_upper, then X_lower,
+# then the steady state, each solved apart; kept verbatim as its oracle.
+
+
+def closed_loop_report_reference(model, Z):
+    """The closed-loop analysis rows from three separate doubling calls."""
+    Z = analysis.require_spd(Z, "Z", size=model.m)
+    W_drop = analysis.drop_noises(model.R, Z[None])[0]
+    X = riccati.fixed_points(model, np.stack([model.R, W_drop]))
+    gamma_low, gamma_upper = analysis.conditional_rates(model, X, Z).tolist()
+    R3 = analysis.rate_weighted_noise(model.R, W_drop, gamma_upper)
+    (X_lower,) = riccati.fixed_points(model, R3[None])
+    rows = [("rho_A", model.rho_A)]
+    if model.rho_A < 1.0:
+        st = steady_state(model)
+        rows += analysis._matrix_rows("Sigma", st.Sigma)
+        rows += analysis._matrix_rows("Pi", st.Pi)
+    rows += [("gamma_low", gamma_low), ("gamma_upper", gamma_upper)]
+    rows += analysis._matrix_rows("X0", X[0])
+    rows += analysis._matrix_rows("X_upper_cl", X[1])
+    rows += analysis._matrix_rows("X_lower_cl", X_lower)
+    rows += analysis._matrix_rows("R3", R3)
+    return rows
 
 
 def maximal_runs(gamma, value):
