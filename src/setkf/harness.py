@@ -7,16 +7,17 @@ its horizon's uniforms in one call and its normals in one call at setup and
 one per block of steps; the draw order is documented in :func:`simulate`.
 
 One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
-:func:`simulate` is the kernel with one run and :func:`monte_carlo` the
-kernel over all runs.  It is one driver over three block steppers, which
-share the draws, plant path, gamma and logs of :class:`_Runs`, carry the
-prior error x - xhat rather than the estimate, so the error keeps its digits
-on plants whose state grows, and use the trigger rule, drop noise and
-measurement update of the single-step API, :func:`estimation.transmit`,
-:func:`estimation.drop_noise` and :func:`estimation.measurement_update`,
-whose error form alone says what a drop tells the filter; the open-loop
-trigger hands it y, and for that trigger only the plant path itself is
-stepped.  The first matching row of one route table picks the stepper:
+:func:`simulate` is the kernel with one run, :func:`monte_carlo` the kernel
+over all runs, and each row of :func:`compare_schedulers` the kernel over all
+runs without the per-step sums.  It is one driver over three block
+steppers, which share the draws, plant path, gamma and logs of
+:class:`_Runs`, carry the prior error x - xhat rather than the estimate, so
+the error keeps its digits on plants whose state grows, and use the trigger
+rule, drop noise and measurement update of the single-step API,
+:func:`estimation.transmit`, :func:`estimation.drop_noise` and
+:func:`estimation.measurement_update`, whose error form alone says what a
+drop tells the filter; the open-loop trigger hands it y, and for that
+trigger only the plant path itself is stepped.  The first matching row of one route table picks the stepper:
 
     trigger                 size                                    stepper       block
     feedback-free           runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
@@ -45,6 +46,7 @@ feasible end.  A target whose weight is not a positive finite number on the
 ray raises :class:`CalibrationFailed`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -613,7 +615,9 @@ def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloStats:
-    """Cross-run aggregates of a scenario."""
+    """Cross-run aggregates of a scenario.  ``gamma`` holds each run's
+    transmissions (runs, T); the run-length histograms are counted from it
+    on first read."""
 
     steps: np.ndarray
     rate_mean: np.ndarray
@@ -629,9 +633,16 @@ class MonteCarloStats:
     steady_trace_mean: float
     steady_trace_stderr: float
     P_trace_max: float
-    drop_run_hist: dict
-    arrival_run_hist: dict
+    gamma: np.ndarray
     runs: int
+
+    @functools.cached_property
+    def drop_run_hist(self):
+        return _run_length_histogram(self.gamma, 0)
+
+    @functools.cached_property
+    def arrival_run_hist(self):
+        return _run_length_histogram(self.gamma, 1)
 
 
 def _run_length_histogram(gamma, value):
@@ -654,6 +665,15 @@ def _stderr(values):
     return values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
 
 
+def _rate_and_steady_trace(gamma, P_trace, burn_in):
+    """The rate over all runs, the mean over the runs of each run's steady
+    trace (the mean trace of its prior covariance from step ``burn_in`` on)
+    and that mean's standard error, from the (runs, T) logs of gamma and of
+    the prior covariance's trace."""
+    steady = P_trace[:, burn_in:].mean(axis=1)
+    return float(gamma.mean(axis=1).mean()), float(steady.mean()), float(_stderr(steady))
+
+
 def monte_carlo(scenario):
     """Run ``scenario.runs`` independent trajectories and aggregate them.
 
@@ -666,9 +686,8 @@ def monte_carlo(scenario):
     E_mean = block.E_sum / N
     P_trace_mean = np.trace(P_mean, axis1=1, axis2=2)
     mse_mean = np.trace(E_mean, axis1=1, axis2=2)
-    rates = block.gamma.mean(axis=1)
     P_trace = block.P_trace
-    steady = P_trace[:, scenario.burn_in :].mean(axis=1)
+    rate, steady, steady_stderr = _rate_and_steady_trace(block.gamma, P_trace, scenario.burn_in)
     return MonteCarloStats(
         steps=np.arange(scenario.horizon),
         rate_mean=block.gamma.sum(axis=0) / N,
@@ -677,15 +696,14 @@ def monte_carlo(scenario):
         P_trace_mean=P_trace_mean,
         mse_mean=mse_mean,
         consistency_ratio=mse_mean / P_trace_mean,
-        rate_overall=float(rates.mean()),
-        rate_stderr=float(_stderr(rates)),
+        rate_overall=rate,
+        rate_stderr=float(_stderr(block.gamma.mean(axis=1))),
         terminal_P_mean=sym(block.P_last.mean(axis=0)),
         terminal_P_stderr=np.asarray(_stderr(block.P_last)),
-        steady_trace_mean=float(steady.mean()),
-        steady_trace_stderr=float(_stderr(steady)),
+        steady_trace_mean=steady,
+        steady_trace_stderr=steady_stderr,
         P_trace_max=float(P_trace.max()),
-        drop_run_hist=_run_length_histogram(block.gamma, 0),
-        arrival_run_hist=_run_length_histogram(block.gamma, 1),
+        gamma=block.gamma,
         runs=N,
     )
 
@@ -821,16 +839,11 @@ def compare_schedulers(model, target_rate, horizon=2000, runs=100, seed=0, burn_
             seed=seed,
             burn_in=burn_in,
         )
-        stats = monte_carlo(scn)
-        rows.append(
-            ComparisonRow(
-                scheduler=name,
-                param=float(param),
-                empirical_rate=stats.rate_overall,
-                steady_trace=stats.steady_trace_mean,
-                steady_trace_stderr=stats.steady_trace_stderr,
-            )
-        )
+        # monte_carlo's rate and steady trace, read off the kernel's logs
+        # without its per-step sums
+        block = _simulate_runs(scn, range(scn.runs), sums=False)
+        rate, steady, stderr = _rate_and_steady_trace(block.gamma, block.P_trace, scn.burn_in)
+        rows.append(ComparisonRow(name, float(param), rate, steady, stderr))
     return rows
 
 
@@ -898,19 +911,31 @@ def _write_rows(fh, header, rows):
         fh.write(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
+def _write_columns(fh, header, columns):
+    """:func:`_write_rows` for the rows of equal-length 1-D arrays.  The
+    rows are converted to Python numbers, which format faster than numpy's,
+    a thousand at a time, so the lists stay small, and each is formatted by
+    one call on a template read off the columns' dtypes."""
+    template = ",".join("{:.12g}" if c.dtype.kind == "f" else "{}" for c in columns) + "\n"
+    fh.write(header + "\n")
+    for k in range(0, columns[0].shape[0], 1000):
+        rows = zip(*(c[k : k + 1000].tolist() for c in columns))
+        fh.write("".join([template.format(*row) for row in rows]))
+
+
 def write_trajectory_csv(record, fh):
-    _write_rows(
+    _write_columns(
         fh, "k,gamma,P_trace,mse,P11,mse11",
-        zip(range(record.gamma.shape[0]), map(int, record.gamma), record.P_trace, record.sq_err,
-            record.P11, record.sq_err11),
+        (np.arange(record.gamma.shape[0]), record.gamma, record.P_trace, record.sq_err,
+         record.P11, record.sq_err11),
     )
 
 
 def write_monte_carlo_csv(stats, fh):
-    _write_rows(
+    _write_columns(
         fh, "k,rate_mean,P_trace_mean,mse_mean,P11_mean,mse11_mean",
-        zip(range(stats.steps.shape[0]), stats.rate_mean, stats.P_trace_mean, stats.mse_mean,
-            stats.P_mean[:, 0, 0], stats.err_outer_mean[:, 0, 0]),
+        (stats.steps, stats.rate_mean, stats.P_trace_mean, stats.mse_mean,
+         stats.P_mean[:, 0, 0], stats.err_outer_mean[:, 0, 0]),
     )
 
 

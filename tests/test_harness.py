@@ -364,6 +364,56 @@ class TestCompareSchedulers:
             assert 0.0 <= row.empirical_rate <= 1.0
             assert row.steady_trace > 0
 
+    PLANT2 = validate_model(
+        [[0.8, 1.0], [0.0, 0.95]], [[0.5, 0.3], [0.0, 1.4]], np.eye(2), np.eye(2), np.eye(2)
+    )
+
+    @pytest.mark.parametrize(
+        "plant, runs, steppers",
+        [
+            # the scan rows and the float clset row
+            ("scalar", 3, {"_scan_block", "_float_block"}),
+            # two measurements: the clset row takes the numpy step loop
+            ("plant2", 3, {"_scan_block", "_step_block"}),
+            # past both bounds every row takes the numpy step loop
+            ("scalar", max(SCAN_MAX_WIDTH, FLOAT_PATH_MAX_RUNS) + 1, {"_step_block"}),
+        ],
+    )
+    def test_rows_equal_monte_carlo(self, monkeypatch, plant, runs, steppers):
+        """Each row, read off the kernel's logs, has the bits of monte_carlo
+        on the row's scenario; ``steppers`` are the routes the rows take."""
+        model = SCALAR if plant == "scalar" else self.PLANT2
+        called = set()
+
+        def spy(step):
+            def wrapped(*args):
+                called.add(step.__name__)
+                return step(*args)
+
+            return wrapped
+
+        for name in ("_scan_block", "_float_block", "_step_block"):
+            monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        rows = compare_schedulers(model, 0.5, horizon=120, runs=runs, seed=43, burn_in=30)
+        assert called == steppers
+        eye = np.eye(model.m)
+        triggers = {
+            "clset": lambda p: TriggerPolicy.closed_loop(p * eye),
+            "olset": lambda p: TriggerPolicy.open_loop(p * eye),
+            "periodic": lambda p: TriggerPolicy.periodic(int(p)),
+            "random": lambda p: TriggerPolicy.random_offline(p),
+        }
+        assert [row.scheduler for row in rows] == list(triggers)
+        for row in rows:
+            scn = Scenario(
+                model=model, trigger=triggers[row.scheduler](row.param), horizon=120,
+                runs=runs, seed=43, burn_in=30,
+            )
+            stats = monte_carlo(scn)
+            assert row.empirical_rate == stats.rate_overall
+            assert row.steady_trace == stats.steady_trace_mean
+            assert row.steady_trace_stderr == stats.steady_trace_stderr
+
 
 class TestSingerScenario:
     def test_noise_covariance_template(self):
@@ -438,6 +488,34 @@ class TestCsvOutput:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "k,gamma,P_trace,mse,P11,mse11"
         assert len(lines) == 6
+
+    @staticmethod
+    def per_cell_csv(header, columns):
+        """The former writer: floats at .12g and every other cell as str, one
+        numpy cell at a time."""
+        lines = [header]
+        for row in zip(*columns):
+            lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
+        return "\n".join(lines) + "\n"
+
+    def test_array_writers_keep_the_per_cell_bytes(self):
+        # 2500 steps span three of the writer's blocks of rows
+        scn = scalar_scenario(TriggerPolicy.closed_loop([[0.5]]), horizon=2500, runs=3, burn_in=0)
+        rec = simulate(scn)
+        buf = io.StringIO()
+        write_trajectory_csv(rec, buf)
+        assert buf.getvalue() == self.per_cell_csv(
+            "k,gamma,P_trace,mse,P11,mse11",
+            (range(2500), map(int, rec.gamma), rec.P_trace, rec.sq_err, rec.P11, rec.sq_err11),
+        )
+        stats = monte_carlo(scn)
+        buf = io.StringIO()
+        write_monte_carlo_csv(stats, buf)
+        assert buf.getvalue() == self.per_cell_csv(
+            "k,rate_mean,P_trace_mean,mse_mean,P11_mean,mse11_mean",
+            (range(2500), stats.rate_mean, stats.P_trace_mean, stats.mse_mean,
+             stats.P_mean[:, 0, 0], stats.err_outer_mean[:, 0, 0]),
+        )
 
     def test_comparison_schema(self):
         rows = compare_schedulers(SCALAR, 0.5, horizon=200, runs=5, seed=42, burn_in=50)
