@@ -6,18 +6,20 @@ are independent, order-insensitive and exactly reproducible.  A run draws
 its horizon's uniforms in one call and its normals in one call at setup and
 one per block of steps; the draw order is documented in :func:`simulate`.
 
-One kernel, :func:`_simulate_runs`, simulates a block of runs side by side:
-:func:`simulate` is the kernel with one run, :func:`monte_carlo` the kernel
-over all runs, and each row of :func:`compare_schedulers` the kernel over all
-runs without the per-step sums.  It is one driver over three block
-steppers, which share the draws, plant path, gamma and logs of
-:class:`_Runs`, carry the prior error x - xhat rather than the estimate, so
-the error keeps its digits on plants whose state grows, and use the trigger
-rule, drop noise and measurement update of the single-step API,
-:func:`estimation.transmit`, :func:`estimation.drop_noise` and
-:func:`estimation.measurement_update`, whose error form alone says what a
-drop tells the filter; the open-loop trigger hands it y, and for that
-trigger only the plant path itself is stepped.  The first matching row of one route table picks the stepper:
+One kernel, :func:`_simulate_runs`, simulates a block of runs side by side
+and yields its blocks of steps, each once it has passed its check.  Each
+caller keeps what it prints: :func:`simulate` one run's per-step logs,
+:func:`monte_carlo` each run's gamma and trace and the per-step sums over
+the runs, and each row of :func:`compare_schedulers` each run's gamma and
+trace.  It is one driver over three block steppers, which share the draws,
+plant path and gamma of :class:`_Runs`, carry the prior error x - xhat
+rather than the estimate, so the error keeps its digits on plants whose
+state grows, and use the trigger rule, drop noise and measurement update of
+the single-step API, :func:`estimation.transmit`,
+:func:`estimation.drop_noise` and :func:`estimation.measurement_update`,
+whose error form alone says what a drop tells the filter; the open-loop
+trigger hands it y, and for that trigger only the plant path itself is
+stepped.  The first matching row of one route table picks the stepper:
 
     trigger                 size                                    stepper       block
     feedback-free           runs * n^2 <= SCAN_MAX_WIDTH            _scan_block   L_scan
@@ -60,10 +62,14 @@ from . import riccati
 from .analysis import open_loop_rates, upper_rates
 from .design import RAY_CAP, RAY_FLOOR, ray_basis, ray_search
 
-# Most per-step log entries, runs * horizon * n, a scenario may ask for: the
-# kernel's logs take about 16 n + 25 bytes per run and step and the (runs, T)
-# uniforms 8 more, at most 1 GB.  The pre-roll's draws, runs * pre_roll * n
-# entries of 8 bytes, count against the same limit.
+# Most per-step log entries, runs * horizon * n, a scenario may ask for.  Per
+# run and step the kernel keeps the uniforms (8 bytes), and monte_carlo and
+# compare_schedulers keep gamma (1) and the prior covariance's trace (8):
+# 17 bytes, at most 0.34 GB.  simulate's one run keeps its prior error and
+# the diagonal of P (16 n bytes per step), and monte_carlo the sums of P and
+# e e' over the runs (16 n^2 bytes per step), as simulate keeps P and e e'
+# with record_full.  The pre-roll's draws, runs * pre_roll * n entries of 8
+# bytes, count against the same limit.
 MAX_LOG_ENTRIES = 2 * 10**7
 
 # Most runs a scenario may ask for: each run's generator takes about 1.1 KB,
@@ -195,23 +201,21 @@ def _rng_for_run(seed, run_index):
     return np.random.default_rng([int(seed), int(run_index)])
 
 
-def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
-    """Simulate the runs ``run_indices`` of a scenario side by side; the
-    :class:`_Runs` returned holds their logs.
+def _simulate_runs(scenario, run_indices, force_gamma=None):
+    """Simulate the runs ``run_indices`` of a scenario side by side, yielding
+    for each block of steps its steps, gamma (L, runs) and the prior errors
+    (L, runs, n, 1) and covariances (L, runs, n, n), once the block has
+    passed :func:`_check_block`; no block is kept.
 
     The one driver of the kernel.  It builds :class:`_Runs`, takes the
     stepper and block length of the first matching row of the route table
     of the module docstring, and steps each block from the last one's end
-    state.
-
-    Each run draws from its own generator in the order of the randomness
-    contract (see :func:`simulate`).  With ``sums`` the prior covariances and
-    error outer products are summed over the runs per step; no
-    (runs, T, n, n) array is kept.
+    state.  Each run draws from its own generator in the order of the
+    randomness contract (see :func:`simulate`).
     """
     model = scenario.model
     n, m = model.n, model.m
-    s = _Runs(scenario, run_indices, force_gamma, sums)
+    s = _Runs(scenario, run_indices, force_gamma)
     width = scenario.runs * n**2
     if scenario.trigger.variant not in READS_ESTIMATE and width <= SCAN_MAX_WIDTH:
         step, length = _scan_block, SCAN_BLOCK_ENTRIES // width
@@ -229,19 +233,45 @@ def _simulate_runs(scenario, run_indices, force_gamma=None, sums=True):
     for steps, zeta, Lv, Lw, y, gamma in s.blocks(length):
         gamma, e_all, P_all = step(model, s, zeta, Lv, Lw, y, gamma, e, P)
         e, P = e_all[-1], P_all[-1]
-        s.log(steps, gamma, e_all[:-1], P_all[:-1])
-    return s
+        _check_block(steps, e_all[:-1], P_all[:-1], s.forced is not None)
+        yield steps, gamma, e_all[:-1], P_all[:-1]
+
+
+def _check_block(steps, e, P, forced):
+    """Check a block's prior errors e and covariances P.
+
+    Raises NumericalError, naming the first step, when a diagonal entry of
+    a prior covariance is not positive and finite: the covariance recursion
+    has broken down, and no later value means anything.  Unless gamma is
+    ``forced``, it also does so when a coordinate of a prior error lies
+    more than 1000 standard deviations out, |e_i| > 1e3 sqrt(P_ii).
+    The filter is exact, so e ~ N(0, P), and for the threshold trigger P
+    bounds the error: an honest run crosses the bound with probability
+    below 1e-200000, an error that has lost its digits to rounding does.  A
+    forced gamma is not the trigger's own, so there P is not the error's
+    covariance.
+    """
+    diag = P.diagonal(axis1=2, axis2=3)
+    if not (diag.min() > 0.0 and diag.max() < np.inf):
+        broken = ~((diag > 0.0) & (diag < np.inf)).all(axis=(1, 2))
+        raise _broken_covariance(steps.start + int(broken.argmax()))
+    # an error that is not finite fails this test, and nothing in it overflows
+    far = ~(np.abs(e[..., 0]) <= 1e3 * np.sqrt(diag)).all(axis=(1, 2))
+    if not forced and far.any():
+        raise NumericalError(
+            f"prior error at step {steps.start + int(far.argmax())} lies more than"
+            " 1000 standard deviations out"
+        )
 
 
 class _Runs:
-    """What the block steppers of :func:`_simulate_runs` start from, write to
-    and return: the constants, each run's generator and uniforms, the prior
-    error at step 0, the blocks of draws (with the plant path where the
-    trigger reads y, and gamma where it does not read the estimate), and
-    the logs, from which the properties derive the per-run logs (runs, T)
-    that :func:`simulate` records.  Block arrays are time-major."""
+    """What the block steppers of :func:`_simulate_runs` start from and
+    read: the constants, each run's generator and uniforms, the prior error
+    at step 0, and the blocks of draws (with the plant path where the
+    trigger reads y, and gamma where it does not read the estimate).  Block
+    arrays are time-major."""
 
-    def __init__(self, scenario, run_indices, force_gamma, sums):
+    def __init__(self, scenario, run_indices, force_gamma):
         model = scenario.model
         n = model.n
         self.A, self.C, self.T = model.A, model.C, scenario.horizon
@@ -289,15 +319,6 @@ class _Runs:
         self.e = e
         self.P = np.tile(P, (N, 1, 1))
 
-        # per-step logs: gamma (runs, T), the prior error and the diagonal of
-        # P (runs, T, n), and the sums of P and e e' over the runs (T, n, n);
-        # log() also keeps each run's last P as P_last (runs, n, n)
-        self.gamma = np.zeros((N, self.T), dtype=np.int8)
-        self.err_log = np.zeros((N, self.T, n))
-        self.diag_log = np.zeros((N, self.T, n))
-        self.P_sum = np.zeros((self.T, n, n)) if sums else None
-        self.E_sum = np.zeros((self.T, n, n)) if sums else None
-
     def blocks(self, length):
         """For each block of ``length`` steps (at least one): its steps, zeta
         (L, runs), the noises L_r v (L, runs, m, 1) of each step and L_q w
@@ -337,59 +358,6 @@ class _Runs:
                 gamma = transmit(self.trigger, z, zeta.ravel(), k).reshape(L, N)
             self.k0 = k0
             yield slice(k0, k0 + L), zeta, Lv, Lw, y, gamma
-
-    def log(self, steps, gamma, e, P):
-        """Write a block's logs and sums from its gamma and prior e and P.
-
-        Raises NumericalError, naming the first step, when a diagonal entry
-        of a prior covariance is not positive and finite: the covariance
-        recursion has broken down, and no later value means anything.  Unless
-        gamma is forced, it also does so when a coordinate of a prior error
-        lies more than 1000 standard deviations out, |e_i| > 1e3 sqrt(P_ii).
-        The filter is exact, so e ~ N(0, P), and for the threshold trigger P
-        bounds the error: an honest run crosses the bound with probability
-        below 1e-200000, an error that has lost its digits to rounding does.
-        A forced gamma is not the trigger's own, so there P is not the
-        error's covariance.
-        """
-        diag = P.diagonal(axis1=2, axis2=3)
-        if not (diag.min() > 0.0 and diag.max() < np.inf):
-            broken = ~((diag > 0.0) & (diag < np.inf)).all(axis=(1, 2))
-            raise _broken_covariance(steps.start + int(broken.argmax()))
-        # an error that is not finite fails this test, and nothing in it overflows
-        far = ~(np.abs(e[..., 0]) <= 1e3 * np.sqrt(diag)).all(axis=(1, 2))
-        if self.forced is None and far.any():
-            raise NumericalError(
-                f"prior error at step {steps.start + int(far.argmax())} lies more than"
-                " 1000 standard deviations out"
-            )
-        self.gamma[:, steps] = gamma.T
-        self.err_log[:, steps] = e[..., 0].transpose(1, 0, 2)
-        self.diag_log[:, steps] = diag.transpose(1, 0, 2)
-        if self.P_sum is not None:
-            # accumulate adds the runs one after another in run order, where
-            # sum would switch to pairwise order when n = 1
-            self.P_sum[steps] = np.add.accumulate(P, axis=1)[:, -1]
-            self.E_sum[steps] = np.add.accumulate(e * e.swapaxes(2, 3), axis=1)[:, -1]
-        self.P_last = P[-1]
-
-    @property
-    def P_trace(self):
-        return self.diag_log.sum(axis=2)
-
-    @property
-    def sq_err(self):
-        e = self.err_log
-        return (e[:, :, None, :] @ e[:, :, :, None])[:, :, 0, 0]
-
-    @property
-    def P11(self):
-        return self.diag_log[:, :, 0]
-
-    @property
-    def sq_err11(self):
-        err0 = self.err_log[:, :, 0]
-        return err0 * err0
 
 
 def _broken_covariance(step):
@@ -551,7 +519,7 @@ def _scan_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
     L, N = zeta.shape
     J = np.where(gamma[:, :, None, None], s.J_arrival, s.J_drop)
     try:
-        # a covariance that breaks down is reported by the log's check
+        # a covariance that breaks down is reported by _check_block
         with np.errstate(over="ignore", invalid="ignore"):
             P_all = _orbit(
                 P, (np.broadcast_to(A, J.shape), np.broadcast_to(Q, J.shape), J),
@@ -594,22 +562,28 @@ def simulate(scenario, run_index=0, force_gamma=None, record_full=False):
     never receives the measurement when gamma = 0.
     """
     as_number(run_index, "run_index", integer=True, lo=0)
-    block = _simulate_runs(scenario, [run_index], force_gamma, sums=record_full)
-    P_trace = block.P_trace[0]
+    T, n = scenario.horizon, scenario.model.n
+    gamma, err, diag = np.empty(T, dtype=np.int8), np.empty((T, n)), np.empty((T, n))
+    full = (np.empty((T, n, n)), np.empty((T, n, n))) if record_full else (None, None)
+    for steps, g, e, P in _simulate_runs(scenario, [run_index], force_gamma):
+        gamma[steps], err[steps] = g[:, 0], e[:, 0, :, 0]
+        diag[steps] = P[:, 0].diagonal(axis1=1, axis2=2)
+        if record_full:
+            full[0][steps], full[1][steps] = P[:, 0], (e * e.swapaxes(2, 3))[:, 0]
+    P_trace = diag.sum(axis=1)
     tail = slice(scenario.burn_in, scenario.horizon)
     return TrajectoryRecord(
-        gamma=block.gamma[0],
+        gamma=gamma,
         P_trace=P_trace,
-        sq_err=block.sq_err[0],
-        P11=block.P11[0],
-        sq_err11=block.sq_err11[0],
-        empirical_rate=float(block.gamma[0].mean()),
+        sq_err=(err[:, None, :] @ err[:, :, None])[:, 0, 0],
+        P11=diag[:, 0],
+        sq_err11=err[:, 0] * err[:, 0],
+        empirical_rate=float(gamma.mean()),
         mean_P_trace=float(P_trace[tail].mean()),
         P_trace_max=float(P_trace.max()),
         burn_in=scenario.burn_in,
-        # with one run the sums over runs are the run's own matrices
-        P_prior_full=block.P_sum,
-        err_outer=block.E_sum,
+        P_prior_full=full[0],
+        err_outer=full[1],
     )
 
 
@@ -680,30 +654,37 @@ def monte_carlo(scenario):
     All runs are simulated side by side; run r has the values of
     ``simulate(scenario, r)``.
     """
-    N = scenario.runs
-    block = _simulate_runs(scenario, range(N))
-    P_mean = block.P_sum / N
-    E_mean = block.E_sum / N
+    N, T, n = scenario.runs, scenario.horizon, scenario.model.n
+    gamma, P_trace = np.empty((N, T), dtype=np.int8), np.empty((N, T))
+    P_sum, E_sum = np.empty((T, n, n)), np.empty((T, n, n))
+    for steps, g, e, P in _simulate_runs(scenario, range(N)):
+        gamma[:, steps], P_trace[:, steps] = g.T, P.diagonal(axis1=2, axis2=3).sum(axis=2).T
+        # accumulate adds the runs one after another in run order, where
+        # sum would switch to pairwise order when n = 1
+        P_sum[steps] = np.add.accumulate(P, axis=1)[:, -1]
+        E_sum[steps] = np.add.accumulate(e * e.swapaxes(2, 3), axis=1)[:, -1]
+    P_last = P[-1]  # each run's prior at the last step; a horizon has one
+    P_mean = P_sum / N
+    E_mean = E_sum / N
     P_trace_mean = np.trace(P_mean, axis1=1, axis2=2)
     mse_mean = np.trace(E_mean, axis1=1, axis2=2)
-    P_trace = block.P_trace
-    rate, steady, steady_stderr = _rate_and_steady_trace(block.gamma, P_trace, scenario.burn_in)
+    rate, steady, steady_stderr = _rate_and_steady_trace(gamma, P_trace, scenario.burn_in)
     return MonteCarloStats(
-        steps=np.arange(scenario.horizon),
-        rate_mean=block.gamma.sum(axis=0) / N,
+        steps=np.arange(T),
+        rate_mean=gamma.sum(axis=0) / N,
         P_mean=P_mean,
         err_outer_mean=E_mean,
         P_trace_mean=P_trace_mean,
         mse_mean=mse_mean,
         consistency_ratio=mse_mean / P_trace_mean,
         rate_overall=rate,
-        rate_stderr=float(_stderr(block.gamma.mean(axis=1))),
-        terminal_P_mean=sym(block.P_last.mean(axis=0)),
-        terminal_P_stderr=np.asarray(_stderr(block.P_last)),
+        rate_stderr=float(_stderr(gamma.mean(axis=1))),
+        terminal_P_mean=sym(P_last.mean(axis=0)),
+        terminal_P_stderr=np.asarray(_stderr(P_last)),
         steady_trace_mean=steady,
         steady_trace_stderr=steady_stderr,
         P_trace_max=float(P_trace.max()),
-        gamma=block.gamma,
+        gamma=gamma,
         runs=N,
     )
 
@@ -839,10 +820,13 @@ def compare_schedulers(model, target_rate, horizon=2000, runs=100, seed=0, burn_
             seed=seed,
             burn_in=burn_in,
         )
-        # monte_carlo's rate and steady trace, read off the kernel's logs
+        # monte_carlo's rate and steady trace, from the kernel's blocks
         # without its per-step sums
-        block = _simulate_runs(scn, range(scn.runs), sums=False)
-        rate, steady, stderr = _rate_and_steady_trace(block.gamma, block.P_trace, scn.burn_in)
+        shape = (scn.runs, scn.horizon)
+        gamma, P_trace = np.empty(shape, dtype=np.int8), np.empty(shape)
+        for steps, g, _, P in _simulate_runs(scn, range(scn.runs)):
+            gamma[:, steps], P_trace[:, steps] = g.T, P.diagonal(axis1=2, axis2=3).sum(axis=2).T
+        rate, steady, stderr = _rate_and_steady_trace(gamma, P_trace, scn.burn_in)
         rows.append(ComparisonRow(name, float(param), rate, steady, stderr))
     return rows
 

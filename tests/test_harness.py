@@ -38,7 +38,6 @@ from setkf.estimation import MAX_PERIOD, READS_ESTIMATE, trigger_decide
 from setkf.harness import (
     FLOAT_PATH_MAX_RUNS,
     SCAN_MAX_WIDTH,
-    _simulate_runs,
     _run_length_histogram,
     write_comparison_csv,
     write_monte_carlo_csv,
@@ -47,6 +46,7 @@ from setkf.harness import (
 from util import (
     SCALAR_EXPONENTS,
     apply_affine_reference,
+    collect,
     compose_affine_reference,
     maximal_runs,
     random_spd,
@@ -188,8 +188,9 @@ class TestSimulate:
             TriggerPolicy.open_loop([[1.0]]), horizon=1, runs=20_000, seed=3, burn_in=0,
             pre_roll=200,
         )
-        block = _simulate_runs(scn, range(scn.runs))
-        ratio = block.sq_err[:, 0] / block.P_trace[:, 0]
+        block = collect(scn, range(scn.runs))
+        e, P = block.e[0, :, :, 0], block.P[0]
+        ratio = (e * e).sum(axis=1) / np.trace(P, axis1=1, axis2=2)
         assert abs(ratio.mean() - 1.0) <= 3.0 * ratio.std(ddof=1) / np.sqrt(ratio.size)
 
 
@@ -206,7 +207,7 @@ class TestPeriodicBounds:
                               horizon=12, runs=2, burn_in=0)
         expected = [int((k - int(phase)) % period == 0) for k in range(12)]
         for path in (scan_runs, step_runs):
-            assert path(scn, range(2)).gamma.tolist() == [expected, expected]
+            assert path(scn, range(2)).gamma.T.tolist() == [expected, expected]
 
 
 class TestMonteCarlo:
@@ -610,12 +611,9 @@ class TestKernelOracle:
         )
         # any block of runs, in any order, gives each run its own values
         order = [4, 0, 5, 2]
-        block = _simulate_runs(scn, order)
+        block = collect(scn, order)
         for row, r in enumerate(order):
-            rec = simulate(scn, r)
-            np.testing.assert_array_equal(block.gamma[row], rec.gamma)
-            np.testing.assert_array_equal(block.P_trace[row], rec.P_trace)
-            np.testing.assert_array_equal(block.sq_err[row], rec.sq_err)
+            assert_row_equals_record(block, row, simulate(scn, r))
 
         stats = monte_carlo(scn)
         recs = [simulate(scn, r, record_full=True) for r in range(scn.runs)]
@@ -645,18 +643,16 @@ class TestKernelOracle:
         assert stats.arrival_run_hist == dict(sorted(arrivals.items()))
 
 
-BLOCK_LOGS = ("P_trace", "sq_err", "P11", "sq_err11", "P_last", "P_sum", "E_sum")
+# what a collected block holds besides gamma: the prior errors and covariances
+BLOCK_LOGS = ("e", "P")
 
 
 def assert_blocks_agree(block, ref):
-    """gamma identical; each log agrees to 1e-12 relative to its largest
-    entry, the bar of ``assert_records_agree``."""
+    """gamma identical; the prior errors and covariances each agree to 1e-12
+    relative to their largest entry, the bar of ``assert_records_agree``."""
     np.testing.assert_array_equal(block.gamma, ref.gamma)
     for name in BLOCK_LOGS:
         got, want = getattr(block, name), getattr(ref, name)
-        if want is None:
-            assert got is None, name
-            continue
         assert got.shape == want.shape, name
         assert float(np.abs(got - want).max()) <= 1e-12 * float(np.abs(want).max()), name
 
@@ -668,10 +664,30 @@ def assert_blocks_equal(block, ref):
 
 
 def assert_priors_psd(block):
-    """Every prior covariance of a one-run block is symmetric PSD."""
-    P = block.P_sum
-    np.testing.assert_array_equal(P, P.transpose(0, 2, 1))
+    """Every prior covariance of a collected block is symmetric PSD."""
+    P = block.P
+    np.testing.assert_array_equal(P, P.swapaxes(2, 3))
     assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.abs(P).max()
+
+
+def assert_row_equals_record(block, row, rec):
+    """Row ``row`` of a collected block has the bits of a simulate record:
+    its logs formed as simulate forms them, and its prior covariances and
+    error outer products where the record holds them."""
+    e = np.ascontiguousarray(block.e[:, row, :, 0])
+    P = block.P[:, row]
+    logs = {
+        "gamma": block.gamma[:, row],
+        "P_trace": P.diagonal(axis1=1, axis2=2).sum(axis=1),
+        "sq_err": (e[:, None, :] @ e[:, :, None])[:, 0, 0],
+        "P11": P[:, 0, 0],
+        "sq_err11": e[:, 0] * e[:, 0],
+    }
+    for name, got in logs.items():
+        np.testing.assert_array_equal(got, getattr(rec, name), err_msg=name)
+    if rec.P_prior_full is not None:
+        np.testing.assert_array_equal(P, rec.P_prior_full)
+        np.testing.assert_array_equal(e[:, :, None] * e[:, None, :], rec.err_outer)
 
 
 FEEDBACK_FREE = [0, 1, 3, 4]  # standard, olset, periodic, random
@@ -698,16 +714,16 @@ def spy_steppers(mp, calls):
 
 
 def routed_runs(route, scenario, run_indices, **kw):
-    """``_simulate_runs`` forced onto one of ``ROUTES`` by monkeypatch; the
-    scan takes a feedback-free trigger only.  Spies check that only the
-    route's steppers ran."""
+    """:func:`collect` forced onto one of ``ROUTES`` by monkeypatch; the scan
+    takes a feedback-free trigger only.  Spies check that only the route's
+    steppers ran."""
     constants, steppers = ROUTES[route]
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         for name, value in constants.items():
             mp.setattr(harness, name, value)
         spy_steppers(mp, calls)
-        block = _simulate_runs(scenario, run_indices, **kw)
+        block = collect(scenario, run_indices, **kw)
     called = {name for name, _ in calls}
     assert called and called <= steppers, (route, called)
     return block
@@ -729,7 +745,7 @@ class TestScanOracle:
         trig = oracle_pairings(m)[pairing]
         # a scalar plant steps the closed-loop and threshold triggers in
         # Python floats, with the numpy step loop's bits
-        path, agree = (_simulate_runs, assert_blocks_equal)
+        path, agree = (collect, assert_blocks_equal)
         if pairing in FEEDBACK_FREE:
             path, agree = scan_runs, assert_blocks_agree
         for horizon in (1, 2, 3, 77):
@@ -738,10 +754,8 @@ class TestScanOracle:
                     model=model, trigger=trig, horizon=horizon, runs=2, seed=5,
                     burn_in=0, **extra,
                 )
-                for sums in (False, True):
-                    agree(path(scn, [1, 0], sums=sums), numpy_step_runs(scn, [1, 0], sums=sums))
-                block = path(scn, [1], sums=True)
-                assert_priors_psd(block)
+                agree(path(scn, [1, 0]), numpy_step_runs(scn, [1, 0]))
+                assert_priors_psd(path(scn, [1]))
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
     def test_forced_gamma(self, pairing):
@@ -754,14 +768,14 @@ class TestScanOracle:
             scn = Scenario(
                 model=model, trigger=oracle_pairings(1)[pairing], horizon=60, seed=6, burn_in=5
             )
-            block = _simulate_runs(scn, [2], force_gamma=forced)
+            block = collect(scn, [2], force_gamma=forced)
             step = numpy_step_runs(scn, [2], force_gamma=forced)
             if pairing in FEEDBACK_FREE:
                 assert_blocks_equal(block, scan_runs(scn, [2], force_gamma=forced))
                 assert_blocks_agree(block, step)
             else:
                 assert_blocks_equal(block, step)
-            np.testing.assert_array_equal(block.gamma[0], forced)
+            np.testing.assert_array_equal(block.gamma[:, 0], forced)
             assert_priors_psd(block)
 
     @pytest.mark.parametrize("pairing", range(6), ids=PAIRING_IDS)
@@ -781,7 +795,7 @@ class TestScanOracle:
                 assert_blocks_agree(scan_runs(scn, [0, 1]), ref)
             else:
                 monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
-                assert_blocks_equal(_simulate_runs(scn, [0, 1]), ref)
+                assert_blocks_equal(collect(scn, [0, 1]), ref)
 
     def test_singer_open_loop(self):
         # rho(A) = 1: the combine step's I + C J stays well conditioned
@@ -841,11 +855,12 @@ class TestScanOracle:
         spy_steppers(monkeypatch, calls)
         # the route depends on the scenario, not on the block of runs: the
         # scan, or the step loop in numpy or in Python floats
-        block = _simulate_runs(scn, [runs - 1, 0])
-        single = _simulate_runs(scn, [0])
+        block = collect(scn, [runs - 1, 0])
+        single = collect(scn, [0])
         lengths = [4, 4, 1] * 2 if route == "_scan_block" else [3, 3, 3] * 2
         assert calls == [(route, L) for L in lengths]
-        np.testing.assert_array_equal(single.sq_err[0], block.sq_err[1])
+        for name in ("gamma", "e", "P"):
+            np.testing.assert_array_equal(getattr(single, name)[:, 0], getattr(block, name)[:, 1])
 
     @pytest.mark.parametrize("wide", [False, None, True], ids=["narrow", "mid", "wide"])
     @pytest.mark.parametrize("forced", [False, True], ids=["decided", "forced"])
@@ -862,7 +877,7 @@ class TestScanOracle:
         )
         calls = []
         spy_steppers(monkeypatch, calls)
-        _simulate_runs(scn, [0], force_gamma=np.ones(9, dtype=int) if forced else None)
+        collect(scn, [0], force_gamma=np.ones(9, dtype=int) if forced else None)
         scan = pairing in FEEDBACK_FREE and not wide
         assert calls == [("_scan_block" if scan else "_step_block", 9)]
 
@@ -903,7 +918,7 @@ class TestOpenLoopPlantPath:
                 model=model, trigger=TriggerPolicy.open_loop([[0.7]]), horizon=300, runs=runs,
                 seed=12, burn_in=0, pre_roll=3, x0_mean=np.full(n, 40.0),
             )
-            s = harness._Runs(scn, range(runs), None, False)
+            s = harness._Runs(scn, range(runs), None)
             x = s.x.copy()
             ys, want = [], []
             for _, _, Lv, Lw, y, _ in s.blocks(37):
@@ -930,25 +945,22 @@ class TestOpenLoopPlantPath:
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 6 * runs * step_entries(model))
         calls = []
         spy_steppers(monkeypatch, calls)
-        block = _simulate_runs(scn, range(runs))
+        block = collect(scn, range(runs))
         route = "_step_block" if wide else "_scan_block"
         assert calls == [(route, L) for L in [6] * 6 + [4]]
         assert 0.0 < block.gamma.mean() < 1.0
-        part = _simulate_runs(scn, [runs - 1, 0])
+        part = collect(scn, [runs - 1, 0])
         stats = monte_carlo(scn)
         recs = [simulate(scn, r, record_full=True) for r in range(runs)]
         for rows, order in ((block, range(runs)), (part, [runs - 1, 0])):
             for row, r in enumerate(order):
-                for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
-                    np.testing.assert_array_equal(
-                        getattr(rows, name)[row], getattr(recs[r], name), err_msg=name
-                    )
+                assert_row_equals_record(rows, row, recs[r])
         # monte_carlo adds the runs in run order, as sum does
         np.testing.assert_array_equal(stats.P_mean, sum(rec.P_prior_full for rec in recs) / runs)
         np.testing.assert_array_equal(
             stats.err_outer_mean, sum(rec.err_outer for rec in recs) / runs
         )
-        np.testing.assert_array_equal(stats.rate_mean, block.gamma.sum(axis=0) / runs)
+        np.testing.assert_array_equal(stats.rate_mean, block.gamma.sum(axis=1) / runs)
 
 
 UNSTABLE = validate_model(1.2, 1.0, 1.0, 1.0, 1.0)
@@ -977,7 +989,7 @@ class TestFloatBlock:
                 model=model, trigger=trig, horizon=60, runs=4, seed=3, burn_in=0, **extra
             )
             assert scn.runs <= FLOAT_PATH_MAX_RUNS
-            for kw in ({}, {"force_gamma": forced, "sums": False}):
+            for kw in ({}, {"force_gamma": forced}):
                 refs = []
                 # the whole horizon in one block, and blocks of 1, 2 and 7 steps
                 for steps in (None, 1, 2, 7):
@@ -1071,7 +1083,7 @@ class TestFloatBlock:
             assert trigger_decide(trig, [3.0], [0.0], 0.5, 0) == 1
             for runs in (FLOAT_PATH_MAX_RUNS, FLOAT_PATH_MAX_RUNS + 1):
                 scn = scalar_scenario(trig, horizon=300, runs=runs, seed=12, burn_in=0)
-                block = _simulate_runs(scn, range(runs))
+                block = collect(scn, range(runs))
                 assert block.gamma.all()
                 single[runs] = simulate(scn, 0, record_full=True)
         small, large = single.values()
@@ -1097,7 +1109,7 @@ class TestFloatBlock:
         with np.errstate(over="raise", invalid="raise"):
             for z in ([30.0, -3.0], [3.0, -30.0], [3.0, 3.0]):
                 assert trigger_decide(trig, z, [0.0, 0.0], 0.5, 0) == 1
-            assert _simulate_runs(scn, range(3)).gamma.all()
+            assert collect(scn, range(3)).gamma.all()
         assert np.isnan(np.concatenate(forms)).any()
 
     def test_prior_after_the_horizon_must_be_finite(self):
@@ -1122,14 +1134,16 @@ class TestFloatBlock:
             scn = scalar_scenario(
                 trig, horizon=300, runs=runs, seed=12, burn_in=0, pre_roll=3, x0_mean=[40.0]
             )
-            block = _simulate_runs(scn, range(runs))
+            block = collect(scn, range(runs))
             stats = monte_carlo(scn)
             assert 0.0 < stats.rate_overall < 1.0
             recs = [simulate(scn, r, record_full=True) for r in range(runs)]
             for r, rec in enumerate(recs):
-                for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
-                    np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
-            np.testing.assert_array_equal(stats.P_mean, block.P_sum / runs)
+                assert_row_equals_record(block, r, rec)
+            # monte_carlo adds the runs in run order, as sum does
+            np.testing.assert_array_equal(
+                stats.P_mean, sum(rec.P_prior_full for rec in recs) / runs
+            )
             single[runs] = recs[0]
         small, large = single.values()
         for name in ("gamma", "P_trace", "sq_err", "P_prior_full", "err_outer"):
@@ -1143,8 +1157,8 @@ class TestFloatBlock:
             burn_in=0,
         )
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            block = _simulate_runs(scn, [0])
-        assert np.isfinite(block.sq_err).all()
+            block = collect(scn, [0])
+        assert np.isfinite(block.e).all()
 
     @pytest.mark.parametrize(
         "forced",
@@ -1213,14 +1227,9 @@ class TestCovarianceSandwich:
                 model=model, trigger=trig, horizon=300, runs=runs, seed=9, burn_in=0,
                 pre_roll=2,
             )
-            blocks, log = [], harness._Runs.log
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(
-                    harness._Runs, "log", lambda s, *a: blocks.append(a[-1].copy()) or log(s, *a)
-                )
-                gamma = routed_runs(route, scn, range(runs), force_gamma=force_gamma).gamma
-            assert 0.0 < gamma.mean() < 1.0
-            P = np.concatenate(blocks)
+            block = routed_runs(route, scn, range(runs), force_gamma=force_gamma)
+            assert 0.0 < block.gamma.mean() < 1.0
+            P = block.P
             lower = upper = P[0]
             for k, P_k in enumerate(P):
                 tol = -1e-12 * np.maximum(1.0, np.abs(P_k).max(axis=(1, 2)))
@@ -1241,7 +1250,7 @@ def width(scenario):
 
 
 class TestStepBlocks:
-    """The step loop draws, steps the plant and logs once per block of steps;
+    """The step loop draws, steps the plant and yields once per block of steps;
     no block length changes a value but the open-loop plant path's rounding
     (see :class:`TestOpenLoopPlantPath`)."""
 
@@ -1259,26 +1268,22 @@ class TestStepBlocks:
             forced = (np.random.default_rng(pairing).random(50) < 0.5).astype(int)
             monkeypatch.undo()
             refs = [
-                step_runs(scn, [0, 1]), step_runs(scn, [1, 0], force_gamma=forced, sums=False),
+                step_runs(scn, [0, 1]), step_runs(scn, [1, 0], force_gamma=forced),
             ]
             assert 0.0 < refs[0].gamma.mean() <= 1.0
             for steps in (1, 2, 7):
                 monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", steps * 2 * step_entries(model))
                 assert_blocks_equal(step_runs(scn, [0, 1]), refs[0])
-                assert_blocks_equal(
-                    step_runs(scn, [1, 0], force_gamma=forced, sums=False), refs[1]
-                )
+                assert_blocks_equal(step_runs(scn, [1, 0], force_gamma=forced), refs[1])
 
     def test_wide_clset_equals_single_runs(self):
         # 3000 singer runs take several blocks, as does each run alone
         scn = singer_scenario(1.0, 0.01, 5.0, z_scale=0.52, runs=3000, horizon=60, seed=9)
         assert 1 < harness.STEP_BLOCK_ENTRIES // (scn.runs * step_entries(scn.model)) < 30
-        block = _simulate_runs(scn, range(scn.runs))
+        block = collect(scn, range(scn.runs))
         assert 0.0 < block.gamma.mean() < 1.0
         for r in (0, 1, 1499, 2998, 2999):
-            rec = simulate(scn, r)
-            for name in ("gamma", "P_trace", "sq_err", "P11", "sq_err11"):
-                np.testing.assert_array_equal(getattr(block, name)[r], getattr(rec, name))
+            assert_row_equals_record(block, r, simulate(scn, r))
 
     @pytest.mark.parametrize("pairing", [2, 5], ids=["clset", "threshold"])
     def test_every_row_equals_its_single_run(self, monkeypatch, pairing):
@@ -1287,12 +1292,40 @@ class TestStepBlocks:
         scn = Scenario(model=model, trigger=trig, horizon=40, runs=9, seed=3)
         # blocks of 3 steps, for all nine runs as for one
         monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", 3 * 9 * step_entries(model))
-        block = _simulate_runs(scn, range(scn.runs))
+        block = collect(scn, range(scn.runs))
         for r in range(scn.runs):
-            rec = simulate(scn, r, record_full=True)
-            np.testing.assert_array_equal(block.gamma[r], rec.gamma)
-            np.testing.assert_array_equal(block.P_trace[r], rec.P_trace)
-            np.testing.assert_array_equal(block.sq_err[r], rec.sq_err)
+            assert_row_equals_record(block, r, simulate(scn, r, record_full=True))
+
+
+# CI's closed-loop plant with a huge prior, whose covariance breaks down
+HUGE_PRIOR = validate_model(
+    [[0.5, 0.1], [0.0, 0.6]], [[1.0, 0.0]], np.eye(2), [[1.0]], 1e300 * np.eye(2)
+)
+
+
+@pytest.mark.parametrize(
+    "trig, step",
+    [(TriggerPolicy.closed_loop([[1.0]]), 2), (TriggerPolicy.periodic(2), 3)],
+    ids=["step-loop", "scan"],
+)
+def test_failing_block_is_never_yielded(monkeypatch, trig, step):
+    # the kernel checks each block before it yields it: in blocks of 1, 2, 3
+    # and 7 steps the blocks yielded cover exactly the steps before the
+    # block of the first broken prior, and each of them passes the check
+    scn = Scenario(model=HUGE_PRIOR, trigger=trig, horizon=20, runs=2, seed=0, burn_in=0)
+    message = f"^prior covariance at step {step} has a diagonal entry that is not positive"
+    for L in (1, 2, 3, 7):
+        monkeypatch.setattr(harness, "STEP_BLOCK_ENTRIES", L * 2 * step_entries(scn.model))
+        monkeypatch.setattr(harness, "SCAN_BLOCK_ENTRIES", L * width(scn))
+        yielded = []
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=message):
+            for steps, gamma, e, P in harness._simulate_runs(scn, range(2)):
+                yielded.append(steps)
+                harness._check_block(steps, e, P, forced=False)
+        before = range(0, step // L * L, L)
+        assert [(s.start, s.stop) for s in yielded] == [(k, k + L) for k in before]
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=message):
+            collect(scn, range(2))
 
 
 class CountingGenerator:

@@ -1,6 +1,7 @@
 """Shared helpers for randomized property tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from setkf import (
     time_update,
     validate_model,
 )
-from setkf import analysis, design, riccati
+from setkf import analysis, design, harness, riccati
 from setkf.analysis import conditional_rate, drop_noise, open_loop_rate
 from setkf.design import (
     RAY_CAP,
@@ -667,3 +668,16 @@ def simulate_reference(scenario, run_index=0, force_gamma=None, record_full=Fals
         P_prior_full=P_full,
         err_outer=err_outer,
     )
+
+
+def collect(scenario, run_indices, **kw):
+    """The blocks of ``harness._simulate_runs``, concatenated over time:
+    ``gamma`` (T, runs), the prior errors ``e`` (T, runs, n, 1) and the
+    prior covariances ``P`` (T, runs, n, n).  The blocks must yield the
+    horizon's steps in order."""
+    blocks = list(harness._simulate_runs(scenario, run_indices, **kw))
+    starts = [0] + [steps.stop for steps, *_ in blocks]
+    assert [(steps.start, steps.stop) for steps, *_ in blocks] == list(zip(starts, starts[1:]))
+    assert starts[-1] == scenario.horizon
+    gamma, e, P = (np.concatenate(logs) for logs in list(zip(*blocks))[1:])
+    return SimpleNamespace(gamma=gamma, e=e, P=P)
