@@ -86,12 +86,12 @@ def _cmd_design(args):
     data = read_json(args.config, "config")
     model = _model_from_config(data)
     fields = config_fields(data, "design config", ("delta0",), ("basis", "closed_loop"))
-    if args.mode == "export-lmi":
-        return functools.partial(export_lmi, model), fields["delta0"]
     problem = DesignProblem(model=model, Delta0=fields["delta0"], basis=fields.get("basis"))
     closed = fields.get("closed_loop", False)
     if not isinstance(closed, bool):
         raise ConfigError(f"closed_loop must be true or false, got {closed!r}")
+    if args.mode == "export-lmi":
+        return functools.partial(export_lmi, model), problem.Delta0
     result = design_search_closed_loop(problem) if closed else design_search(problem)
     rows = [("theta", result.theta), ("gamma_achieved", result.gamma_achieved)]
     if result.objective is not None:

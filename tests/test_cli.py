@@ -113,11 +113,22 @@ def test_design_export_lmi_cli(tmp_path):
     assert "OBJ" in text and "\nF 1 0 " in text
 
 
-def test_design_infeasible_exit_code(tmp_path):
-    cfg = {"model": SCALAR.to_dict(), "delta0": [[1.3]]}
+def test_design_infeasible_exit_code(tmp_path, capsys):
+    # a Delta0 below the always-transmit fixed point X0 (1.37 on the scalar
+    # plant), in open and closed loop, fails the floor check with one line
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["design", "--config", str(path)]) == 3
+    for model, delta0 in (
+        (SCALAR.to_dict(), [[1.3]]),
+        (SCALAR.to_dict(), [[1.0]]),
+        (TWO_MEASUREMENT, [[0.5, 0.0], [0.0, 0.5]]),
+    ):
+        for closed_loop in (False, True):
+            path.write_text(json.dumps({"model": model, "delta0": delta0, "closed_loop": closed_loop}))
+            assert main(["design", "--config", str(path)]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith(
+                "numerical failure: Delta0 must exceed the always-transmit fixed point"
+            )
 
 
 def test_compare_cli(tmp_path):
@@ -342,12 +353,16 @@ def test_singer_huge_period_exit_code(capsys, a13):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-@pytest.mark.parametrize("closed_loop", ["no", "true", 1, 0, None], ids=repr)
-def test_design_closed_loop_must_be_a_boolean(tmp_path, capsys, closed_loop):
+@pytest.mark.parametrize(
+    "mode, closed_loop",
+    [(mode, value) for mode in ([], ["export-lmi"]) for value in ("no", "true", 1, 0, None)],
+    ids=[f"{prefix}{value!r}" for prefix in ("", "export-lmi-") for value in ("no", "true", 1, 0, None)],
+)
+def test_design_closed_loop_must_be_a_boolean(tmp_path, capsys, mode, closed_loop):
     cfg = {"model": SCALAR.to_dict(), "delta0": [[1.5]], "closed_loop": closed_loop}
     path = tmp_path / "design.json"
     path.write_text(json.dumps(cfg))
-    assert main(["design", "--config", str(path)]) == 2
+    assert main(["design", *mode, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "closed_loop" in err and err.count("\n") == 1
 
@@ -398,9 +413,11 @@ def test_reused_parser_matches_fresh_parsers(scenario_config, tmp_path, capsys, 
         ("analyze", {"model": {**SCALAR.to_dict(), "R": True}}),
         ("analyze", {"trigger": {"variant": "open_loop", "Y": [[True]]}}),
         ("design", {"basis": True}),
+        ("design export-lmi", {"basis": True}),
         ("design", {"delta0": [[True]]}),
     ],
-    ids=["A-abc", "Y-x", "delta0-x", "Y-missing", "R-true", "Y-true", "basis-true", "delta0-true"],
+    ids=["A-abc", "Y-x", "delta0-x", "Y-missing", "R-true", "Y-true", "basis-true",
+         "export-lmi-basis-true", "delta0-true"],
 )
 def test_malformed_matrix_config_exit_code(tmp_path, capsys, command, update):
     cfg = {
@@ -411,7 +428,7 @@ def test_malformed_matrix_config_exit_code(tmp_path, capsys, command, update):
     }
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path)]) == 2
+    assert main([*command.split(), "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
 
@@ -828,6 +845,139 @@ def test_huge_initial_mean_keeps_the_error_finite(tmp_path, capsys):
     assert err == ""
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 20 and np.isfinite(np.array(rows, dtype=float)).all()
+
+
+def _near_unit(e, **fields):
+    """A 2-state plant with rho(A) = 0.999, its Q, R, Sigma0 and delta0
+    scaled by 10**e."""
+    s = lambda k: float(f"{k}e{e}")  # as the JSON literal 4e-9 reads, not 4 * 1e-9
+    eye = [[s(1), 0.0], [0.0, s(1)]]
+    model = {"A": [[0.999, 0.1], [0.0, 0.9]], "C": [[1.0, 0.0]], "Q": eye, "R": [[s(1)]],
+             "Sigma0": eye}
+    return {"model": model, "delta0": [[s(4), s(1)], [s(1), s(10)]], **fields}
+
+
+SCALAR_DESIGN = {"model": SCALAR.to_dict(), "delta0": [[1.5]]}
+FULL_WEIGHT = [[2.0, 0.5], [0.5, 1.0]]
+OLSET = {"variant": "open_loop", "Y": [[1.0]]}
+NEAR_UNIT_TRIGGERS = {"open": OLSET, "closed": CLSET}
+
+# name -> (config, arguments, exit code, how the one stderr line starts);
+# on exit 0 stderr must be empty
+CONTRACT = {
+    # 200 scalar runs, and 40 on two measurements at the default horizon, put
+    # every compare row past the scan and float bounds, into the step loop
+    "compare-200-runs": (
+        SCALAR_DESIGN, ["compare", "--target-rate", "0.5", "--runs", "200", "--horizon", "50"], 0, "",
+    ),
+    "two-measurement-compare-40-runs": (
+        {"model": TWO_MEASUREMENT}, ["compare", "--target-rate", "0.5", "--runs", "40"], 0, "",
+    ),
+    # too wide for the scan: the step loop, each block's open-loop decisions in one call
+    "monte-carlo-200-runs": (
+        {"model": SCALAR.to_dict(), "trigger": OLSET, "horizon": 10, "runs": 2},
+        ["monte-carlo", "--runs", "200"], 0, "",
+    ),
+    **{
+        f"two-measurement-analyze-{variant}": (
+            {"model": TWO_MEASUREMENT, "trigger": {"variant": variant, key: FULL_WEIGHT}},
+            ["analyze"], 0, "",
+        )
+        for variant, key in (("open_loop", "Y"), ("closed_loop", "Z"))
+    },
+    # at 1e-150 the covariances fall under the model's floor PD_FLOOR = 1e-10
+    **{
+        f"near-unit-1e{e}-analyze-{name}": (
+            _near_unit(e, trigger=trigger), ["analyze"], 2 if e == -150 else 0, "config error:",
+        )
+        for e in (0, 150, -9, -150)
+        for name, trigger in NEAR_UNIT_TRIGGERS.items()
+    },
+    **{
+        f"near-unit-1e{e}-design-{name}": (
+            _near_unit(e, closed_loop=name == "closed"), ["design"], 2 if e == -150 else 0,
+            "config error:",
+        )
+        for e in (0, 150, -9, -150)
+        for name in NEAR_UNIT_TRIGGERS
+    },
+    # one closed-loop run of an unstable plant steps in Python floats over long drop runs
+    "unstable-closed-loop-8000-steps": (
+        {"model": {**SCALAR.to_dict(), "A": [[1.2]]},
+         "trigger": {"variant": "closed_loop", "Z": [[0.028]]}, "horizon": 8000},
+        ["simulate"], 0, "",
+    ),
+    # a huge C overflows the floats' innovation covariance
+    "scalar-C-1e300": (
+        {"model": {**SCALAR.to_dict(), "A": [[0.5]], "C": [[1e300]]}, "trigger": CLSET,
+         "horizon": 20},
+        ["simulate"], 3, "numerical failure:",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_cli_contract(tmp_path, capsys, name):
+    # the exit code, and stderr empty or one line; pyproject raises any RuntimeWarning
+    config, args, code, start = CONTRACT[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([*args, "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(start) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize(
+    "delta0, theta", [(1.3705, "440.445293427"), (2.77, "0.000571417189349")],
+    ids=["theta-440", "theta-5.7e-4"],
+)
+def test_far_boundary_design(tmp_path, capsys, delta0, theta, closed_loop):
+    # boundaries far from theta = 1 on the scalar plant, so the ray search's
+    # doublings and halvings run past its first round
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({**SCALAR_DESIGN, "delta0": [[delta0]], "closed_loop": closed_loop}))
+    assert main(["design", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and f"theta,{theta}" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "config, args, runs",
+    [
+        # 8 and 9 take the scan, 200 and 300 scalar runs (40 and 60 on two
+        # measurements) the step loop, one block of the horizon each
+        ({"model": SCALAR.to_dict(), "trigger": OLSET}, ["--horizon", "500"], (8, 9)),
+        ({"model": SCALAR.to_dict(), "trigger": OLSET}, ["--horizon", "500"], (200, 300)),
+        ({"model": TWO_MEASUREMENT, "trigger": {"variant": "open_loop", "Y": FULL_WEIGHT}},
+         ["--horizon", "500"], (8, 9)),
+        ({"model": TWO_MEASUREMENT, "trigger": {"variant": "open_loop", "Y": FULL_WEIGHT}},
+         ["--horizon", "500"], (40, 60)),
+        # up to 8 scalar closed-loop or threshold runs step in Python floats,
+        # 9 in numpy; z' Z z of the huge weight overflows to an exact send
+        ({"model": SCALAR.to_dict(), "trigger": {"variant": "closed_loop", "Z": [[8e307]]},
+          "horizon": 500}, [], (8, 9)),
+        ({"model": SCALAR.to_dict(), "trigger": {"variant": "closed_loop", "Z": [[0.7]]},
+          "horizon": 500, "pre_roll": 2}, [], (8, 9)),
+        ({"model": SCALAR.to_dict(), "trigger": {"variant": "deterministic_threshold", "delta": 1.0},
+          "horizon": 500, "pre_roll": 2}, [], (8, 9)),
+    ],
+    ids=["open-loop-8-9", "open-loop-200-300", "two-measurement-8-9", "two-measurement-40-60",
+         "closed-loop-Z-8e307-8-9", "closed-loop-pre-roll-8-9", "threshold-pre-roll-8-9"],
+)
+def test_run_zero_is_the_same_either_side_of_a_route_bound(tmp_path, capsys, config, args, runs):
+    # simulate prints run 0: the same bytes whichever stepper took the runs
+    path = tmp_path / "scenario.json"
+    outputs = []
+    for n in runs:
+        path.write_text(json.dumps({**config, "runs": n}))
+        assert main(["simulate", "--config", str(path), *args]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == ""
 
 
 def test_closed_pipe_exit_code(scenario_config):
