@@ -10,9 +10,9 @@ One kernel, :func:`_simulate_runs`, simulates a block of runs side by side
 and yields its blocks of steps, each once it has passed its check.  Each
 caller keeps what it prints: :func:`simulate` one run's per-step logs,
 :func:`monte_carlo` each run's gamma and trace and the per-step sums over
-the runs, and each row of :func:`compare_schedulers` each run's gamma and
-trace.  It is one driver over three block steppers, which share the draws,
-plant path and gamma of :class:`_Runs`, carry the prior error x - xhat
+the runs, and each row of :func:`compare_schedulers` each run's rate and
+steady trace.  It is one driver over three block steppers, which share the
+draws, plant path and gamma of :class:`_Runs`, carry the prior error x - xhat
 rather than the estimate, so the error keeps its digits on plants whose
 state grows, and use the trigger rule, drop noise and measurement update of
 the single-step API, :func:`estimation.transmit`,
@@ -41,6 +41,18 @@ the estimate; the float one steps each run in Python floats, with the numpy
 one's bits.  The open-loop plant path is an :func:`_orbit` of affine maps
 on every route, a scan over time like the prior errors'.
 
+The kernel has a rows axis.  Given the triggers of rows that share every
+other scenario field and do not read the estimate, it stacks the rows
+along the runs axis, row after row, on one set of draws and one open-loop
+plant path per run, with one :func:`estimation.transmit` call per row and
+block and one :func:`estimation.measurement_update` call per row on both
+feedback-free steppers, so each row keeps its drop rule and only the
+open-loop row reads y.  The route and the block length read the row
+scenario, the same for every row, so each row has its bits alone.
+:func:`compare_schedulers` stacks its olset, periodic and random rows so,
+over chunks of runs whose gamma and trace logs, rows * runs * horizon
+entries, fit MAX_LOG_ENTRIES.
+
 The rate calibrations share :func:`design.ray_search` with the trigger
 design: they keep the midpoint of its bracket, to relative width 1e-12, with
 its lower end starting at the ray's floor, where the design keeps the
@@ -65,7 +77,10 @@ from .design import RAY_CAP, RAY_FLOOR, ray_basis, ray_search
 # Most per-step log entries, runs * horizon * n, a scenario may ask for.  Per
 # run and step the kernel keeps the uniforms (8 bytes), and monte_carlo and
 # compare_schedulers keep gamma (1) and the prior covariance's trace (8):
-# 17 bytes, at most 0.34 GB.  simulate's one run keeps its prior error and
+# 17 bytes, at most 0.34 GB.  compare_schedulers's stack of three rows keeps
+# them for each row, so it runs over chunks of runs whose logs, rows * runs *
+# horizon entries, fit this limit, each reduced to its runs' rates and
+# steady traces before the next.  simulate's one run keeps its prior error and
 # the diagonal of P (16 n bytes per step), and monte_carlo the sums of P and
 # e e' over the runs (16 n^2 bytes per step), as simulate keeps P and e e'
 # with record_full.  The pre-roll's draws, runs * pre_roll * n entries of 8
@@ -201,7 +216,7 @@ def _rng_for_run(seed, run_index):
     return np.random.default_rng([int(seed), int(run_index)])
 
 
-def _simulate_runs(scenario, run_indices, force_gamma=None):
+def _simulate_runs(scenario, run_indices, force_gamma=None, triggers=None):
     """Simulate the runs ``run_indices`` of a scenario side by side, yielding
     for each block of steps its steps, gamma (L, runs) and the prior errors
     (L, runs, n, 1) and covariances (L, runs, n, n), once the block has
@@ -212,21 +227,29 @@ def _simulate_runs(scenario, run_indices, force_gamma=None):
     of the module docstring, and steps each block from the last one's end
     state.  Each run draws from its own generator in the order of the
     randomness contract (see :func:`simulate`).
+
+    ``triggers`` are the triggers of the rows, by default the scenario's
+    alone; each row is the scenario with its trigger, and the rows stack
+    along the runs axis, row after row, each on the same draws.  Only
+    triggers that do not read the estimate stack.
     """
     model = scenario.model
     n, m = model.n, model.m
-    s = _Runs(scenario, run_indices, force_gamma)
+    s = _Runs(scenario, run_indices, force_gamma, triggers)
+    feedback_free = all(t.variant not in READS_ESTIMATE for t in s.triggers)
     width = scenario.runs * n**2
-    if scenario.trigger.variant not in READS_ESTIMATE and width <= SCAN_MAX_WIDTH:
+    if feedback_free and width <= SCAN_MAX_WIDTH:
         step, length = _scan_block, SCAN_BLOCK_ENTRIES // width
-        # the information of an arrival and of a drop; an offline drop has none
+        # each entry's information of an arrival and of a drop; an offline
+        # drop has none
         s.J_arrival = riccati.information(model.C, model.R[None])[0]
-        s.J_drop = (
-            np.zeros((n, n)) if s.W_drop is None
-            else riccati.information(model.C, s.W_drop[None])[0]
-        )
+        J_drop = [
+            np.zeros((n, n)) if W is None else riccati.information(model.C, W[None])[0]
+            for W in s.W_drops
+        ]
+        s.J_drop = np.repeat(np.stack(J_drop), s.N, axis=0)
     else:
-        floats = scenario.trigger.variant in READS_ESTIMATE and n == m == 1
+        floats = not feedback_free and n == m == 1
         step = _float_block if floats and scenario.runs <= FLOAT_PATH_MAX_RUNS else _step_block
         length = STEP_BLOCK_ENTRIES // (scenario.runs * (n**2 + 3 * n + 2 * m + 1))
     e, P = s.e, s.P
@@ -267,20 +290,22 @@ def _check_block(steps, e, P, forced):
 class _Runs:
     """What the block steppers of :func:`_simulate_runs` start from and
     read: the constants, each run's generator and uniforms, the prior error
-    at step 0, and the blocks of draws (with the plant path where the
-    trigger reads y, and gamma where it does not read the estimate).  Block
-    arrays are time-major."""
+    at step 0, and the blocks of draws (with the plant path where a
+    trigger reads y, and gamma where none reads the estimate).  Block
+    arrays are time-major, and their runs axis holds each row's runs, row
+    after row, on the same draws; ``N`` is the number of runs of a row."""
 
-    def __init__(self, scenario, run_indices, force_gamma):
+    def __init__(self, scenario, run_indices, force_gamma, triggers=None):
         model = scenario.model
         n = model.n
         self.A, self.C, self.T = model.A, model.C, scenario.horizon
         self.Lq = np.linalg.cholesky(model.Q)
         self.Lr = np.linalg.cholesky(model.R)
-        # drop_noise checks the weight's size, and this the forced gamma (a
+        # drop_noise checks the weights' sizes, and this the forced gamma (a
         # 1-D sequence of 0s and 1s, bools too), before any generator is built
-        self.trigger = scenario.trigger
-        self.W_drop = drop_noise(model, self.trigger)
+        self.triggers = (scenario.trigger,) if triggers is None else tuple(triggers)
+        self.W_drops = [drop_noise(model, t) for t in self.triggers]
+        rows = len(self.triggers)
         self.forced = None
         if force_gamma is not None:
             try:
@@ -291,7 +316,7 @@ class _Runs:
                 raise ConfigError("force_gamma must be a 1-D sequence of 0s and 1s")
             if forced.shape[0] < self.T:
                 raise ConfigError("force_gamma must cover the horizon")
-            shape = (self.T, len(run_indices))
+            shape = (self.T, rows * len(run_indices))
             self.forced = np.broadcast_to((forced[: self.T] == 1.0)[:, None], shape)
         self.rngs = [_rng_for_run(scenario.seed, r) for r in run_indices]
         self.N = N = len(self.rngs)
@@ -307,7 +332,7 @@ class _Runs:
         # the filter carries the prior error e = x - xhat, not xhat: e is
         # drawn, and the pre-roll predicts, e and x taking the same process
         # noise while xhat <- A xhat and P <- A P A' + Q; the plant path x is
-        # kept only where the trigger reads y
+        # kept only where a trigger reads y
         e = np.linalg.cholesky(model.Sigma0) @ head[:, :n]
         x = e if scenario.x0_mean is None else e + scenario.x0_mean[:, None]
         P = model.Sigma0
@@ -315,21 +340,26 @@ class _Runs:
             w = self.Lq @ head[:, j : j + n]
             x, e = model.A @ x + w, model.A @ e + w
             P = sym(model.A @ P @ model.A.T + model.Q)
-        self.x = x if self.trigger.variant == "open_loop" else None
-        self.e = e
-        self.P = np.tile(P, (N, 1, 1))
+        self.x = x if any(t.variant == "open_loop" for t in self.triggers) else None
+        self.e = self.tile(e, 0)
+        self.P = np.tile(P, (rows * N, 1, 1))
+
+    def tile(self, a, axis):
+        """An array of one row's runs repeated along its runs axis ``axis``,
+        once for each row; the array itself for one row."""
+        return a if len(self.triggers) == 1 else np.concatenate([a] * len(self.triggers), axis)
 
     def blocks(self, length):
         """For each block of ``length`` steps (at least one): its steps, zeta
         (L, runs), the noises L_r v (L, runs, m, 1) of each step and L_q w
-        (L, runs, n, 1) that takes it to the next, for the open-loop
-        trigger y (L, runs, m, 1), else None, and gamma (L, runs): the
-        forced rows, or else one :func:`estimation.transmit` call's
-        decisions, or None where the trigger reads the estimate.  The plant
-        path x_k+1 = A x_k + L_q w_k is an :func:`_orbit` of affine maps, A
-        broadcast over the runs, so its rounding depends on ``length``, which
-        reads the scenario's runs.  ``k0`` keeps the first step of the block
-        last yielded."""
+        (L, runs, n, 1) that takes it to the next, where a trigger reads it
+        y (L, N, m, 1) of one row's runs, else None, and gamma (L, runs):
+        the forced rows, or else one :func:`estimation.transmit` call's
+        decisions per row, or None where the trigger reads the estimate.
+        The plant path x_k+1 = A x_k + L_q w_k is an :func:`_orbit` of
+        affine maps, A broadcast over the runs, so its rounding depends on
+        ``length``, which reads the scenario's runs.  ``k0`` keeps the
+        first step of the block last yielded."""
         A, C, Lq, Lr, N = self.A, self.C, self.Lq, self.Lr, self.N
         n, m, length = A.shape[0], Lr.shape[0], max(1, length)
         for k0 in range(0, self.T, length):
@@ -350,20 +380,45 @@ class _Runs:
             zeta = self.zeta[:, k0 : k0 + L].T
             if self.forced is not None:
                 gamma = self.forced[k0 : k0 + L]
-            elif self.trigger.variant in READS_ESTIMATE:
+            elif self.triggers[0].variant in READS_ESTIMATE:
                 gamma = None
             else:
                 k = np.repeat(np.arange(k0, k0 + L), N)
                 z = None if y is None else y.reshape(L * N, m, 1)
-                gamma = transmit(self.trigger, z, zeta.ravel(), k).reshape(L, N)
+                gamma = np.concatenate(
+                    [transmit(t, z, zeta.ravel(), k).reshape(L, N) for t in self.triggers], 1
+                )
             self.k0 = k0
-            yield slice(k0, k0 + L), zeta, Lv, Lw, y, gamma
+            yield (
+                slice(k0, k0 + L), self.tile(zeta, 1), self.tile(Lv, 1), self.tile(Lw, 1), y,
+                gamma,
+            )
 
 
 def _broken_covariance(step):
     return NumericalError(
         f"prior covariance at step {step} has a diagonal entry that is not positive and finite"
     )
+
+
+def _update_rows(model, s, P, e, z, gamma, y):
+    """:func:`estimation.measurement_update` on a stack whose first axis
+    holds the rows, row after row, one call per row: each row keeps its
+    trigger's drop rule, and only the open-loop row reads y, the plant's
+    for one row's entries.  A scalar e is every row's.  Returns the
+    stack's e, P and K."""
+    if len(s.triggers) == 1:
+        return measurement_update(model, P, e, z, gamma, s.W_drops[0], y)[:3]
+    size = P.shape[0] // len(s.triggers)
+    updates = [
+        measurement_update(
+            model, P[part], e if np.ndim(e) == 0 else e[part], z[part], gamma[part], W,
+            y if t.variant == "open_loop" else None,
+        )
+        for r, (t, W) in enumerate(zip(s.triggers, s.W_drops))
+        for part in [slice(r * size, (r + 1) * size)]
+    ]
+    return tuple(np.concatenate(parts) for parts in list(zip(*updates))[:3])
 
 
 def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
@@ -379,8 +434,8 @@ def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
     the innovation C e + L_r v, calls :func:`estimation.transmit` on it if
     the block brings no gamma (only the closed-loop and threshold triggers,
     whose rules read no step index, bring none), calls
-    :func:`estimation.measurement_update` on the whole stack and does the
-    time update.
+    :func:`estimation.measurement_update` on each row of the stack
+    (:func:`_update_rows`) and does the time update on the whole stack.
     """
     A, C, Q = model.A, model.C, model.Q
     # a contiguous A': matmul multiplies a stack by it faster than by the
@@ -394,10 +449,8 @@ def _step_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
         e_all[j], P_all[j] = e, P
         innov = C @ e + Lv[j]
         if decide:
-            gamma[j] = transmit(s.trigger, innov, zeta[j])
-        e, P, _, _ = measurement_update(
-            model, P, e, innov, gamma[j], s.W_drop, None if y is None else y[j]
-        )
+            gamma[j] = transmit(s.triggers[0], innov, zeta[j])
+        e, P, _ = _update_rows(model, s, P, e, innov, gamma[j], None if y is None else y[j])
         e = A @ e + Lw[j]
         P = sym(A @ P @ A_T + Q)
     e_all[L], P_all[L] = e, P
@@ -418,9 +471,10 @@ def _float_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
     noise) that is not finite, where the update would go on with K = 0.
     """
     a, c, q, r = (X.item() for X in (model.A, model.C, model.Q, model.R))
-    w_drop = None if s.W_drop is None else s.W_drop.item()
-    closed = s.trigger.variant == "closed_loop"
-    weight = s.trigger.Z.item() if closed else s.trigger.delta
+    (trigger,), (W_drop,) = s.triggers, s.W_drops
+    w_drop = None if W_drop is None else W_drop.item()
+    closed = trigger.variant == "closed_loop"
+    weight = trigger.Z.item() if closed else trigger.delta
     exp, inf, k0 = math.exp, math.inf, s.k0
     L, N = zeta.shape
     decide = gamma is None
@@ -500,23 +554,25 @@ def _apply_affine(maps, x):
 
 
 def _scan_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
-    """:func:`_step_block` for a trigger that does not read the estimate, as
-    a scan over time; :func:`_simulate_runs` forms its information matrices
-    ``s.J_arrival`` and ``s.J_drop``.
+    """:func:`_step_block` for triggers that do not read the estimate, as
+    a scan over time; :func:`_simulate_runs` forms the information matrices
+    ``s.J_arrival`` and ``s.J_drop``, the latter one per entry of the runs
+    axis, so that each row drops by its own trigger.
 
     Given gamma, the filter is a linear time-varying Kalman filter.  The
     scan finds the prior covariances as an :func:`_orbit` of the maps
     P -> A (P^-1 + J)^-1 A' + Q under :func:`riccati.compose`, J = C' W^-1 C
     being the step's :func:`riccati.information`, W = R on an arrival and
     the drop noise on a drop, gets the error's gains K from one
-    :func:`estimation.measurement_update` call, and finds the prior errors
-    e = x - xhat as an :func:`_orbit` of the affine maps
+    :func:`estimation.measurement_update` call per row, and finds the prior
+    errors e = x - xhat as an :func:`_orbit` of the affine maps
     e -> F e + A d + L_q w, F = A (I - K C), that the update and the time
     update make.
     """
-    n, m = model.n, model.m
+    n = model.n
     A, C, Q = model.A, model.C, model.Q
-    L, N = zeta.shape
+    L, N = gamma.shape
+    rows = len(s.triggers)
     J = np.where(gamma[:, :, None, None], s.J_arrival, s.J_drop)
     try:
         # a covariance that breaks down is reported by _check_block
@@ -527,16 +583,22 @@ def _scan_block(model, s, zeta, Lv, Lw, y, gamma, e, P):
             )
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"prior covariance scan failed ({exc})") from exc
+
+    def by_row(a):
+        # (L, rows * runs, ...) -> (rows * L * runs, ...), row after row
+        return a.reshape((L, rows, -1) + a.shape[2:]).swapaxes(0, 1).reshape((-1,) + a.shape[2:])
+
+    def by_step(a):
+        return a.reshape((rows, L, -1) + a.shape[1:]).swapaxes(0, 1).reshape((L, N) + a.shape[1:])
+
     # with a zero prior error, whose innovation is L_r v, the update
     # returns the part d of the posterior error that the noise makes
-    d, _, K, _ = measurement_update(
-        model, P_all[:L].reshape(L * N, n, n), 0.0, Lv.reshape(L * N, m, 1),
-        gamma.reshape(L * N), s.W_drop, None if y is None else y.reshape(L * N, m, 1),
+    d, _, K = _update_rows(
+        model, s, by_row(P_all[:L]), 0.0, by_row(Lv), by_row(gamma),
+        None if y is None else y.reshape((-1,) + y.shape[2:]),
     )
     e_all = _orbit(
-        e,
-        ((A @ (np.eye(n) - K @ C)).reshape(L, N, n, n), (A @ d).reshape(L, N, n, 1) + Lw),
-        _compose_affine, _apply_affine,
+        e, (by_step(A @ (np.eye(n) - K @ C)), by_step(A @ d) + Lw), _compose_affine, _apply_affine,
     )
     return gamma, e_all, P_all
 
@@ -639,13 +701,12 @@ def _stderr(values):
     return values.std(axis=0, ddof=1) / np.sqrt(values.shape[0])
 
 
-def _rate_and_steady_trace(gamma, P_trace, burn_in):
-    """The rate over all runs, the mean over the runs of each run's steady
-    trace (the mean trace of its prior covariance from step ``burn_in`` on)
-    and that mean's standard error, from the (runs, T) logs of gamma and of
-    the prior covariance's trace."""
-    steady = P_trace[:, burn_in:].mean(axis=1)
-    return float(gamma.mean(axis=1).mean()), float(steady.mean()), float(_stderr(steady))
+def _rates_and_steady_traces(gamma, P_trace, burn_in):
+    """Each run's rate and steady trace (the mean trace of its prior
+    covariance from step ``burn_in`` on), from the (runs, T) logs of gamma
+    and of the prior covariance's trace: reductions along a run's own
+    steps, so a run's values do not depend on the other runs logged."""
+    return gamma.mean(axis=1), P_trace[:, burn_in:].mean(axis=1)
 
 
 def monte_carlo(scenario):
@@ -668,7 +729,7 @@ def monte_carlo(scenario):
     E_mean = E_sum / N
     P_trace_mean = np.trace(P_mean, axis1=1, axis2=2)
     mse_mean = np.trace(E_mean, axis1=1, axis2=2)
-    rate, steady, steady_stderr = _rate_and_steady_trace(gamma, P_trace, scenario.burn_in)
+    rates, steady = _rates_and_steady_traces(gamma, P_trace, scenario.burn_in)
     return MonteCarloStats(
         steps=np.arange(T),
         rate_mean=gamma.sum(axis=0) / N,
@@ -677,12 +738,12 @@ def monte_carlo(scenario):
         P_trace_mean=P_trace_mean,
         mse_mean=mse_mean,
         consistency_ratio=mse_mean / P_trace_mean,
-        rate_overall=rate,
-        rate_stderr=float(_stderr(gamma.mean(axis=1))),
+        rate_overall=float(rates.mean()),
+        rate_stderr=float(_stderr(rates)),
         terminal_P_mean=sym(P_last.mean(axis=0)),
         terminal_P_stderr=np.asarray(_stderr(P_last)),
-        steady_trace_mean=steady,
-        steady_trace_stderr=steady_stderr,
+        steady_trace_mean=float(steady.mean()),
+        steady_trace_stderr=float(_stderr(steady)),
         P_trace_max=float(P_trace.max()),
         gamma=gamma,
         runs=N,
@@ -791,12 +852,42 @@ class ComparisonRow:
     steady_trace_stderr: float
 
 
+def _row_stats(scenario, triggers):
+    """Each row's rate, steady trace and its standard error, as
+    :func:`monte_carlo` gives them: the rows of ``triggers`` on
+    ``scenario`` as one stack of :func:`_simulate_runs`, over chunks of
+    runs whose gamma and trace logs, rows * runs * horizon entries, fit
+    MAX_LOG_ENTRIES, each reduced by :func:`_rates_and_steady_traces`
+    before the next."""
+    rows, N, T = len(triggers), scenario.runs, scenario.horizon
+    chunk = max(1, MAX_LOG_ENTRIES // (rows * T))
+    rates, steady = np.empty((rows, N)), np.empty((rows, N))
+    for r0 in range(0, N, chunk):
+        runs = slice(r0, min(N, r0 + chunk))
+        shape = (rows * (runs.stop - r0), T)
+        gamma, P_trace = np.empty(shape, dtype=np.int8), np.empty(shape)
+        for steps, g, _, P in _simulate_runs(scenario, range(r0, runs.stop), triggers=triggers):
+            gamma[:, steps], P_trace[:, steps] = g.T, P.diagonal(axis1=2, axis2=3).sum(axis=2).T
+        chunk_rates, chunk_steady = _rates_and_steady_traces(gamma, P_trace, scenario.burn_in)
+        rates[:, runs], steady[:, runs] = chunk_rates.reshape(rows, -1), chunk_steady.reshape(rows, -1)
+        del gamma, P_trace  # freed before the next chunk's
+    return [(float(r.mean()), float(t.mean()), float(_stderr(t))) for r, t in zip(rates, steady)]
+
+
 def compare_schedulers(model, target_rate, horizon=2000, runs=100, seed=0, burn_in=None):
     """Calibrate the four schedulers to one rate and compare steady E[P-].
 
     Rows are ordered clset, olset, periodic, random.  All schedulers share
     the same master seed, hence identical plant noise per run index.  An
     unset burn-in is 200 steps, cut to leave the last step of the horizon.
+
+    Each row's rate and steady trace are monte_carlo's on the row's
+    scenario, to the bit, read off the kernel's blocks without its per-step
+    sums.  The clset row runs alone; the olset, periodic and random rows,
+    which do not read the estimate, run as one stack of the kernel on one
+    set of draws, over chunks of runs whose logs fit MAX_LOG_ENTRIES.  When
+    the stack raises, those rows run again one at a time, so that a
+    failure raises as it does for its row alone.
     """
     target_rate = as_number(target_rate, "target_rate")
     # the periodic calibration costs nothing and misses most rates, so it goes first
@@ -810,25 +901,17 @@ def compare_schedulers(model, target_rate, horizon=2000, runs=100, seed=0, burn_
         ("periodic", float(period), TriggerPolicy.periodic(period)),
         ("random", target_rate, TriggerPolicy.random_offline(target_rate)),
     ]
-    rows = []
-    for name, param, trig in setups:
-        scn = Scenario(
-            model=model,
-            trigger=trig,
-            horizon=horizon,
-            runs=runs,
-            seed=seed,
-            burn_in=burn_in,
-        )
-        # monte_carlo's rate and steady trace, from the kernel's blocks
-        # without its per-step sums
-        shape = (scn.runs, scn.horizon)
-        gamma, P_trace = np.empty(shape, dtype=np.int8), np.empty(shape)
-        for steps, g, _, P in _simulate_runs(scn, range(scn.runs)):
-            gamma[:, steps], P_trace[:, steps] = g.T, P.diagonal(axis1=2, axis2=3).sum(axis=2).T
-        rate, steady, stderr = _rate_and_steady_trace(gamma, P_trace, scn.burn_in)
-        rows.append(ComparisonRow(name, float(param), rate, steady, stderr))
-    return rows
+    clset, *stacked = (
+        Scenario(model=model, trigger=trig, horizon=horizon, runs=runs, seed=seed, burn_in=burn_in)
+        for _, _, trig in setups
+    )
+    stats = _row_stats(clset, [clset.trigger])
+    try:
+        stats += _row_stats(stacked[0], [scn.trigger for scn in stacked])
+    except Exception:
+        for scn in stacked:
+            stats += _row_stats(scn, [scn.trigger])
+    return [ComparisonRow(name, float(param), *row) for (name, param, _), row in zip(setups, stats)]
 
 
 def singer_scenario(

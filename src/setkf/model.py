@@ -100,12 +100,14 @@ def _pbh_check(A, C, Lq):
     """PBH rank tests at each eigenvalue of A on or outside the unit circle:
     [A - lam I; C] for detectability of (A, C), then [A - lam I, Lq] for
     stabilizability of (A, Q = Lq Lq').  A with non-finite eigenvalues is
-    rejected before any rank is taken."""
+    rejected before any rank is taken, and a repeated eigenvalue is tested
+    once."""
     eigenvalues = np.linalg.eigvals(A)
     if not np.all(np.isfinite(eigenvalues)):
         raise ModelValidationError("A has non-finite eigenvalues")
     n = A.shape[0]
-    shifted = [A - lam * np.eye(n) for lam in eigenvalues if abs(lam) >= 1.0 - UNIT_CIRCLE_TOL]
+    distinct = dict.fromkeys(eigenvalues.tolist())
+    shifted = [A - lam * np.eye(n) for lam in distinct if abs(lam) >= 1.0 - UNIT_CIRCLE_TOL]
     if any(_rank(np.vstack([M, C])) < n for M in shifted):
         raise NotDetectable("(A, C) fails the PBH detectability test")
     if any(_rank(np.hstack([M, Lq])) < n for M in shifted):

@@ -378,6 +378,9 @@ class TestCompareSchedulers:
             ("plant2", 3, {"_scan_block", "_step_block"}),
             # past both bounds every row takes the numpy step loop
             ("scalar", max(SCAN_MAX_WIDTH, FLOAT_PATH_MAX_RUNS) + 1, {"_step_block"}),
+            # two measurements too wide for the scan: each stacked row's own y
+            # with m = 2 on the numpy step loop
+            ("plant2", 40, {"_step_block"}),
         ],
     )
     def test_rows_equal_monte_carlo(self, monkeypatch, plant, runs, steppers):
@@ -414,6 +417,63 @@ class TestCompareSchedulers:
             assert row.empirical_rate == stats.rate_overall
             assert row.steady_trace == stats.steady_trace_mean
             assert row.steady_trace_stderr == stats.steady_trace_stderr
+
+
+    @pytest.mark.parametrize(
+        "plant, runs, stepper", [("scalar", 3, "_scan_block"), ("plant2", 40, "_step_block")]
+    )
+    def test_chunks_of_runs_change_no_row(self, monkeypatch, plant, runs, stepper):
+        # MAX_LOG_ENTRIES at the rows' runs * horizon * n, which each row's
+        # scenario still fits, splits the stack of three rows into chunks
+        model = SCALAR if plant == "scalar" else self.PLANT2
+        kw = dict(horizon=120, runs=runs, seed=43, burn_in=30)
+        whole = compare_schedulers(model, 0.5, **kw)
+        monkeypatch.setattr(harness, "MAX_LOG_ENTRIES", runs * 120 * model.n)
+        chunks, calls = [], []
+        simulate_runs = harness._simulate_runs
+
+        def spy(scenario, run_indices, force_gamma=None, triggers=None):
+            if triggers is not None and len(triggers) == 3:
+                chunks.append(list(run_indices))
+            return simulate_runs(scenario, run_indices, force_gamma, triggers)
+
+        monkeypatch.setattr(harness, "_simulate_runs", spy)
+        spy_steppers(monkeypatch, calls)
+        rows = compare_schedulers(model, 0.5, **kw)
+        assert len(chunks) >= 2 and sum(chunks, []) == list(range(runs))
+        assert stepper in {name for name, _ in calls}
+        for row, want in zip(rows, whole):
+            assert vars(row) == vars(want)
+
+    def test_failing_stack_raises_each_rows_own_error(self, monkeypatch):
+        # a check that also fails where a prior error passes 3.5: on these
+        # draws never on the clset row, first at step 37 on the random row and
+        # at step 151 on the olset row, so the stack fails at the random row's
+        # step and the rows one at a time at the olset row's
+        kw = dict(horizon=200, runs=3, seed=4, burn_in=0)
+        clset, olset, periodic, random = compare_schedulers(SCALAR, 0.5, **kw)
+        check = harness._check_block
+
+        def strict(steps, e, P, forced):
+            check(steps, e, P, forced)
+            far = (np.abs(e) > 3.5).any(axis=(1, 2, 3))
+            if far.any():
+                step = steps.start + int(far.argmax())
+                raise NumericalError(f"prior error at step {step} passes 3.5")
+
+        monkeypatch.setattr(harness, "_check_block", strict)
+        triggers = [
+            TriggerPolicy.open_loop([[olset.param]]), TriggerPolicy.periodic(int(periodic.param)),
+            TriggerPolicy.random_offline(random.param),
+        ]
+        scn = scalar_scenario(triggers[0], **kw)
+        with pytest.raises(NumericalError, match="^prior error at step 37 passes 3.5$"):
+            harness._row_stats(scn, triggers)
+        for trig, step in zip(triggers, [151, 151, 37]):
+            with pytest.raises(NumericalError, match=f"^prior error at step {step} passes 3.5$"):
+                harness._row_stats(scalar_scenario(trig, **kw), [trig])
+        with pytest.raises(NumericalError, match="^prior error at step 151 passes 3.5$"):
+            compare_schedulers(SCALAR, 0.5, **kw)
 
 
 class TestSingerScenario:
